@@ -17,6 +17,7 @@ import (
 	"gridgather/internal/swarm"
 	"gridgather/internal/sweep"
 	"gridgather/internal/view"
+	"gridgather/internal/world"
 )
 
 // The benchmarks regenerate the experiment suite under `go test -bench`.
@@ -97,20 +98,47 @@ func BenchmarkAsyncBaseline(b *testing.B) {
 
 // BenchmarkMergeDetection is experiment E5: the per-robot cost of checking
 // the Fig. 2 merge configurations — the inner loop of every round.
+//
+// "closure" builds a view per robot over a swarm-map closure. The "dense"
+// sub-benchmarks read the way the engine's compute stage does: one view
+// over a world.Dense, repositioned at each robot. They are split into
+// interior robots (all four neighbours occupied, so no direction can be
+// exposed) and boundary robots, the only ones that can be black.
 func BenchmarkMergeDetection(b *testing.B) {
 	s := gen.RandomBlob(400, 7)
 	p := core.Defaults()
 	cells := s.Cells()
-	cfg := view.Config{
-		Radius: p.Radius,
-		Occ:    s.Has,
-		State:  func(grid.Point) robot.State { return robot.State{} },
+	b.Run("closure", func(b *testing.B) {
+		cfg := view.Config{
+			Radius: p.Radius,
+			Occ:    s.Has,
+			State:  func(grid.Point) robot.State { return robot.State{} },
+		}
+		for i := 0; i < b.N; i++ {
+			c := cells[i%len(cells)]
+			v := view.New(cfg, c, 0)
+			core.MergeMove(v, p)
+		}
+	})
+	var interior, boundary []grid.Point
+	for _, c := range cells {
+		if s.Degree(c) == 4 {
+			interior = append(interior, c)
+		} else {
+			boundary = append(boundary, c)
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cells[i%len(cells)]
-		v := view.New(cfg, c, 0)
-		core.MergeMove(v, p)
+	v := view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(s, false)}, grid.Zero, 0)
+	for _, set := range []struct {
+		name  string
+		cells []grid.Point
+	}{{"dense/interior", interior}, {"dense/boundary", boundary}} {
+		b.Run(set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.Reposition(set.cells[i%len(set.cells)], 0)
+				core.MergeMove(v, p)
+			}
+		})
 	}
 }
 

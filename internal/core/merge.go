@@ -40,13 +40,15 @@ import (
 // a merge operation this round, and returns its hop. The second return is
 // false if the robot is not a black robot of any configuration.
 func MergeMove(v *view.View, p Params) (grid.Point, bool) {
-	var dirs []grid.Point
+	var dirs [4]grid.Point
+	n := 0
 	for _, d := range grid.Axis4 {
 		if blackIn(v, d, p) {
-			dirs = append(dirs, d)
+			dirs[n] = d
+			n++
 		}
 	}
-	switch len(dirs) {
+	switch n {
 	case 1:
 		return dirs[0], true
 	case 2:
@@ -61,8 +63,23 @@ func MergeMove(v *view.View, p Params) (grid.Point, bool) {
 
 // blackIn reports whether the origin robot is a black robot of a merge
 // configuration whose hop direction is d.
+//
+// The verdict is a pure conjunction of occupancy tests, so the order of the
+// reads cannot change it; only the number of reads depends on the order.
+// The m = 0 cases are therefore tested before any run scan: the origin's
+// own far-side cell (exposure), and, when both of its run neighbours are
+// occupied so that the origin is an interior black robot, its own landing
+// cell. A robot inside the swarm is rejected after one read per direction,
+// one in the middle of a solid edge after at most four, instead of after
+// scanning its run up to MergeMax cells each way.
 func blackIn(v *view.View, d grid.Point, p Params) bool {
+	if v.Occ(d.Neg()) {
+		return false
+	}
 	axis := d.PerpCW() // the line axis of the black subboundary
+	if v.Occ(d) && v.Occ(axis) && v.Occ(axis.Neg()) {
+		return false
+	}
 
 	// Extent of the straight run of robots through the origin along ±axis.
 	neg := 0

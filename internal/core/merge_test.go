@@ -1,12 +1,16 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"gridgather/internal/fsync"
+	"gridgather/internal/gen"
 	"gridgather/internal/grid"
 	"gridgather/internal/swarm"
+	"gridgather/internal/view"
+	"gridgather/internal/world"
 )
 
 // fromASCII builds a swarm from a picture ('#'/'X' robots). Bottom-left is
@@ -242,4 +246,191 @@ func TestMergePreservesConnectivityOnCorpus(t *testing.T) {
 			t.Fatalf("seed %d: robots increased", seed)
 		}
 	}
+}
+
+// refMergeMove and refBlackIn are the merge rule as first written: the run
+// is scanned before any exposure test. They are the oracle for the
+// production MergeMove, whose tests are reordered so that non-candidates
+// exit early; both must return the same (hop, ok) on every view.
+func refMergeMove(v *view.View, p Params) (grid.Point, bool) {
+	var dirs []grid.Point
+	for _, d := range grid.Axis4 {
+		if refBlackIn(v, d, p) {
+			dirs = append(dirs, d)
+		}
+	}
+	switch len(dirs) {
+	case 1:
+		return dirs[0], true
+	case 2:
+		if sum := dirs[0].Add(dirs[1]); sum != grid.Zero {
+			// Perpendicular overlap: diagonal hop (Fig. 3b).
+			return sum, true
+		}
+	}
+	// Zero matches, two opposing matches, or more: no safe single hop.
+	return grid.Zero, false
+}
+
+func refBlackIn(v *view.View, d grid.Point, p Params) bool {
+	axis := d.PerpCW() // the line axis of the black subboundary
+
+	// Extent of the straight run of robots through the origin along ±axis.
+	neg := 0
+	for v.Occ(axis.Scale(-(neg + 1))) {
+		neg++
+		if neg >= p.MergeMax {
+			return false // too long to verify within the radius
+		}
+	}
+	pos := 0
+	for v.Occ(axis.Scale(pos + 1)) {
+		pos++
+		if neg+pos+1 > p.MergeMax {
+			return false
+		}
+	}
+	// Maximality holds by loop exit: the cells extending the run at both
+	// ends are free.
+
+	// Far side (outside) must be fully exposed.
+	for m := -neg; m <= pos; m++ {
+		if v.Occ(axis.Scale(m).Sub(d)) {
+			return false
+		}
+	}
+	// Interior landing cells must be free.
+	for m := -neg + 1; m <= pos-1; m++ {
+		if v.Occ(axis.Scale(m).Add(d)) {
+			return false
+		}
+	}
+	// At least one end landing cell must hold a grey anchor.
+	landA := axis.Scale(-neg).Add(d)
+	landB := axis.Scale(pos).Add(d)
+	return v.Occ(landA) || v.Occ(landB)
+}
+
+// checkMergeAgainstReference compares MergeMove with the reference for the
+// robot at origin in w, once on a clean view and once with the noise flip
+// at off (skipped when off is zero). The production rule reads through an
+// unchecked view (the engine's fast path), the reference through a checked
+// one, so the comparison also covers both view read paths. It returns
+// whether the clean view matched a merge configuration.
+func checkMergeAgainstReference(t *testing.T, w *world.Dense, origin, off grid.Point, round int) bool {
+	t.Helper()
+	p := Defaults()
+	fast := view.New(view.Config{Radius: p.Radius, Dense: w}, origin, round)
+	checked := view.New(view.Config{Radius: p.Radius, Checked: true, Dense: w}, origin, round)
+	gd, gok := MergeMove(fast, p)
+	wd, wok := refMergeMove(checked, p)
+	if gd != wd || gok != wok {
+		t.Fatalf("robot %v round %d: MergeMove = (%v, %v), reference (%v, %v)", origin, round, gd, gok, wd, wok)
+	}
+	if off != grid.Zero {
+		fast.SetNoise(off)
+		checked.SetNoise(off)
+		nd, nok := MergeMove(fast, p)
+		rd, rok := refMergeMove(checked, p)
+		if nd != rd || nok != rok {
+			t.Fatalf("robot %v round %d noise %v: MergeMove = (%v, %v), reference (%v, %v)",
+				origin, round, off, nd, nok, rd, rok)
+		}
+	}
+	return gok
+}
+
+// TestMergeMoveMatchesReference gathers every seeded-catalog swarm and
+// checks, for every robot of every round, that MergeMove agrees with the
+// reference rule, with and without a sensor noise flip in the view.
+func TestMergeMoveMatchesReference(t *testing.T) {
+	noise := []grid.Point{grid.Zero, grid.North, grid.Pt(1, 1), grid.Pt(-2, 0), grid.Pt(0, -3), grid.Pt(5, -4)}
+	for _, wl := range gen.SeededCatalog() {
+		t.Run(wl.Name, func(t *testing.T) {
+			s := wl.Build(120, 42)
+			eng := fsync.New(s, Default(), fsync.Config{})
+			matched := 0
+			for r := 0; r < 60*s.Len() && !eng.Gathered(); r++ {
+				for i, c := range eng.Swarm().Cells() {
+					if checkMergeAgainstReference(t, eng.World(), c, noise[i%len(noise)], eng.Round()) {
+						matched++
+					}
+				}
+				if err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if matched == 0 {
+				t.Error("no robot matched a merge configuration: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// fuzzWindow lists the cells of a radius-20 L1 window except its center,
+// in a fixed order; bit i of a fuzz input occupies fuzzWindow[i].
+var fuzzWindow = func() []grid.Point {
+	r := Defaults().Radius
+	var out []grid.Point
+	for y := -r; y <= r; y++ {
+		for x := -r; x <= r; x++ {
+			if p := grid.Pt(x, y); p != grid.Zero && p.L1() <= r {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}()
+
+// windowBits encodes the occupied cells of s within the window around c.
+func windowBits(s *swarm.Swarm, c grid.Point) []byte {
+	b := make([]byte, (len(fuzzWindow)+7)/8)
+	for i, rel := range fuzzWindow {
+		if s.Has(c.Add(rel)) {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
+	return b
+}
+
+// FuzzMergeMove checks MergeMove against the reference rule on arbitrary
+// radius-20 windows around an occupied origin, with and without a noise
+// flip at (nx, ny). The seed corpus holds windows cut around merging and
+// non-merging robots of catalog swarms, a solid interior, and random
+// windows of several densities.
+func FuzzMergeMove(f *testing.F) {
+	for _, wl := range gen.SeededCatalog() {
+		s := wl.Build(60, 7)
+		blacks := MergeBlacks(s, Defaults())
+		for i, c := range s.Cells() {
+			if _, ok := blacks[c]; ok || i%17 == 0 {
+				f.Add(windowBits(s, c), int8(i%5-2), int8(i%3-1))
+			}
+		}
+	}
+	f.Add(windowBits(solid(41, 41), grid.Pt(20, 20)), int8(0), int8(1))
+	rng := rand.New(rand.NewSource(1))
+	for _, density := range []float64{0.1, 0.3, 0.5, 0.8} {
+		b := make([]byte, (len(fuzzWindow)+7)/8)
+		for i := range fuzzWindow {
+			if rng.Float64() < density {
+				b[i/8] |= 1 << (i % 8)
+			}
+		}
+		f.Add(b, int8(rng.Intn(7)-3), int8(rng.Intn(7)-3))
+	}
+	r := Defaults().Radius
+	f.Fuzz(func(t *testing.T, bits []byte, nx, ny int8) {
+		s := swarm.New(grid.Zero)
+		for i, rel := range fuzzWindow {
+			if i/8 < len(bits) && bits[i/8]&(1<<(i%8)) != 0 {
+				s.Add(rel)
+			}
+		}
+		off := grid.Pt(int(nx)%(r+1), int(ny)%(r+1))
+		if off.L1() > r {
+			off = grid.Pt(off.X/2, off.Y/2)
+		}
+		checkMergeAgainstReference(t, world.NewDense(s, false), grid.Zero, off, 0)
+	})
 }

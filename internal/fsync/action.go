@@ -69,14 +69,6 @@ func (a *Action) Keep() []robot.Run { return a.keep[:a.nKeep] }
 // storage).
 func (a *Action) Transfers() []Transfer { return a.transfers[:a.nTransfers] }
 
-// quiescent reports whether the action is exactly the do-nothing Stay: no
-// move, nothing kept, nothing transferred. The quiescence layer caches
-// only these verdicts — any other action changes world state, so its
-// robot must recompute every round regardless.
-func (a *Action) quiescent() bool {
-	return a.Move == (grid.Point{}) && a.nKeep == 0 && a.nTransfers == 0
-}
-
 // Stay is the do-nothing action.
 var Stay = Action{}
 

@@ -240,6 +240,7 @@ type Engine struct {
 	sleep        []grid.Point  // robots outside the activation set
 	mask         []bool        // scheduler activation mask over the cell order
 	acts         []actionAt    // actions indexed like order
+	runActs      [][]Action    // per compute worker: the actions that carry runs
 	actBuckets   [][]int32     // action indices per resolve lane (last = seam)
 	sleepBuckets [][]int32     // sleeper indices per resolve lane
 	outs         []resolveOut  // per-lane resolve collections
@@ -273,7 +274,7 @@ func (e *Engine) ensureStageFns() {
 	}
 	e.computeFn = func(w int) {
 		lo := w * e.computeChunk
-		e.computeErrs[w] = e.computeRange(e.computeVC, lo, min(lo+e.computeChunk, len(e.acts)))
+		e.computeErrs[w] = e.computeRange(e.computeVC, w, lo, min(lo+e.computeChunk, len(e.acts)))
 	}
 	e.resolveFn = func(k int) {
 		e.resolveLane(k, false, e.actBuckets[k], e.sleepBuckets[k], e.scheduledRound, &e.outs[k])
@@ -282,10 +283,30 @@ func (e *Engine) ensureStageFns() {
 	e.transfersAt = func(i int) []idxTransfer { return e.outs[i].transfers }
 }
 
-// actionAt pairs a robot's pre-round position with its computed action.
+// actionAt pairs a robot's pre-round position with its computed move. An
+// Action with its inline run arrays is about 300 bytes and few robots hold
+// runs, so an action that keeps or transfers any is stored out of line in
+// the computing worker's runActs list: ext is 1 + its index there, and 0
+// for an action without runs.
 type actionAt struct {
 	from grid.Point
-	act  Action
+	move grid.Point
+	w    int32
+	ext  int32
+}
+
+// quiescent reports whether the action is exactly the do-nothing Stay: no
+// move, nothing kept, nothing transferred. The quiescence layer caches
+// only these verdicts — any other action changes world state, so its
+// robot must recompute every round regardless.
+func (c *actionAt) quiescent() bool { return c.move == (grid.Point{}) && c.ext == 0 }
+
+// runsOf returns the full action behind c, or nil if it carries no runs.
+func (e *Engine) runsOf(c *actionAt) *Action {
+	if c.ext == 0 {
+		return nil
+	}
+	return &e.runActs[c.w][c.ext-1]
 }
 
 // resolveOut is one lane's Resolve-stage output: everything the shared
@@ -595,8 +616,9 @@ func (e *Engine) crashedAtCell(p grid.Point) bool {
 	return e.w.Has(p) && e.crashed[e.w.SlotAt(p)]
 }
 
-// computeRange runs Look+Compute for the robots e.order[lo:hi), writing
-// each action to e.acts at the robot's index. One reusable view per call
+// computeRange runs Look+Compute for the robots e.order[lo:hi) as compute
+// worker w, writing each action to e.acts at the robot's index and the
+// actions that carry runs to e.runActs[w]. One reusable view per call
 // keeps the phase allocation-free; disjoint index ranges keep concurrent
 // calls race-free and the combined result independent of the sharding.
 //
@@ -608,8 +630,9 @@ func (e *Engine) crashedAtCell(p grid.Point) bool {
 // disposition lands in e.qFlags for the serial post-pass.
 //
 //gather:hotpath
-func (e *Engine) computeRange(vc view.Config, lo, hi int) error {
+func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 	v := view.New(vc, grid.Zero, e.round)
+	ra := e.runActs[w][:0]
 	flips := e.flips
 	q := e.qOn
 	for i := lo; i < hi; i++ {
@@ -632,7 +655,12 @@ func (e *Engine) computeRange(vc view.Config, lo, hi int) error {
 		if a.Move.Linf() > 1 {
 			return fmt.Errorf("fsync: robot at %v attempted move %v exceeding one cell", p, a.Move) //gather:alloc-ok abort path, the round is already lost
 		}
-		e.acts[i] = actionAt{from: p, act: a}
+		c := actionAt{from: p, move: a.Move}
+		if a.nKeep > 0 || a.nTransfers > 0 {
+			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
+			c.w, c.ext = int32(w), int32(len(ra))
+		}
+		e.acts[i] = c
 		if q {
 			f := uint8(0)
 			if off != (grid.Point{}) {
@@ -644,6 +672,7 @@ func (e *Engine) computeRange(vc view.Config, lo, hi int) error {
 			e.qFlags[i] = f
 		}
 	}
+	e.runActs[w] = ra
 	return nil
 }
 
@@ -856,6 +885,9 @@ func (e *Engine) stageCompute(workers int) error {
 		e.acts = make([]actionAt, n)
 	}
 	e.acts = e.acts[:n]
+	for len(e.runActs) < max(workers, 1) {
+		e.runActs = append(e.runActs, nil) //gather:alloc-ok worker-count growth, settles after the first round
+	}
 	if e.qOn {
 		// One disposition byte per activation; computeRange writes every
 		// index (skip and compute alike), so no clearing is needed.
@@ -865,7 +897,7 @@ func (e *Engine) stageCompute(workers int) error {
 		e.qFlags = e.qFlags[:n]
 	}
 	if workers == 1 {
-		if err := e.computeRange(vc, 0, n); err != nil {
+		if err := e.computeRange(vc, 0, 0, n); err != nil {
 			return err
 		}
 		e.quiescePost()
@@ -999,7 +1031,7 @@ func (e *Engine) resolveParallel(scheduled bool, workers int) int {
 	}
 	for i := range e.acts {
 		c := &e.acts[i]
-		ln, onSeam := e.w.Classify(c.from.Add(c.act.Move), workers)
+		ln, onSeam := e.w.Classify(c.from.Add(c.move), workers)
 		if onSeam {
 			ln = seam
 		}
@@ -1069,7 +1101,8 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 			i = actIdx[k]
 		}
 		c := &e.acts[i]
-		dst := c.from.Add(c.act.Move)
+		dst := c.from.Add(c.move)
+		a := e.runsOf(c)
 		if dst != c.from {
 			out.moved++
 		}
@@ -1081,7 +1114,10 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 			cl = e.w.ClockAt(c.from) + 1
 		}
 		if e.w.ArriveShard(ln, c.from, dst) == 1 {
-			keep := c.act.Keep()
+			var keep []robot.Run
+			if a != nil {
+				keep = a.Keep()
+			}
 			e.w.SetArrivalState(dst, robot.State{Runs: keep})
 			for _, r := range keep {
 				if r.ID == 0 {
@@ -1102,7 +1138,10 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 		if scheduled {
 			e.w.RaiseClock(dst, cl)
 		}
-		for _, tr := range c.act.Transfers() {
+		if a == nil {
+			continue
+		}
+		for _, tr := range a.Transfers() {
 			// Collected, not yet delivered: whether the hand-off succeeds
 			// depends on the sender not merging this round, which is known
 			// only after all arrivals are counted.

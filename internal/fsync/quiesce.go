@@ -110,7 +110,7 @@ func (e *Engine) quiescePost() {
 		a := &e.acts[i]
 		hadRuns := f&qfHadRuns != 0
 		if f&qfNoisy == 0 {
-			e.w.QuiesceNote(a.from, e.localRound(a.from)%e.qPeriod, !hadRuns && a.act.quiescent())
+			e.w.QuiesceNote(a.from, e.localRound(a.from)%e.qPeriod, !hadRuns && a.quiescent())
 		}
 		if hadRuns {
 			// The robot's runs age, glide or hand off this round; even if
@@ -118,8 +118,8 @@ func (e *Engine) quiescePost() {
 			// the commit diff), the neighbors' views change.
 			marks = append(marks, a.from) //gather:alloc-ok length-reset per round, steady-state reuse
 		}
-		if a.act.nKeep > 0 {
-			marks = append(marks, a.from.Add(a.act.Move)) //gather:alloc-ok length-reset per round, steady-state reuse
+		if r := e.runsOf(a); r != nil && r.nKeep > 0 {
+			marks = append(marks, a.from.Add(a.move)) //gather:alloc-ok length-reset per round, steady-state reuse
 		}
 	}
 	for _, p := range marks {

@@ -30,6 +30,9 @@ type View struct {
 	round   int
 	crashed func(grid.Point) bool
 	noise   grid.Point // non-zero: occupancy reads at this offset are inverted
+	// fast marks a dense, unchecked, noise-free view: Occ is then a bare
+	// bit test. Derived by refresh whenever dense, checked or noise change.
+	fast bool
 }
 
 // Config bundles the engine-side accessors for building views.
@@ -60,7 +63,7 @@ type Config struct {
 // New builds the view of the robot at world position origin for the given
 // round number.
 func New(cfg Config, origin grid.Point, round int) *View {
-	return &View{
+	v := &View{
 		origin:  origin,
 		radius:  cfg.Radius,
 		checked: cfg.Checked,
@@ -70,6 +73,13 @@ func New(cfg Config, origin grid.Point, round int) *View {
 		crashed: cfg.Crashed,
 		round:   round,
 	}
+	v.refresh()
+	return v
+}
+
+// refresh re-derives the fast-path flag from the fields it depends on.
+func (v *View) refresh() {
+	v.fast = v.dense != nil && !v.checked && v.noise == (grid.Point{})
 }
 
 // Reposition retargets the view at a new observing robot and round,
@@ -81,6 +91,7 @@ func (v *View) Reposition(origin grid.Point, round int) {
 	v.origin = origin
 	v.round = round
 	v.noise = grid.Point{}
+	v.refresh()
 }
 
 // SetNoise installs a sensor-noise flip for this activation: occupancy
@@ -88,7 +99,10 @@ func (v *View) Reposition(origin grid.Point, round int) {
 // The zero offset clears the flip (a robot always senses itself
 // correctly). Reposition resets the flip, so noise never leaks across
 // robots when the engine reuses a view allocation.
-func (v *View) SetNoise(rel grid.Point) { v.noise = rel }
+func (v *View) SetNoise(rel grid.Point) {
+	v.noise = rel
+	v.refresh()
+}
 
 // Radius returns the viewing radius.
 func (v *View) Radius() int { return v.radius }
@@ -101,13 +115,29 @@ func (v *View) Round() int { return v.round }
 
 func (v *View) check(rel grid.Point) {
 	if v.checked && rel.L1() > v.radius {
-		panic(fmt.Sprintf("view: read at relative %v exceeds viewing radius %d", rel, v.radius))
+		outOfRadius(rel, v.radius)
 	}
+}
+
+// outOfRadius is check's failure path, kept out of line so that check
+// carries no formatting code.
+//
+//go:noinline
+func outOfRadius(rel grid.Point, radius int) {
+	panic(fmt.Sprintf("view: read at relative %v exceeds viewing radius %d", rel, radius))
 }
 
 // Occ reports whether the cell at the given offset from the observing robot
 // is occupied. Occ(grid.Zero) is always true.
 func (v *View) Occ(rel grid.Point) bool {
+	if v.fast {
+		return v.dense.Has(v.origin.Add(rel))
+	}
+	return v.occSlow(rel)
+}
+
+// occSlow is Occ for views that are checked, noisy or closure-backed.
+func (v *View) occSlow(rel grid.Point) bool {
 	v.check(rel)
 	occ := false
 	if v.dense != nil {

@@ -151,3 +151,50 @@ func TestViewDenseFastPathMatchesClosures(t *testing.T) {
 		}
 	}
 }
+
+// TestViewDenseReadPathToggles drives a dense view through every change to
+// the state that selects its read path (New, Reposition, SetNoise) and
+// checks after each that an unchecked view honours the noise flip exactly
+// while it is installed, and that a checked view still panics on an
+// out-of-radius read.
+func TestViewDenseReadPathToggles(t *testing.T) {
+	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(5, 5), grid.Pt(6, 5))
+	d := world.NewDense(s, false)
+	steps := []struct {
+		name  string
+		apply func(v *View)
+		noise grid.Point // the flip in force after apply
+	}{
+		{"new", func(*View) {}, grid.Zero},
+		{"noise east", func(v *View) { v.SetNoise(grid.East) }, grid.East},
+		{"noise north", func(v *View) { v.SetNoise(grid.North) }, grid.North},
+		{"noise cleared", func(v *View) { v.SetNoise(grid.Zero) }, grid.Zero},
+		{"noise west", func(v *View) { v.SetNoise(grid.West) }, grid.West},
+		{"reposition", func(v *View) { v.Reposition(grid.Pt(5, 5), 1) }, grid.Zero},
+		{"noise after reposition", func(v *View) { v.SetNoise(grid.East) }, grid.East},
+		{"reposition back", func(v *View) { v.Reposition(grid.Pt(0, 0), 2) }, grid.Zero},
+	}
+	for _, checked := range []bool{false, true} {
+		v := New(Config{Radius: 4, Checked: checked, Dense: d}, grid.Pt(0, 0), 0)
+		for _, st := range steps {
+			st.apply(v)
+			for _, rel := range []grid.Point{grid.Zero, grid.East, grid.West, grid.North, grid.Pt(2, 2)} {
+				want := s.Has(v.origin.Add(rel))
+				if rel == st.noise && rel != grid.Zero {
+					want = !want
+				}
+				if got := v.Occ(rel); got != want {
+					t.Errorf("checked=%v after %s: Occ(%v) = %v, want %v", checked, st.name, rel, got, want)
+				}
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				v.Occ(grid.Pt(3, 2))
+				return false
+			}()
+			if panicked != checked {
+				t.Errorf("checked=%v after %s: out-of-radius read panicked=%v", checked, st.name, panicked)
+			}
+		}
+	}
+}

@@ -381,10 +381,12 @@ func (d *Dense) SlotAt(p grid.Point) int32 { return d.slotAt(d.cur, p) }
 // slice aliases the flat state storage — read-only, valid until the state
 // is rewritten; do not retain it across Commit.
 func (d *Dense) StateAt(p grid.Point) robot.State {
-	if !d.Has(p) {
+	t := d.tileAt(p)
+	ry, rx := p.Y&tileMask, p.X&tileMask
+	if t == nil || t.bits[d.cur][ry]&(1<<uint(rx)) == 0 {
 		return robot.State{}
 	}
-	s := &d.states[d.slotAt(d.cur, p)]
+	s := &d.states[t.slots[d.cur][ry<<tileShift|rx]]
 	if s.n == 0 {
 		return robot.State{}
 	}
