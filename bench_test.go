@@ -1,6 +1,7 @@
 package gridgather_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -286,8 +287,7 @@ func BenchmarkLowerBound(b *testing.B) {
 // session event API against the bare unobserved round. The event payload
 // borrows session-owned scratch (see gridgather.Event), so the observer
 // path must report the same allocs/op as the bare path — zero in steady
-// state; the legacy Options.OnRound hook rebuilt two slices per round.
-// TestObserverPathAllocationFree asserts the same bound; this benchmark
+// state. TestObserverPathAllocationFree asserts the same bound; this benchmark
 // quantifies the time cost.
 func BenchmarkSessionObserver(b *testing.B) {
 	for _, observed := range []bool{false, true} {
@@ -332,7 +332,8 @@ func BenchmarkSessionObserver(b *testing.B) {
 	}
 }
 
-// BenchmarkPublicAPI measures the end-to-end public entry point.
+// BenchmarkPublicAPI measures the end-to-end public entry point: New plus
+// Run to completion.
 func BenchmarkPublicAPI(b *testing.B) {
 	cells, err := gridgather.Workload("blob", 150)
 	if err != nil {
@@ -340,8 +341,11 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := gridgather.Gather(cells, gridgather.Options{})
-		if res.Err != nil {
+		sim, err := gridgather.New(cells)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := sim.Run(context.Background()); res.Err != nil {
 			b.Fatal(res.Err)
 		}
 	}

@@ -75,8 +75,7 @@ func (m EventMask) Has(k EventKind) bool { return m&(1<<k) != 0 }
 // Robots and Runners alias session-owned scratch that is refilled every
 // round: they are valid only for the duration of the callback and must not
 // be retained or mutated — copy them if you need them afterwards. This is
-// what keeps the observer path allocation-free (the legacy Options.OnRound
-// hook rebuilt both slices every round); the allocation benchmark
+// what keeps the observer path allocation-free; the allocation benchmark
 // BenchmarkSessionObserver pins it.
 type Event struct {
 	// Kind is the event type; the fields below are populated for every

@@ -96,15 +96,17 @@ func ExampleSimulation_Run() {
 	// finished at round: 9 gathered: true
 }
 
-// A tiny swarm gathers within a linear number of rounds; the engine is
-// fully deterministic, so the round count is reproducible. Gather is the
-// one-call convenience over the session API.
-func ExampleGather() {
+// WithConnectivityCheck validates the paper's central safety property
+// after every round. A tiny swarm gathers within a linear number of
+// rounds; the engine is fully deterministic, so the round count is
+// reproducible.
+func ExampleWithConnectivityCheck() {
 	cells := []gridgather.Point{
 		{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 3, Y: 0},
 		{X: 4, Y: 0}, {X: 5, Y: 0}, {X: 6, Y: 0}, {X: 7, Y: 0},
 	}
-	res := gridgather.Gather(cells, gridgather.Options{CheckConnectivity: true})
+	sim, _ := gridgather.New(cells, gridgather.WithConnectivityCheck(true))
+	res := sim.Run(context.Background())
 	fmt.Println("gathered:", res.Gathered)
 	fmt.Println("rounds:", res.Rounds)
 	fmt.Println("robots left:", res.FinalRobots)
@@ -145,14 +147,17 @@ func ExampleWorkloads() {
 	// clusters
 }
 
-// Options.Workers shards each round's whole pipeline — Look+Compute, move
+// WithWorkers shards each round's whole pipeline — Look+Compute, move
 // and merge resolution (by chunk ownership), and the commit — across a
 // goroutine pool. The engine combines worker results in deterministic cell
 // order, so any worker count produces the identical simulation.
-func ExampleOptions_workers() {
+func ExampleWithWorkers() {
 	cells, _ := gridgather.Workload("hollow", 60)
-	serial := gridgather.Gather(cells, gridgather.Options{Workers: 1})
-	parallel := gridgather.Gather(cells, gridgather.Options{Workers: 8})
+	run := func(workers int) gridgather.Result {
+		sim, _ := gridgather.New(cells, gridgather.WithWorkers(workers))
+		return sim.Run(context.Background())
+	}
+	serial, parallel := run(1), run(8)
 	fmt.Println("same rounds:", serial.Rounds == parallel.Rounds)
 	fmt.Println("same merges:", serial.Merges == parallel.Merges)
 	// Output:
@@ -160,18 +165,20 @@ func ExampleOptions_workers() {
 	// same merges: true
 }
 
-// Options.Scheduler relaxes the time model. The paper's algorithm is proved
+// WithScheduler relaxes the time model. The paper's algorithm is proved
 // for FSYNC only, so relaxed schedulers pair with the scheduler-robust
 // "greedy" algorithm; the slowdown reflects the scheduler's fairness bound
 // (only a subset of robots acts per round).
-func ExampleOptions_scheduler() {
+func ExampleWithScheduler() {
 	cells, _ := gridgather.Workload("line", 20)
-	fsyncRes := gridgather.Gather(cells, gridgather.Options{Algorithm: "greedy"})
-	ssyncRes := gridgather.Gather(cells, gridgather.Options{
-		Scheduler:         "ssync", // round-robin thirds of the swarm
-		Algorithm:         "greedy",
-		CheckConnectivity: true,
-	})
+	fsyncSim, _ := gridgather.New(cells, gridgather.WithAlgorithm("greedy"))
+	ssyncSim, _ := gridgather.New(cells,
+		gridgather.WithScheduler("ssync"), // round-robin thirds of the swarm
+		gridgather.WithAlgorithm("greedy"),
+		gridgather.WithConnectivityCheck(true),
+	)
+	fsyncRes := fsyncSim.Run(context.Background())
+	ssyncRes := ssyncSim.Run(context.Background())
 	fmt.Println("fsync gathered:", fsyncRes.Gathered)
 	fmt.Println("ssync gathered:", ssyncRes.Gathered)
 	fmt.Println("ssync slower:", ssyncRes.Rounds > fsyncRes.Rounds)
@@ -191,18 +198,18 @@ func ExampleConnected() {
 	// false
 }
 
-// The OnRound hook observes every FSYNC round; here it finds the round in
-// which the population first halves.
-func ExampleOptions_onRound() {
+// WithObserver subscribes at construction; a RoundEvents observer sees
+// every FSYNC round. Here it finds the round in which the population first
+// halves.
+func ExampleWithObserver() {
 	cells, _ := gridgather.Workload("line", 20)
 	halvedAt := -1
-	res := gridgather.Gather(cells, gridgather.Options{
-		OnRound: func(ri gridgather.RoundInfo) {
-			if halvedAt < 0 && len(ri.Robots) <= 10 {
-				halvedAt = ri.Round
-			}
-		},
-	})
+	sim, _ := gridgather.New(cells, gridgather.WithObserver(gridgather.RoundEvents, func(ev gridgather.Event) {
+		if halvedAt < 0 && len(ev.Robots) <= 10 {
+			halvedAt = ev.Round
+		}
+	}))
+	res := sim.Run(context.Background())
 	fmt.Println("halved at round:", halvedAt)
 	fmt.Println("done at round:", res.Rounds)
 	// Output:

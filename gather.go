@@ -13,7 +13,7 @@
 // The public surface is the Simulation session: a resumable, observable,
 // checkpointable simulation created with New (or Restore, from a
 // Snapshot) and driven incrementally with Step/StepN or to completion
-// with Run. Gather remains as a one-call convenience over it.
+// with Run.
 //
 // Quick start:
 //
@@ -30,7 +30,6 @@
 package gridgather
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -47,64 +46,6 @@ import (
 // their points are horizontal or vertical neighbors.
 type Point struct {
 	X, Y int
-}
-
-// Options is the legacy all-in-one configuration struct for Gather. The
-// zero value uses the paper's constants and safe defaults.
-//
-// Deprecated: new code should create a Simulation with New and functional
-// options; each field maps onto one option (WithRadius, WithL,
-// WithMaxRounds, WithNoMergeLimit, WithScheduler, WithSchedulerSeed,
-// WithAlgorithm, WithConnectivityCheck, WithStrictLocality, WithWorkers,
-// WithObserver). Options and Gather keep working unchanged.
-type Options struct {
-	// Radius is the viewing radius (L1). Default 20 (the paper's value).
-	Radius int
-	// L is the run-start period. Default 22 (the paper's value).
-	L int
-	// MaxRounds aborts the simulation if gathering takes longer. 0 selects
-	// the canonical budget 80·n + 1000 (scaled by the scheduler's fairness
-	// bound); negative values are rejected with an error.
-	MaxRounds int
-	// NoMergeLimit aborts the simulation when this many consecutive rounds
-	// pass without a merge — a stuck watchdog. 0 selects the canonical
-	// window 40·n + 500 (scaled like MaxRounds); negative disables the
-	// watchdog.
-	NoMergeLimit int
-	// Scheduler selects the time model (see WithScheduler for the spec
-	// grammar).
-	Scheduler string
-	// SchedulerSeed seeds the randomized schedulers (ssync-rand,
-	// ssync-lazy); 0 means 1. Deterministic schedulers ignore it.
-	SchedulerSeed int64
-	// Algorithm selects the robot program: "" or "paper" (default) or
-	// "greedy" (the scheduler-robust local strategy).
-	Algorithm string
-	// CheckConnectivity validates swarm connectivity after every round.
-	CheckConnectivity bool
-	// StrictLocality makes the simulation panic if the algorithm reads any
-	// cell outside the viewing radius (a proof of locality).
-	StrictLocality bool
-	// Workers is the number of goroutines the engine shards each round
-	// across; 0 uses all available CPUs, 1 forces the serial path. Results
-	// are bit-identical for every worker count.
-	Workers int
-	// OnRound, if non-nil, receives a snapshot after every round. Unlike
-	// the Event payloads of the session API, RoundInfo slices are freshly
-	// allocated per call and may be retained.
-	OnRound func(RoundInfo)
-}
-
-// RoundInfo is the per-round snapshot passed to Options.OnRound.
-type RoundInfo struct {
-	// Round is the number of completed rounds.
-	Round int
-	// Robots are the current robot positions.
-	Robots []Point
-	// Runners are the positions of robots holding run states.
-	Runners []Point
-	// Merges is the cumulative number of removed robots.
-	Merges int
 }
 
 // Result summarizes a simulation.
@@ -140,13 +81,13 @@ var ErrNotConnected = errors.New("gridgather: input swarm is not connected")
 // ErrEmpty is returned for an empty input.
 var ErrEmpty = errors.New("gridgather: input swarm is empty")
 
-// ErrNegativeMaxRounds is returned for a negative MaxRounds, which is
+// ErrNegativeMaxRounds is returned for a negative WithMaxRounds, which is
 // reserved (0 already selects the default budget; there is no "unlimited"
 // knob in the public API — a broken configuration should abort, not spin).
 var ErrNegativeMaxRounds = errors.New("gridgather: negative MaxRounds (0 selects the default budget)")
 
 // buildSwarm converts public points into a swarm. It is the single
-// swarm-construction loop behind New, Gather, Connected and Render.
+// swarm-construction loop behind New, Connected and Render.
 func buildSwarm(cells []Point) *swarm.Swarm {
 	s := swarm.NewSized(len(cells))
 	for _, c := range cells {
@@ -162,48 +103,6 @@ func fromSwarm(s *swarm.Swarm) []Point {
 		out[i] = Point{X: c.X, Y: c.Y}
 	}
 	return out
-}
-
-// options translates the legacy struct into the equivalent option list.
-func (o Options) options() []Option {
-	opts := []Option{
-		WithRadius(o.Radius),
-		WithL(o.L),
-		WithMaxRounds(o.MaxRounds),
-		WithNoMergeLimit(o.NoMergeLimit),
-		WithScheduler(o.Scheduler),
-		WithSchedulerSeed(o.SchedulerSeed),
-		WithAlgorithm(o.Algorithm),
-		WithConnectivityCheck(o.CheckConnectivity),
-		WithStrictLocality(o.StrictLocality),
-		WithWorkers(o.Workers),
-	}
-	if o.OnRound != nil {
-		opts = append(opts, WithObserver(RoundEvents, func(ev Event) {
-			// The legacy hook's contract lets callers retain the slices, so
-			// the shim copies the borrowed event payload.
-			o.OnRound(RoundInfo{
-				Round:   ev.Round,
-				Robots:  append([]Point(nil), ev.Robots...),
-				Runners: append([]Point(nil), ev.Runners...),
-				Merges:  ev.Merges,
-			})
-		}))
-	}
-	return opts
-}
-
-// Gather runs the selected gathering algorithm (the paper's by default) on
-// the given connected swarm under the selected time model (FSYNC by
-// default) until it gathers (all robots within a 2×2 square) and returns
-// the result. The input slice is not modified. It is a convenience over
-// the Simulation session: New + Run with no cancellation.
-func Gather(cells []Point, opt Options) Result {
-	sim, err := New(cells, opt.options()...)
-	if err != nil {
-		return Result{Err: err, InitialRobots: len(cells)}
-	}
-	return sim.Run(context.Background())
 }
 
 // catalog indexes the workload families once; Workload and Workloads are

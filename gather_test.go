@@ -1,7 +1,6 @@
 package gridgather
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,7 @@ func TestGatherPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Gather(cells, Options{CheckConnectivity: true, StrictLocality: true})
+	res := mustRun(t, cells, WithConnectivityCheck(true), WithStrictLocality(true))
 	if res.Err != nil || !res.Gathered {
 		t.Fatalf("result = %+v", res)
 	}
@@ -21,45 +20,25 @@ func TestGatherPublicAPI(t *testing.T) {
 }
 
 func TestGatherRejectsDisconnected(t *testing.T) {
-	res := Gather([]Point{{0, 0}, {5, 5}}, Options{})
-	if res.Err != ErrNotConnected {
-		t.Errorf("err = %v", res.Err)
+	if _, err := New([]Point{{0, 0}, {5, 5}}); err != ErrNotConnected {
+		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGatherRejectsEmpty(t *testing.T) {
-	if res := Gather(nil, Options{}); res.Err != ErrEmpty {
-		t.Errorf("err = %v", res.Err)
+	if _, err := New(nil); err != ErrEmpty {
+		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGatherDoesNotMutateInput(t *testing.T) {
 	cells := []Point{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
-	Gather(cells, Options{})
+	mustRun(t, cells)
 	want := []Point{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
 	for i := range cells {
 		if cells[i] != want[i] {
 			t.Fatal("input mutated")
 		}
-	}
-}
-
-func TestOnRoundHook(t *testing.T) {
-	cells, _ := Workload("line", 20)
-	var rounds []int
-	var lastRobots int
-	res := Gather(cells, Options{OnRound: func(ri RoundInfo) {
-		rounds = append(rounds, ri.Round)
-		lastRobots = len(ri.Robots)
-	}})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if len(rounds) != res.Rounds {
-		t.Errorf("hook called %d times for %d rounds", len(rounds), res.Rounds)
-	}
-	if lastRobots != res.FinalRobots {
-		t.Errorf("hook robots = %d, final = %d", lastRobots, res.FinalRobots)
 	}
 }
 
@@ -90,18 +69,13 @@ func TestGatherSchedulerOption(t *testing.T) {
 	cells, _ := Workload("hollow", 40)
 	// The scheduler-robust greedy algorithm gathers under a relaxed
 	// schedule with connectivity checked every round.
-	res := Gather(cells, Options{
-		Scheduler:         "ssync",
-		Algorithm:         "greedy",
-		CheckConnectivity: true,
-	})
+	res := mustRun(t, cells, WithScheduler("ssync"), WithAlgorithm("greedy"), WithConnectivityCheck(true))
 	if res.Err != nil || !res.Gathered {
 		t.Fatalf("greedy under ssync failed: %+v", res)
 	}
 	// An FSYNC run with an explicit scheduler string matches the default.
-	ref := Gather(cells, Options{})
-	expl := Gather(cells, Options{Scheduler: "fsync"})
-	ref.Err, expl.Err = nil, nil
+	ref := mustRun(t, cells)
+	expl := mustRun(t, cells, WithScheduler("fsync"))
 	if ref != expl {
 		t.Errorf("explicit fsync diverged from default: %+v vs %+v", ref, expl)
 	}
@@ -109,49 +83,39 @@ func TestGatherSchedulerOption(t *testing.T) {
 
 func TestGatherOptionValidation(t *testing.T) {
 	cells, _ := Workload("line", 10)
-	if res := Gather(cells, Options{MaxRounds: -1}); res.Err != ErrNegativeMaxRounds {
-		t.Errorf("MaxRounds=-1: err = %v", res.Err)
+	if _, err := New(cells, WithMaxRounds(-1)); err != ErrNegativeMaxRounds {
+		t.Errorf("MaxRounds=-1: err = %v", err)
 	}
-	if res := Gather(cells, Options{Scheduler: "warp"}); res.Err == nil {
+	if _, err := New(cells, WithScheduler("warp")); err == nil {
 		t.Error("expected error for unknown scheduler")
 	}
-	if res := Gather(cells, Options{Algorithm: "magic"}); res.Err == nil {
+	if _, err := New(cells, WithAlgorithm("magic")); err == nil {
 		t.Error("expected error for unknown algorithm")
 	}
 }
 
-// Every malformed input must fail identically through both entry points:
-// the legacy Gather call and the session constructor.
+// Every malformed option must fail in the session constructor, before a
+// session exists.
 func TestNewAndGatherErrorPaths(t *testing.T) {
 	cells, _ := Workload("line", 10)
 	cases := []struct {
 		name string
-		opts Options
+		opt  Option
 		want error // nil = any non-nil error accepted
 	}{
-		{"unknown scheduler", Options{Scheduler: "warp"}, nil},
-		{"malformed ssync param", Options{Scheduler: "ssync:0"}, nil},
-		{"parameterized fsync", Options{Scheduler: "fsync:2"}, nil},
-		{"non-numeric param", Options{Scheduler: "async:x"}, nil},
-		{"unknown algorithm", Options{Algorithm: "magic"}, nil},
-		{"negative MaxRounds", Options{MaxRounds: -1}, ErrNegativeMaxRounds},
-		{"invalid radius", Options{Radius: 2}, nil},
+		{"unknown scheduler", WithScheduler("warp"), nil},
+		{"malformed ssync param", WithScheduler("ssync:0"), nil},
+		{"parameterized fsync", WithScheduler("fsync:2"), nil},
+		{"non-numeric param", WithScheduler("async:x"), nil},
+		{"unknown algorithm", WithAlgorithm("magic"), nil},
+		{"negative MaxRounds", WithMaxRounds(-1), ErrNegativeMaxRounds},
+		{"invalid radius", WithRadius(2), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Gather(cells, tc.opts)
-			if res.Err == nil {
-				t.Fatal("Gather accepted the options")
-			}
-			if tc.want != nil && res.Err != tc.want {
-				t.Fatalf("Gather err = %v, want %v", res.Err, tc.want)
-			}
-			if res.InitialRobots != len(cells) {
-				t.Errorf("error result InitialRobots = %d", res.InitialRobots)
-			}
-			sim, err := New(cells, tc.opts.options()...)
+			sim, err := New(cells, tc.opt)
 			if err == nil {
-				t.Fatal("New accepted the options")
+				t.Fatal("New accepted the option")
 			}
 			if tc.want != nil && err != tc.want {
 				t.Fatalf("New err = %v, want %v", err, tc.want)
@@ -161,46 +125,24 @@ func TestNewAndGatherErrorPaths(t *testing.T) {
 			}
 		})
 	}
-
-	// Disconnected and empty inputs, through both entry points.
-	disconnected := []Point{{0, 0}, {5, 5}}
-	if res := Gather(disconnected, Options{}); res.Err != ErrNotConnected {
-		t.Errorf("Gather disconnected err = %v", res.Err)
-	}
-	if _, err := New(disconnected); err != ErrNotConnected {
-		t.Errorf("New disconnected err = %v", err)
-	}
-	if res := Gather(nil, Options{}); res.Err != ErrEmpty {
-		t.Errorf("Gather empty err = %v", res.Err)
-	}
-	if _, err := New(nil); err != ErrEmpty {
-		t.Errorf("New empty err = %v", err)
-	}
 }
 
 // SchedulerSeed 0 means 1: the two configurations are one simulation, for
-// every randomized scheduler and through both entry points.
+// every randomized scheduler.
 func TestSchedulerSeedZeroMeansOne(t *testing.T) {
 	cells, _ := Workload("hollow", 40)
 	for _, spec := range []string{"ssync-rand:3", "ssync-lazy:5"} {
-		zero := Gather(cells, Options{Scheduler: spec, SchedulerSeed: 0, Algorithm: "greedy"})
-		one := Gather(cells, Options{Scheduler: spec, SchedulerSeed: 1, Algorithm: "greedy"})
+		zero := mustRun(t, cells, WithScheduler(spec), WithAlgorithm("greedy"))
+		one := mustRun(t, cells, WithScheduler(spec), WithSchedulerSeed(1), WithAlgorithm("greedy"))
 		if zero.Err != nil || one.Err != nil {
 			t.Fatalf("%s: %v / %v", spec, zero.Err, one.Err)
 		}
 		if zero != one {
 			t.Errorf("%s: seed 0 diverged from seed 1: %+v vs %+v", spec, zero, one)
 		}
-		two := Gather(cells, Options{Scheduler: spec, SchedulerSeed: 2, Algorithm: "greedy"})
+		two := mustRun(t, cells, WithScheduler(spec), WithSchedulerSeed(2), WithAlgorithm("greedy"))
 		if two == one {
 			t.Logf("%s: seed 2 happened to match seed 1 (possible, but suspicious)", spec)
-		}
-
-		simZero := mustNew(t, cells, WithScheduler(spec), WithAlgorithm("greedy"))
-		simOne := mustNew(t, cells, WithScheduler(spec), WithSchedulerSeed(1), WithAlgorithm("greedy"))
-		rz, ro := simZero.Run(context.Background()), simOne.Run(context.Background())
-		if rz != ro {
-			t.Errorf("%s: session seed 0 diverged from seed 1: %+v vs %+v", spec, rz, ro)
 		}
 	}
 }
@@ -216,7 +158,7 @@ func TestSchedulersAndAlgorithmsListed(t *testing.T) {
 
 func TestCustomRadiusAndL(t *testing.T) {
 	cells, _ := Workload("hollow", 80)
-	res := Gather(cells, Options{Radius: 11, L: 13, CheckConnectivity: true})
+	res := mustRun(t, cells, WithRadius(11), WithL(13), WithConnectivityCheck(true))
 	if res.Err != nil || !res.Gathered {
 		t.Fatalf("radius-11/L-13 run failed: %+v", res)
 	}

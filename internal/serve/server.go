@@ -109,14 +109,10 @@ func (s *Server) recover() error {
 	var maxID uint64
 	for _, meta := range metas {
 		sess := &session{
-			id:    meta.ID,
-			label: meta.Label,
-			exec: execOptions{
-				workers:       meta.Workers,
-				fullBFS:       meta.FullBFS,
-				fullRecompute: meta.FullRecompute,
-			},
-			srv: s,
+			id:      meta.ID,
+			label:   meta.Label,
+			workers: meta.Workers,
+			srv:     s,
 		}
 		sess.setInfo(SessionInfo{
 			ID:     meta.ID,
@@ -242,7 +238,7 @@ func (s *Server) materializeLocked(e *pool.Entry, sess *session) error {
 		s.pool.DropResident(e)
 		return err
 	}
-	sim, err := gridgather.Restore(snap, sess.exec.restoreOptions()...)
+	sim, err := gridgather.Restore(snap, gridgather.WithWorkers(sess.workers))
 	if err != nil {
 		s.pool.DropResident(e)
 		return fmt.Errorf("serve: restore %s: %w", sess.id, err)
@@ -284,15 +280,13 @@ func (s *Server) spillLocked(sess *session) error {
 	}
 	st := sess.sim.Status()
 	meta := SpillMeta{
-		ID:            sess.id,
-		Label:         sess.label,
-		Workers:       sess.exec.workers,
-		FullBFS:       sess.exec.fullBFS,
-		FullRecompute: sess.exec.fullRecompute,
-		Round:         st.Round,
-		Robots:        st.Robots,
-		Done:          st.Done,
-		Reason:        st.Reason,
+		ID:      sess.id,
+		Label:   sess.label,
+		Workers: sess.workers,
+		Round:   st.Round,
+		Robots:  st.Robots,
+		Done:    st.Done,
+		Reason:  st.Reason,
 	}
 	if err := s.store.Put(meta, snap); err != nil {
 		return err
@@ -348,14 +342,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &session{
-		id:    s.newID(),
-		label: req.Label,
-		exec: execOptions{
-			workers:       req.Workers,
-			fullBFS:       req.FullBFS,
-			fullRecompute: req.FullRecompute,
-		},
-		srv: s,
+		id:      s.newID(),
+		label:   req.Label,
+		workers: req.Workers,
+		srv:     s,
 	}
 	s.admit(w, sess, func() (*gridgather.Simulation, error) {
 		return gridgather.New(cells, req.options()...)
@@ -364,8 +354,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleRestoreUpload creates a session from client-supplied snapshot
 // bytes — the upload half of the snapshot round-trip (download, carry to
-// another box or another day, restore). Execution options ride in query
-// parameters because the snapshot intentionally does not contain them.
+// another box or another day, restore). The label and the workers
+// execution option ride in query parameters because the snapshot
+// intentionally does not contain them; a malformed workers value is
+// rejected before any session is admitted.
 func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
@@ -373,19 +365,21 @@ func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	workers, _ := strconv.Atoi(q.Get("workers"))
+	var workers int
+	if v := q.Get("workers"); v != "" {
+		if workers, err = strconv.Atoi(v); err != nil {
+			s.httpError(w, http.StatusBadRequest, "serve: bad workers parameter: "+err.Error())
+			return
+		}
+	}
 	sess := &session{
-		id:    s.newID(),
-		label: q.Get("label"),
-		exec: execOptions{
-			workers:       workers,
-			fullBFS:       q.Get("full_bfs") == "true",
-			fullRecompute: q.Get("full_recompute") == "true",
-		},
-		srv: s,
+		id:      s.newID(),
+		label:   q.Get("label"),
+		workers: workers,
+		srv:     s,
 	}
 	s.admit(w, sess, func() (*gridgather.Simulation, error) {
-		return gridgather.Restore(snap, sess.exec.restoreOptions()...)
+		return gridgather.Restore(snap, gridgather.WithWorkers(sess.workers))
 	})
 }
 

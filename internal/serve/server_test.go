@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -287,7 +288,8 @@ func TestEvictionDifferential(t *testing.T) {
 }
 
 // TestRestoreUpload round-trips a snapshot through the client: download,
-// upload as a new session, and check both sessions march in lockstep.
+// upload as a new session, and check both sessions march in lockstep. A
+// malformed workers parameter is refused before any session is admitted.
 func TestRestoreUpload(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
@@ -318,6 +320,24 @@ func TestRestoreUpload(t *testing.T) {
 	sc.Status.ID, sc.Status.Label = "", ""
 	if fmt.Sprint(so) != fmt.Sprint(sc) {
 		t.Fatalf("uploaded clone diverged:\n  orig:  %+v\n  clone: %+v", so, sc)
+	}
+
+	resp, err = http.Post(base+"/v1/sessions/restore?workers=abc", "application/octet-stream", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, "workers") {
+		t.Fatalf("restore upload with workers=abc: %d %q, want 400 naming workers", resp.StatusCode, bad.Error)
+	}
+	var list ListResponse
+	doJSON(t, "GET", base+"/v1/sessions", nil, &list)
+	if len(list.Sessions) != 2 {
+		t.Fatalf("rejected upload left sessions behind: %+v", list.Sessions)
 	}
 }
 
@@ -497,6 +517,68 @@ func TestShutdownRestartResumes(t *testing.T) {
 	// And the recovered sessions keep stepping from where they stopped.
 	if step := stepSession(t, base2, a.ID, StepRequest{Rounds: 3}); step.Status.Round != 10 {
 		t.Fatalf("restart-a stepped to %+v, want round 10", step.Status)
+	}
+}
+
+// TestLegacySpillMetaRecovers boots a server over a spill directory whose
+// sidecar still carries the full_bfs/full_recompute keys older daemons
+// wrote. Unknown keys are ignored on decode, so the session is recovered,
+// steps, and matches a twin that never spilled.
+func TestLegacySpillMetaRecovers(t *testing.T) {
+	cells, err := gridgather.Workload("hollow", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := gridgather.New(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.StepN(4); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := fmt.Sprintf(`{"id":"s3","label":"legacy","workers":1,"full_bfs":true,"full_recompute":true,"round":4,"robots":%d,"done":false}`,
+		donor.Status().Robots)
+	if err := os.WriteFile(st.snapPath("s3"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.metaPath("s3"), []byte(meta+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{SpillDir: dir})
+	base := hs.URL
+	var list ListResponse
+	doJSON(t, "GET", base+"/v1/sessions", nil, &list)
+	if len(list.Sessions) != 1 || list.Sessions[0].ID != "s3" || list.Sessions[0].Round != 4 {
+		t.Fatalf("recovered sessions %+v, want s3 at round 4", list.Sessions)
+	}
+	if step := stepSession(t, base, "s3", StepRequest{Rounds: 6}); step.Status.Round != 10 {
+		t.Fatalf("recovered session stepped to %+v, want round 10", step.Status)
+	}
+
+	twin, err := gridgather.New(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.StepN(10); err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fetchSnapshot(t, base, "s3"), want) {
+		t.Fatal("snapshots of recovered and never-spilled twins differ")
 	}
 }
 

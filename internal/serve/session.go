@@ -18,9 +18,11 @@ import (
 type session struct {
 	id string
 
-	mu      sync.Mutex // guards sim, exec, label, deleted
-	sim     *gridgather.Simulation
-	exec    execOptions
+	mu  sync.Mutex // guards sim, label, deleted
+	sim *gridgather.Simulation
+	// workers is the one execution option preserved across spill/restore
+	// (the snapshot carries only structural state).
+	workers int
 	label   string
 	deleted bool
 
@@ -37,22 +39,6 @@ type session struct {
 
 	// stream counters owned by the server, bumped through it.
 	srv *Server
-}
-
-// execOptions are the execution-side options preserved across
-// spill/restore (the snapshot carries only structural state).
-type execOptions struct {
-	workers       int
-	fullBFS       bool
-	fullRecompute bool
-}
-
-func (o execOptions) restoreOptions() []gridgather.Option {
-	return []gridgather.Option{
-		gridgather.WithWorkers(o.workers),
-		gridgather.WithFullBFSConnectivity(o.fullBFS),
-		gridgather.WithFullRecompute(o.fullRecompute),
-	}
 }
 
 // subscriber is one NDJSON stream consumer. The fan-out side never

@@ -15,18 +15,16 @@ import (
 var ErrNoSnapshot = errors.New("serve: no spilled snapshot for session")
 
 // SpillMeta is the sidecar record written next to a spilled snapshot: the
-// execution options a Simulation.Restore cannot recover from the snapshot
-// itself (they are not structural state), plus informational fields for
-// listings after a daemon restart.
+// worker count a Simulation.Restore cannot recover from the snapshot
+// itself (an execution option, not structural state), plus informational
+// fields for listings after a daemon restart. Decoding ignores unknown
+// keys, so sidecars written by older daemons still recover.
 type SpillMeta struct {
 	ID    string `json:"id"`
 	Label string `json:"label,omitempty"`
-	// Workers, FullBFS and FullRecompute are execution options re-applied
-	// on restore (the snapshot carries only structural configuration and
-	// the resumable state).
-	Workers       int  `json:"workers,omitempty"`
-	FullBFS       bool `json:"full_bfs,omitempty"`
-	FullRecompute bool `json:"full_recompute,omitempty"`
+	// Workers is the execution option re-applied on restore (the snapshot
+	// carries only structural configuration and the resumable state).
+	Workers int `json:"workers,omitempty"`
 	// Round, Robots, Done and Reason describe the session at spill time
 	// (informational: listings read them without restoring the session).
 	Round  int    `json:"round"`

@@ -9,7 +9,7 @@ import (
 
 // Version is the gatherd service version, reported by -version and the
 // stats endpoint. Bump on wire-format changes.
-const Version = "0.1.0"
+const Version = "0.2.0"
 
 // The JSON wire format of the gatherd HTTP API. Response fields mirror
 // the public Simulation surface (Status, Metrics, Result); the Reason
@@ -37,8 +37,6 @@ type CreateRequest struct {
 	Workers           int  `json:"workers,omitempty"`
 	ConnectivityCheck bool `json:"connectivity_check,omitempty"`
 	StrictLocality    bool `json:"strict_locality,omitempty"`
-	FullBFS           bool `json:"full_bfs,omitempty"`
-	FullRecompute     bool `json:"full_recompute,omitempty"`
 }
 
 // SessionInfo is the status payload: gridgather.Status plus the session's
@@ -264,8 +262,6 @@ func (req CreateRequest) options() []gridgather.Option {
 		gridgather.WithWorkers(req.Workers),
 		gridgather.WithConnectivityCheck(req.ConnectivityCheck),
 		gridgather.WithStrictLocality(req.StrictLocality),
-		gridgather.WithFullBFSConnectivity(req.FullBFS),
-		gridgather.WithFullRecompute(req.FullRecompute),
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // WithScheduler, WithSchedulerSeed, WithAlgorithm, WithFaults) define what
 // is being simulated; they are baked into snapshots and rejected by Restore.
 // Execution options (WithMaxRounds, WithNoMergeLimit, WithWorkers,
-// WithConnectivityCheck, WithStrictLocality, WithFullBFSConnectivity,
-// WithFullRecompute, WithObserver) only control how the simulation is
-// driven and may be changed freely on Restore.
+// WithConnectivityCheck, WithStrictLocality, WithObserver) only control
+// how the simulation is driven and may be changed freely on Restore.
 type Option func(*settings) error
 
 // settings is the resolved session configuration New and Restore build
@@ -34,8 +33,6 @@ type settings struct {
 	strict        bool
 	strictSet     bool // WithStrictLocality was passed (Restore override)
 	workers       int
-	fullBFS       bool
-	fullRecompute bool
 	subs          []subscription
 
 	// structural lists the structural options that were applied, so
@@ -168,37 +165,6 @@ func WithStrictLocality(on bool) Option {
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		s.workers = n
-		return nil
-	}
-}
-
-// WithFullBFSConnectivity pins the per-round connectivity check to the
-// full breadth-first scan instead of the default incremental layer (which
-// relabels only the 64×64 chunks a round actually changed). The two paths
-// return identical answers on every round — the differential suites prove
-// it — so this is an escape hatch and a verification oracle, not a
-// correctness knob: use it to cross-check the incremental layer or to
-// trade the incremental bookkeeping for a simpler cost profile on tiny
-// swarms. Like WithWorkers, it never changes simulation outcomes.
-func WithFullBFSConnectivity(on bool) Option {
-	return func(s *settings) error {
-		s.fullBFS = on
-		return nil
-	}
-}
-
-// WithFullRecompute pins every activation to a fresh Compute call instead
-// of the default quiescence fast path (which replays a robot's cached
-// quiescent decision while the dirty-region tracking proves its view
-// unchanged). The two paths are bit-identical on every round — the
-// quiescence differential suite proves it — so this is an escape hatch and
-// a verification oracle, not a correctness knob. Like WithWorkers, it
-// never changes simulation outcomes. The fast path also disables itself
-// when it cannot be sound: under WithStrictLocality, or for algorithms
-// that do not declare a round period.
-func WithFullRecompute(on bool) Option {
-	return func(s *settings) error {
-		s.fullRecompute = on
 		return nil
 	}
 }

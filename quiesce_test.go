@@ -1,41 +1,33 @@
 package gridgather
 
 import (
-	"bytes"
 	"testing"
 )
 
-// The quiescence fast path is on by default, surfaces its counters
-// through Status and Metrics, and WithFullRecompute pins it off — with
-// identical simulation state (the engine-level differential suite proves
-// bit-identity exhaustively; this pins the public wiring). The workload
-// is a solid block large enough that its interior lies beyond the view
-// radius of the moving frontier — a hollow ring this small never
+// The quiescence fast path is on by default and surfaces its counters
+// through Status and Metrics; WithStrictLocality disables it (a skipped
+// robot would prove nothing about locality) with identical simulation
+// results. The engine-level differential suites prove bit-identity against
+// full recomputation exhaustively; this pins the public wiring. The
+// workload is a solid block large enough that its interior lies beyond
+// the view radius of the moving frontier — a hollow ring this small never
 // quiesces, every robot sees the frontier.
 func TestQuiescencePublicSurface(t *testing.T) {
 	const rounds = 60
 	cells := mustWorkload(t, "solid", 4096)
 
 	quick := mustNew(t, cells, WithConnectivityCheck(true))
-	full := mustNew(t, cells, WithConnectivityCheck(true), WithFullRecompute(true))
+	strict := mustNew(t, cells, WithConnectivityCheck(true), WithStrictLocality(true))
 	for r := 0; r < rounds; r++ {
 		if err := quick.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if err := full.Step(); err != nil {
+		if err := strict.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snapQ, err := quick.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapF, err := full.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapQ, snapF) {
-		t.Fatal("snapshots diverged between quiescent and full-recompute sessions")
+	if rq, rs := quick.Result(), strict.Result(); rq != rs {
+		t.Fatalf("quiescent result %+v != strict-locality result %+v", rq, rs)
 	}
 
 	m := quick.Metrics()
@@ -51,14 +43,7 @@ func TestQuiescencePublicSurface(t *testing.T) {
 	if got := quick.Status().QuiescentRatio; got != m.QuiescentRatio {
 		t.Fatalf("Status ratio %v != Metrics ratio %v", got, m.QuiescentRatio)
 	}
-	if mf := full.Metrics(); mf.QuiesceComputed != 0 || mf.QuiesceSkipped != 0 || mf.QuiescentRatio != 0 {
-		t.Fatalf("full-recompute engine reports quiescence activity: %+v", mf)
-	}
-
-	// WithFullRecompute is an execution option: a quiescent run's snapshot
-	// restores into a pinned engine (and vice versa is covered by the
-	// engine-level suite).
-	if _, err := Restore(snapQ, WithFullRecompute(true)); err != nil {
-		t.Fatalf("Restore with WithFullRecompute: %v", err)
+	if ms := strict.Metrics(); ms.QuiesceComputed != 0 || ms.QuiesceSkipped != 0 || ms.QuiescentRatio != 0 {
+		t.Fatalf("strict-locality session reports quiescence activity: %+v", ms)
 	}
 }

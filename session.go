@@ -8,7 +8,6 @@ import (
 	"gridgather/internal/core"
 	"gridgather/internal/fsync"
 	"gridgather/internal/scenario"
-	"gridgather/internal/swarm"
 )
 
 // ErrDone is returned by Step and StepN when the simulation has already
@@ -45,8 +44,6 @@ type Simulation struct {
 	checkConn     bool
 	strict        bool
 	workers       int
-	fullBFS       bool
-	fullRecompute bool
 
 	// Event plumbing.
 	subs       []subscription
@@ -74,17 +71,11 @@ func New(cells []Point, opts ...Option) (*Simulation, error) {
 	if err := cfg.apply(opts); err != nil {
 		return nil, err
 	}
-	return newSession(s, cfg)
-}
-
-// newSession resolves the scenario and builds the session over a validated
-// swarm. Shared by New and the Options-struct shim.
-func newSession(sw *swarm.Swarm, cfg settings) (*Simulation, error) {
 	params := core.WithConstants(cfg.radius, cfg.l)
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("gridgather: %w", err)
 	}
-	sc, err := scenario.Resolve(cfg.algorithm, cfg.scheduler, cfg.faults, cfg.schedulerSeed, params, sw.Len())
+	sc, err := scenario.Resolve(cfg.algorithm, cfg.scheduler, cfg.faults, cfg.schedulerSeed, params, s.Len())
 	if err != nil {
 		return nil, fmt.Errorf("gridgather: %w", err)
 	}
@@ -92,7 +83,7 @@ func newSession(sw *swarm.Swarm, cfg settings) (*Simulation, error) {
 	sim := &Simulation{
 		maxRounds:     budget.MaxRounds,
 		noMergeLimit:  budget.NoMergeLimit,
-		initial:       sw.Len(),
+		initial:       s.Len(),
 		radius:        cfg.radius,
 		l:             cfg.l,
 		scheduler:     cfg.scheduler,
@@ -102,12 +93,10 @@ func newSession(sw *swarm.Swarm, cfg settings) (*Simulation, error) {
 		checkConn:     cfg.checkConn,
 		strict:        cfg.strict,
 		workers:       cfg.workers,
-		fullBFS:       cfg.fullBFS,
-		fullRecompute: cfg.fullRecompute,
 		subs:          cfg.subs,
 	}
 	sim.seedSubIDs()
-	sim.eng = fsync.New(sw, sc.Algorithm, sim.engineConfig(sc))
+	sim.eng = fsync.New(s, sc.Algorithm, sim.engineConfig(sc))
 	return sim, nil
 }
 
@@ -128,14 +117,12 @@ func (s *Simulation) seedSubIDs() {
 // engine.
 func (s *Simulation) engineConfig(sc scenario.Scenario) fsync.Config {
 	return fsync.Config{
-		NoMergeLimit:        s.noMergeLimit,
-		CheckConnectivity:   s.checkConn,
-		StrictViews:         s.strict,
-		Workers:             s.workers,
-		Scheduler:           sc.Scheduler,
-		Faults:              sc.Faults,
-		FullBFSConnectivity: s.fullBFS,
-		FullRecompute:       s.fullRecompute,
+		NoMergeLimit:      s.noMergeLimit,
+		CheckConnectivity: s.checkConn,
+		StrictViews:       s.strict,
+		Workers:           s.workers,
+		Scheduler:         sc.Scheduler,
+		Faults:            sc.Faults,
 	}
 }
 
@@ -268,7 +255,7 @@ type Status struct {
 	DegradedRound int
 	// QuiescentRatio is the fraction of activations so far whose Compute
 	// call the quiescence fast path skipped (0 when the fast path is
-	// disabled — see WithFullRecompute — or before the first round).
+	// disabled — see Metrics.QuiescentRatio — or before the first round).
 	QuiescentRatio float64
 	// Done reports whether the simulation has finished: gathered or
 	// aborted. A done session never executes further rounds.
@@ -373,11 +360,10 @@ type Metrics struct {
 	// QuiesceComputed and QuiesceSkipped count the activations whose
 	// Compute ran versus were replayed from the quiescence verdict cache;
 	// QuiescentRatio is Skipped/(Computed+Skipped). All zero when the fast
-	// path is disabled (WithFullRecompute, WithStrictLocality, or an
-	// algorithm without a declared round period). Unlike every other
-	// counter these describe the execution strategy, not the simulation:
-	// they are not snapshot state, and a session restored mid-run counts
-	// from a cold cache.
+	// path is disabled (WithStrictLocality, or an algorithm without a
+	// declared round period). Unlike every other counter these describe
+	// the execution strategy, not the simulation: they are not snapshot
+	// state, and a session restored mid-run counts from a cold cache.
 	QuiesceComputed, QuiesceSkipped int
 	QuiescentRatio                  float64
 }
@@ -399,7 +385,7 @@ func (s *Simulation) Metrics() Metrics {
 	}
 }
 
-// Result assembles the session's state into the summary Gather returns.
+// Result assembles the session's state into the summary Run returns.
 // It can be called at any time; on a still-running session it describes
 // the rounds executed so far.
 func (s *Simulation) Result() Result {

@@ -26,10 +26,16 @@ func mustNew(t testing.TB, cells []Point, opts ...Option) *Simulation {
 	return sim
 }
 
-// A session stepped round by round reproduces Gather exactly.
+// mustRun creates a session and runs it to completion.
+func mustRun(t testing.TB, cells []Point, opts ...Option) Result {
+	t.Helper()
+	return mustNew(t, cells, opts...).Run(context.Background())
+}
+
+// A session stepped round by round reproduces an uninterrupted Run exactly.
 func TestSessionStepMatchesGather(t *testing.T) {
 	cells := mustWorkload(t, "hollow", 60)
-	ref := Gather(cells, Options{CheckConnectivity: true})
+	ref := mustRun(t, cells, WithConnectivityCheck(true))
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
@@ -49,10 +55,10 @@ func TestSessionStepMatchesGather(t *testing.T) {
 		}
 	}
 	if res := sim.Result(); res != ref {
-		t.Errorf("stepped result %+v != Gather result %+v", res, ref)
+		t.Errorf("stepped result %+v != Run result %+v", res, ref)
 	}
 	if steps != ref.Rounds {
-		t.Errorf("stepped %d rounds, Gather took %d", steps, ref.Rounds)
+		t.Errorf("stepped %d rounds, Run took %d", steps, ref.Rounds)
 	}
 	// Step on the finished session reports ErrDone and does not advance.
 	if err := sim.Step(); err != ErrDone {
@@ -65,7 +71,7 @@ func TestSessionStepMatchesGather(t *testing.T) {
 
 func TestSessionStepN(t *testing.T) {
 	cells := mustWorkload(t, "line", 40)
-	ref := Gather(cells, Options{})
+	ref := mustRun(t, cells)
 	sim := mustNew(t, cells)
 	n, err := sim.StepN(5)
 	if err != nil || n != 5 {
@@ -113,7 +119,7 @@ func TestSessionStatusAndMetrics(t *testing.T) {
 // uninterrupted run.
 func TestRunHonorsCancellation(t *testing.T) {
 	cells := mustWorkload(t, "hollow", 80)
-	ref := Gather(cells, Options{})
+	ref := mustRun(t, cells)
 	if ref.Err != nil || ref.Rounds < 6 {
 		t.Fatalf("reference: %+v", ref)
 	}
@@ -300,37 +306,5 @@ func TestObserverPathAllocationFree(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("observer never saw a payload")
-	}
-}
-
-// TestWithFullBFSConnectivity pins the escape hatch's contract: a session
-// checking connectivity through the full BFS produces exactly the same
-// result as the default incremental layer — directly and across a
-// mid-flight snapshot/restore that flips the mode.
-func TestWithFullBFSConnectivity(t *testing.T) {
-	cells := mustWorkload(t, "hollow", 60)
-	ref := Gather(cells, Options{CheckConnectivity: true})
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
-	sim := mustNew(t, cells, WithConnectivityCheck(true), WithFullBFSConnectivity(true))
-	if res := sim.Run(context.Background()); res != ref {
-		t.Errorf("full-BFS result %+v != incremental result %+v", res, ref)
-	}
-
-	donor := mustNew(t, cells, WithConnectivityCheck(true))
-	if _, err := donor.StepN(ref.Rounds / 2); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := donor.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(snap, WithFullBFSConnectivity(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := restored.Run(context.Background()); res != ref {
-		t.Errorf("restored full-BFS result %+v != incremental result %+v", res, ref)
 	}
 }

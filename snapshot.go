@@ -4,7 +4,7 @@
 // fingerprint on each run; if the format changed without a snapshotVersion
 // bump, it reports the stale hash and the new one to paste in after bumping.
 //
-//gather:snapshot-format version=snapshotVersion hash=021cc4b0c60a5ecf
+//gather:snapshot-format version=snapshotVersion hash=48616ae94ac37895
 
 package gridgather
 
@@ -190,8 +190,6 @@ func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
 		sim.strict = cfg.strict
 	}
 	sim.workers = cfg.workers
-	sim.fullBFS = cfg.fullBFS
-	sim.fullRecompute = cfg.fullRecompute
 	sim.subs = cfg.subs
 	sim.seedSubIDs()
 

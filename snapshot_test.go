@@ -151,7 +151,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 // of checkpoints stay bit-identical.
 func TestSnapshotChain(t *testing.T) {
 	cells := mustWorkload(t, "hollow", 80)
-	want := Gather(cells, Options{})
+	want := mustRun(t, cells)
 	sim := mustNew(t, cells)
 	for i := 0; i < 4; i++ {
 		if _, err := sim.StepN(3); err != nil {
@@ -260,7 +260,7 @@ func TestRestoreCarriesInvariantAbort(t *testing.T) {
 // exhausted run can be granted more budget and complete.
 func TestRestoreBudgetOverride(t *testing.T) {
 	cells := mustWorkload(t, "hollow", 120)
-	want := Gather(cells, Options{})
+	want := mustRun(t, cells)
 	sim := mustNew(t, cells, WithMaxRounds(3))
 	res := sim.Run(context.Background())
 	if res.Err == nil {
