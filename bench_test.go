@@ -169,14 +169,13 @@ func BenchmarkEngineRound(b *testing.B) {
 
 // BenchmarkEngineStepWorkers measures the cost of one full FSYNC round on
 // large instances (n ≥ 2000) for the serial pipeline (Workers=1) against
-// the chunk-owned sharded pipeline (Workers=4 and GOMAXPROCS) — the whole
-// round now shards, not just Look+Compute: Resolve buckets arrivals by
-// target-chunk ownership and Commit repairs the arrival lanes
-// concurrently. Outcomes are bit-identical across worker counts (see the
-// internal/fsync parallel and pipeline differential tests); this benchmark
-// quantifies the round cost and the per-round allocations — the sharding
-// shows up as ns/op on multi-core machines. CI's serial-vs-parallel
-// regression guard re-measures via gatherbench -bench-guard.
+// sharded Compute (Workers=4 and GOMAXPROCS); Resolve and Commit run
+// serially at every worker count. Outcomes are bit-identical across worker
+// counts (see the internal/fsync parallel and pipeline differential
+// tests); this benchmark quantifies the round cost and the per-round
+// allocations — the sharding shows up as ns/op on multi-core machines.
+// CI's serial-vs-parallel regression guard re-measures via gatherbench
+// -bench-guard.
 func BenchmarkEngineStepWorkers(b *testing.B) {
 	families := []struct {
 		name  string

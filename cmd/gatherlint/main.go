@@ -1,5 +1,5 @@
-// gatherlint is the repo's static-analysis multichecker: detlint, hotalloc,
-// codecpair, and lanesafe over every package, wired into `go vet`.
+// gatherlint is the repo's static-analysis multichecker: detlint, hotalloc
+// and codecpair over every package, wired into `go vet`.
 //
 // Usage:
 //
@@ -116,6 +116,6 @@ usage:
   gatherlint ./...                       run the suite over packages
   go vet -vettool=$(which gatherlint) ./...   equivalent, explicit form
 
-analyzers: detlint, hotalloc, codecpair, lanesafe (see internal/analysis).
+analyzers: detlint, hotalloc, codecpair (see internal/analysis).
 `)
 }

@@ -6,19 +6,13 @@ package cleanfixture
 
 import "sort"
 
-// Grid is a tiny lane-protocol shape.
+// Grid is a tiny stateful shape.
 type Grid struct {
 	serial int
-	//gather:lane-owned
 	Clocks []int
 }
 
-// TickShard writes only lane-owned state.
-func (g *Grid) TickShard(ln int) {
-	g.Clocks[ln]++
-}
-
-// Reset is serial-phase code; no Shard suffix, no constraints.
+// Reset sorts the clocks deterministically.
 func (g *Grid) Reset() {
 	g.serial = 0
 	sort.Ints(g.Clocks)

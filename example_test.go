@@ -147,9 +147,8 @@ func ExampleWorkloads() {
 	// clusters
 }
 
-// WithWorkers shards each round's whole pipeline — Look+Compute, move
-// and merge resolution (by chunk ownership), and the commit — across a
-// goroutine pool. The engine combines worker results in deterministic cell
+// WithWorkers shards each round's Look+Compute phase across a goroutine
+// pool; moves and merges are then applied in one serial pass in cell
 // order, so any worker count produces the identical simulation.
 func ExampleWithWorkers() {
 	cells, _ := gridgather.Workload("hollow", 60)

@@ -86,6 +86,10 @@ var ErrEmpty = errors.New("gridgather: input swarm is empty")
 // knob in the public API — a broken configuration should abort, not spin).
 var ErrNegativeMaxRounds = errors.New("gridgather: negative MaxRounds (0 selects the default budget)")
 
+// ErrNegativeWorkers is returned for a negative WithWorkers (0 already
+// selects all available CPUs).
+var ErrNegativeWorkers = errors.New("gridgather: negative Workers (0 selects all CPUs)")
+
 // buildSwarm converts public points into a swarm. It is the single
 // swarm-construction loop behind New, Connected and Render.
 func buildSwarm(cells []Point) *swarm.Swarm {

@@ -109,6 +109,7 @@ func TestNewAndGatherErrorPaths(t *testing.T) {
 		{"non-numeric param", WithScheduler("async:x"), nil},
 		{"unknown algorithm", WithAlgorithm("magic"), nil},
 		{"negative MaxRounds", WithMaxRounds(-1), ErrNegativeMaxRounds},
+		{"negative Workers", WithWorkers(-7), ErrNegativeWorkers},
 		{"invalid radius", WithRadius(2), nil},
 	}
 	for _, tc := range cases {

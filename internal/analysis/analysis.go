@@ -3,10 +3,10 @@
 // //gather: directive vocabulary the analyzers share. The engine's
 // correctness story rests on invariants — no nondeterministic iteration in
 // outcome-reaching code, no allocations on the round hot path, symmetric
-// snapshot codec pairs, lane-confined shard writes — that the differential
-// suites check dynamically and late; the analyzers in the subpackages
-// (detlint, hotalloc, codecpair, lanesafe) check them at compile time, over
-// every function, on every build.
+// snapshot codec pairs — that the differential suites check dynamically
+// and late; the analyzers in the subpackages (detlint, hotalloc,
+// codecpair) check them at compile time, over every function, on every
+// build.
 //
 // The API shape deliberately matches x/tools so the suite could migrate to
 // the real framework wholesale if the dependency ever lands in the build

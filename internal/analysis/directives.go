@@ -13,11 +13,6 @@ import (
 //	//gather:nondet-ok <reason>     line escape for detlint
 //	//gather:hotpath                func marker: hotalloc active for this func
 //	//gather:alloc-ok <reason>      line escape for hotalloc
-//	//gather:lane-confined          func marker: lanesafe active (also *Shard names)
-//	//gather:serial <reason>        func marker: disclaims a *Shard-named func
-//	//gather:lane-owned             struct field marker: shards may write it
-//	//gather:shared-state           func marker: serial-only; lanesafe flags callers
-//	//gather:lane-ok <reason>       line escape for lanesafe
 //	//gather:oneway <reason>        func marker: Append* with no decoder, on purpose
 //	//gather:codec-ok <reason>      line escape for codecpair's reader-error rule
 //	//gather:snapshot-format version=<ident> hash=<16 hex>
@@ -36,11 +31,6 @@ var knownDirectives = map[string]bool{
 	"nondet-ok":       true,
 	"hotpath":         false,
 	"alloc-ok":        true,
-	"lane-confined":   false,
-	"serial":          true,
-	"lane-owned":      false,
-	"shared-state":    false,
-	"lane-ok":         true,
 	"oneway":          true,
 	"codec-ok":        true,
 	"snapshot-format": true,

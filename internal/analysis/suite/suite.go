@@ -8,7 +8,6 @@ import (
 	"gridgather/internal/analysis/codecpair"
 	"gridgather/internal/analysis/detlint"
 	"gridgather/internal/analysis/hotalloc"
-	"gridgather/internal/analysis/lanesafe"
 )
 
 // Analyzers is the full gatherlint suite, in diagnostic tie-break order.
@@ -16,5 +15,4 @@ var Analyzers = []*analysis.Analyzer{
 	detlint.Analyzer,
 	hotalloc.Analyzer,
 	codecpair.Analyzer,
-	lanesafe.Analyzer,
 }

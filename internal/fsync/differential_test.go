@@ -1,11 +1,10 @@
-// Differential tests for the chunk-owned parallel round pipeline: the
-// sharded Resolve/Commit path must be bit-identical to the serial path
-// round by round — positions, run states (including IDs), logical clocks,
-// slot assignment and merge/run counters — across the seeded workload
-// corpus, every scheduler family, and every worker count. This is the
-// acceptance bar for parallelizing the round's write phase: any divergence
-// in chunk ownership, the seam pass, the per-lane arrival buffers or the
-// k-way commit merge shows up here on the first broken round.
+// Differential tests for the parallel round pipeline: an engine with
+// sharded Compute must be bit-identical to the serial path round by round
+// — positions, run states (including IDs), logical clocks, slot
+// assignment and merge/run counters — across the seeded workload corpus,
+// every scheduler family, and every worker count. Any dependence of the
+// outcome on how the activation set was sharded shows up here on the
+// first broken round.
 package fsync_test
 
 import (
@@ -105,8 +104,8 @@ func compareEngines(t *testing.T, serial, parallel *fsync.Engine) {
 
 // TestPipelineDifferential is the tentpole's determinism proof: for every
 // seeded-catalog workload × scheduler family × worker count, the
-// chunk-owned parallel pipeline reproduces the serial engine bit-
-// identically on every round until both gather.
+// parallel pipeline reproduces the serial engine bit-identically on every
+// round until both gather.
 func TestPipelineDifferential(t *testing.T) {
 	const n = 56
 	specs := []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:8"}

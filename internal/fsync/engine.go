@@ -13,7 +13,7 @@
 //
 // # The staged round pipeline
 //
-// Step executes each round in four explicit stages over that chunk grid:
+// Step executes each round in four explicit stages:
 //
 //	Activate  resolve the round's activation set (everyone under FSYNC; a
 //	          scheduler subset otherwise — contiguous activation windows
@@ -21,25 +21,18 @@
 //	          sched.RangeActivator, without a per-robot mask pass)
 //	Compute   Look+Compute for every activated robot, sharded across
 //	          workers against the immutable pre-round snapshot
-//	Resolve   apply all moves: merge resolution, run-state commits,
-//	          logical clocks, and transfer collection. Robots are bucketed
-//	          by the chunk that owns their *target* cell (a stable hash of
-//	          absolute chunk coordinates) and each worker resolves its
-//	          chunks' arrivals fully in parallel against a per-worker
-//	          arrival lane — two robots can conflict only when they target
-//	          the same cell, and a cell has exactly one owner, so the hot
-//	          path takes no locks. Targets on a chunk seam (within L∞ 1 of
-//	          a chunk border) go to a flat seam bucket resolved in a short
-//	          deterministic serial pass after the workers join, followed by
-//	          run adoption and transfer delivery in canonical order.
-//	Commit    the world repairs each lane's sorted order concurrently and
-//	          k-way merges the lanes into the canonical cell order.
+//	Resolve   apply all moves in one pass in canonical cell order: merge
+//	          resolution, run-state commits, logical clocks and transfer
+//	          collection, then run adoption and transfer delivery
+//	Commit    the world repairs the near-sorted arrival order into the
+//	          canonical cell order and swaps the round in
 //
-// Every stage combines results in deterministic cell order (per-worker
-// collections carry their global collection index and are merged back into
-// it), so the outcome is bit-identical for every worker count — the
+// Only Compute is parallel: every robot runs the same pure function on
+// the same snapshot, and each worker writes its robots' actions to fixed
+// indices, so the outcome is bit-identical for every worker count — the
 // differential tests prove serial ≡ parallel round by round across the
-// workload corpus, every scheduler family and workers ∈ {1..16}.
+// workload corpus, every scheduler family and workers ∈ {1..16}. Resolve
+// and Commit are one linear pass over the arrivals and stay serial.
 //
 // A Config.Scheduler (internal/sched) relaxes the synchrony: each round
 // only the scheduler's activation subset runs a look-compute-move cycle
@@ -117,15 +110,15 @@ type Config struct {
 	// OnRound, if non-nil, is called after every completed round with the
 	// engine in its post-round state (used by tracing and tests).
 	OnRound func(e *Engine)
-	// Workers is the number of goroutines sharding both the Compute and
-	// the Resolve stage of each round. 0 means runtime.GOMAXPROCS(0); 1
-	// keeps the fully serial path. Compute shards the activation set (every
-	// robot runs the same pure function on the same immutable pre-round
-	// snapshot); Resolve shards by target-chunk ownership with a serial
-	// seam pass; both combine results in deterministic order, so the
-	// outcome is bit-identical for every worker count. The Algorithm's
-	// Compute must be safe for concurrent calls when Workers != 1
-	// (core.Gatherer is: it only reads the view and bumps atomic counters).
+	// Workers is the number of goroutines sharding the Compute stage of
+	// each round. 0 means runtime.GOMAXPROCS(0); 1 keeps the fully serial
+	// path. Compute shards the activation set (every robot runs the same
+	// pure function on the same immutable pre-round snapshot) and writes
+	// each action at the robot's index, so the outcome is bit-identical for
+	// every worker count; Resolve and Commit always run serially. The
+	// Algorithm's Compute must be safe for concurrent calls when Workers !=
+	// 1 (core.Gatherer is: it only reads the view and bumps atomic
+	// counters).
 	Workers int
 	// FullBFSConnectivity pins the connectivity check to the full
 	// scratch-BFS path instead of the default incremental layer (per-chunk
@@ -214,16 +207,6 @@ type Engine struct {
 	aliveBuf      []bool           // scratch: liveness over the cell order
 	liveFn        func(int32) bool // slot liveness for component queries
 
-	// resolveSerial counts rounds left running the Resolve stage serially
-	// after a parallel probe found the fan-out unprofitable (a single-P
-	// process, seam-heavy or single-chunk-concentrated rounds; see
-	// resolveParallel). On GOMAXPROCS=1 the verdict extends to the Compute
-	// stage (see stageCompute). The next probe re-measures — the swarm
-	// only moves L∞ 1 per round, so the verdict goes stale slowly. Worker
-	// counts never change outcomes (proven by the differential suite), so
-	// this is purely a performance decision.
-	resolveSerial int
-
 	// Quiescence state (quiesce.go; all zero when the fast path is off).
 	// qFlags parallels acts/order: compute workers write one byte per
 	// robot at disjoint indices, the serial post-pass reads them all.
@@ -236,39 +219,31 @@ type Engine struct {
 
 	// Scratch structures reused across rounds. Each Step fills them from
 	// scratch; nothing outside Step may retain references to them.
-	order        []grid.Point  // this round's activation set
-	sleep        []grid.Point  // robots outside the activation set
-	mask         []bool        // scheduler activation mask over the cell order
-	acts         []actionAt    // actions indexed like order
-	runActs      [][]Action    // per compute worker: the actions that carry runs
-	actBuckets   [][]int32     // action indices per resolve lane (last = seam)
-	sleepBuckets [][]int32     // sleeper indices per resolve lane
-	outs         []resolveOut  // per-lane resolve collections
-	mergeCur     []int         // k-way merge cursors over outs
-	freshKeeps   []idxKeep     // merged brand-new kept runs, collection order
-	transferList []idxTransfer // merged pending hand-offs, collection order
+	order        []grid.Point      // this round's activation set
+	sleep        []grid.Point      // robots outside the activation set
+	mask         []bool            // scheduler activation mask over the cell order
+	acts         []actionAt        // actions indexed like order
+	runActs      [][]Action        // per compute worker: the actions that carry runs
+	freshKeeps   []grid.Point      // cells of brand-new kept runs, collection order
+	transferList []pendingTransfer // pending hand-offs, collection order
 	deliver      deliverSlice
 	runScratch   [robot.MaxRuns + 2]robot.Run
 	computeErrs  []error
 	runnersBuf   []grid.Point
 
-	// Persistent closures handed to the pool and the merge every round,
-	// built once in ensureStageFns: dispatching fresh captures per round
-	// would allocate on the hot path (hotalloc enforces this). The fields
-	// below carry the per-round values the closures read.
-	computeFn      func(int)
-	resolveFn      func(int)
-	keepsAt        func(int) []idxKeep
-	transfersAt    func(int) []idxTransfer
-	computeVC      view.Config
-	computeChunk   int
-	scheduledRound bool
+	// The persistent Compute closure handed to the pool every round, built
+	// once in ensureComputeFn: dispatching a fresh capture per round would
+	// allocate on the hot path (hotalloc enforces this). The fields below
+	// carry the per-round values the closure reads.
+	computeFn    func(int)
+	computeVC    view.Config
+	computeChunk int
 }
 
-// ensureStageFns builds the persistent pipeline closures. Idempotent and
+// ensureComputeFn builds the persistent Compute closure. Idempotent and
 // cheap after the first call; Step invokes it so restored engines are
 // covered without every construction path having to remember to.
-func (e *Engine) ensureStageFns() {
+func (e *Engine) ensureComputeFn() {
 	if e.computeFn != nil {
 		return
 	}
@@ -276,11 +251,6 @@ func (e *Engine) ensureStageFns() {
 		lo := w * e.computeChunk
 		e.computeErrs[w] = e.computeRange(e.computeVC, w, lo, min(lo+e.computeChunk, len(e.acts)))
 	}
-	e.resolveFn = func(k int) {
-		e.resolveLane(k, false, e.actBuckets[k], e.sleepBuckets[k], e.scheduledRound, &e.outs[k])
-	}
-	e.keepsAt = func(i int) []idxKeep { return e.outs[i].keeps }
-	e.transfersAt = func(i int) []idxTransfer { return e.outs[i].transfers }
 }
 
 // actionAt pairs a robot's pre-round position with its computed move. An
@@ -309,40 +279,11 @@ func (e *Engine) runsOf(c *actionAt) *Action {
 	return &e.runActs[c.w][c.ext-1]
 }
 
-// resolveOut is one lane's Resolve-stage output: everything the shared
-// serial tail (run adoption, transfer resolution) needs, tagged with the
-// global action index so the per-lane collections merge back into the
-// order a serial pass would have produced.
-type resolveOut struct {
-	moved       int
-	crashedGone int // crashed sleepers a live arrival merged away
-	keeps       []idxKeep
-	transfers   []idxTransfer
-	dirty       []grid.Point // merge cells to view-dirty for quiescence (occupancy-stable state changes)
-}
-
-func (o *resolveOut) reset() {
-	o.moved = 0
-	o.crashedGone = 0
-	o.keeps = o.keeps[:0]
-	o.transfers = o.transfers[:0]
-	o.dirty = o.dirty[:0]
-}
-
-// idxKeep is a surviving-so-far brand-new kept run awaiting adoption,
-// tagged with the keeper's action index.
-type idxKeep struct {
-	idx int32
-	dst grid.Point
-}
-
-// idxTransfer is a run hand-off collected during the Resolve stage,
-// tagged with the sender's action index. It is delivered only if the
-// sender survives the round without merging: run states of merged robots
-// stop (Table 1, condition 3), including states the robot was handing off
-// in the very round it merged.
-type idxTransfer struct {
-	idx       int32
+// pendingTransfer is a run hand-off collected during the Resolve stage. It
+// is delivered only if the sender survives the round without merging: run
+// states of merged robots stop (Table 1, condition 3), including states
+// the robot was handing off in the very round it merged.
+type pendingTransfer struct {
 	senderDst grid.Point // the sender's post-move cell; its occupancy decides the sender's fate
 	to        grid.Point // the recipient cell (pre-round coordinates)
 	run       robot.Run
@@ -681,17 +622,16 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 //
 //gather:hotpath
 func (e *Engine) Step() error {
-	e.ensureStageFns()
+	e.ensureComputeFn()
 	scheduled := e.cfg.Scheduler != nil
 	e.roundCrash = 0
 	e.stageActivate(scheduled)
 	e.drawNoise()
 	prevPop := len(e.order) + len(e.sleep)
-	workers := e.workers(len(e.order))
-	if err := e.stageCompute(workers); err != nil {
+	if err := e.stageCompute(e.workers(len(e.order))); err != nil {
 		return err
 	}
-	moved := e.stageResolve(scheduled, workers)
+	moved := e.stageResolve(scheduled)
 	e.w.Commit()
 
 	removed := prevPop - e.w.Len()
@@ -871,14 +811,6 @@ func (e *Engine) drawNoise() {
 //
 //gather:hotpath
 func (e *Engine) stageCompute(workers int) error {
-	// A serial-resolve verdict on a single-P process extends to Compute:
-	// the load-skew verdicts keep Compute parallel (its work is per-robot,
-	// independent of chunk ownership), but with GOMAXPROCS=1 there is
-	// nowhere to run concurrently and the fan-out only costs goroutine
-	// switches. Probe rounds still run the full parallel pipeline.
-	if workers > 1 && e.resolveSerial > 0 && runtime.GOMAXPROCS(0) == 1 {
-		workers = 1
-	}
 	vc := e.viewConfig()
 	n := len(e.order)
 	if cap(e.acts) < n {
@@ -927,43 +859,28 @@ func (e *Engine) stageCompute(workers int) error {
 // merge — run states of merged robots stop (Table 1, condition 3/6).
 // Sleeping robots stand still, keeping their run states (frozen, not aged)
 // and logical clocks; they still merge if an activated robot lands on
-// their cell. With several workers the arrivals are resolved by
-// target-chunk ownership (see resolveParallel); the stage ends with the
-// shared serial tail: run adoption and transfer delivery.
+// their cell. Once every arrival is counted, the stage adopts the
+// surviving kept runs and delivers the surviving transfers.
 //
 //gather:hotpath
-func (e *Engine) stageResolve(scheduled bool, workers int) int {
-	e.scheduledRound = scheduled
-	var moved int
-	if workers > 1 && e.resolveSerial > 0 {
-		e.resolveSerial--
-		workers = 1
-	}
-	if workers == 1 {
-		e.w.BeginRound()
-		if len(e.outs) == 0 {
-			e.outs = make([]resolveOut, 1)
-		}
-		e.resolveLane(0, true, nil, nil, scheduled, &e.outs[0])
-		moved = e.mergeOuts(1)
-	} else {
-		moved = e.resolveParallel(scheduled, workers)
-	}
+func (e *Engine) stageResolve(scheduled bool) int {
+	e.w.BeginRound()
+	moved := e.resolveArrivals(scheduled)
 
 	// Adopt brand-new kept runs now that every robot's fate is known: a
 	// robot that kept a fresh run but was merged onto this round never
 	// started it (Table 1, condition 3 — the merge clears its pending
 	// state), so only surviving keepers get IDs and RunsStarted credit.
-	for _, k := range e.freshKeeps {
-		if e.w.ArrivalCount(k.dst) != 1 {
+	for _, dst := range e.freshKeeps {
+		if e.w.ArrivalCount(dst) != 1 {
 			continue
 		}
-		st := e.w.ArrivalState(k.dst)
+		st := e.w.ArrivalState(dst)
 		rb := e.runScratch[:0]
 		for _, r := range st.Runs {
 			rb = append(rb, e.adoptRun(r))
 		}
-		e.w.SetArrivalState(k.dst, robot.State{Runs: rb})
+		e.w.SetArrivalState(dst, robot.State{Runs: rb})
 	}
 
 	// Resolve the collected hand-offs now that every robot's fate is known:
@@ -1008,103 +925,22 @@ func (e *Engine) stageResolve(scheduled bool, workers int) int {
 	return moved
 }
 
-// resolveParallel is the chunk-owned Resolve fan-out: every action (and
-// sleeper) is bucketed by the lane owning its target cell's chunk — seam
-// targets (within L∞ 1 of a chunk border) go to the extra seam lane —
-// then one goroutine per worker drains its buckets in parallel, and the
-// seam lane runs serially after the join, where cross-chunk conflicts are
-// possible. The single classification sweep also pre-marks every target
-// chunk, so the workers never touch shared world structures.
+// resolveArrivals replays the arrival protocol for every robot — the
+// activated ones in canonical cell order, then the sleepers — collecting
+// brand-new kept runs and pending transfers in that order, and returns the
+// number of robots that hopped.
 //
 //gather:hotpath
-func (e *Engine) resolveParallel(scheduled bool, workers int) int {
-	lanes := workers + 1
-	seam := workers
-	e.w.BeginRoundShards(lanes)
-	for len(e.actBuckets) < lanes {
-		e.actBuckets = append(e.actBuckets, nil)     //gather:alloc-ok lane-count growth, settles after the first parallel round
-		e.sleepBuckets = append(e.sleepBuckets, nil) //gather:alloc-ok lane-count growth, settles after the first parallel round
-	}
-	for i := 0; i < lanes; i++ {
-		e.actBuckets[i] = e.actBuckets[i][:0]
-		e.sleepBuckets[i] = e.sleepBuckets[i][:0]
-	}
+func (e *Engine) resolveArrivals(scheduled bool) int {
+	moved := 0
+	e.freshKeeps = e.freshKeeps[:0]
+	e.transferList = e.transferList[:0]
 	for i := range e.acts {
-		c := &e.acts[i]
-		ln, onSeam := e.w.Classify(c.from.Add(c.move), workers)
-		if onSeam {
-			ln = seam
-		}
-		// Reset via [:0] in the lane loop above; the hint analysis cannot
-		// see it across the differing index expressions.
-		e.actBuckets[ln] = append(e.actBuckets[ln], int32(i)) //gather:alloc-ok bucket reset above, steady-state reuse
-	}
-	for i, p := range e.sleep {
-		ln, onSeam := e.w.Classify(p, workers)
-		if onSeam {
-			ln = seam
-		}
-		e.sleepBuckets[ln] = append(e.sleepBuckets[ln], int32(i)) //gather:alloc-ok bucket reset above, steady-state reuse
-	}
-	// Adaptive probe: some rounds cannot profit from the fan-out — when
-	// the process has a single P (GOMAXPROCS=1 leaves nothing for the
-	// workers to run on), when the seam lane (serial by construction)
-	// holds most of the work, or when chunk ownership concentrates nearly
-	// all non-seam work in one lane (the swarm fits in a handful of
-	// chunks). Classification itself just measured the load split, so
-	// decide here: such rounds schedule the next 63 Resolve stages
-	// serially, then the 64th probes again (the swarm moves at most L∞ 1
-	// per round, so the verdict goes stale slowly). Outcomes are
-	// worker-count-independent (the differential suite proves it), so
-	// this is purely performance. Small rounds are exempt — their
-	// overhead is microseconds, and the differential tests that prove
-	// lane equivalence run at small n.
-	if total := len(e.acts) + len(e.sleep); total >= 1024 {
-		seamLoad := len(e.actBuckets[seam]) + len(e.sleepBuckets[seam])
-		maxLane := 0
-		for k := 0; k < workers; k++ {
-			if l := len(e.actBuckets[k]) + len(e.sleepBuckets[k]); l > maxLane {
-				maxLane = l
-			}
-		}
-		if runtime.GOMAXPROCS(0) == 1 || seamLoad*2 > total || maxLane*5 > (total-seamLoad)*4 {
-			e.resolveSerial = 63
-		}
-	}
-	for len(e.outs) < lanes {
-		e.outs = append(e.outs, resolveOut{}) //gather:alloc-ok lane-count growth, settles after the first parallel round
-	}
-	e.getPool().run(workers, e.resolveFn)
-	// The seam pass: short, serial, deterministic — the only arrivals whose
-	// neighborhoods span chunks another worker owns.
-	e.resolveLane(seam, false, e.actBuckets[seam], e.sleepBuckets[seam], scheduled, &e.outs[seam])
-	return e.mergeOuts(lanes)
-}
-
-// resolveLane replays the arrival protocol for one lane's bucket of action
-// indices and sleeper indices (all=true drains everything — the serial
-// path). Within a lane, activated arrivals run before sleepers — the same
-// relative order a serial pass uses — and any two arrivals at the same
-// cell are always in the same lane, so per-cell merge resolution is
-// order-identical to serial.
-//
-//gather:hotpath
-func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, scheduled bool, out *resolveOut) {
-	out.reset()
-	nA := len(actIdx)
-	if all {
-		nA = len(e.acts)
-	}
-	for k := 0; k < nA; k++ {
-		i := int32(k)
-		if !all {
-			i = actIdx[k]
-		}
 		c := &e.acts[i]
 		dst := c.from.Add(c.move)
 		a := e.runsOf(c)
 		if dst != c.from {
-			out.moved++
+			moved++
 		}
 		var cl int
 		if scheduled {
@@ -1113,7 +949,7 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 			// regardless of arrival order).
 			cl = e.w.ClockAt(c.from) + 1
 		}
-		if e.w.ArriveShard(ln, c.from, dst) == 1 {
+		if e.w.Arrive(c.from, dst) == 1 {
 			var keep []robot.Run
 			if a != nil {
 				keep = a.Keep()
@@ -1124,16 +960,15 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 					// Brand-new kept run: adoption (ID, RunsStarted) waits
 					// until the keeper's merge fate is known, like the
 					// transfer hand-offs below.
-					out.keeps = append(out.keeps, idxKeep{idx: i, dst: dst}) //gather:alloc-ok length-reset in out.reset, steady-state reuse
+					e.freshKeeps = append(e.freshKeeps, dst)
 					break
 				}
 			}
 		} else if e.qOn {
 			// A merge can leave dst occupancy-stable (arrival onto a stayer)
 			// while its state, slot and crash mark change under the
-			// neighbors' views — the commit diff can't see it, so queue a
-			// view-dirty mark for the serial pass after the lanes join.
-			out.dirty = append(out.dirty, dst) //gather:alloc-ok length-reset in out.reset, steady-state reuse
+			// neighbors' views — the commit diff can't see it.
+			e.w.MarkViewDirty(dst)
 		}
 		if scheduled {
 			e.w.RaiseClock(dst, cl)
@@ -1145,121 +980,38 @@ func (e *Engine) resolveLane(ln int, all bool, actIdx, sleepIdx []int32, schedul
 			// Collected, not yet delivered: whether the hand-off succeeds
 			// depends on the sender not merging this round, which is known
 			// only after all arrivals are counted.
-			//gather:alloc-ok length-reset in out.reset, steady-state reuse
-			out.transfers = append(out.transfers, idxTransfer{
-				idx:       i,
+			e.transferList = append(e.transferList, pendingTransfer{
 				senderDst: dst,
 				to:        c.from.Add(tr.To),
 				run:       tr.Run,
 			})
 		}
 	}
-	e.w.BeginSleepShard(ln)
-	nS := len(sleepIdx)
-	if all {
-		nS = len(e.sleep)
-	}
-	for k := 0; k < nS; k++ {
-		i := int32(k)
-		if !all {
-			i = sleepIdx[k]
-		}
-		p := e.sleep[i]
+	e.w.BeginSleep()
+	for _, p := range e.sleep {
 		var cl int
 		if scheduled {
 			cl = e.w.ClockAt(p)
 		}
-		cnt := e.w.SleepShard(ln, p)
+		cnt := e.w.Sleep(p)
 		if e.qOn && cnt > 1 {
 			// An activated robot already landed on this sleeper's cell: the
 			// sleeper merges away, an occupancy-stable state/slot change.
-			out.dirty = append(out.dirty, p) //gather:alloc-ok length-reset in out.reset, steady-state reuse
+			e.w.MarkViewDirty(p)
 		}
 		if e.crashTrack && cnt > 1 && e.crashed[e.w.SlotAt(p)] {
 			// A live robot merged onto a crashed sleeper: the crash mark
 			// dies with the sleeper's slot (slots are never reused), and
 			// the cell now holds the live first-arriver. Activated arrivals
-			// run before sleepers within a lane and same-cell arrivals
-			// share a lane, so the count here is the cell's final verdict.
-			out.crashedGone++
+			// run before sleepers, so the count here is the cell's final
+			// verdict.
+			e.crashedLive--
 		}
 		if scheduled {
 			e.w.RaiseClock(p, cl)
 		}
 	}
-}
-
-// mergeOuts folds the per-lane Resolve outputs back into global collection
-// order: the kept-run and transfer lists are k-way merged by action index
-// (each lane's list is already ascending — buckets are drained in index
-// order), so adoption later hands out run IDs exactly as a serial pass
-// would. Returns the summed hop count. Operates on e.outs[:lanes] (the
-// persistent keepsAt/transfersAt accessors read e.outs directly).
-//
-//gather:hotpath
-func (e *Engine) mergeOuts(lanes int) int {
-	outs := e.outs[:lanes]
-	moved := 0
-	gone := 0
-	for i := range outs {
-		moved += outs[i].moved
-		gone += outs[i].crashedGone
-		for _, p := range outs[i].dirty {
-			// Serial, after the lanes joined: MarkViewDirty writes shared
-			// qdirty planes. OR-only, so lane order is irrelevant.
-			e.w.MarkViewDirty(p)
-		}
-	}
-	e.crashedLive -= gone
-	if len(outs) == 1 {
-		e.freshKeeps = append(e.freshKeeps[:0], outs[0].keeps...)
-		e.transferList = append(e.transferList[:0], outs[0].transfers...)
-		return moved
-	}
-	cur := e.mergeCur[:0]
-	for range outs {
-		cur = append(cur, 0)
-	}
-	e.mergeCur = cur
-	e.freshKeeps = mergeByIdx(e.freshKeeps[:0], lanes, cur, e.keepsAt, keepIdx)
-	e.transferList = mergeByIdx(e.transferList[:0], lanes, cur, e.transfersAt, transferIdx)
 	return moved
-}
-
-// keepIdx and transferIdx are mergeByIdx key extractors; package-level
-// (not literals at the call sites) so the merge passes static funcs.
-func keepIdx(k idxKeep) int32 { return k.idx }
-
-func transferIdx(t idxTransfer) int32 { return t.idx }
-
-// mergeByIdx k-way merges n lists — each already ascending by idx — into
-// dst with a linear min-scan over the list heads (lane counts are small).
-// Ascending input plus "first list wins ties" keeps the merge stable;
-// across resolve lanes ties cannot occur at all, since an action index
-// lives in exactly one lane.
-//
-//gather:hotpath
-func mergeByIdx[T any](dst []T, n int, cur []int, list func(int) []T, idx func(T) int32) []T {
-	for i := 0; i < n; i++ {
-		cur[i] = 0
-	}
-	for {
-		best := -1
-		for i := 0; i < n; i++ {
-			l := list(i)
-			if cur[i] >= len(l) {
-				continue
-			}
-			if best < 0 || idx(l[cur[i]]) < idx(list(best)[cur[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, list(best)[cur[best]])
-		cur[best]++
-	}
 }
 
 // adoptRun assigns an engine-unique ID to newly created runs and counts

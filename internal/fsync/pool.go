@@ -1,26 +1,25 @@
 package fsync
 
-// This file is the engine's persistent worker pool. Before it existed,
-// every parallel stage of every round — Compute, Resolve, the commit's
-// lane repair, the layer clears — spawned fresh goroutines and tore them
-// down again, which BENCH_engine.json showed costing ~20% at workers>1 on
-// a single-CPU box (goroutine stacks, closure allocations, scheduler
-// churn: pure overhead whenever the hardware has nothing to run them on).
+// This file is the engine's persistent worker pool, the fan-out of the
+// Compute stage. Spawning fresh goroutines every round and tearing them
+// down again cost ~20% at workers>1 on a single-CPU box (goroutine stacks,
+// closure allocations, scheduler churn: pure overhead whenever the
+// hardware has nothing to run them on).
 //
 // The pool keeps the workers alive for the engine's lifetime instead:
 // each worker goroutine parks on its own single-slot task channel, a
-// stage dispatch sends one task per worker and runs shard 0 on the
-// calling goroutine (so a k-way fan-out wakes only k-1 workers), and a
-// shared WaitGroup joins the stage. Per stage that is 2(k-1) channel
-// operations and one closure — no goroutine creation, no per-stage
-// channel allocation. Dispatches are strictly sequential per engine
-// (Step's stages are serialized), so one WaitGroup is reused forever.
+// dispatch sends one task per worker and runs shard 0 on the calling
+// goroutine (so a k-way fan-out wakes only k-1 workers), and a shared
+// WaitGroup joins the stage. Per round that is 2(k-1) channel operations
+// and no closure — no goroutine creation, no per-round channel
+// allocation. Dispatches are strictly sequential per engine (Step's
+// stages are serialized), so one WaitGroup is reused forever.
 //
 // Lifecycle: the engine creates the pool lazily on its first parallel
-// round and installs it into the world as the Commit runner. Engines have
-// no Close — simulations end by being dropped — so a runtime.AddCleanup
-// tied to the engine closes the pool's quit channel once the engine
-// becomes unreachable; the workers park on (task, quit) selects and exit.
+// round. Engines have no Close — simulations end by being dropped — so a
+// runtime.AddCleanup tied to the engine closes the pool's quit channel
+// once the engine becomes unreachable; the workers park on (task, quit)
+// selects and exit.
 // Idle workers reference only the pool, never the engine, so the cleanup
 // actually fires.
 
@@ -53,10 +52,10 @@ func (p *pool) ensure(n int) {
 	for len(p.work) < n {
 		ch := make(chan poolTask, 1)
 		p.work = append(p.work, ch)
-		// The one sanctioned spawn site: every parallel phase in the engine
-		// and the world fans out through these parked workers, and the
-		// merge/commit protocol makes lane results order-independent.
-		//gather:nondet-ok the pool is the sanctioned spawn site; results merge deterministically
+		// The one sanctioned spawn site: the Compute stage fans out through
+		// these parked workers, each writing its shard's actions at fixed
+		// indices, so the result is independent of the sharding.
+		//gather:nondet-ok the pool is the sanctioned spawn site; shards write disjoint indices
 		go func() {
 			for {
 				select {
@@ -73,7 +72,7 @@ func (p *pool) ensure(n int) {
 
 // run executes f(0), …, f(k-1) and returns when all calls completed:
 // shards 1..k-1 go to parked workers, shard 0 runs on the caller. run is
-// not reentrant and must not be called concurrently — the engine's stage
+// not reentrant and must not be called concurrently — the engine's Compute
 // dispatches are strictly sequential, which is what lets the WaitGroup
 // and the single-slot channels be reused without handshakes.
 func (p *pool) run(k int, f func(int)) {
@@ -101,7 +100,6 @@ func (p *pool) close() { close(p.quit) }
 func (e *Engine) getPool() *pool {
 	if e.wp == nil {
 		e.wp = newPool()
-		e.w.SetRunner(e.wp.run)
 		// The engine has no Close: release the workers when the engine
 		// itself becomes unreachable. The cleanup must not receive the
 		// engine (that would keep it alive forever); the pool does not

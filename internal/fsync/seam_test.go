@@ -1,14 +1,13 @@
-// Seam-pass coverage for the chunk-owned parallel pipeline: a crafted
-// single-round scenario placing every conflict-prone interaction exactly
-// across the x=64 chunk border — a simultaneous merge onto a border cell,
-// transfer sender/receiver pairs straddling the border (one surviving, one
-// whose sender merges), and a merged robot's brand-new kept run — and
-// asserting both the exact Table-1 outcomes and bit-identical state at
-// workers 1 vs 16, on the nil-scheduler path and the explicit-scheduler
-// path alike. Every target cell here is within L∞ 1 of the chunk border,
-// so the parallel engines resolve the whole drama in the serial seam lane
-// while the filler robots (spread over four other chunks, including
-// negative chunk coordinates) keep the worker lanes busy.
+// Chunk-border coverage for the round pipeline: a crafted single-round
+// scenario placing every conflict-prone interaction exactly across the
+// x=64 chunk border — a simultaneous merge onto a border cell, transfer
+// sender/receiver pairs straddling the border (one surviving, one whose
+// sender merges), and a merged robot's brand-new kept run — and asserting
+// both the exact Table-1 outcomes and bit-identical state at workers 1 vs
+// 16, on the nil-scheduler path and the explicit-scheduler path alike.
+// Every target cell here is within L∞ 1 of the chunk border, while the
+// filler robots (spread over four other chunks, including negative chunk
+// coordinates) keep the parallel Compute shards busy.
 package fsync
 
 import (
@@ -51,8 +50,8 @@ func seamScenario(t *testing.T, workers int, scheduled bool) *Engine {
 	// freshRx at (63,20) receives freshTx's run; it needs no identity (its
 	// scripted action is the default Stay). Fillers spread the rest of the
 	// population over four more chunks — including negative chunk
-	// coordinates — so the parallel engines' worker lanes all have interior
-	// work while the seam lane resolves the conflicts.
+	// coordinates — so every Compute shard of the parallel engines has
+	// interior work next to the border conflicts.
 	freshRx := grid.Pt(63, 20)
 	fillers := []grid.Point{
 		freshRx,

@@ -325,12 +325,11 @@ func WriteTable(w io.Writer, rep Report) error {
 
 // GuardTolerance is the noise margin of Guard: a parallel run fails the
 // bar only when it measures slower than the serial path by more than this
-// factor. The persistent worker pool plus the adaptive serial-resolve
-// probe cap the genuine overhead of workers>1 on a single-CPU box at a few
-// percent, and best-of-Repeats measurement (see Config.Repeats) filters
-// the scheduling noise, so the bar can sit tight: anything past 5% is a
-// real regression (a pipeline that re-spawns goroutines or fans out
-// unprofitable rounds shows up well past it).
+// factor. The persistent worker pool caps the genuine overhead of
+// workers>1 on a single-CPU box at a few percent, and best-of-Repeats
+// measurement (see Config.Repeats) filters the scheduling noise, so the
+// bar can sit tight: anything past 5% is a real regression (a pipeline
+// that re-spawns goroutines shows up well past it).
 const GuardTolerance = 1.05
 
 // Guard enforces the CI regression bar: for every (workload, n, quiesce
@@ -341,9 +340,9 @@ const GuardTolerance = 1.05
 //
 // The bar is relative for full-cost cells and ABSOLUTE for quiesce-on
 // cells measured alongside their "off" twin: quiescence shrinks the round
-// several-fold but the sharding overhead it tolerates — classify, lane
-// bookkeeping, the k-way commit merge still touch every robot — does not
-// shrink with it, so a quiesce-on parallel cell is allowed the same
+// several-fold but the sharding overhead it tolerates — the Compute
+// fan-out and join still cost the same per round — does not shrink with
+// it, so a quiesce-on parallel cell is allowed the same
 // absolute overhead budget its full-recompute twin gets
 // ((GuardTolerance−1) × the off-mode serial cost), not 5% of its own much
 // smaller round. Connectivity microbench entries are not guarded — they

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -337,6 +338,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells, err := req.cells()
+	if err == nil {
+		err = checkWorkers(req.Workers)
+	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -356,8 +360,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // bytes — the upload half of the snapshot round-trip (download, carry to
 // another box or another day, restore). The label and the workers
 // execution option ride in query parameters because the snapshot
-// intentionally does not contain them; a malformed workers value is
-// rejected before any session is admitted.
+// intentionally does not contain them; a malformed or out-of-range
+// workers value is rejected before any session is admitted.
 func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
@@ -372,6 +376,10 @@ func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if err := checkWorkers(workers); err != nil {
+		s.httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	sess := &session{
 		id:      s.newID(),
 		label:   q.Get("label"),
@@ -381,6 +389,17 @@ func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 	s.admit(w, sess, func() (*gridgather.Simulation, error) {
 		return gridgather.Restore(snap, gridgather.WithWorkers(sess.workers))
 	})
+}
+
+// checkWorkers bounds the workers execution option a request may ask for.
+// Each worker past the first is a parked pool goroutine held for the
+// session's lifetime, so an unbounded value buys unbounded goroutines and
+// stack; more workers than GOMAXPROCS never run at once anyway.
+func checkWorkers(n int) error {
+	if limit := runtime.GOMAXPROCS(0); n < 0 || n > limit {
+		return fmt.Errorf("serve: workers %d outside [0, %d] (0 selects all CPUs)", n, limit)
+	}
+	return nil
 }
 
 // admit runs the shared create path: pool admission, spill-victims-first,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -170,6 +171,21 @@ func TestCreateValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
 	var errResp ErrorResponse
+	// Out-of-range worker counts are refused before the pool admits
+	// anything: every worker past the first is a goroutine parked for the
+	// session's lifetime.
+	for _, workers := range []int{runtime.GOMAXPROCS(0) + 1, 1 << 20, -1} {
+		errResp = ErrorResponse{}
+		code := doJSON(t, "POST", base+"/v1/sessions", CreateRequest{Workload: "hollow", N: 10, Workers: workers}, &errResp)
+		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "workers") {
+			t.Fatalf("workers=%d: %d %q, want 400 naming workers", workers, code, errResp.Error)
+		}
+	}
+	var stats StatsResponse
+	doJSON(t, "GET", base+"/v1/stats", nil, &stats)
+	if stats.Created != 0 || stats.Sessions != 0 {
+		t.Fatalf("rejected worker counts reached the pool: %+v", stats)
+	}
 	if code := doJSON(t, "POST", base+"/v1/sessions", CreateRequest{Workload: "no-such", N: 10}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("unknown workload: %d", code)
 	}
@@ -289,7 +305,8 @@ func TestEvictionDifferential(t *testing.T) {
 
 // TestRestoreUpload round-trips a snapshot through the client: download,
 // upload as a new session, and check both sessions march in lockstep. A
-// malformed workers parameter is refused before any session is admitted.
+// malformed or out-of-range workers parameter is refused before any
+// session is admitted.
 func TestRestoreUpload(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
@@ -322,17 +339,24 @@ func TestRestoreUpload(t *testing.T) {
 		t.Fatalf("uploaded clone diverged:\n  orig:  %+v\n  clone: %+v", so, sc)
 	}
 
-	resp, err = http.Post(base+"/v1/sessions/restore?workers=abc", "application/octet-stream", bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []string{"abc", fmt.Sprint(runtime.GOMAXPROCS(0) + 1), "1048576", "-1"} {
+		resp, err = http.Post(base+"/v1/sessions/restore?workers="+workers, "application/octet-stream", bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bad ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, "workers") {
+			t.Fatalf("restore upload with workers=%s: %d %q, want 400 naming workers", workers, resp.StatusCode, bad.Error)
+		}
 	}
-	var bad ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, "workers") {
-		t.Fatalf("restore upload with workers=abc: %d %q, want 400 naming workers", resp.StatusCode, bad.Error)
+	var stats StatsResponse
+	doJSON(t, "GET", base+"/v1/stats", nil, &stats)
+	if stats.Created != 2 {
+		t.Fatalf("rejected uploads reached the pool: created=%d, want 2", stats.Created)
 	}
 	var list ListResponse
 	doJSON(t, "GET", base+"/v1/sessions", nil, &list)

@@ -35,21 +35,6 @@
 //	ArrivalCount / ArrivalState / SetArrivalState for transfer resolution
 //	Commit
 //
-// # Sharded round protocol
-//
-// The protocol above is the single-lane view. For the chunk-owned parallel
-// pipeline the same protocol runs over independent arrival lanes:
-// BeginRoundShards(k) opens k lanes, Classify assigns every target cell a
-// stable owner lane from its 64×64 chunk (and flags seam cells — within
-// L∞ 1 of a chunk border — for the caller's serial conflict pass), and
-// ArriveShard/SleepShard/BeginSleepShard are the per-lane protocol calls.
-// Two arrivals can conflict only at the same target cell, and a cell's
-// chunk has exactly one owner, so lanes touch disjoint tiles, slots and
-// clock entries — the hot path takes no locks. Commit repairs each lane's
-// order independently (in parallel when there are several) and k-way-merges
-// the lanes into the canonical sorted order, which makes the result
-// bit-identical to the single-lane protocol for every lane count.
-//
 //gather:deterministic
 package world
 
@@ -101,10 +86,9 @@ type cellSlot struct {
 	slot int32
 }
 
-// lane is one independent arrival buffer of the round being built: the
-// arrivals of the robots whose target chunk the lane owns, split into an
-// activated prefix (near-sorted) and a sleeper suffix (sorted), plus the
-// lane's exact arrival bounds. buf is the lane-local merge scratch.
+// lane is the arrival buffer of the round being built: the arrivals split
+// into an activated prefix (near-sorted) and a sleeper suffix (sorted),
+// plus their exact bounds. buf is the merge scratch.
 type lane struct {
 	occ        []cellSlot
 	buf        []cellSlot
@@ -161,18 +145,13 @@ type Dense struct {
 	live         [2][]*tile // tiles that may hold bits per layer — Commit and the BFS scratch clear only these, so the per-round cost tracks the live population, not the initial bounds
 	cur          int        // active occupancy/slot layer (0 or 1)
 
-	//gather:lane-owned
 	states []slotState // slot → run state
-	//gather:lane-owned
-	clocks []int // slot → logical clock; nil when clocks are off
+	clocks []int       // slot → logical clock; nil when clocks are off
 
 	count    int        // number of robots
 	occ      []cellSlot // sorted (Y, X) cell order with slots
 	occDirty bool       // occ needs a rebuild from the bitset (Add/Remove)
-	//gather:lane-owned
-	lanes      []lane // arrival lanes of the round being built
-	nlanes     int    // lanes in use this round
-	mergeHeads []int  // k-way merge cursors (Commit scratch)
+	next     lane       // arrivals of the round being built
 
 	cellsBuf   []grid.Point // Cells() view of occ
 	slotsBuf   []int32      // Slots() view of occ
@@ -185,7 +164,6 @@ type Dense struct {
 
 	conn    *connIncr // incremental connectivity (lazily built on first query)
 	fullBFS bool      // pin Connected to the full-BFS path (escape hatch/oracle)
-	runner  Runner    // optional persistent-pool fan-out for Commit's parallel phases
 
 	// Quiescence layer (quiesce.go): Commit's tile diff dilates every
 	// occupancy change by the view radius into the per-tile qdirty planes,
@@ -193,57 +171,7 @@ type Dense struct {
 	// last clean recompute returned the quiescent Stay.
 	qOn     bool
 	qRadius int
-	//gather:shared-state
-	qmask []uint32 // slot → per-phase quiescent-verdict bits
-
-	// Persistent closures handed to runner by the commit path, built once
-	// in ensureCommitFns: dispatching a fresh closure every round would
-	// allocate on the hot path (hotalloc would flag it).
-	repairFn func(int)
-	clearFn  func(int)
-
-	// Classify's chunk-locality cache: targets arrive in canonical (Y, X)
-	// order, so runs of up to 64 consecutive calls hit the same chunk and
-	// can skip the hash and the table walk. Valid within one round only.
-	clsCX, clsCY int
-	clsOwner     int
-	clsOK        bool
-}
-
-// Runner executes f(0), …, f(k-1), returning once all calls completed —
-// possibly concurrently (the engine installs its persistent worker pool
-// here via SetRunner, so Commit's parallel phases stop spawning
-// goroutines). With a nil runner the parallel phases run serially: the
-// world spawns no goroutines of its own, which keeps the deterministic
-// packages' no-spawn invariant checkable by detlint.
-type Runner func(k int, f func(int))
-
-// SetRunner installs the fan-out used by Commit's parallel lane repair and
-// layer clears. The runner must execute every f(i) exactly once and return
-// only after all complete.
-func (d *Dense) SetRunner(r Runner) {
-	d.runner = r
-	d.ensureCommitFns()
-}
-
-// ensureCommitFns builds the persistent closures the commit path hands to
-// the runner. Built here, outside the per-round path, so each round's
-// dispatch passes a stored func value instead of allocating a capture.
-func (d *Dense) ensureCommitFns() {
-	if d.repairFn == nil {
-		d.repairFn = func(i int) { d.lanes[i].repair() }
-	}
-	if d.clearFn == nil {
-		d.clearFn = func(i int) {
-			// Commit invokes clearLayers before flipping d.cur, so the
-			// outgoing layer is still d.cur and the incoming one d.cur^1.
-			if i == 0 {
-				clearOldLayer(d.live[d.cur], d.cur)
-			} else {
-				clearMultiPlane(d.live[d.cur^1])
-			}
-		}
-	}
+	qmask   []uint32 // slot → per-phase quiescent-verdict bits
 }
 
 // NewDense builds the dense world over the swarm's cells (the swarm is
@@ -298,10 +226,7 @@ func (d *Dense) tileAt(p grid.Point) *tile {
 }
 
 // ensureTile returns the chunk containing p, allocating it (and growing
-// the chunk table) as needed. Serial-phase only: it mutates the shared
-// chunk table.
-//
-//gather:shared-state
+// the chunk table) as needed.
 func (d *Dense) ensureTile(p grid.Point) *tile {
 	cx, cy := p.X>>tileShift, p.Y>>tileShift
 	ix, iy := cx-d.minCX, cy-d.minCY
@@ -328,9 +253,7 @@ func (d *Dense) tileAtChunk(cx, cy int) *tile {
 }
 
 // mark puts t on the layer's live list the first time the layer writes
-// into it. Serial-phase only: the live list is shared across lanes.
-//
-//gather:shared-state
+// into it.
 func (d *Dense) mark(layer int, t *tile) {
 	if !t.marked[layer] {
 		t.marked[layer] = true
@@ -340,8 +263,6 @@ func (d *Dense) mark(layer int, t *tile) {
 
 // grow extends the chunk table to cover chunk (cx, cy) with one chunk of
 // fresh margin. Existing tiles keep their identity; only the table moves.
-//
-//gather:shared-state
 func (d *Dense) grow(cx, cy int) {
 	minCX := min(d.minCX, cx-1)
 	minCY := min(d.minCY, cy-1)
@@ -576,96 +497,32 @@ func (d *Dense) ensureOcc() {
 
 // --- round protocol ---
 
-// BeginRound resets the next-round scratch with a single arrival lane (the
-// serial path).
-func (d *Dense) BeginRound() { d.BeginRoundShards(1) }
+// BeginRound resets the next-round arrival buffer.
+func (d *Dense) BeginRound() { d.next.reset() }
 
-// BeginRoundShards resets the next-round scratch with n independent
-// arrival lanes. The caller routes every arrival to the lane owning its
-// target chunk (see Classify); lanes then never contend on tiles, slots or
-// clocks, so they are safe to fill from concurrent goroutines.
-func (d *Dense) BeginRoundShards(n int) {
-	for len(d.lanes) < n {
-		d.lanes = append(d.lanes, lane{})
-	}
-	d.nlanes = n
-	for i := 0; i < n; i++ {
-		d.lanes[i].reset()
-	}
-	d.clsOK = false
-}
-
-// Classify returns the arrival lane owning dst's 64×64 chunk among
-// `workers` lanes, and whether dst is a seam cell — within L∞ 1 of a chunk
-// border, i.e. a cell whose 8-neighborhood spans more than one chunk. It
-// also pre-marks dst's chunk live for the round being built, so the
-// concurrent ArriveShard calls never touch the shared live list or grow
-// the chunk table; call it serially for every target cell (activated dst
-// and sleeper cell alike) before fanning out.
-//
-// Ownership hashes the absolute chunk coordinates, so it is stable across
-// chunk-table growth and independent of the swarm's position.
-func (d *Dense) Classify(dst grid.Point, workers int) (owner int, seam bool) {
-	rx, ry := dst.X&tileMask, dst.Y&tileMask
-	seam = rx == 0 || rx == tileMask || ry == 0 || ry == tileMask
-	cx, cy := dst.X>>tileShift, dst.Y>>tileShift
-	if d.clsOK && cx == d.clsCX && cy == d.clsCY {
-		// Same chunk as the previous target: already marked this round,
-		// owner already hashed.
-		return d.clsOwner, seam
-	}
-	t := d.ensureTile(dst)
-	d.mark(d.cur^1, t)
-	owner = int(chunkHash(cx, cy) % uint64(workers))
-	d.clsCX, d.clsCY, d.clsOwner, d.clsOK = cx, cy, owner, true
-	return owner, seam
-}
-
-// chunkHash mixes absolute chunk coordinates into a stable pseudo-random
-// ownership key (splitmix64-style finalizer, like sched's phase hash).
-func chunkHash(cx, cy int) uint64 {
-	x := uint64(int64(cx))*0x9e3779b97f4a7c15 ^ uint64(int64(cy))*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Arrive records the robot at from landing on dst on the single lane of
-// the serial path. See ArriveShard.
-func (d *Dense) Arrive(from, dst grid.Point) int { return d.ArriveShard(0, from, dst) }
-
-// ArriveShard records the robot at from landing on dst (from == dst for a
-// stay) on the given arrival lane, and returns 1 if it is the sole arrival
-// at dst so far, or 2 if it merged with earlier arrivals. The first
-// arrival's slot survives at dst; a merge clears any pending state at dst.
-//
-// Concurrent calls are safe when each lane runs on one goroutine and every
-// dst was routed to the lane Classify owns it to: arrivals then write
-// disjoint tiles, disjoint slot states and disjoint clock entries.
+// Arrive records the robot at from landing on dst (from == dst for a stay)
+// and returns 1 if it is the sole arrival at dst so far, or 2 if it merged
+// with earlier arrivals. The first arrival's slot survives at dst; a merge
+// clears any pending state at dst.
 //
 //gather:hotpath
-func (d *Dense) ArriveShard(ln int, from, dst grid.Point) int {
+func (d *Dense) Arrive(from, dst grid.Point) int {
 	slot := d.slotAt(d.cur, from)
 	nxt := d.cur ^ 1
 	t := d.tileAt(dst)
 	if t == nil || !t.marked[nxt] {
-		// Cold path: only the single-lane protocol takes it (Classify
-		// pre-marks every target of a sharded round).
-		t = d.ensureTile(dst) //gather:lane-ok single-lane cold path, never taken sharded
-		d.mark(nxt, t)        //gather:lane-ok single-lane cold path, never taken sharded
+		t = d.ensureTile(dst)
+		d.mark(nxt, t)
 	}
 	ry, rx := dst.Y&tileMask, dst.X&tileMask
 	b := uint64(1) << uint(rx)
 	if t.bits[nxt][ry]&b == 0 {
 		t.bits[nxt][ry] |= b
 		t.slots[nxt][ry<<tileShift|rx] = slot
-		l := &d.lanes[ln]
-		// The lane buffer was length-reset by lane.reset at round start and
-		// reaches swarm-size capacity within the first rounds; growth after
-		// that is a cold path the hint analysis cannot see from here.
+		l := &d.next
+		// The arrival buffer was length-reset by lane.reset at round start
+		// and reaches swarm-size capacity within the first rounds; growth
+		// after that is a cold path the hint analysis cannot see from here.
 		l.occ = append(l.occ, cellSlot{dst, slot}) //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
 		l.bounds = l.bounds.Include(dst)
 		return 1
@@ -675,23 +532,15 @@ func (d *Dense) ArriveShard(ln int, from, dst grid.Point) int {
 	return 2
 }
 
-// BeginSleep marks the end of the activated arrivals on the serial path's
-// single lane.
-func (d *Dense) BeginSleep() { d.BeginSleepShard(0) }
+// BeginSleep marks the boundary between the activated arrivals (a
+// near-sorted prefix) and the sleeper arrivals (an exactly sorted suffix),
+// so Commit can repair the prefix and merge the suffix.
+func (d *Dense) BeginSleep() { d.next.sleepStart = len(d.next.occ) }
 
-// BeginSleepShard marks the boundary between the lane's activated arrivals
-// (a near-sorted prefix) and its sleeper arrivals (an exactly sorted
-// suffix), so Commit can repair the prefix and merge the suffix.
-func (d *Dense) BeginSleepShard(ln int) { d.lanes[ln].sleepStart = len(d.lanes[ln].occ) }
-
-// Sleep records the robot at p staying in place on the serial path's
-// single lane. See SleepShard.
-func (d *Dense) Sleep(p grid.Point) int { return d.ArriveShard(0, p, p) }
-
-// SleepShard records the robot at p staying put on the given lane. Its
-// state lives in flat slot storage and is simply not rewritten — frozen
-// for free. Merge handling is as in ArriveShard.
-func (d *Dense) SleepShard(ln int, p grid.Point) int { return d.ArriveShard(ln, p, p) }
+// Sleep records the robot at p staying put. Its state lives in flat slot
+// storage and is simply not rewritten — frozen for free. Merge handling is
+// as in Arrive.
+func (d *Dense) Sleep(p grid.Point) int { return d.Arrive(p, p) }
 
 // SetArrivalState sets the pending next-round state of the sole robot at
 // dst. The runs are copied; an empty state clears.
@@ -731,8 +580,7 @@ func (d *Dense) ArrivalCount(dst grid.Point) int {
 // RaiseClock raises the pending logical clock of the survivor at dst to at
 // least cl. No-op when clocks are disabled. In-place maxing is sound: the
 // survivor's own arrival always raises its slot past the stale pre-round
-// value before merge partners contribute, and under the sharded protocol
-// only the lane owning dst ever writes the survivor's entry.
+// value before merge partners contribute.
 func (d *Dense) RaiseClock(dst grid.Point, cl int) {
 	if d.clocks == nil {
 		return
@@ -744,153 +592,46 @@ func (d *Dense) RaiseClock(dst grid.Point, cl int) {
 }
 
 // Commit swaps the pending round in: occupancy, states, clocks and the
-// sorted cell order all advance to the next round. Each lane's order is
-// repaired independently — concurrently when the round ran sharded — and
-// the lanes are then k-way merged into the canonical sorted order; the
-// bounds come from the round's arrivals, and the outgoing layer's
-// occupancy words are cleared to become the next round's scratch. Slot
-// planes are never cleared (stale entries are unreachable) and the chunk
-// table never rebases.
+// sorted cell order all advance to the next round. The arrival buffer is
+// repaired into the canonical sorted order and swapped with occ, so the
+// outgoing occ array becomes next round's arrival buffer — no copy happens
+// in the common no-sleeper round. The bounds come from the round's
+// arrivals, and the outgoing layer's occupancy words are cleared to become
+// the next round's scratch. Slot planes are never cleared (stale entries
+// are unreachable) and the chunk table never rebases.
 func (d *Dense) Commit() {
-	lanes := d.lanes[:d.nlanes]
-	if d.nlanes == 1 {
-		d.commitSingle(&lanes[0])
-	} else {
-		d.commitSharded(lanes)
-	}
+	d.next.repair()
+	d.occ, d.next.occ = d.next.occ, d.occ[:0]
 	old := d.cur
 	nxt := old ^ 1
 	// One tile diff feeds both the incremental connectivity layer and the
 	// quiescence dirty planes; it must run before the outgoing layer is
 	// cleared (the comparison needs both layers intact).
 	d.noteRoundDiff(old, nxt)
-	d.clearLayers(old, nxt, d.nlanes > 1)
+	d.clearLayers(old, nxt)
 	d.cur = nxt
 	d.count = len(d.occ)
-	bounds := grid.EmptyRect
-	for i := range lanes {
-		bounds = unionRect(bounds, lanes[i].bounds)
-	}
-	d.bounds = bounds
+	d.bounds = d.next.bounds
 	d.boundsOK = true
 	d.occDirty = false
 	d.cellsValid = false
 }
 
-// commitSingle is the serial path: repair the lone lane in place, then
-// swap it with occ so the outgoing occ array becomes next round's lane
-// scratch — no copy happens in the common no-sleeper round.
-func (d *Dense) commitSingle(l *lane) {
-	l.repair()
-	d.occ, l.occ = l.occ, d.occ[:0]
-}
-
-// commitSharded repairs every lane — concurrently through the installed
-// persistent-pool runner, serially without one — then k-way merges the
-// sorted lanes into occ. Lane ownership is chunk-granular and cells sort
-// by (Y, X), so each lane contributes long runs of consecutive cells (up
-// to a chunk row at a time); the merge gallops — after the min-scan picks
-// a lane it copies that lane's whole run below the runner-up head — so its
-// cost is near one compare per cell rather than one min-scan per cell.
-//
-//gather:hotpath
-func (d *Dense) commitSharded(lanes []lane) {
-	if d.runner != nil {
-		d.runner(len(lanes), d.repairFn)
-	} else {
-		for i := range lanes {
-			lanes[i].repair()
-		}
-	}
-	out := d.occ[:0]
-	heads := d.mergeHeads[:0]
-	for range lanes {
-		heads = append(heads, 0)
-	}
-	d.mergeHeads = heads
-	for {
-		best, second := -1, -1
-		for i := range lanes {
-			if heads[i] >= len(lanes[i].occ) {
-				continue
-			}
-			switch {
-			case best < 0:
-				best = i
-			case lanes[i].occ[heads[i]].p.Less(lanes[best].occ[heads[best]].p):
-				best, second = i, best
-			case second < 0 || lanes[i].occ[heads[i]].p.Less(lanes[second].occ[heads[second]].p):
-				second = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		l := lanes[best].occ
-		h := heads[best]
-		if second < 0 {
-			// Only one lane left: drain it wholesale.
-			out = append(out, l[h:]...)
-			heads[best] = len(l)
-			continue
-		}
-		// Everything in the best lane below the runner-up's head precedes
-		// every other lane's remaining cells — copy the whole run.
-		stop := lanes[second].occ[heads[second]].p
-		j := h + 1
-		for j < len(l) && l[j].p.Less(stop) {
-			j++
-		}
-		out = append(out, l[h:j]...)
-		heads[best] = j
-	}
-	d.occ = out
-}
-
 // clearLayers clears the outgoing layer (it becomes the next round's
 // scratch) and the round's multi plane, touching only the tiles each layer
 // actually wrote — as the swarm contracts, this tracks the live tiles, not
-// the initial bounds. Sharded rounds with a runner clear the two planes
-// concurrently through the persistent clearFn closure.
+// the initial bounds.
 //
 //gather:hotpath
-func (d *Dense) clearLayers(old, nxt int, parallel bool) {
-	if parallel && d.runner != nil && len(d.live[old])+len(d.live[nxt]) >= 4 {
-		d.runner(2, d.clearFn)
-	} else {
-		clearOldLayer(d.live[old], old)
-		clearMultiPlane(d.live[nxt])
+func (d *Dense) clearLayers(old, nxt int) {
+	for _, t := range d.live[old] {
+		t.bits[old] = [tileSize]uint64{}
+		t.marked[old] = false
 	}
-	d.live[old] = d.live[old][:0]
-}
-
-// clearOldLayer zeroes one layer's occupancy words and live marks.
-func clearOldLayer(ts []*tile, layer int) {
-	for _, t := range ts {
-		t.bits[layer] = [tileSize]uint64{}
-		t.marked[layer] = false
-	}
-}
-
-// clearMultiPlane zeroes the round's multi-arrival plane.
-func clearMultiPlane(ts []*tile) {
-	for _, t := range ts {
+	for _, t := range d.live[nxt] {
 		t.multi = [tileSize]uint64{}
 	}
-}
-
-// unionRect returns the smallest rectangle containing both rectangles.
-func unionRect(a, b grid.Rect) grid.Rect {
-	if a.Empty() {
-		return b
-	}
-	if b.Empty() {
-		return a
-	}
-	return grid.Rect{
-		MinX: min(a.MinX, b.MinX), MinY: min(a.MinY, b.MinY),
-		MaxX: max(a.MaxX, b.MaxX), MaxY: max(a.MaxY, b.MaxY),
-	}
+	d.live[old] = d.live[old][:0]
 }
 
 // sortNearSorted sorts a by (Y, X) with an insertion pass that is O(n +
@@ -925,7 +666,7 @@ func sortNearSorted(a []cellSlot) {
 // AppendState appends the world's complete resumable state: the slot-space
 // size, whether logical clocks are tracked, and every robot in canonical
 // cell order with its cell, slot, run state and clock. Chunk-table layout,
-// arrival lanes and scratch are not state — they are rebuilt on decode —
+// the arrival buffer and scratch are not state — they are rebuilt on decode —
 // so the encoding is deterministic: equal worlds produce equal bytes.
 // Call it only between rounds (never mid-protocol).
 func (d *Dense) AppendState(b []byte) []byte {

@@ -158,12 +158,16 @@ func WithStrictLocality(on bool) Option {
 	}
 }
 
-// WithWorkers sets the number of goroutines the engine shards each round
-// across — the Look+Compute phase and the move/merge/commit write phase
-// alike. 0 uses all available CPUs; 1 forces the serial path. Results are
+// WithWorkers sets the number of goroutines the engine shards each round's
+// Look+Compute phase across; applying the moves and merges is always one
+// serial pass. 0 uses all available CPUs; 1 forces the serial path;
+// negative values are rejected with ErrNegativeWorkers. Results are
 // bit-identical for every worker count.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
+		if n < 0 {
+			return ErrNegativeWorkers
+		}
 		s.workers = n
 		return nil
 	}

@@ -220,6 +220,10 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		WithObserver(RoundEvents, func(Event) {})); err != nil {
 		t.Errorf("execution options rejected: %v", err)
 	}
+	// …but validated like New: a negative worker count is not "all CPUs".
+	if _, err := Restore(snap, WithWorkers(-1)); err != ErrNegativeWorkers {
+		t.Errorf("negative workers: %v, want ErrNegativeWorkers", err)
+	}
 }
 
 // An invariant-violation abort survives the snapshot: the restored session
