@@ -23,8 +23,8 @@ import (
 
 // The benchmarks regenerate the experiment suite under `go test -bench`.
 // Each reports, besides ns/op, the domain metrics that the paper's claims
-// are about: FSYNC rounds and rounds per robot. Table E* numbers in
-// EXPERIMENTS.md come from these and from cmd/gatherbench.
+// are about: FSYNC rounds and rounds per robot. The recorded E* tables
+// come from these and from `gatherbench -exp` (README lists the suite).
 
 // benchGather runs one full gathering simulation per iteration.
 func benchGather(b *testing.B, build func() *swarm.Swarm, p core.Params) {
@@ -233,8 +233,8 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkContourTracing measures the outer-boundary tracing substrate
-// used by the analysis tooling (Fig. 18 vector chains).
+// BenchmarkContourTracing measures the outer-boundary tracing that the
+// quasi line tests use as an oracle.
 func BenchmarkContourTracing(b *testing.B) {
 	s := gen.RandomBlob(600, 3)
 	b.ResetTimer()

@@ -1,6 +1,6 @@
 // Command gatherbench regenerates the experiment tables of the
-// reproduction (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// recorded outputs) and measures the engine's per-round performance.
+// reproduction (experiments E1–E21, listed in README; -exp selects one)
+// and measures the engine's per-round performance.
 //
 // Usage:
 //

@@ -174,15 +174,6 @@ func PackageDirective(pass *Pass, name string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// FieldDirective returns the named directive attached to a struct field
-// (doc comment or trailing line comment).
-func FieldDirective(field *ast.Field, name string) (Directive, bool) {
-	if dir, ok := groupDirective(field.Doc, name); ok {
-		return dir, ok
-	}
-	return groupDirective(field.Comment, name)
-}
-
 func groupDirective(cg *ast.CommentGroup, name string) (Directive, bool) {
 	if cg == nil {
 		return Directive{}, false

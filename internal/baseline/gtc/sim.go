@@ -3,7 +3,6 @@ package gtc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Params configure the go-to-center simulation.
@@ -255,14 +254,4 @@ func CircleInstance(n int, spacing float64) []Vec {
 		out[i] = Vec{X: r * math.Cos(a), Y: r * math.Sin(a)}
 	}
 	return out
-}
-
-// SortByX orders robots by x (test helper for deterministic comparisons).
-func SortByX(pts []Vec) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
-		}
-		return pts[i].Y < pts[j].Y
-	})
 }

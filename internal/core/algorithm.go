@@ -47,9 +47,6 @@ func (g *Gatherer) Params() Params { return g.params }
 // Stats returns a snapshot of the event counters.
 func (g *Gatherer) Stats() Stats { return g.stats.snapshot() }
 
-// ResetStats clears the event counters.
-func (g *Gatherer) ResetStats() { g.stats.reset() }
-
 // Compute implements fsync.Algorithm: the compute step of one robot. It is
 // safe to call concurrently for different robots of the same round (the
 // engine's worker pool does so): decisions read only the immutable view,

@@ -38,18 +38,3 @@ func (c *counters) snapshot() Stats {
 		StopOntoOcc:  int(c.stopOntoOcc.Load()),
 	}
 }
-
-// reset zeroes every counter.
-func (c *counters) reset() {
-	c.mergeMoves.Store(0)
-	c.diagonalHops.Store(0)
-	c.rolls.Store(0)
-	c.glides.Store(0)
-	c.passEnters.Store(0)
-	c.startsA.Store(0)
-	c.startsB.Store(0)
-	c.stopSequent.Store(0)
-	c.stopEndpoint.Store(0)
-	c.stopGeometry.Store(0)
-	c.stopOntoOcc.Store(0)
-}

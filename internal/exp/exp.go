@@ -1,7 +1,6 @@
 // Package exp is the experiment harness: it regenerates the quantitative
-// results of the reproduction (the experiment index E1–E20 in DESIGN.md)
-// as plain-text tables. The cmd/gatherbench tool prints them; the recorded
-// outputs live in EXPERIMENTS.md.
+// results of the reproduction (experiments E1–E21, listed in README) as
+// plain-text tables. `gatherbench -exp` prints them.
 package exp
 
 import (

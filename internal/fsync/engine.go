@@ -468,14 +468,6 @@ func (e *Engine) Crashes() int { return e.crashesTotal }
 // (crashed robots vanish only when a live robot merges onto them).
 func (e *Engine) CrashedLive() int { return e.crashedLive }
 
-// CrashedCell reports whether the cell at p currently holds a crash-stopped
-// robot. Always false without crash faults. Observability surface for
-// renderers and tests; the algorithms' view of the same fact is
-// view.CrashedAt.
-func (e *Engine) CrashedCell(p grid.Point) bool {
-	return e.crashTrack && e.crashedAtCell(p)
-}
-
 // RoundCrashes returns the number of robots that crashed in the last round.
 func (e *Engine) RoundCrashes() int { return e.roundCrash }
 

@@ -25,15 +25,6 @@ func Line(n int) *swarm.Swarm {
 	return s
 }
 
-// VLine returns a vertical line of n robots.
-func VLine(n int) *swarm.Swarm {
-	s := swarm.New()
-	for i := 0; i < n; i++ {
-		s.Add(grid.Pt(0, i))
-	}
-	return s
-}
-
 // Solid returns a filled w×h rectangle.
 func Solid(w, h int) *swarm.Swarm {
 	s := swarm.New()

@@ -32,7 +32,6 @@ func TestAllGeneratorsConnected(t *testing.T) {
 	}
 
 	check("line", Line(17))
-	check("vline", VLine(9))
 	check("solid", Solid(6, 4))
 	check("hollow", Hollow(8, 5))
 	check("staircase1", Staircase(23, 1))

@@ -22,29 +22,8 @@ var (
 // neighborhood) in a fixed deterministic order: E, N, W, S.
 var Axis4 = [4]Point{East, North, West, South}
 
-// King8 lists the eight king-move unit vectors in counterclockwise order
-// starting at East. A robot can move to any of these relative cells.
-var King8 = [8]Point{East, NorthEast, North, NorthWest, West, SouthWest, South, SouthEast}
-
 // Neighbors4 returns the four horizontally/vertically adjacent cells of p in
 // the order of Axis4.
 func Neighbors4(p Point) [4]Point {
 	return [4]Point{p.Add(East), p.Add(North), p.Add(West), p.Add(South)}
 }
-
-// Neighbors8 returns the eight king-adjacent cells of p in the order of
-// King8.
-func Neighbors8(p Point) [8]Point {
-	var out [8]Point
-	for i, d := range King8 {
-		out[i] = p.Add(d)
-	}
-	return out
-}
-
-// Adjacent4 reports whether p and q are horizontal or vertical neighbors,
-// i.e. connected in the sense of the paper.
-func Adjacent4(p, q Point) bool { return L1Dist(p, q) == 1 }
-
-// Adjacent8 reports whether p and q are king-move neighbors.
-func Adjacent8(p, q Point) bool { d := p.Sub(q); return d.Linf() == 1 }

@@ -28,37 +28,10 @@ var Frames = [8]Frame{
 	{Point{0, 1}, Point{1, 0}},   // mirror x + rot 270 (transpose)
 }
 
-// RotationFrames lists only the four pure rotations (used for patterns that
-// are themselves mirror-symmetric, where enumerating reflections would test
-// each configuration twice).
-var RotationFrames = [4]Frame{Frames[0], Frames[1], Frames[2], Frames[3]}
-
 // Apply maps a pattern-local offset to a world offset.
 func (f Frame) Apply(p Point) Point {
 	return Point{
 		X: p.X*f.Ex.X + p.Y*f.Ey.X,
 		Y: p.X*f.Ex.Y + p.Y*f.Ey.Y,
 	}
-}
-
-// Compose returns the frame equivalent to applying g first, then f.
-func (f Frame) Compose(g Frame) Frame {
-	return Frame{Ex: f.Apply(g.Ex), Ey: f.Apply(g.Ey)}
-}
-
-// Det returns the determinant of the frame: +1 for rotations, -1 for
-// reflections.
-func (f Frame) Det() int {
-	return f.Ex.X*f.Ey.Y - f.Ex.Y*f.Ey.X
-}
-
-// FrameFor returns a frame whose x-axis maps to dir (a unit axis vector) and
-// whose y-axis maps to inside. dir and inside must be perpendicular axis
-// unit vectors; it panics otherwise. It is used to orient run-operation
-// patterns along a run's travel direction and inside direction.
-func FrameFor(dir, inside Point) Frame {
-	if !dir.IsUnit() || !inside.IsUnit() || dir.X*inside.X+dir.Y*inside.Y != 0 {
-		panic("grid: FrameFor requires perpendicular unit vectors")
-	}
-	return Frame{Ex: dir, Ey: inside}
 }

@@ -50,30 +50,16 @@ func TestIdentityFrame(t *testing.T) {
 	}
 }
 
+// TestRotationDeterminants checks the documented layout of Frames: four
+// rotations (determinant +1) followed by four reflections (-1).
 func TestRotationDeterminants(t *testing.T) {
-	for i, f := range RotationFrames {
-		if f.Det() != 1 {
-			t.Errorf("rotation frame %d has det %d", i, f.Det())
+	for i, f := range Frames {
+		want := 1
+		if i >= 4 {
+			want = -1
 		}
-	}
-	reflections := 0
-	for _, f := range Frames {
-		if f.Det() == -1 {
-			reflections++
-		}
-	}
-	if reflections != 4 {
-		t.Errorf("want 4 reflections, got %d", reflections)
-	}
-}
-
-func TestComposeMatchesSequentialApplication(t *testing.T) {
-	p := Pt(3, 1)
-	for _, f := range Frames {
-		for _, g := range Frames {
-			if f.Compose(g).Apply(p) != f.Apply(g.Apply(p)) {
-				t.Fatalf("compose mismatch")
-			}
+		if det := f.Ex.X*f.Ey.Y - f.Ex.Y*f.Ey.X; det != want {
+			t.Errorf("frame %d has det %d, want %d", i, det, want)
 		}
 	}
 }
@@ -83,7 +69,7 @@ func TestGroupClosure(t *testing.T) {
 	// eight listed frames.
 	for _, f := range Frames {
 		for _, g := range Frames {
-			c := f.Compose(g)
+			c := Frame{Ex: f.Apply(g.Ex), Ey: f.Apply(g.Ey)}
 			found := false
 			for _, h := range Frames {
 				if c == h {
@@ -96,17 +82,4 @@ func TestGroupClosure(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestFrameFor(t *testing.T) {
-	f := FrameFor(East, South)
-	if f.Apply(Pt(1, 0)) != East || f.Apply(Pt(0, 1)) != South {
-		t.Error("FrameFor mapped wrong axes")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-perpendicular axes")
-		}
-	}()
-	FrameFor(East, East)
 }

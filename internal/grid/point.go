@@ -40,9 +40,6 @@ func (p Point) Linf() int { return max(abs(p.X), abs(p.Y)) }
 // L1Dist returns the Manhattan distance between p and q.
 func L1Dist(p, q Point) int { return p.Sub(q).L1() }
 
-// LinfDist returns the Chebyshev distance between p and q.
-func LinfDist(p, q Point) int { return p.Sub(q).Linf() }
-
 // IsUnit reports whether p is one of the four axis unit vectors.
 func (p Point) IsUnit() bool { return p.L1() == 1 }
 
@@ -74,20 +71,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// Sign returns the componentwise sign vector of p.
-func (p Point) Sign() Point {
-	return Point{sign(p.X), sign(p.Y)}
-}
-
-func sign(v int) int {
-	switch {
-	case v < 0:
-		return -1
-	case v > 0:
-		return 1
-	default:
-		return 0
-	}
 }

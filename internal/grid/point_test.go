@@ -48,9 +48,6 @@ func TestDistances(t *testing.T) {
 	if got := L1Dist(Pt(1, 1), Pt(4, 5)); got != 7 {
 		t.Errorf("L1Dist = %d", got)
 	}
-	if got := LinfDist(Pt(1, 1), Pt(4, 5)); got != 4 {
-		t.Errorf("LinfDist = %d", got)
-	}
 }
 
 func TestUnitPredicates(t *testing.T) {
@@ -90,15 +87,6 @@ func TestPerp(t *testing.T) {
 	}
 }
 
-func TestSign(t *testing.T) {
-	if got := Pt(-7, 3).Sign(); got != Pt(-1, 1) {
-		t.Errorf("Sign = %v", got)
-	}
-	if got := Pt(0, -9).Sign(); got != Pt(0, -1) {
-		t.Errorf("Sign = %v", got)
-	}
-}
-
 func TestLessIsStrictTotalOrder(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(-1, 2), Pt(3, -4)}
 	for _, a := range pts {
@@ -117,7 +105,7 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy int8) bool {
 		a, b, c := Pt(int(ax), int(ay)), Pt(int(bx), int(by)), Pt(int(cx), int(cy))
 		return L1Dist(a, c) <= L1Dist(a, b)+L1Dist(b, c) &&
-			LinfDist(a, c) <= LinfDist(a, b)+LinfDist(b, c)
+			a.Sub(c).Linf() <= a.Sub(b).Linf()+b.Sub(c).Linf()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
@@ -145,31 +133,5 @@ func TestNeighbors(t *testing.T) {
 		if L1Dist(p, q) != 1 {
 			t.Errorf("4-neighbor %v at distance %d", q, L1Dist(p, q))
 		}
-	}
-	n8 := Neighbors8(p)
-	seen := map[Point]bool{}
-	for _, q := range n8 {
-		if LinfDist(p, q) != 1 {
-			t.Errorf("8-neighbor %v at L∞ distance %d", q, LinfDist(p, q))
-		}
-		if seen[q] {
-			t.Errorf("duplicate neighbor %v", q)
-		}
-		seen[q] = true
-	}
-	if len(seen) != 8 {
-		t.Errorf("distinct 8-neighbors = %d", len(seen))
-	}
-}
-
-func TestAdjacency(t *testing.T) {
-	if !Adjacent4(Pt(0, 0), Pt(1, 0)) || Adjacent4(Pt(0, 0), Pt(1, 1)) {
-		t.Error("Adjacent4 wrong")
-	}
-	if !Adjacent8(Pt(0, 0), Pt(1, 1)) || Adjacent8(Pt(0, 0), Pt(2, 1)) {
-		t.Error("Adjacent8 wrong")
-	}
-	if Adjacent4(Pt(0, 0), Pt(0, 0)) || Adjacent8(Pt(0, 0), Pt(0, 0)) {
-		t.Error("self-adjacency")
 	}
 }

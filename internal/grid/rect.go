@@ -11,19 +11,6 @@ type Rect struct {
 // EmptyRect is the canonical empty rectangle (Min > Max).
 var EmptyRect = Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
 
-// RectOf returns the bounding rectangle (smallest enclosing rectangle) of the
-// given points. For an empty input it returns EmptyRect.
-func RectOf(pts []Point) Rect {
-	if len(pts) == 0 {
-		return EmptyRect
-	}
-	r := Rect{MinX: pts[0].X, MaxX: pts[0].X, MinY: pts[0].Y, MaxY: pts[0].Y}
-	for _, p := range pts[1:] {
-		r = r.Include(p)
-	}
-	return r
-}
-
 // Include returns the smallest rectangle containing r and p.
 func (r Rect) Include(p Point) Rect {
 	if r.Empty() {
@@ -67,9 +54,6 @@ func (r Rect) Height() int {
 	}
 	return r.MaxY - r.MinY + 1
 }
-
-// Area returns the number of cells in r.
-func (r Rect) Area() int { return r.Width() * r.Height() }
 
 // FitsIn2x2 reports whether the rectangle fits in a 2×2 square: the paper's
 // gathering target ("locate all robots within a 2×2-sized area").

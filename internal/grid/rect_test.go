@@ -2,21 +2,10 @@ package grid
 
 import "testing"
 
-func TestRectOf(t *testing.T) {
-	r := RectOf([]Point{Pt(1, 2), Pt(-3, 4), Pt(0, 0)})
-	want := Rect{MinX: -3, MinY: 0, MaxX: 1, MaxY: 4}
-	if r != want {
-		t.Errorf("RectOf = %v, want %v", r, want)
-	}
-	if RectOf(nil) != EmptyRect {
-		t.Error("RectOf(nil) not empty")
-	}
-}
-
 func TestRectDimensions(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 1}
-	if r.Width() != 3 || r.Height() != 2 || r.Area() != 6 {
-		t.Errorf("dims = %d x %d area %d", r.Width(), r.Height(), r.Area())
+	if r.Width() != 3 || r.Height() != 2 {
+		t.Errorf("dims = %d x %d", r.Width(), r.Height())
 	}
 	if EmptyRect.Width() != 0 || EmptyRect.Height() != 0 {
 		t.Error("empty rect has nonzero dims")
@@ -39,7 +28,7 @@ func TestRectInclude(t *testing.T) {
 		t.Errorf("Include into empty = %v", r)
 	}
 	r = r.Include(Pt(3, 7))
-	if !r.Contains(Pt(3, 7)) || !r.Contains(Pt(5, 5)) || r.Area() != 3*3 {
+	if !r.Contains(Pt(3, 7)) || !r.Contains(Pt(5, 5)) || r.Width() != 3 || r.Height() != 3 {
 		t.Errorf("Include = %v", r)
 	}
 }

@@ -86,7 +86,8 @@ func (s *Series) Exponent() float64 {
 }
 
 // Table renders rows of columns as an aligned plain-text table with a
-// header row, in the style of the experiment outputs in EXPERIMENTS.md.
+// header row, in the style of the experiment tables `gatherbench -exp`
+// prints.
 type Table struct {
 	Header []string
 	Rows   [][]string

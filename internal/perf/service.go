@@ -54,17 +54,6 @@ func WriteServiceJSON(rep ServiceReport, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadServiceJSON loads a committed service report.
-func ReadServiceJSON(path string) (ServiceReport, error) {
-	var rep ServiceReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	err = json.Unmarshal(data, &rep)
-	return rep, err
-}
-
 // ServiceGuard is the service health bar the CI smoke step enforces on a
 // fresh measurement: the run completed without protocol errors, sessions
 // actually flowed, the resident cap held, and eviction earned its keep

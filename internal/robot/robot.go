@@ -71,12 +71,6 @@ type Run struct {
 	Age int
 }
 
-// Valid reports whether the run's geometry fields are well-formed.
-func (r Run) Valid() bool {
-	return r.Dir.IsUnit() && r.Inside.IsUnit() &&
-		r.Dir.X*r.Inside.X+r.Dir.Y*r.Inside.Y == 0
-}
-
 // Outside returns the direction opposite Inside: from the quasi line toward
 // the empty side.
 func (r Run) Outside() grid.Point { return r.Inside.Neg() }

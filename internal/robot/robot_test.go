@@ -6,25 +6,6 @@ import (
 	"gridgather/internal/grid"
 )
 
-func TestRunValid(t *testing.T) {
-	good := Run{Dir: grid.East, Inside: grid.South}
-	if !good.Valid() {
-		t.Error("perpendicular unit vectors must be valid")
-	}
-	bad := []Run{
-		{Dir: grid.East, Inside: grid.East},      // parallel
-		{Dir: grid.East, Inside: grid.West},      // antiparallel
-		{Dir: grid.Pt(1, 1), Inside: grid.South}, // diagonal dir
-		{Dir: grid.East, Inside: grid.Pt(0, 2)},  // non-unit
-		{Dir: grid.Pt(0, 0), Inside: grid.South}, // zero
-	}
-	for i, r := range bad {
-		if r.Valid() {
-			t.Errorf("bad[%d] = %+v considered valid", i, r)
-		}
-	}
-}
-
 func TestRunGeometryHelpers(t *testing.T) {
 	r := Run{Dir: grid.East, Inside: grid.South}
 	if r.Outside() != grid.North {

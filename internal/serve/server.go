@@ -141,9 +141,6 @@ func (s *Server) newID() string {
 // Pool exposes the session pool (stats, tests).
 func (s *Server) Pool() *pool.Pool { return s.pool }
 
-// Store exposes the spill store (tests).
-func (s *Server) Store() *Store { return s.store }
-
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)

@@ -181,10 +181,22 @@ func TestCreateValidation(t *testing.T) {
 			t.Fatalf("workers=%d: %d %q, want 400 naming workers", workers, code, errResp.Error)
 		}
 	}
+	// Oversized swarms are refused before any cell is built.
+	for _, req := range []CreateRequest{
+		{Workload: "solid", N: 1<<20 + 1},
+		{Workload: "solid", N: 2000000000},
+		{Cells: make([][2]int, 1<<20+1)},
+	} {
+		errResp = ErrorResponse{}
+		code := doJSON(t, "POST", base+"/v1/sessions", req, &errResp)
+		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "serve: n ") {
+			t.Fatalf("n=%d cells=%d: %d %q, want 400 naming n", req.N, len(req.Cells), code, errResp.Error)
+		}
+	}
 	var stats StatsResponse
 	doJSON(t, "GET", base+"/v1/stats", nil, &stats)
 	if stats.Created != 0 || stats.Sessions != 0 {
-		t.Fatalf("rejected worker counts reached the pool: %+v", stats)
+		t.Fatalf("rejected creates reached the pool: %+v", stats)
 	}
 	if code := doJSON(t, "POST", base+"/v1/sessions", CreateRequest{Workload: "no-such", N: 10}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("unknown workload: %d", code)

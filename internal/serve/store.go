@@ -54,9 +54,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the spill directory path.
-func (st *Store) Dir() string { return st.dir }
-
 func (st *Store) snapPath(id string) string { return filepath.Join(st.dir, id+".ggss") }
 func (st *Store) metaPath(id string) string { return filepath.Join(st.dir, id+".json") }
 

@@ -265,11 +265,20 @@ func (req CreateRequest) options() []gridgather.Option {
 	}
 }
 
+// maxRobots caps the swarm one create may ask for, at the engine's
+// million-robot scale, so a single request cannot make the daemon build an
+// arbitrarily large workload.
+const maxRobots = 1 << 20
+
 // cells materializes the requested swarm.
 func (req CreateRequest) cells() ([]gridgather.Point, error) {
 	switch {
 	case len(req.Cells) > 0 && req.Workload != "":
 		return nil, fmt.Errorf("serve: create with both workload and cells")
+	case len(req.Cells) > maxRobots:
+		return nil, fmt.Errorf("serve: n = len(cells) %d exceeds the robot limit %d", len(req.Cells), maxRobots)
+	case req.N > maxRobots:
+		return nil, fmt.Errorf("serve: n %d exceeds the robot limit %d", req.N, maxRobots)
 	case len(req.Cells) > 0:
 		pts := make([]gridgather.Point, len(req.Cells))
 		for i, c := range req.Cells {

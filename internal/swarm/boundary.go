@@ -6,79 +6,6 @@ import (
 	"gridgather/internal/grid"
 )
 
-// BoundaryKind classifies a robot's position with respect to the swarm's
-// boundaries (Fig. 1 of the paper).
-type BoundaryKind int
-
-const (
-	// Interior robots have all four horizontal/vertical neighbors occupied.
-	Interior BoundaryKind = iota
-	// Outer robots lie on the outer boundary: at least one free 4-neighbor
-	// cell belongs to the unbounded exterior region.
-	Outer
-	// Inner robots lie only on inner boundaries: they have free 4-neighbors
-	// but every such free cell belongs to an enclosed hole.
-	Inner
-)
-
-func (k BoundaryKind) String() string {
-	switch k {
-	case Interior:
-		return "interior"
-	case Outer:
-		return "outer"
-	case Inner:
-		return "inner"
-	default:
-		return "unknown"
-	}
-}
-
-// IsBoundary reports whether the robot at p has at least one unconnected
-// side, i.e. lies on some boundary of the swarm. The paper: "The boundaries
-// consist of all robots who have at least one unconnected side."
-func (s *Swarm) IsBoundary(p grid.Point) bool {
-	return s.Has(p) && s.Degree(p) < 4
-}
-
-// BoundaryRobots returns all boundary robots in deterministic order.
-func (s *Swarm) BoundaryRobots() []grid.Point {
-	var out []grid.Point
-	for _, p := range s.Cells() {
-		if s.Degree(p) < 4 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Classify labels every robot as Interior, Outer or Inner (Fig. 1: black
-// robots are the outer boundary, hatched robots are inner boundaries).
-//
-// Classification floods the free cells of an enlarged bounding box: free
-// cells reachable from outside the bounding box form the exterior; a robot
-// adjacent to an exterior cell is on the outer boundary; a robot adjacent
-// only to enclosed free cells is on an inner boundary.
-func (s *Swarm) Classify() map[grid.Point]BoundaryKind {
-	out := make(map[grid.Point]BoundaryKind, s.Len())
-	ext := s.exteriorCells()
-	for p := range s.cells {
-		kind := Interior
-		for _, q := range grid.Neighbors4(p) {
-			if s.Has(q) {
-				continue
-			}
-			if _, isExt := ext[q]; isExt {
-				kind = Outer
-				break
-			}
-			kind = Inner
-		}
-		out[p] = kind
-	}
-	return out
-}
-
 // exteriorCells returns the free cells of the bounding box inflated by one
 // that are 4-reachable from the box corner, i.e. the exterior region
 // restricted to the box.

@@ -29,60 +29,33 @@ func solidSquare(w int) *Swarm {
 	return s
 }
 
-func TestIsBoundary(t *testing.T) {
-	s := solidSquare(3)
-	if s.IsBoundary(grid.Pt(1, 1)) {
-		t.Error("center of 3x3 must not be boundary")
-	}
-	if !s.IsBoundary(grid.Pt(0, 0)) {
-		t.Error("corner must be boundary")
-	}
-	if s.IsBoundary(grid.Pt(9, 9)) {
-		t.Error("free cell is not boundary")
-	}
-}
-
-// TestFigure1_Boundaries reproduces the classification of Figure 1: a swarm
-// with a hole has one outer boundary and an inner boundary around the hole;
-// robots adjacent only to the hole are "hatched" (inner), robots touching
-// the exterior are "black" (outer).
+// TestFigure1_Boundaries reproduces the boundaries of Figure 1: a swarm
+// with a hole has one outer boundary, traced by OuterContour, and an inner
+// boundary around the hole. Robots adjacent only to the hole are "hatched"
+// (inner), robots touching the exterior are "black" (outer).
 func TestFigure1_Boundaries(t *testing.T) {
-	// 5x5 solid square with the center cell removed: every edge robot is
-	// outer; the four 4-neighbors of the center are inner-adjacent but they
-	// are NOT on the outer boundary only if they don't touch the exterior.
+	// 5x5 solid square with the center cell removed.
 	s := solidSquare(5)
 	s.Remove(grid.Pt(2, 2))
-	kinds := s.Classify()
-
-	if kinds[grid.Pt(0, 0)] != Outer {
-		t.Errorf("corner kind = %v", kinds[grid.Pt(0, 0)])
+	onContour := map[grid.Point]bool{}
+	for _, p := range s.OuterContour() {
+		onContour[p] = true
 	}
-	// (2,1) touches the hole (2,2)?? no: neighbors of (2,1) are (1,1),(3,1),
-	// (2,0),(2,2). (2,2) is the hole, and (2,1) does not touch the exterior,
-	// so it must be Inner.
-	if kinds[grid.Pt(2, 1)] != Inner {
-		t.Errorf("hole-adjacent robot kind = %v, want inner", kinds[grid.Pt(2, 1)])
+	holes := s.Holes()
+	if len(holes) != 1 || len(holes[0]) != 1 || holes[0][0] != grid.Pt(2, 2) {
+		t.Fatalf("holes = %v, want the center cell", holes)
+	}
+
+	if !onContour[grid.Pt(0, 0)] {
+		t.Error("corner is not on the outer boundary")
+	}
+	// (2,1) touches the hole (2,2) but not the exterior: inner only.
+	if onContour[grid.Pt(2, 1)] || s.Degree(grid.Pt(2, 1)) != 3 {
+		t.Errorf("hole-adjacent robot (2,1): on contour %v, degree %d", onContour[grid.Pt(2, 1)], s.Degree(grid.Pt(2, 1)))
 	}
 	// (1,1) has all four neighbors occupied: interior.
-	if kinds[grid.Pt(1, 1)] != Interior {
-		t.Errorf("(1,1) kind = %v, want interior", kinds[grid.Pt(1, 1)])
-	}
-
-	if len(s.Holes()) != 1 {
-		t.Errorf("holes = %d, want 1", len(s.Holes()))
-	}
-}
-
-func TestClassifyRingIsAllOuterAndInner(t *testing.T) {
-	// In a 1-thick ring every robot touches both the exterior and the hole;
-	// the classification prefers Outer (a robot that can see the exterior is
-	// on the outer boundary).
-	s := hollowSquare(5)
-	kinds := s.Classify()
-	for p, k := range kinds {
-		if k != Outer {
-			t.Errorf("ring robot %v classified %v, want outer", p, k)
-		}
+	if onContour[grid.Pt(1, 1)] || s.Degree(grid.Pt(1, 1)) != 4 {
+		t.Errorf("(1,1): on contour %v, degree %d", onContour[grid.Pt(1, 1)], s.Degree(grid.Pt(1, 1)))
 	}
 }
 
@@ -106,21 +79,5 @@ func TestHoles(t *testing.T) {
 `)
 	if len(s2.Holes()) != 2 {
 		t.Errorf("want 2 holes, got %d", len(s2.Holes()))
-	}
-}
-
-func TestBoundaryRobotsOfLine(t *testing.T) {
-	s := line(5)
-	if got := len(s.BoundaryRobots()); got != 5 {
-		t.Errorf("all robots of a line are boundary, got %d", got)
-	}
-}
-
-func TestClassifyNoHoleNoInner(t *testing.T) {
-	s := solidSquare(6)
-	for p, k := range s.Classify() {
-		if k == Inner {
-			t.Errorf("robot %v classified inner in hole-free swarm", p)
-		}
 	}
 }

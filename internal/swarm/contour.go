@@ -120,39 +120,3 @@ func (s *Swarm) startCell() grid.Point {
 	}
 	return best
 }
-
-// ContourLength returns the length of the outer contour cycle (number of
-// entries, counting repeated visits of width-1 protrusions). It is the
-// discrete analogue of the outer boundary length the algorithm shortens.
-func (s *Swarm) ContourLength() int { return len(s.OuterContour()) }
-
-// BoundaryDistance returns the minimal number of steps between two cells
-// along the outer contour cycle (the paper's run distance is "the number of
-// robots on the subboundary connecting both +1", Fig. 10). Returns -1 if
-// either cell is not on the contour.
-func (s *Swarm) BoundaryDistance(a, b grid.Point) int {
-	contour := s.OuterContour()
-	n := len(contour)
-	best := -1
-	for i, p := range contour {
-		if p != a {
-			continue
-		}
-		for j, q := range contour {
-			if q != b {
-				continue
-			}
-			d := i - j
-			if d < 0 {
-				d = -d
-			}
-			if n-d < d {
-				d = n - d
-			}
-			if best < 0 || d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}

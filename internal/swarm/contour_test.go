@@ -93,35 +93,8 @@ func TestOuterContourIgnoresHole(t *testing.T) {
 	}
 }
 
-func TestBoundaryDistance(t *testing.T) {
-	s := solidSquare(3)
-	// Opposite corners of the 3x3 square are 4 apart along the 8-cycle.
-	if d := s.BoundaryDistance(grid.Pt(0, 0), grid.Pt(2, 2)); d != 4 {
-		t.Errorf("distance = %d, want 4", d)
-	}
-	if d := s.BoundaryDistance(grid.Pt(0, 0), grid.Pt(0, 0)); d != 0 {
-		t.Errorf("self distance = %d", d)
-	}
-	if d := s.BoundaryDistance(grid.Pt(0, 0), grid.Pt(9, 9)); d != -1 {
-		t.Errorf("distance to non-contour cell = %d, want -1", d)
-	}
-}
-
-// TestFigure10_RunDistance reconstructs the distance notion of Figure 10:
-// the distance between two runs is the number of robots on the subboundary
-// connecting them plus one; on a straight boundary segment that equals the
-// cell distance along the contour.
-func TestFigure10_RunDistance(t *testing.T) {
-	s := line(12)
-	// Two runners at (1,0) and (9,0): 7 robots strictly between them,
-	// distance 8 along the top side of the contour.
-	if d := s.BoundaryDistance(grid.Pt(1, 0), grid.Pt(9, 0)); d != 8 {
-		t.Errorf("run distance = %d, want 8", d)
-	}
-}
-
 func TestContourLength(t *testing.T) {
-	if got := solidSquare(4).ContourLength(); got != 12 {
+	if got := len(solidSquare(4).OuterContour()); got != 12 {
 		t.Errorf("4x4 contour length = %d, want 12", got)
 	}
 }

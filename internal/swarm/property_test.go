@@ -35,40 +35,6 @@ func randomConnectedSet(seed int64, n int) *Swarm {
 	return s
 }
 
-// TestPropertyComponentsPartition: the components of any cell set
-// partition it, each component is internally connected, and the swarm is
-// Connected iff there is exactly one component.
-func TestPropertyComponentsPartition(t *testing.T) {
-	f := func(seed int64, szRaw uint8) bool {
-		n := 1 + int(szRaw)%40
-		s := randomSet(seed, n)
-		comps := s.Components()
-		total := 0
-		seen := map[grid.Point]bool{}
-		for _, comp := range comps {
-			total += len(comp)
-			sub := New(comp...)
-			if !sub.Connected() {
-				return false
-			}
-			for _, c := range comp {
-				if seen[c] || !s.Has(c) {
-					return false
-				}
-				seen[c] = true
-			}
-		}
-		if total != s.Len() {
-			return false
-		}
-		return s.Connected() == (len(comps) == 1)
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(21))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyContour: for connected swarms, the outer contour visits only
 // boundary robots, its steps are king moves, and its vector chain closes.
 func TestPropertyContour(t *testing.T) {
@@ -99,8 +65,8 @@ func TestPropertyContour(t *testing.T) {
 	}
 }
 
-// TestPropertyContourCoversOuterBoundary: every robot classified Outer
-// appears on the outer contour, and no Inner-only robot does.
+// TestPropertyContourCoversOuterBoundary: a robot is on the outer contour
+// exactly when one of its free 4-neighbors lies outside every hole.
 func TestPropertyContourCoversOuterBoundary(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		n := 2 + int(szRaw)%60
@@ -109,16 +75,21 @@ func TestPropertyContourCoversOuterBoundary(t *testing.T) {
 		for _, p := range s.OuterContour() {
 			onContour[p] = true
 		}
-		for p, kind := range s.Classify() {
-			switch kind {
-			case Outer:
-				if !onContour[p] {
-					return false
+		inHole := map[grid.Point]bool{}
+		for _, hole := range s.Holes() {
+			for _, c := range hole {
+				inHole[c] = true
+			}
+		}
+		for _, p := range s.Cells() {
+			outer := false
+			for _, q := range grid.Neighbors4(p) {
+				if !s.Has(q) && !inHole[q] {
+					outer = true
 				}
-			case Inner, Interior:
-				if onContour[p] {
-					return false
-				}
+			}
+			if outer != onContour[p] {
+				return false
 			}
 		}
 		return true

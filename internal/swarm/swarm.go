@@ -1,8 +1,7 @@
 // Package swarm maintains the global state of a robot swarm on the grid:
 // which cells are occupied, connectivity in the sense of the paper
-// (horizontal/vertical adjacency), boundary classification, contour tracing
-// and the geometric aggregates used by the analysis (smallest enclosing
-// rectangle, upper envelope, vector chains).
+// (horizontal/vertical adjacency), the smallest enclosing rectangle, and
+// the outer contour and holes that tests use as oracles.
 //
 // A Swarm stores pure occupancy. Robot identities, run states and movement
 // are handled by the FSYNC engine (internal/fsync); the decision rules live
@@ -104,86 +103,31 @@ func (s *Swarm) Degree(p grid.Point) int {
 // Connected reports whether the swarm is connected with respect to
 // horizontal/vertical adjacency — the paper's connectivity notion. The empty
 // swarm is vacuously connected; a singleton is connected.
-//
-// Callers that check connectivity every round should hold a ConnScratch
-// and call its Connected method instead, which reuses the BFS structures.
 func (s *Swarm) Connected() bool {
-	var c ConnScratch
-	return c.Connected(s)
-}
-
-// ConnScratch is reusable scratch for repeated connectivity checks: the
-// BFS visited set and stack survive between calls, so a per-round check
-// (the engine's CheckConnectivity loop) stops allocating a fresh map and
-// stack every round. The zero value is ready to use; a ConnScratch must
-// not be shared between concurrent checks.
-type ConnScratch struct {
-	seen  map[grid.Point]struct{}
-	stack []grid.Point
-}
-
-// Connected reports whether s is connected, reusing the scratch.
-func (c *ConnScratch) Connected(s *Swarm) bool {
 	if len(s.cells) <= 1 {
 		return true
-	}
-	if c.seen == nil {
-		c.seen = make(map[grid.Point]struct{}, len(s.cells))
-	} else {
-		clear(c.seen)
 	}
 	var start grid.Point
 	for p := range s.cells {
 		start = p
 		break
 	}
-	stack := append(c.stack[:0], start)
-	c.seen[start] = struct{}{}
+	seen := make(map[grid.Point]struct{}, len(s.cells))
+	seen[start] = struct{}{}
+	stack := []grid.Point{start}
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, q := range grid.Neighbors4(p) {
 			if s.Has(q) {
-				if _, ok := c.seen[q]; !ok {
-					c.seen[q] = struct{}{}
+				if _, ok := seen[q]; !ok {
+					seen[q] = struct{}{}
 					stack = append(stack, q)
 				}
 			}
 		}
 	}
-	c.stack = stack[:0]
-	return len(c.seen) == len(s.cells)
-}
-
-// Components returns the 4-connected components of the swarm, each as a
-// deterministic sorted cell list, ordered by their smallest cell.
-func (s *Swarm) Components() [][]grid.Point {
-	seen := make(map[grid.Point]struct{}, len(s.cells))
-	var comps [][]grid.Point
-	for _, start := range s.Cells() {
-		if _, ok := seen[start]; ok {
-			continue
-		}
-		var comp []grid.Point
-		stack := []grid.Point{start}
-		seen[start] = struct{}{}
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, p)
-			for _, q := range grid.Neighbors4(p) {
-				if s.Has(q) {
-					if _, ok := seen[q]; !ok {
-						seen[q] = struct{}{}
-						stack = append(stack, q)
-					}
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i].Less(comp[j]) })
-		comps = append(comps, comp)
-	}
-	return comps
+	return len(seen) == len(s.cells)
 }
 
 // String renders the swarm as a multi-line ASCII map ('#' occupied,

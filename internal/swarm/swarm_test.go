@@ -92,17 +92,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	s := New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(5, 5), grid.Pt(5, 6))
-	comps := s.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	if len(comps[0]) != 2 || len(comps[1]) != 2 {
-		t.Errorf("component sizes = %d, %d", len(comps[0]), len(comps[1]))
-	}
-}
-
 func TestBoundsAndDiameter(t *testing.T) {
 	s := FromASCII(`
 ###
@@ -177,26 +166,4 @@ func TestValidatePanicsOnDisconnected(t *testing.T) {
 		}
 	}()
 	New(grid.Pt(0, 0), grid.Pt(3, 3)).Validate()
-}
-
-// TestConnScratchReuse checks the scratch-reusing connectivity variant
-// agrees with the one-shot method across reuse, including after the swarm
-// changes shape between calls.
-func TestConnScratchReuse(t *testing.T) {
-	var sc ConnScratch
-	s := New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0))
-	if !sc.Connected(s) {
-		t.Fatal("line reported disconnected")
-	}
-	s.Add(grid.Pt(4, 0)) // gap at x=3
-	if sc.Connected(s) {
-		t.Fatal("gapped line reported connected")
-	}
-	s.Add(grid.Pt(3, 0))
-	if !sc.Connected(s) {
-		t.Fatal("filled line reported disconnected")
-	}
-	if sc.Connected(New()) != true || sc.Connected(New(grid.Pt(9, 9))) != true {
-		t.Fatal("empty/singleton must be vacuously connected")
-	}
 }

@@ -151,9 +151,6 @@ func (v *View) occSlow(rel grid.Point) bool {
 	return occ
 }
 
-// Free reports whether the cell at the given offset is empty.
-func (v *View) Free(rel grid.Point) bool { return !v.Occ(rel) }
-
 // CrashedAt reports whether the cell at the given offset holds a
 // crash-stopped robot. Always false when the simulation carries no crash
 // faults. The liveness read is gated on the (possibly noise-corrupted)
@@ -183,24 +180,4 @@ func (v *View) Self() robot.State {
 		return v.dense.StateAt(v.origin)
 	}
 	return v.state(v.origin)
-}
-
-// AllOccIn reports whether every offset in rels is occupied.
-func (v *View) AllOccIn(rels ...grid.Point) bool {
-	for _, r := range rels {
-		if !v.Occ(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFreeIn reports whether every offset in rels is free.
-func (v *View) AllFreeIn(rels ...grid.Point) bool {
-	for _, r := range rels {
-		if v.Occ(r) {
-			return false
-		}
-	}
-	return true
 }

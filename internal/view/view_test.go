@@ -69,26 +69,6 @@ func TestViewStates(t *testing.T) {
 	}
 }
 
-func TestViewBatchHelpers(t *testing.T) {
-	occ := map[grid.Point]bool{{X: 1, Y: 0}: true, {X: 2, Y: 0}: true}
-	v := New(testConfig(occ, nil, 10, true), grid.Pt(0, 0), 0)
-	if !v.AllOccIn(grid.Pt(1, 0), grid.Pt(2, 0)) {
-		t.Error("AllOccIn false negative")
-	}
-	if v.AllOccIn(grid.Pt(1, 0), grid.Pt(3, 0)) {
-		t.Error("AllOccIn false positive")
-	}
-	if !v.AllFreeIn(grid.Pt(0, 1), grid.Pt(1, 1)) {
-		t.Error("AllFreeIn false negative")
-	}
-	if v.AllFreeIn(grid.Pt(1, 0)) {
-		t.Error("AllFreeIn false positive")
-	}
-	if v.Free(grid.Pt(1, 0)) || !v.Free(grid.Pt(0, 5)) {
-		t.Error("Free wrong")
-	}
-}
-
 func TestViewRadiusAccessor(t *testing.T) {
 	v := New(testConfig(nil, nil, 13, false), grid.Pt(0, 0), 0)
 	if v.Radius() != 13 {

@@ -59,7 +59,7 @@ const (
 // tile is one 64×64-cell chunk. Occupancy is one uint64 word per row
 // (bit x&63 of word y&63), double-buffered across the two round layers;
 // multi marks cells that received more than one arrival in the round being
-// built; vis is the BFS scratch plane for Connected/Components. The slot
+// built; vis is the BFS scratch plane for the connectivity floods. The slot
 // planes are only meaningful under set occupancy bits, so they are never
 // cleared — stale entries are unreachable.
 type tile struct {
@@ -359,17 +359,6 @@ func (d *Dense) Bounds() grid.Rect {
 
 // Gathered reports whether the swarm fits in a 2×2 square.
 func (d *Dense) Gathered() bool { return d.count > 0 && d.Bounds().FitsIn2x2() }
-
-// Degree returns the number of occupied 4-neighbors of p.
-func (d *Dense) Degree(p grid.Point) int {
-	n := 0
-	for _, q := range grid.Neighbors4(p) {
-		if d.Has(q) {
-			n++
-		}
-	}
-	return n
-}
 
 // Cells returns all occupied cells in sorted (Y, X) order. The slice is
 // world-owned: read-only, valid until the next Commit.
@@ -882,37 +871,6 @@ func (d *Dense) ConnectedBFS() bool {
 	return seen == n
 }
 
-// Components returns the 4-connected components, each sorted, ordered by
-// smallest cell — the swarm.Swarm contract, for the oracle property tests.
-func (d *Dense) Components() [][]grid.Point {
-	d.ensureOcc()
-	d.visClear()
-	var comps [][]grid.Point
-	for _, c := range d.occ {
-		if d.visGet(c.p) {
-			continue
-		}
-		var comp []grid.Point
-		stack := append(d.stack[:0], c.p)
-		d.visSet(c.p)
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, p)
-			for _, q := range grid.Neighbors4(p) {
-				if d.Has(q) && !d.visGet(q) {
-					d.visSet(q)
-					stack = append(stack, q)
-				}
-			}
-		}
-		d.stack = stack[:0]
-		sort.Slice(comp, func(i, j int) bool { return comp[i].Less(comp[j]) })
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // LargestComponent returns the largest 4-connected component's cell count,
 // bounding box, and canonical minimum cell (the component's first cell in
 // canonical order — a stable representative usable as a BFS seed). Ties go
@@ -1026,37 +984,5 @@ func (d *Dense) LargestLiveComponent(live func(int32) bool) (n int, bounds grid.
 			n, bounds = clive, cb
 		}
 	}
-	return n, bounds
-}
-
-// ComponentLiveBounds floods the component containing seed and returns how
-// many of its cells hold a live robot (live(slot) == true) and the
-// bounding box of those live cells only — the engine's degraded-mode
-// gathering condition: crashed robots are immovable scenery, so only the
-// survivors' bounds decide whether the component gathered.
-func (d *Dense) ComponentLiveBounds(seed grid.Point, live func(int32) bool) (n int, bounds grid.Rect) {
-	bounds = grid.EmptyRect
-	if !d.Has(seed) {
-		return 0, bounds
-	}
-	d.ensureOcc()
-	d.visClear()
-	stack := append(d.stack[:0], seed)
-	d.visSet(seed)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if live(d.SlotAt(p)) {
-			n++
-			bounds = bounds.Include(p)
-		}
-		for _, q := range grid.Neighbors4(p) {
-			if d.Has(q) && !d.visGet(q) {
-				d.visSet(q)
-				stack = append(stack, q)
-			}
-		}
-	}
-	d.stack = stack[:0]
 	return n, bounds
 }

@@ -43,9 +43,6 @@ func (d *Dense) EnableQuiescence(radius int) {
 	d.qmask = make([]uint32, len(d.states))
 }
 
-// QuiescenceEnabled reports whether the quiescence layer is active.
-func (d *Dense) QuiescenceEnabled() bool { return d.qOn }
-
 // QuiesceReset drops every cached quiescent verdict: the next activation
 // of every robot recomputes. Dirty bits need no touch-up — an empty mask
 // alone forces recomputation. Called after any out-of-protocol state edit

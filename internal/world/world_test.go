@@ -2,8 +2,7 @@
 // semantics: arbitrary Add/Remove sequences — including negative
 // coordinates, cells straddling chunk boundaries, and far-apart cells that
 // force the chunk table to grow — must leave Dense agreeing with the
-// map-backed swarm oracle on Has/Len/Bounds/Cells/Degree/Connected/
-// Components.
+// map-backed swarm oracle on Has/Len/Bounds/Cells/Connected/Gathered.
 package world
 
 import (
@@ -35,9 +34,6 @@ func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Po
 		if cells[i] != oracle[i] {
 			t.Fatalf("Cells[%d]: dense %v, oracle %v", i, cells[i], oracle[i])
 		}
-		if got, want := d.Degree(cells[i]), s.Degree(cells[i]); got != want {
-			t.Fatalf("Degree(%v): dense %d, oracle %d", cells[i], got, want)
-		}
 	}
 	for _, p := range probes {
 		if got, want := d.Has(p), s.Has(p); got != want {
@@ -46,20 +42,6 @@ func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Po
 	}
 	if got, want := d.Connected(), s.Connected(); got != want {
 		t.Fatalf("Connected: dense %v, oracle %v", got, want)
-	}
-	dComps, sComps := d.Components(), s.Components()
-	if len(dComps) != len(sComps) {
-		t.Fatalf("Components count: dense %d, oracle %d", len(dComps), len(sComps))
-	}
-	for i := range dComps {
-		if len(dComps[i]) != len(sComps[i]) {
-			t.Fatalf("component %d size: dense %d, oracle %d", i, len(dComps[i]), len(sComps[i]))
-		}
-		for j := range dComps[i] {
-			if dComps[i][j] != sComps[i][j] {
-				t.Fatalf("component %d cell %d: dense %v, oracle %v", i, j, dComps[i][j], sComps[i][j])
-			}
-		}
 	}
 	if got, want := d.Gathered(), s.Gathered(); got != want {
 		t.Fatalf("Gathered: dense %v, oracle %v", got, want)
@@ -122,7 +104,7 @@ func TestDenseOccupancyProperty(t *testing.T) {
 // TestDenseFarApartGrowth places cells tens of thousands of cells apart —
 // each Add lands outside the chunk table and forces it to grow — and
 // checks the observables still match the oracle, including the
-// multi-component Connected/Components answers.
+// the multi-component Connected answer.
 func TestDenseFarApartGrowth(t *testing.T) {
 	pts := []grid.Point{
 		grid.Pt(0, 0), grid.Pt(1, 0),
