@@ -105,6 +105,9 @@ func BenchmarkAsyncBaseline(b *testing.B) {
 // over a world.Dense, repositioned at each robot. They are split into
 // interior robots (all four neighbours occupied, so no direction can be
 // exposed) and boundary robots, the only ones that can be black.
+// "dense/straight" reads the walls of a one-cell-thick 64×64 ring, where
+// every robot sits on a straight run longer than MergeMax and the run
+// scans, not the first reads, decide.
 func BenchmarkMergeDetection(b *testing.B) {
 	s := gen.RandomBlob(400, 7)
 	p := core.Defaults()
@@ -129,11 +132,13 @@ func BenchmarkMergeDetection(b *testing.B) {
 			boundary = append(boundary, c)
 		}
 	}
-	v := view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(s, false)}, grid.Zero, 0)
+	ring := gen.Hollow(64, 64)
 	for _, set := range []struct {
 		name  string
+		world *swarm.Swarm
 		cells []grid.Point
-	}{{"dense/interior", interior}, {"dense/boundary", boundary}} {
+	}{{"dense/interior", s, interior}, {"dense/boundary", s, boundary}, {"dense/straight", ring, ring.Cells()}} {
+		v := view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(set.world, false)}, grid.Zero, 0)
 		b.Run(set.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v.Reposition(set.cells[i%len(set.cells)], 0)

@@ -71,7 +71,9 @@ func MergeMove(v *view.View, p Params) (grid.Point, bool) {
 // occupied so that the origin is an interior black robot, its own landing
 // cell. A robot inside the swarm is rejected after one read per direction,
 // one in the middle of a solid edge after at most four, instead of after
-// scanning its run up to MergeMax cells each way.
+// scanning its run up to MergeMax cells each way. The run scans and the
+// segment tests go through View.Run and View.AnyIn, which a dense view
+// answers a row word at a time.
 func blackIn(v *view.View, d grid.Point, p Params) bool {
 	if v.Occ(d.Neg()) {
 		return false
@@ -82,34 +84,23 @@ func blackIn(v *view.View, d grid.Point, p Params) bool {
 	}
 
 	// Extent of the straight run of robots through the origin along ±axis.
-	neg := 0
-	for v.Occ(axis.Scale(-(neg + 1))) {
-		neg++
-		if neg >= p.MergeMax {
-			return false // too long to verify within the radius
-		}
+	// A run of MergeMax or more robots is too long to verify within the
+	// radius; below that, maximality holds because each Run stopped at a
+	// free cell, so the cells extending the run at both ends are free.
+	neg := v.Run(axis.Neg(), p.MergeMax)
+	if neg >= p.MergeMax {
+		return false
 	}
-	pos := 0
-	for v.Occ(axis.Scale(pos + 1)) {
-		pos++
-		if neg+pos+1 > p.MergeMax {
-			return false
-		}
+	pos := v.Run(axis, p.MergeMax-neg)
+	if pos >= p.MergeMax-neg {
+		return false
 	}
-	// Maximality holds by loop exit: the cells extending the run at both
-	// ends are free.
 
-	// Far side (outside) must be fully exposed.
-	for m := -neg; m <= pos; m++ {
-		if v.Occ(axis.Scale(m).Sub(d)) {
-			return false
-		}
-	}
-	// Interior landing cells must be free.
-	for m := -neg + 1; m <= pos-1; m++ {
-		if v.Occ(axis.Scale(m).Add(d)) {
-			return false
-		}
+	// Far side (outside) must be fully exposed, and the interior landing
+	// cells must be free.
+	if v.AnyIn(axis.Scale(-neg).Sub(d), axis, neg+pos+1) ||
+		v.AnyIn(axis.Scale(-neg+1).Add(d), axis, neg+pos-1) {
+		return false
 	}
 	// At least one end landing cell must hold a grey anchor.
 	landA := axis.Scale(-neg).Add(d)

@@ -501,42 +501,40 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	limit := req.BudgetRounds // ≤ 0: until the session finishes
+	if !req.ToCompletion {
+		limit = max(req.Rounds, 1)
+	}
 	s.withSession(w, r.PathValue("id"), func(e *pool.Entry, sess *session) error {
-		executed := 0
-		if req.ToCompletion {
-			drained := false
-			for !drained && (req.BudgetRounds <= 0 || executed < req.BudgetRounds) {
-				select {
-				case <-s.done:
-					// Shutdown drain: finish cleanly with the rounds done
-					// so far; the session spills and resumes next boot.
-					drained = true
-					continue
-				default:
-				}
-				if err := sess.sim.Step(); err != nil {
-					break // ErrDone or a sticky abort — both live in Status
-				}
-				executed++
-				if sess.sim.Status().Done {
-					break
-				}
-			}
-		} else {
-			n := req.Rounds
-			if n <= 0 {
-				n = 1
-			}
-			// An abort or ErrDone is a simulation outcome, not a transport
-			// error: HTTP 200, Reason/Error carry the cause.
-			executed, _ = sess.sim.StepN(n)
-		}
+		executed := s.stepDrain(sess, limit)
 		writeJSON(w, http.StatusOK, StepResponse{
 			Executed: executed,
 			Status:   sess.refreshInfo(true),
 		})
 		return nil
 	})
+}
+
+// stepDrain executes up to limit rounds (limit ≤ 0: no limit) and returns
+// how many ran. It stops when the session gathers or aborts — ErrDone and
+// an abort are simulation outcomes that Status carries, not transport
+// errors — and, so that a large step cannot hold Shutdown's drain, when
+// CloseStreams was called: the session then spills at the round it
+// reached and resumes there after a restart.
+func (s *Server) stepDrain(sess *session, limit int) int {
+	executed := 0
+	for limit <= 0 || executed < limit {
+		select {
+		case <-s.done:
+			return executed
+		default:
+		}
+		if sess.sim.Step() != nil {
+			return executed
+		}
+		executed++
+	}
+	return executed
 }
 
 // handleSnapshot serves the session's snapshot bytes. A spilled session is
@@ -630,8 +628,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // ---- shutdown ----
 
-// CloseStreams ends every open event stream and tells in-flight
-// run-to-completion steps to drain. Idempotent.
+// CloseStreams ends every open event stream and tells in-flight steps to
+// drain: each returns after the round it is executing. Idempotent.
 func (s *Server) CloseStreams() {
 	s.closeOnce.Do(func() { close(s.done) })
 }

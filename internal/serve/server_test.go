@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gridgather"
 	"gridgather/internal/serve/pool"
@@ -553,6 +554,78 @@ func TestShutdownRestartResumes(t *testing.T) {
 	// And the recovered sessions keep stepping from where they stopped.
 	if step := stepSession(t, base2, a.ID, StepRequest{Rounds: 3}); step.Status.Round != 10 {
 		t.Fatalf("restart-a stepped to %+v, want round 10", step.Status)
+	}
+}
+
+// TestLargeStepDrainsOnShutdown starts a `rounds` step far larger than the
+// session can run on a ring that takes thousands of rounds to gather,
+// waits on the session's event stream until the step has run a round, and
+// then calls CloseStreams. The step must reply promptly with the rounds it
+// ran, at least that one and short of the request and of gathering, and
+// the session must spill and resume at exactly that round after a restart.
+func TestLargeStepDrainsOnShutdown(t *testing.T) {
+	dir := t.TempDir()
+	s1, hs1 := newTestServer(t, Config{SpillDir: dir})
+	info := createSession(t, hs1.URL, CreateRequest{Workload: "hollow", N: 4000, Label: "big-step"})
+
+	events, err := http.Get(hs1.URL + "/v1/sessions/" + info.ID + "/events?mask=round")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
+	sc := bufio.NewScanner(events.Body)
+	if !sc.Scan() {
+		t.Fatalf("event stream ended before its opening record: %v", sc.Err())
+	}
+
+	const huge = 1_000_000_000
+	body, err := json.Marshal(StepRequest{Rounds: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := make(chan error, 1)
+	var step StepResponse
+	go func() {
+		resp, err := http.Post(hs1.URL+"/v1/sessions/"+info.ID+"/step", "application/json", bytes.NewReader(body))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&step)
+			resp.Body.Close()
+		}
+		replies <- err
+	}()
+	// The first round record proves the step is in flight.
+	var rec EventRecord
+	if !sc.Scan() {
+		t.Fatalf("event stream ended before the step ran a round: %v", sc.Err())
+	}
+	if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Kind != "round" {
+		t.Fatalf("record %q (%v), want a round", sc.Text(), err)
+	}
+	s1.CloseStreams()
+	select {
+	case err := <-replies:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a rounds step did not drain after CloseStreams")
+	}
+	if step.Executed < rec.Round || step.Executed >= huge || step.Status.Done || step.Status.Round != step.Executed {
+		t.Fatalf("drained step = executed %d after round %d was streamed, status %+v", step.Executed, rec.Round, step.Status)
+	}
+	if err := s1.SpillAll(); err != nil {
+		t.Fatalf("SpillAll: %v", err)
+	}
+	hs1.Close()
+
+	_, hs2 := newTestServer(t, Config{SpillDir: dir})
+	var list ListResponse
+	doJSON(t, "GET", hs2.URL+"/v1/sessions", nil, &list)
+	if len(list.Sessions) != 1 || list.Sessions[0].Round != step.Executed {
+		t.Fatalf("recovered %+v, want one session at round %d", list.Sessions, step.Executed)
+	}
+	if next := stepSession(t, hs2.URL, info.ID, StepRequest{Rounds: 2}); next.Executed != 2 || next.Status.Round != step.Executed+2 {
+		t.Fatalf("resumed step = executed %d, round %d; want 2, %d", next.Executed, next.Status.Round, step.Executed+2)
 	}
 }
 

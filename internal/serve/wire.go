@@ -92,7 +92,8 @@ type ListResponse struct {
 // execute one round. Rounds executes up to that many rounds (StepN);
 // ToCompletion runs until the session finishes, bounded by BudgetRounds
 // when non-zero (the in-flight round budget, independent of the session's
-// own WithMaxRounds abort budget).
+// own WithMaxRounds abort budget). Either kind stops early, at a round
+// boundary, once the server starts shutting down.
 type StepRequest struct {
 	Rounds       int  `json:"rounds,omitempty"`
 	ToCompletion bool `json:"to_completion,omitempty"`

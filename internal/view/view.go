@@ -151,6 +151,45 @@ func (v *View) occSlow(rel grid.Point) bool {
 	return occ
 }
 
+// Run counts the consecutive occupied cells step, 2·step, … from the
+// observing robot, stopping at the first free cell or after max cells.
+// step must be a unit axis vector. The answer and, on a checked or noisy
+// view, the order of the reads are those of the loop
+//
+//	n := 0
+//	for n < max && v.Occ(step.Scale(n+1)) { n++ }
+//
+// so a checked view panics at the first out-of-radius cell that loop would
+// read, and a noise flip inside the run is honoured. A fast view counts
+// whole row words instead (world.Dense.RunLen).
+func (v *View) Run(step grid.Point, max int) int {
+	if v.fast {
+		return v.dense.RunLen(v.origin, step, max)
+	}
+	n := 0
+	for n < max && v.occSlow(step.Scale(n+1)) {
+		n++
+	}
+	return n
+}
+
+// AnyIn reports whether any of the count cells from, from+step, …,
+// from+(count-1)·step (offsets from the observing robot) is occupied.
+// step must be a unit axis vector. Like Run, it answers as Occ reads in
+// that order would, stopping at the first occupied cell, and a fast view
+// tests the segment with masked row words (world.Dense.AnyIn).
+func (v *View) AnyIn(from, step grid.Point, count int) bool {
+	if v.fast {
+		return v.dense.AnyIn(v.origin.Add(from), step, count)
+	}
+	for i := 0; i < count; i++ {
+		if v.occSlow(from.Add(step.Scale(i))) {
+			return true
+		}
+	}
+	return false
+}
+
 // CrashedAt reports whether the cell at the given offset holds a
 // crash-stopped robot. Always false when the simulation carries no crash
 // faults. The liveness read is gated on the (possibly noise-corrupted)

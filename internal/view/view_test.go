@@ -1,6 +1,7 @@
 package view
 
 import (
+	"fmt"
 	"testing"
 
 	"gridgather/internal/grid"
@@ -132,14 +133,83 @@ func TestViewDenseFastPathMatchesClosures(t *testing.T) {
 	}
 }
 
+// readOutcome runs one read and describes its result, or the panic it
+// raised, so that two ways of reading can be compared outcome for outcome.
+func readOutcome(read func() any) (out string) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = fmt.Sprintf("panic: %v", r)
+		}
+	}()
+	return fmt.Sprint(read())
+}
+
+// checkRunReads compares View.Run and View.AnyIn with the per-cell Occ
+// loops they stand for, in all four axis directions, for negative lengths,
+// lengths that run past the radius, and segments starting on and off the
+// axes. On a checked view the outcomes include the panic, whose message
+// names the offset of the first out-of-radius read.
+func checkRunReads(t *testing.T, v *View, label string) {
+	t.Helper()
+	for _, step := range grid.Axis4 {
+		for n := -2; n <= 2*v.Radius(); n++ {
+			got := readOutcome(func() any { return v.Run(step, n) })
+			want := readOutcome(func() any {
+				k := 0
+				for k < n && v.Occ(step.Scale(k+1)) {
+					k++
+				}
+				return k
+			})
+			if got != want {
+				t.Errorf("%s: Run(%v, %d) = %s, per-cell reads give %s", label, step, n, got, want)
+			}
+			for _, from := range []grid.Point{grid.Zero, step.Neg(), step.PerpCW(), step.Scale(-2).Add(step.PerpCCW())} {
+				got := readOutcome(func() any { return v.AnyIn(from, step, n) })
+				want := readOutcome(func() any {
+					for i := 0; i < n; i++ {
+						if v.Occ(from.Add(step.Scale(i))) {
+							return true
+						}
+					}
+					return false
+				})
+				if got != want {
+					t.Errorf("%s: AnyIn(%v, %v, %d) = %s, per-cell reads give %s", label, from, step, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestViewDenseReadPathToggles drives a dense view through every change to
 // the state that selects its read path (New, Reposition, SetNoise) and
 // checks after each that an unchecked view honours the noise flip exactly
-// while it is installed, and that a checked view still panics on an
-// out-of-radius read.
+// while it is installed, that a checked view still panics on an
+// out-of-radius read, that only an unchecked noise-free view takes the
+// word path, and that the run and segment reads answer — or panic — as
+// the per-cell reads do. A second view, driven through the same steps over
+// a world of long runs, carries the run and segment checks where runs
+// cross the radius; a noise flip is then moved over every offset of its
+// viewing diamond, through the runs and segments those reads cover.
 func TestViewDenseReadPathToggles(t *testing.T) {
 	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(5, 5), grid.Pt(6, 5))
 	d := world.NewDense(s, false)
+	// Runs through both origins the steps use, longer than the radius on
+	// some sides, and cells beside them for the segment reads.
+	rs := swarm.New()
+	for i := -3; i <= 6; i++ {
+		rs.Add(grid.Pt(i, 0))
+		rs.Add(grid.Pt(5+i, 5))
+	}
+	for i := -2; i <= 3; i++ {
+		rs.Add(grid.Pt(0, i))
+		rs.Add(grid.Pt(5, 5+2*i))
+	}
+	rs.Add(grid.Pt(2, 1))
+	rs.Add(grid.Pt(-2, -1))
+	rs.Add(grid.Pt(7, 4))
+	rd := world.NewDense(rs, false)
 	steps := []struct {
 		name  string
 		apply func(v *View)
@@ -156,8 +226,10 @@ func TestViewDenseReadPathToggles(t *testing.T) {
 	}
 	for _, checked := range []bool{false, true} {
 		v := New(Config{Radius: 4, Checked: checked, Dense: d}, grid.Pt(0, 0), 0)
+		rv := New(Config{Radius: 4, Checked: checked, Dense: rd}, grid.Pt(0, 0), 0)
 		for _, st := range steps {
 			st.apply(v)
+			st.apply(rv)
 			for _, rel := range []grid.Point{grid.Zero, grid.East, grid.West, grid.North, grid.Pt(2, 2)} {
 				want := s.Has(v.origin.Add(rel))
 				if rel == st.noise && rel != grid.Zero {
@@ -175,6 +247,56 @@ func TestViewDenseReadPathToggles(t *testing.T) {
 			if panicked != checked {
 				t.Errorf("checked=%v after %s: out-of-radius read panicked=%v", checked, st.name, panicked)
 			}
+			wantFast := !checked && st.noise == grid.Zero
+			if v.fast != wantFast || rv.fast != wantFast {
+				t.Errorf("checked=%v after %s: word path = %v and %v, want %v", checked, st.name, v.fast, rv.fast, wantFast)
+			}
+			checkRunReads(t, v, fmt.Sprintf("checked=%v after %s", checked, st.name))
+			checkRunReads(t, rv, fmt.Sprintf("checked=%v long runs after %s", checked, st.name))
+		}
+
+		// A flip anywhere in the diamond: inside a run, at its end, beside
+		// it, or on a segment cell. Occ is checked against the world with
+		// the flip applied, so that flips both ways are seen directly.
+		flipped, toOcc, toFree := 0, 0, 0
+		for dx := -4; dx <= 4; dx++ {
+			for dy := -4; dy <= 4; dy++ {
+				noise := grid.Pt(dx, dy)
+				if noise.L1() > 4 || noise == grid.Zero {
+					continue
+				}
+				rv.Reposition(grid.Pt(0, 0), 3)
+				clean := readOutcome(func() any { return rv.Run(grid.East, 6) })
+				rv.SetNoise(noise)
+				if readOutcome(func() any { return rv.Run(grid.East, 6) }) != clean {
+					flipped++
+				}
+				if rs.Has(noise) {
+					toFree++
+				} else {
+					toOcc++
+				}
+				for ex := -4; ex <= 4; ex++ {
+					for ey := -4; ey <= 4; ey++ {
+						rel := grid.Pt(ex, ey)
+						if rel.L1() > 4 {
+							continue
+						}
+						if got, want := rv.Occ(rel), rs.Has(rel) != (rel == noise); got != want {
+							t.Errorf("checked=%v noise %v: Occ(%v) = %v, want %v", checked, noise, rel, got, want)
+						}
+					}
+				}
+				checkRunReads(t, rv, fmt.Sprintf("checked=%v noise %v", checked, noise))
+				rv.Reposition(grid.Pt(5, 5), 4)
+				if rv.fast == checked {
+					t.Errorf("checked=%v: Reposition after SetNoise(%v) left word path = %v", checked, noise, rv.fast)
+				}
+			}
+		}
+		if flipped == 0 || toOcc == 0 || toFree == 0 {
+			t.Errorf("checked=%v: the sweep changed the eastward run %d times and flipped %d free and %d occupied cells; want each > 0",
+				checked, flipped, toOcc, toFree)
 		}
 	}
 }

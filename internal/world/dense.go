@@ -286,6 +286,117 @@ func (d *Dense) Has(p grid.Point) bool {
 	return t != nil && t.bits[d.cur][p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
 }
 
+// RunLen counts the consecutive occupied cells p+step, p+2·step, … and
+// stops at the first free cell or after max cells, so it returns a value
+// in [0, max], and 0 when max ≤ 0. step must be a unit axis vector. It
+// answers exactly what a Has loop over the same cells would, but along x
+// it counts a whole row word per tile with one bit scan, and along y it
+// keeps the tile pointer while it walks the rows of one chunk. Read-only,
+// so Compute workers may call it concurrently.
+//
+//gather:hotpath
+func (d *Dense) RunLen(p, step grid.Point, max int) int {
+	if max <= 0 {
+		return 0
+	}
+	n := 0
+	if step.Y == 0 {
+		x, y := p.X+step.X, p.Y
+		for n < max {
+			t := d.tileAt(grid.Point{X: x, Y: y})
+			if t == nil {
+				break
+			}
+			w, s := t.bits[d.cur][y&tileMask], uint(x&tileMask)
+			var ones, avail int
+			if step.X > 0 {
+				// Bits s.. of the word, shifted down to bit 0; the zeros
+				// shifted in at the top end the count at the chunk edge.
+				ones, avail = bits.TrailingZeros64(^(w >> s)), tileSize-int(s)
+			} else {
+				// Bits ..s of the word, shifted up to bit 63.
+				ones, avail = bits.LeadingZeros64(^(w << (tileMask - s))), int(s)+1
+			}
+			n += ones
+			if ones < avail {
+				break
+			}
+			x += step.X * avail
+		}
+	} else {
+		x, y := p.X, p.Y+step.Y
+		bit := uint64(1) << uint(x&tileMask)
+		var t *tile
+		cy := 0
+		for n < max {
+			if t == nil || y>>tileShift != cy {
+				if t = d.tileAt(grid.Point{X: x, Y: y}); t == nil {
+					break
+				}
+				cy = y >> tileShift
+			}
+			if t.bits[d.cur][y&tileMask]&bit == 0 {
+				break
+			}
+			n++
+			y += step.Y
+		}
+	}
+	return min(n, max)
+}
+
+// AnyIn reports whether any of the count cells p, p+step, …,
+// p+(count-1)·step is occupied (false when count ≤ 0). step must be a unit
+// axis vector. Along x it tests the segment with one masked row word per
+// chunk it spans; along y it walks the rows of each chunk with the tile
+// pointer held and skips chunks that were never allocated. Read-only, so
+// Compute workers may call it concurrently.
+//
+//gather:hotpath
+func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
+	if count <= 0 {
+		return false
+	}
+	if step.Y == 0 {
+		x := p.X
+		if step.X < 0 {
+			x -= count - 1
+		}
+		for count > 0 {
+			s := x & tileMask
+			k := min(count, tileSize-s)
+			if t := d.tileAt(grid.Point{X: x, Y: p.Y}); t != nil {
+				mask := (uint64(1)<<uint(k) - 1) << uint(s)
+				if t.bits[d.cur][p.Y&tileMask]&mask != 0 {
+					return true
+				}
+			}
+			x += k
+			count -= k
+		}
+		return false
+	}
+	y := p.Y
+	if step.Y < 0 {
+		y -= count - 1
+	}
+	bit := uint64(1) << uint(p.X&tileMask)
+	for count > 0 {
+		r0 := y & tileMask
+		k := min(count, tileSize-r0)
+		if t := d.tileAt(grid.Point{X: p.X, Y: y}); t != nil {
+			for _, w := range t.bits[d.cur][r0 : r0+k] {
+				if w&bit != 0 {
+					return true
+				}
+			}
+		}
+		y += k
+		count -= k
+	}
+	return false
+}
+
 // slotAt returns the slot stored for p in the given layer. The occupancy
 // bit must be set.
 func (d *Dense) slotAt(layer int, p grid.Point) int32 {
