@@ -86,7 +86,10 @@ func (r *Reader) fail(err error) {
 // Uvarint reads an unsigned varint. A short buffer is truncation
 // (ErrTruncated); an over-long encoding (binary.Uvarint overflow, n < 0)
 // is corruption and reports a plain error — callers distinguish "fetch
-// more bytes" from "discard corrupt input" via errors.Is.
+// more bytes" from "discard corrupt input" via errors.Is. So is a
+// non-minimal encoding (a final zero byte after continuation bytes): it
+// decodes to a value whose re-encoding differs, and equal states must
+// have equal bytes.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -99,13 +102,16 @@ func (r *Reader) Uvarint() uint64 {
 	case n < 0:
 		r.fail(errors.New("codec: uvarint overflows 64 bits"))
 		return 0
+	case n > 1 && r.b[n-1] == 0:
+		r.fail(errors.New("codec: non-minimal uvarint"))
+		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-// Varint reads a zig-zag varint (same truncation/corruption split as
-// Uvarint).
+// Varint reads a zig-zag varint (same truncation/corruption split and
+// minimality rule as Uvarint).
 func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
@@ -117,6 +123,9 @@ func (r *Reader) Varint() int64 {
 		return 0
 	case n < 0:
 		r.fail(errors.New("codec: varint overflows 64 bits"))
+		return 0
+	case n > 1 && r.b[n-1] == 0:
+		r.fail(errors.New("codec: non-minimal varint"))
 		return 0
 	}
 	r.b = r.b[n:]

@@ -125,3 +125,26 @@ func bytesRepeat(b byte, n int) []byte {
 	}
 	return out
 }
+
+// A varint padded with a zero continuation byte decodes to the value its
+// minimal form encodes; accepting it would let two byte strings restore to
+// one state, so it is corruption.
+func TestNonMinimalVarintIsCorruption(t *testing.T) {
+	for _, b := range [][]byte{{0x80, 0x00}, {0xfc, 0x00}, {0x81, 0x80, 0x00}} {
+		r := NewReader(b)
+		r.Uvarint()
+		if r.Err() == nil || errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("uvarint % x: err = %v, want non-truncation", b, r.Err())
+		}
+		r = NewReader(b)
+		r.Varint()
+		if r.Err() == nil || errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("varint % x: err = %v, want non-truncation", b, r.Err())
+		}
+	}
+	// Minimal multi-byte encodings still read.
+	r := NewReader(AppendVarint(AppendUvarint(nil, 1<<40), -(1 << 40)))
+	if u, v := r.Uvarint(), r.Varint(); r.Err() != nil || u != 1<<40 || v != -(1<<40) {
+		t.Errorf("minimal varints: %d, %d, %v", u, v, r.Err())
+	}
+}

@@ -8,7 +8,7 @@
 // transfers, and checks model invariants.
 //
 // The global state lives in a world.Dense: a tiled bitset occupancy index
-// over 64×64-cell chunks with flat slot-indexed run states and logical
+// over 64×64-cell chunks with slot-indexed run-state handles and logical
 // clocks and an incrementally maintained sorted cell order.
 //
 // # The staged round pipeline
@@ -253,13 +253,12 @@ func (e *Engine) ensureComputeFn() {
 	}
 }
 
-// actionAt pairs a robot's pre-round position with its computed move. An
-// Action with its inline run arrays is about 300 bytes and few robots hold
-// runs, so an action that keeps or transfers any is stored out of line in
-// the computing worker's runActs list: ext is 1 + its index there, and 0
-// for an action without runs.
+// actionAt is a robot's computed move; the robot is the one at the same
+// index of e.order. An Action with its inline run arrays is about 300
+// bytes and few robots hold runs, so an action that keeps or transfers any
+// is stored out of line in the computing worker's runActs list: ext is 1 +
+// its index there, and 0 for an action without runs.
 type actionAt struct {
-	from grid.Point
 	move grid.Point
 	w    int32
 	ext  int32
@@ -576,7 +575,7 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 			off = flips[i]
 		}
 		if q && off == (grid.Point{}) && e.w.QuiesceSkip(p, lr%e.qPeriod) {
-			e.acts[i] = actionAt{from: p} // the cached quiescent action: Stay
+			e.acts[i] = actionAt{} // the cached quiescent action: Stay
 			e.qFlags[i] = qfSkip
 			continue
 		}
@@ -588,7 +587,7 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 		if a.Move.Linf() > 1 {
 			return fmt.Errorf("fsync: robot at %v attempted move %v exceeding one cell", p, a.Move) //gather:alloc-ok abort path, the round is already lost
 		}
-		c := actionAt{from: p, move: a.Move}
+		c := actionAt{move: a.Move}
 		if a.nKeep > 0 || a.nTransfers > 0 {
 			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
 			c.w, c.ext = int32(w), int32(len(ra))
@@ -670,14 +669,18 @@ func (e *Engine) Step() error {
 //gather:hotpath
 func (e *Engine) stageActivate(scheduled bool) {
 	cells := e.w.Cells()
-	e.order = e.order[:0]
 	e.sleep = e.sleep[:0]
-	if e.crashTrack {
-		e.activateFaulty(scheduled, cells)
+	if !scheduled && !e.crashTrack {
+		// Everyone activates in cell order: alias the world's cell view,
+		// which stays valid until Commit, after Resolve's last read. The
+		// scheduler and the crash plan are fixed for an engine's lifetime,
+		// so the appending paths below never see the alias.
+		e.order = cells
 		return
 	}
-	if !scheduled {
-		e.order = append(e.order, cells...)
+	e.order = e.order[:0]
+	if e.crashTrack {
+		e.activateFaulty(scheduled, cells)
 		return
 	}
 	if ra, ok := e.cfg.Scheduler.(sched.RangeActivator); ok {
@@ -929,9 +932,10 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 	e.transferList = e.transferList[:0]
 	for i := range e.acts {
 		c := &e.acts[i]
-		dst := c.from.Add(c.move)
+		from := e.order[i]
+		dst := from.Add(c.move)
 		a := e.runsOf(c)
-		if dst != c.from {
+		if dst != from {
 			moved++
 		}
 		var cl int
@@ -939,14 +943,16 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 			// The cycle completes: the robot's logical clock ticks. A
 			// merged cell keeps the largest arriving clock (deterministic
 			// regardless of arrival order).
-			cl = e.w.ClockAt(c.from) + 1
+			cl = e.w.ClockAt(from) + 1
 		}
-		if e.w.Arrive(c.from, dst) == 1 {
+		if e.w.Arrive(from, dst) == 1 {
+			// Arrive dropped the robot's runs; only a robot that keeps
+			// some writes a state.
 			var keep []robot.Run
-			if a != nil {
+			if a != nil && a.nKeep > 0 {
 				keep = a.Keep()
+				e.w.SetArrivalState(dst, robot.State{Runs: keep})
 			}
-			e.w.SetArrivalState(dst, robot.State{Runs: keep})
 			for _, r := range keep {
 				if r.ID == 0 {
 					// Brand-new kept run: adoption (ID, RunsStarted) waits
@@ -974,7 +980,7 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 			// only after all arrivals are counted.
 			e.transferList = append(e.transferList, pendingTransfer{
 				senderDst: dst,
-				to:        c.from.Add(tr.To),
+				to:        from.Add(tr.To),
 				run:       tr.Run,
 			})
 		}

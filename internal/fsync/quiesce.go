@@ -107,19 +107,19 @@ func (e *Engine) quiescePost() {
 			continue
 		}
 		e.qComputed++
-		a := &e.acts[i]
+		a, from := &e.acts[i], e.order[i]
 		hadRuns := f&qfHadRuns != 0
 		if f&qfNoisy == 0 {
-			e.w.QuiesceNote(a.from, e.localRound(a.from)%e.qPeriod, !hadRuns && a.quiescent())
+			e.w.QuiesceNote(from, e.localRound(from)%e.qPeriod, !hadRuns && a.quiescent())
 		}
 		if hadRuns {
 			// The robot's runs age, glide or hand off this round; even if
 			// another robot re-occupies the cell (occupancy-stable under
 			// the commit diff), the neighbors' views change.
-			marks = append(marks, a.from) //gather:alloc-ok length-reset per round, steady-state reuse
+			marks = append(marks, from) //gather:alloc-ok length-reset per round, steady-state reuse
 		}
 		if r := e.runsOf(a); r != nil && r.nKeep > 0 {
-			marks = append(marks, a.from.Add(a.move)) //gather:alloc-ok length-reset per round, steady-state reuse
+			marks = append(marks, from.Add(a.move)) //gather:alloc-ok length-reset per round, steady-state reuse
 		}
 	}
 	for _, p := range marks {

@@ -85,7 +85,8 @@ func (e *Engine) restoreFaultState(b []byte) ([]byte, error) {
 	}
 	e.crashedLive = int(cnt)
 	if e.crashTrack {
-		for i := uint64(0); i < cnt; i++ {
+		listed := make([]int32, cnt)
+		for i := range listed {
 			slot := r.Uvarint()
 			if r.Err() != nil {
 				return nil, r.Err()
@@ -93,12 +94,54 @@ func (e *Engine) restoreFaultState(b []byte) ([]byte, error) {
 			if slot >= uint64(len(e.crashed)) {
 				return nil, fmt.Errorf("fsync: snapshot crashed slot %d out of range (have %d slots)", slot, len(e.crashed))
 			}
+			listed[i] = int32(slot)
 			e.crashed[slot] = true
+		}
+		// appendFaultState lists each crashed robot once, in canonical cell
+		// order; a dead slot, a repeat or another order would restore a
+		// state that encodes to different bytes.
+		i := 0
+		for _, s := range e.w.Slots() {
+			if !e.crashed[s] {
+				continue
+			}
+			if i == len(listed) || listed[i] != s {
+				break
+			}
+			i++
+		}
+		if i != len(listed) {
+			return nil, fmt.Errorf("fsync: snapshot crashed slots %v are not live robots in cell order", listed)
 		}
 	} else if cnt != 0 {
 		return nil, fmt.Errorf("fsync: snapshot carries %d crashed robots for a plan without crash clauses", cnt)
 	}
 	return e.cfg.Faults.RestoreCursor(r.Rest())
+}
+
+// decodeCounters reads the counters AppendState writes ahead of the world;
+// the caller checks r.Err().
+func (e *Engine) decodeCounters(r *codec.Reader) {
+	e.round = int(r.Uvarint())
+	e.merges = int(r.Uvarint())
+	e.moves = int(r.Uvarint())
+	e.runsStart = int(r.Uvarint())
+	e.nextRunID = int(r.Uvarint())
+	e.lastMerge = int(r.Uvarint())
+	e.roundMerge = int(r.Uvarint())
+}
+
+// SlotSpace returns the world slot-space size a snapshot written by
+// AppendState declares, without decoding the world. NewRestored allocates
+// per slot, so a caller that knows the slot space to expect — a session's
+// initial population — rejects a mismatch here first.
+func SlotSpace(b []byte) (uint64, error) {
+	r := codec.NewReader(b)
+	new(Engine).decodeCounters(r)
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	return world.SlotSpace(r.Rest())
 }
 
 // NewRestored builds an engine whose state is decoded from a snapshot
@@ -116,13 +159,7 @@ func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
 	}
 	e := &Engine{cfg: cfg, alg: alg}
 	r := codec.NewReader(b)
-	e.round = int(r.Uvarint())
-	e.merges = int(r.Uvarint())
-	e.moves = int(r.Uvarint())
-	e.runsStart = int(r.Uvarint())
-	e.nextRunID = int(r.Uvarint())
-	e.lastMerge = int(r.Uvarint())
-	e.roundMerge = int(r.Uvarint())
+	e.decodeCounters(r)
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}

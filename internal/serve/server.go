@@ -358,7 +358,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // another box or another day, restore). The label and the workers
 // execution option ride in query parameters because the snapshot
 // intentionally does not contain them; a malformed or out-of-range
-// workers value is rejected before any session is admitted.
+// workers value, an unreadable header, or an initial population above the
+// create limit is rejected before any session is admitted.
 func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
@@ -374,6 +375,16 @@ func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := checkWorkers(workers); err != nil {
+		s.httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// Restore's memory grows with the declared initial population, so the
+	// create limit applies here too, before any session is admitted.
+	n, err := gridgather.SnapshotInitialRobots(snap)
+	if err == nil && n > maxRobots {
+		err = fmt.Errorf("serve: snapshot of %d robots exceeds the robot limit %d", n, maxRobots)
+	}
+	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

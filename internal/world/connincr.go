@@ -33,15 +33,14 @@ package world
 // makes splits free while keeping the query cost proportional to the
 // chunk-level structure instead of the robot count.
 //
-// The full bitset BFS survives in two roles: ConnectedBFS is the
-// always-available oracle/escape hatch (ForceFullBFS pins Connected to
-// it), and it is the conservative fallback whenever the incremental
-// structure is invalid — the first query of a world, after a snapshot
-// restore, or after the structure was explicitly reset. An invalid-
-// structure query answers with the BFS (never wrong, no staleness to
-// reason about) and rebuilds the incremental state for the queries that
-// follow; the differential suite in this package and internal/fsync proves
-// the two paths agree bit-for-bit, round by round.
+// The full bitset BFS survives as the always-available oracle and escape
+// hatch: ConnectedBFS answers from scratch, and ForceFullBFS pins
+// Connected to it. The incremental structure is cold on the first query of
+// a world, after a snapshot restore, and after an explicit reset; a cold
+// query rebuilds it — one relabel per occupied chunk, no BFS — and answers
+// from the rebuilt structure like any other query. The differential suite
+// in this package and internal/fsync proves the two paths agree
+// bit-for-bit, round by round, cold queries included.
 
 import (
 	"math/bits"
@@ -99,9 +98,10 @@ type rowRun struct {
 // ConnStats is the observable state of the incremental layer, for tests
 // and benchmarks.
 type ConnStats struct {
-	// Queries counts Connected calls answered by the incremental layer;
-	// Fallbacks counts the subset that fell back to the full BFS because
-	// the structure was invalid (cold start, snapshot restore, reset).
+	// Queries counts Connected and LargestComponent calls answered by
+	// the incremental layer; Fallbacks counts the subset that found the
+	// structure cold (first query, snapshot restore, reset) and rebuilt it
+	// before answering from it.
 	Queries, Fallbacks int
 	// Rebuilds counts full from-scratch structure rebuilds; Relabels
 	// counts dirty-chunk component recomputations.
@@ -142,8 +142,7 @@ func (c *connIncr) markDirty(t *tile) {
 // feeds the quiescence dirty planes — no double word-compare when both
 // consumers are on.
 
-// invalidate resets the incremental structure; the next query falls back
-// to the full BFS and rebuilds.
+// invalidate resets the incremental structure; the next query rebuilds it.
 func (c *connIncr) invalidate() {
 	c.valid = false
 	for _, t := range c.dirty {
@@ -157,6 +156,13 @@ func (d *Dense) connectedIncr() bool {
 	if d.count <= 1 {
 		return true
 	}
+	return d.connReady().query(d)
+}
+
+// connReady counts a query and brings the incremental structure up to
+// date with the current occupancy: a cold structure is rebuilt, a warm one
+// relabels the chunks queued since the last query.
+func (d *Dense) connReady() *connIncr {
 	c := d.conn
 	if c == nil {
 		c = &connIncr{chunks: make(map[*tile]*chunkConn)}
@@ -164,20 +170,16 @@ func (d *Dense) connectedIncr() bool {
 	}
 	c.stats.Queries++
 	if !c.valid {
-		// Conservative fallback: the structure is cold (first query,
-		// snapshot restore, explicit reset) — answer with the scratch
-		// BFS, which is never wrong, and rebuild for the next query.
 		c.stats.Fallbacks++
-		ok := d.ConnectedBFS()
 		c.rebuild(d)
-		return ok
+		return c
 	}
 	for _, t := range c.dirty {
 		t.connDirty = false
 		c.refresh(d, t)
 	}
 	c.dirty = c.dirty[:0]
-	return c.query(d)
+	return c
 }
 
 // rebuild recomputes the whole structure from the current occupancy

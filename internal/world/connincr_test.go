@@ -257,10 +257,10 @@ func TestSnapshotRebuildsConnIncr(t *testing.T) {
 		t.Fatalf("restored Connected = %v, original %v", got, want)
 	}
 	if st := r.ConnStats(); st.Fallbacks != 1 {
-		t.Fatalf("restored world answered without the cold-start fallback: %+v", st)
+		t.Fatalf("restored world answered without a cold-start rebuild: %+v", st)
 	}
-	// Warm both sides: Chunks/Comps are recorded by the incremental query,
-	// which the restored world's cold-start fallback bypassed.
+	// One more query on each side, so both report their chunk graph from
+	// a warm structure.
 	d.Connected()
 	r.Connected()
 
@@ -286,6 +286,57 @@ func TestSnapshotRebuildsConnIncr(t *testing.T) {
 	if as, bs := d.ConnStats(), r.ConnStats(); as.Chunks != bs.Chunks || as.Comps != bs.Comps {
 		t.Fatalf("chunk/component counts differ: %d/%d vs %d/%d",
 			as.Chunks, as.Comps, bs.Chunks, bs.Comps)
+	}
+}
+
+// A restored world that is disconnected across several chunks answers its
+// cold queries from the rebuilt structure, without a scratch BFS:
+// Connected is false after one rebuild, and LargestComponent matches the
+// BFS oracle run on a separate copy.
+func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
+	var cells []grid.Point
+	for x := -30; x < 150; x++ { // three chunk columns, two chunk rows
+		for y := 60; y < 70; y++ {
+			cells = append(cells, grid.Pt(x, y))
+		}
+	}
+	for x := 0; x < 90; x++ { // a thinner bar two chunk rows up
+		cells = append(cells, grid.Pt(x, 200), grid.Pt(x, 201))
+	}
+	b := NewDense(swarm.New(cells...), false).AppendState(nil)
+	decode := func() *Dense {
+		d, _, err := DecodeDense(b, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	d := decode()
+	if d.Connected() {
+		t.Fatal("cold Connected() on a two-component world = true")
+	}
+	if st := d.ConnStats(); st.Queries != 1 || st.Fallbacks != 1 || st.Rebuilds != 1 {
+		t.Fatalf("cold query stats %+v, want one query, one cold rebuild", st)
+	}
+	if st := d.ConnStats(); st.Chunks < 4 {
+		t.Fatalf("the world spans %d chunks, want a multi-chunk world", st.Chunks)
+	}
+	if cap(d.stack) != 0 {
+		t.Fatal("the cold Connected query ran a scratch BFS")
+	}
+
+	d = decode()
+	size, bounds, seed := d.LargestComponent()
+	if st := d.ConnStats(); st.Fallbacks != 1 || cap(d.stack) != 0 {
+		t.Fatalf("cold LargestComponent stats %+v (BFS stack %d), want one cold rebuild and no BFS", st, cap(d.stack))
+	}
+	wSize, wBounds, wSeed := decode().LargestComponentBFS()
+	if size != wSize || bounds != wBounds || seed != wSeed {
+		t.Fatalf("LargestComponent = %d %+v %v, BFS = %d %+v %v", size, bounds, seed, wSize, wBounds, wSeed)
+	}
+	if size != 1800 {
+		t.Fatalf("largest component has %d cells, want the 180×10 bar", size)
 	}
 }
 

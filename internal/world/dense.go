@@ -39,6 +39,7 @@
 package world
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -73,9 +74,11 @@ type tile struct {
 	slots     [2][tileSize * tileSize]int32
 }
 
-// slotState is a robot's run state in flat storage: MaxRuns is tiny, so
-// the runs are inlined and carrying a state is copy, not allocation.
-type slotState struct {
+// runState is the run state of one robot that carries runs. MaxRuns is
+// tiny, so the runs are inlined and carrying a state is a copy, not an
+// allocation. Most robots hold no runs (§3.2 allows at most two), so these
+// live out of line in Dense.runPool, reached through a per-slot handle.
+type runState struct {
 	n    int8
 	runs [robot.MaxRuns]robot.Run
 }
@@ -145,8 +148,14 @@ type Dense struct {
 	live         [2][]*tile // tiles that may hold bits per layer — Commit and the BFS scratch clear only these, so the per-round cost tracks the live population, not the initial bounds
 	cur          int        // active occupancy/slot layer (0 or 1)
 
-	states []slotState // slot → run state
-	clocks []int       // slot → logical clock; nil when clocks are off
+	// Run states: runOf maps a slot to a handle into runPool, 0 meaning
+	// "no runs", so the per-slot cost is 4 bytes and only run carriers
+	// occupy a pool entry. Entry 0 is never handed out; released handles
+	// are reused from runFree.
+	runOf   []uint32
+	runPool []runState
+	runFree []uint32
+	clocks  []int // slot → logical clock; nil when clocks are off
 
 	count    int        // number of robots
 	occ      []cellSlot // sorted (Y, X) cell order with slots
@@ -179,26 +188,44 @@ type Dense struct {
 // (needed only under a scheduler).
 func NewDense(s *swarm.Swarm, withClocks bool) *Dense {
 	cells := s.Cells()
-	d := &Dense{}
-	d.initTable(s.Bounds())
-	d.states = make([]slotState, len(cells))
-	if withClocks {
-		d.clocks = make([]int, len(cells))
-	}
+	d := newDenseSlots(len(cells), withClocks)
 	d.occ = make([]cellSlot, len(cells))
 	for i, p := range cells {
-		slot := int32(i)
-		d.occ[i] = cellSlot{p, slot}
-		t := d.ensureTile(p)
-		d.mark(d.cur, t)
-		ry, rx := p.Y&tileMask, p.X&tileMask
-		t.bits[d.cur][ry] |= 1 << uint(rx)
-		t.slots[d.cur][ry<<tileShift|rx] = slot
+		d.occ[i] = cellSlot{p, int32(i)}
 	}
-	d.count = len(cells)
-	d.bounds = s.Bounds()
-	d.boundsOK = true
+	d.place(s.Bounds())
 	return d
+}
+
+// newDenseSlots returns an empty world with a slot space of n slots.
+func newDenseSlots(n int, withClocks bool) *Dense {
+	d := &Dense{runOf: make([]uint32, n), runPool: make([]runState, 1)}
+	if withClocks {
+		d.clocks = make([]int, n)
+	}
+	return d
+}
+
+// place builds the occupancy layer from d.occ (canonical order, slots
+// set) over a chunk table sized to bounds, and sizes the per-round
+// buffers — the arrival lane and the cell and slot views — once for the
+// population, so the first rounds do not grow them by doubling.
+func (d *Dense) place(bounds grid.Rect) {
+	d.initTable(bounds)
+	for _, c := range d.occ {
+		t := d.ensureTile(c.p)
+		d.mark(d.cur, t)
+		ry, rx := c.p.Y&tileMask, c.p.X&tileMask
+		t.bits[d.cur][ry] |= 1 << uint(rx)
+		t.slots[d.cur][ry<<tileShift|rx] = c.slot
+	}
+	n := len(d.occ)
+	d.count = n
+	d.bounds = bounds
+	d.boundsOK = true
+	d.next.occ = make([]cellSlot, 0, n)
+	d.cellsBuf = make([]grid.Point, 0, n)
+	d.slotsBuf = make([]int32, 0, n)
 }
 
 // initTable sizes the chunk table to the bounds plus one chunk of margin
@@ -410,30 +437,64 @@ func (d *Dense) slotAt(layer int, p grid.Point) int32 {
 func (d *Dense) SlotAt(p grid.Point) int32 { return d.slotAt(d.cur, p) }
 
 // StateAt returns the run state of the robot at p (zero if free). The Runs
-// slice aliases the flat state storage — read-only, valid until the state
-// is rewritten; do not retain it across Commit.
+// slice aliases the run pool — read-only, valid until the state is
+// rewritten; do not retain it across Commit.
 func (d *Dense) StateAt(p grid.Point) robot.State {
 	t := d.tileAt(p)
 	ry, rx := p.Y&tileMask, p.X&tileMask
 	if t == nil || t.bits[d.cur][ry]&(1<<uint(rx)) == 0 {
 		return robot.State{}
 	}
-	s := &d.states[t.slots[d.cur][ry<<tileShift|rx]]
-	if s.n == 0 {
+	return d.stateOf(t.slots[d.cur][ry<<tileShift|rx])
+}
+
+// stateOf returns the run state stored for slot, aliasing the pool.
+func (d *Dense) stateOf(slot int32) robot.State {
+	h := d.runOf[slot]
+	if h == 0 {
 		return robot.State{}
 	}
+	s := &d.runPool[h]
 	return robot.State{Runs: s.runs[:s.n]}
 }
 
-// packState stores st into the flat slot storage, copying the runs.
+// packState stores st for slot, copying the runs: an empty state releases
+// the slot's pool entry, a non-empty one takes an entry if it has none.
 func (d *Dense) packState(slot int32, st robot.State) {
 	if len(st.Runs) > robot.MaxRuns {
 		panic(fmt.Sprintf("world: %d runs exceed robot.MaxRuns", len(st.Runs)))
 	}
-	s := &d.states[slot]
+	if len(st.Runs) == 0 {
+		d.dropRuns(slot)
+		return
+	}
+	h := d.runOf[slot]
+	if h == 0 {
+		h = d.newRunHandle()
+		d.runOf[slot] = h
+	}
+	s := &d.runPool[h]
 	s.n = int8(copy(s.runs[:], st.Runs))
-	for i := len(st.Runs); i < robot.MaxRuns; i++ {
-		s.runs[i] = robot.Run{}
+}
+
+// newRunHandle returns a free pool entry, reusing released ones first.
+func (d *Dense) newRunHandle() uint32 {
+	if n := len(d.runFree); n > 0 {
+		h := d.runFree[n-1]
+		d.runFree = d.runFree[:n-1]
+		return h
+	}
+	// The pool holds only run carriers, a small share of the population;
+	// it stops growing once the busiest round's carriers fit.
+	d.runPool = append(d.runPool, runState{}) //gather:alloc-ok grows to the peak carrier count, then reuses released entries
+	return uint32(len(d.runPool) - 1)
+}
+
+// dropRuns clears slot's run state, returning its pool entry.
+func (d *Dense) dropRuns(slot int32) {
+	if h := d.runOf[slot]; h != 0 {
+		d.runOf[slot] = 0
+		d.runFree = append(d.runFree, h) //gather:alloc-ok bounded by the pool size, steady-state reuse
 	}
 }
 
@@ -488,7 +549,7 @@ func (d *Dense) Slots() []int32 {
 // [0, SlotCount). Slots are stable for a robot's lifetime and never reused
 // after a merge, so per-slot side tables (the engine's crash marks) sized
 // by SlotCount stay valid for the whole run.
-func (d *Dense) SlotCount() int { return len(d.states) }
+func (d *Dense) SlotCount() int { return len(d.runOf) }
 
 func (d *Dense) ensureCellViews() {
 	if d.cellsValid {
@@ -526,8 +587,8 @@ func (d *Dense) Add(p grid.Point) {
 	d.mark(d.cur, t)
 	ry, rx := p.Y&tileMask, p.X&tileMask
 	t.bits[d.cur][ry] |= 1 << uint(rx)
-	t.slots[d.cur][ry<<tileShift|rx] = int32(len(d.states))
-	d.states = append(d.states, slotState{})
+	t.slots[d.cur][ry<<tileShift|rx] = int32(len(d.runOf))
+	d.runOf = append(d.runOf, 0)
 	if d.clocks != nil {
 		d.clocks = append(d.clocks, 0)
 	}
@@ -600,13 +661,22 @@ func (d *Dense) ensureOcc() {
 // BeginRound resets the next-round arrival buffer.
 func (d *Dense) BeginRound() { d.next.reset() }
 
-// Arrive records the robot at from landing on dst (from == dst for a stay)
-// and returns 1 if it is the sole arrival at dst so far, or 2 if it merged
-// with earlier arrivals. The first arrival's slot survives at dst; a merge
-// clears any pending state at dst.
+// Arrive records the activated robot at from landing on dst (from == dst
+// for a stay) and returns 1 if it is the sole arrival at dst so far, or 2
+// if it merged with earlier arrivals. The robot's runs are dropped: an
+// activated robot leaves the round with only the runs it keeps, which the
+// engine sets through SetArrivalState, so a robot without runs that keeps
+// none costs no state write. The first arrival's slot survives at dst; a
+// merge clears any pending state at dst.
 //
 //gather:hotpath
-func (d *Dense) Arrive(from, dst grid.Point) int {
+func (d *Dense) Arrive(from, dst grid.Point) int { return d.arrive(from, dst, true) }
+
+// arrive is Arrive and Sleep: drop says whether the arriving robot's runs
+// end with this round (activated) or stay frozen (sleeping).
+//
+//gather:hotpath
+func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	slot := d.slotAt(d.cur, from)
 	nxt := d.cur ^ 1
 	t := d.tileAt(dst)
@@ -625,10 +695,16 @@ func (d *Dense) Arrive(from, dst grid.Point) int {
 		// after that is a cold path the hint analysis cannot see from here.
 		l.occ = append(l.occ, cellSlot{dst, slot}) //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
 		l.bounds = l.bounds.Include(dst)
+		if drop {
+			d.dropRuns(slot)
+		}
 		return 1
 	}
+	// A merge: the survivor's pending runs stop (Table 1) and the arriving
+	// robot's slot dies with its runs.
 	t.multi[ry] |= b
-	d.states[t.slots[nxt][ry<<tileShift|rx]] = slotState{}
+	d.dropRuns(t.slots[nxt][ry<<tileShift|rx])
+	d.dropRuns(slot)
 	return 2
 }
 
@@ -637,24 +713,21 @@ func (d *Dense) Arrive(from, dst grid.Point) int {
 // so Commit can repair the prefix and merge the suffix.
 func (d *Dense) BeginSleep() { d.next.sleepStart = len(d.next.occ) }
 
-// Sleep records the robot at p staying put. Its state lives in flat slot
-// storage and is simply not rewritten — frozen for free. Merge handling is
-// as in Arrive.
-func (d *Dense) Sleep(p grid.Point) int { return d.Arrive(p, p) }
+// Sleep records the robot at p staying put. Its runs are not touched —
+// frozen for free. Merge handling is as in Arrive.
+func (d *Dense) Sleep(p grid.Point) int { return d.arrive(p, p, false) }
 
 // SetArrivalState sets the pending next-round state of the sole robot at
-// dst. The runs are copied; an empty state clears.
+// dst. The runs are copied; an empty state clears. Arrive already cleared
+// an activated robot's runs, so only robots that keep or receive runs need
+// this call.
 func (d *Dense) SetArrivalState(dst grid.Point, st robot.State) {
 	d.packState(d.slotAt(d.cur^1, dst), st)
 }
 
 // ArrivalState returns the pending next-round state at dst.
 func (d *Dense) ArrivalState(dst grid.Point) robot.State {
-	s := &d.states[d.slotAt(d.cur^1, dst)]
-	if s.n == 0 {
-		return robot.State{}
-	}
-	return robot.State{Runs: s.runs[:s.n]}
+	return d.stateOf(d.slotAt(d.cur^1, dst))
 }
 
 // ArrivalCount returns how many robots arrived at dst this round: 0
@@ -771,16 +844,16 @@ func sortNearSorted(a []cellSlot) {
 // Call it only between rounds (never mid-protocol).
 func (d *Dense) AppendState(b []byte) []byte {
 	d.ensureOcc()
-	b = codec.AppendUvarint(b, uint64(len(d.states)))
+	b = codec.AppendUvarint(b, uint64(len(d.runOf)))
 	b = codec.AppendBool(b, d.clocks != nil)
 	b = codec.AppendUvarint(b, uint64(len(d.occ)))
 	for _, c := range d.occ {
 		b = codec.AppendInt(b, c.p.X)
 		b = codec.AppendInt(b, c.p.Y)
 		b = codec.AppendUvarint(b, uint64(c.slot))
-		st := &d.states[c.slot]
-		b = codec.AppendUvarint(b, uint64(st.n))
-		for _, r := range st.runs[:st.n] {
+		runs := d.stateOf(c.slot).Runs
+		b = codec.AppendUvarint(b, uint64(len(runs)))
+		for _, r := range runs {
 			b = appendRun(b, r)
 		}
 		if d.clocks != nil {
@@ -813,13 +886,34 @@ func decodeRun(r *codec.Reader) robot.Run {
 	}
 }
 
+// ErrDuplicateSlot reports a snapshot in which two robots claim the same
+// slot. Slots identify robots (run state, crash mark, quiescent verdict),
+// so such a world cannot be resumed.
+var ErrDuplicateSlot = errors.New("world: snapshot reuses a slot")
+
+// SlotSpace returns the slot-space size a snapshot written by AppendState
+// declares, reading only its first field. DecodeDense allocates per slot,
+// so a caller holding its own expectation of the slot space — a session's
+// initial population — checks it here before decoding.
+func SlotSpace(b []byte) (uint64, error) {
+	r := codec.NewReader(b)
+	n := r.Uvarint()
+	return n, r.Err()
+}
+
 // DecodeDense rebuilds a world from a snapshot written by AppendState and
 // returns it with the unread remainder of b. withClocks must match the
 // configuration the snapshot was taken under (the engine derives it from
-// its scheduler); a mismatch, a truncated stream or structurally invalid
-// data (cells out of canonical order, slots outside the encoded slot
-// space, too many runs) is an error. The decoded world is bit-equivalent
-// to the encoded one for every future round.
+// its scheduler). A mismatch, a truncated stream or structurally invalid
+// data is an error: cells out of canonical order, slots outside the
+// encoded slot space or claimed twice (ErrDuplicateSlot), too many runs,
+// runs no engine could have produced, or a bounding box wider than the
+// slot space allows. The decoded world is bit-equivalent to the encoded
+// one for every future round.
+//
+// Snapshots may come from outside the process (gatherd accepts uploads),
+// so nothing here is trusted — except the slot space, which sizes the
+// per-slot tables: callers bound it first (see SlotSpace).
 func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 	r := codec.NewReader(b)
 	numSlots := r.Uvarint()
@@ -834,24 +928,15 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 	if count > numSlots {
 		return nil, nil, fmt.Errorf("world: snapshot has %d robots in %d slots", count, numSlots)
 	}
-	// Slot space can legitimately exceed the live population by any factor
-	// (slots of merged robots are dead but still counted), so it cannot be
-	// bounded by the stream length — only by the int32 slot type. Snapshots
-	// are trusted local artifacts; validation here catches accidents and
-	// version skew, not adversarial input.
 	if numSlots > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("world: snapshot slot space %d exceeds int32", numSlots)
 	}
 	if count > uint64(r.Len()) { // every live robot takes ≥ 1 byte
 		return nil, nil, fmt.Errorf("world: snapshot claims %d robots in %d bytes", count, r.Len())
 	}
-	d := &Dense{
-		states: make([]slotState, numSlots),
-		occ:    make([]cellSlot, 0, count),
-	}
-	if withClocks {
-		d.clocks = make([]int, numSlots)
-	}
+	d := newDenseSlots(int(numSlots), withClocks)
+	d.occ = make([]cellSlot, 0, count)
+	seen := make([]uint64, (numSlots+63)/64)
 	bounds := grid.EmptyRect
 	var prev grid.Point
 	for i := uint64(0); i < count; i++ {
@@ -868,13 +953,26 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 		if slot >= numSlots {
 			return nil, nil, fmt.Errorf("world: snapshot slot %d outside %d slots", slot, numSlots)
 		}
+		bit := uint64(1) << (slot & 63)
+		if seen[slot>>6]&bit != 0 {
+			return nil, nil, fmt.Errorf("%w: slot %d at %v", ErrDuplicateSlot, slot, p)
+		}
+		seen[slot>>6] |= bit
 		if nruns > robot.MaxRuns {
 			return nil, nil, fmt.Errorf("world: snapshot robot at %v holds %d runs (max %d)", p, nruns, robot.MaxRuns)
 		}
-		st := &d.states[slot]
-		st.n = int8(nruns)
-		for j := uint64(0); j < nruns; j++ {
-			st.runs[j] = decodeRun(r)
+		if nruns > 0 {
+			var st runState
+			st.n = int8(nruns)
+			for j := range st.runs[:nruns] {
+				st.runs[j] = decodeRun(r)
+				if err := checkRun(st.runs[j]); err != nil && r.Err() == nil {
+					return nil, nil, fmt.Errorf("world: snapshot robot at %v: %v", p, err)
+				}
+			}
+			h := d.newRunHandle()
+			d.runPool[h] = st
+			d.runOf[slot] = h
 		}
 		if withClocks {
 			d.clocks[slot] = int(r.Uvarint())
@@ -885,18 +983,40 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 		d.occ = append(d.occ, cellSlot{p, int32(slot)})
 		bounds = bounds.Include(p)
 	}
-	d.initTable(bounds)
-	for _, c := range d.occ {
-		t := d.ensureTile(c.p)
-		d.mark(d.cur, t)
-		ry, rx := c.p.Y&tileMask, c.p.X&tileMask
-		t.bits[d.cur][ry] |= 1 << uint(rx)
-		t.slots[d.cur][ry<<tileShift|rx] = c.slot
+	if !bounds.Empty() {
+		// A swarm starts connected, so its bounding box has a semi-perimeter
+		// below its population, and gathering only contracts it. The bound
+		// keeps the chunk table, which covers the box, no larger than a
+		// world built from as many robots: a stray coordinate cannot make
+		// it reserve memory for an empty plane.
+		w, h := uint64(bounds.MaxX-bounds.MinX), uint64(bounds.MaxY-bounds.MinY)
+		if lim := numSlots + 2*tileSize; w > lim || h > lim || w+h > lim {
+			return nil, nil, fmt.Errorf("world: snapshot bounds %+v too wide for %d slots", bounds, numSlots)
+		}
 	}
-	d.count = len(d.occ)
-	d.bounds = bounds
-	d.boundsOK = true
+	d.place(bounds)
 	return d, r.Rest(), nil
+}
+
+// checkRun rejects a decoded run no engine could have produced: runs
+// glide along an axis direction with the swarm's inside perpendicular to
+// it, and carry an engine-assigned ID.
+func checkRun(r robot.Run) error {
+	switch {
+	case r.ID < 1:
+		return fmt.Errorf("run ID %d", r.ID)
+	case !isAxisUnit(r.Dir) || !isAxisUnit(r.Inside) || r.Dir.X*r.Inside.X+r.Dir.Y*r.Inside.Y != 0:
+		return fmt.Errorf("run direction %v with inside %v", r.Dir, r.Inside)
+	case r.Phase != robot.PhaseRoll && r.Phase != robot.PhasePassing:
+		return fmt.Errorf("run phase %d", r.Phase)
+	case r.StepsLeft < 0 || r.Age < 0:
+		return fmt.Errorf("run steps left %d, age %d", r.StepsLeft, r.Age)
+	}
+	return nil
+}
+
+func isAxisUnit(p grid.Point) bool {
+	return (p.X == 0) != (p.Y == 0) && p.X >= -1 && p.X <= 1 && p.Y >= -1 && p.Y <= 1
 }
 
 // --- connectivity ---
@@ -955,7 +1075,7 @@ func (d *Dense) ConnStats() ConnStats {
 
 // ConnectedBFS reports 4-connectivity with the full bitset BFS, reusing
 // internal scratch so the check allocates nothing in steady state. It is
-// the incremental layer's fallback and its differential oracle.
+// the incremental layer's differential oracle and the ForceFullBFS path.
 func (d *Dense) ConnectedBFS() bool {
 	d.ensureOcc()
 	n := len(d.occ)
@@ -988,8 +1108,8 @@ func (d *Dense) ConnectedBFS() bool {
 // to the component with the smaller minimum cell. Size 0 means the world
 // is empty. Like Connected it answers through the incremental layer —
 // folding the per-chunk component summaries relabel maintains across the
-// seam union-find — with the same conservative full-BFS fallback on cold
-// or invalid structure, and ForceFullBFS pins it to the scratch BFS. The
+// seam union-find — rebuilding a cold structure first, and ForceFullBFS
+// pins it to the scratch BFS. The
 // engine's graceful-degradation mode queries this every round, so the
 // incremental path matters.
 func (d *Dense) LargestComponent() (size int, bounds grid.Rect, seed grid.Point) {
@@ -999,31 +1119,14 @@ func (d *Dense) LargestComponent() (size int, bounds grid.Rect, seed grid.Point)
 	if d.fullBFS {
 		return d.LargestComponentBFS()
 	}
-	c := d.conn
-	if c == nil {
-		c = &connIncr{chunks: make(map[*tile]*chunkConn)}
-		d.conn = c
-	}
-	c.stats.Queries++
-	if !c.valid {
-		c.stats.Fallbacks++
-		size, bounds, seed = d.LargestComponentBFS()
-		c.rebuild(d)
-		return size, bounds, seed
-	}
-	for _, t := range c.dirty {
-		t.connDirty = false
-		c.refresh(d, t)
-	}
-	c.dirty = c.dirty[:0]
-	return c.largest(d)
+	return d.connReady().largest(d)
 }
 
 // LargestComponentBFS is the scratch-BFS implementation of
 // LargestComponent: scan the canonical cell order, flood each unvisited
 // component, keep the strictly largest — first-wins, which resolves ties
 // to the component with the smallest cell, matching the incremental path.
-// It is the fallback and the differential oracle.
+// It is the differential oracle and the ForceFullBFS path.
 func (d *Dense) LargestComponentBFS() (size int, bounds grid.Rect, seed grid.Point) {
 	d.ensureOcc()
 	d.visClear()

@@ -40,7 +40,7 @@ func (d *Dense) EnableQuiescence(radius int) {
 	}
 	d.qOn = true
 	d.qRadius = radius
-	d.qmask = make([]uint32, len(d.states))
+	d.qmask = make([]uint32, len(d.runOf))
 }
 
 // QuiesceReset drops every cached quiescent verdict: the next activation
@@ -53,11 +53,12 @@ func (d *Dense) QuiesceReset() {
 	}
 }
 
-// HasRunsAt reports whether the robot at p carries any active runs. p must
-// be occupied. Read-only and safe to call from concurrent compute workers.
+// HasRunsAt reports whether the robot at p carries any active runs: one
+// 4-byte handle read. p must be occupied. Read-only and safe to call from
+// concurrent compute workers.
 func (d *Dense) HasRunsAt(p grid.Point) bool {
 	t := d.tileAt(p)
-	return d.states[t.slots[d.cur][(p.Y&tileMask)<<tileShift|(p.X&tileMask)]].n != 0
+	return d.runOf[t.slots[d.cur][(p.Y&tileMask)<<tileShift|(p.X&tileMask)]] != 0
 }
 
 // QuiesceSkip reports whether the robot at p may skip Look+Compute this
@@ -74,7 +75,7 @@ func (d *Dense) QuiesceSkip(p grid.Point, phase int) bool {
 		return false
 	}
 	slot := t.slots[d.cur][ry<<tileShift|rx]
-	return d.qmask[slot]&(1<<uint(phase)) != 0 && d.states[slot].n == 0
+	return d.qmask[slot]&(1<<uint(phase)) != 0 && d.runOf[slot] == 0
 }
 
 // QuiesceNote records the verdict of a clean recompute for the robot at p:

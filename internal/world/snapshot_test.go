@@ -2,12 +2,15 @@ package world
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"gridgather/internal/codec"
 	"gridgather/internal/gen"
 	"gridgather/internal/grid"
 	"gridgather/internal/robot"
+	"gridgather/internal/swarm"
 )
 
 // buildWorld makes a dense world with a few planted run states and clocks.
@@ -166,5 +169,147 @@ func TestDecodeDenseRejectsCorruption(t *testing.T) {
 	b = codec.AppendUvarint(b, robot.MaxRuns+1)
 	if _, _, err := DecodeDense(b, false); err == nil {
 		t.Error("expected run-count error")
+	}
+}
+
+// A world section of seven bytes can declare 2^31-1 slots. SlotSpace
+// reads that figure without decoding anything, so callers can bound it
+// before DecodeDense sizes its per-slot tables.
+func TestSlotSpaceReadsTheHeader(t *testing.T) {
+	n, err := SlotSpace([]byte{0xff, 0xff, 0xff, 0xff, 0x07, 0, 0})
+	if err != nil || n != math.MaxInt32 {
+		t.Fatalf("SlotSpace = %d, %v; want 2^31-1", n, err)
+	}
+	d := buildWorld(t, false)
+	if n, err := SlotSpace(d.AppendState(nil)); err != nil || n != uint64(d.SlotCount()) {
+		t.Fatalf("SlotSpace = %d, %v; want %d", n, err, d.SlotCount())
+	}
+	if _, err := SlotSpace(nil); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("SlotSpace(nil) = %v, want ErrTruncated", err)
+	}
+}
+
+// Decoding costs a few bytes per slot, not a run state per slot: a world
+// of 2^20 slots and no robots decodes in well under 8 bytes a slot.
+func TestDecodeDensePerSlotCost(t *testing.T) {
+	const slots = 1 << 20
+	b := codec.AppendUvarint(nil, slots)
+	b = codec.AppendBool(b, false)
+	b = codec.AppendUvarint(b, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, _, err := DecodeDense(b, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.SlotCount() != slots {
+		t.Fatalf("SlotCount = %d", d.SlotCount())
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / slots; per > 8 {
+		t.Fatalf("decode allocated %.1f bytes per slot", per)
+	}
+}
+
+func TestDecodeDenseRejectsDuplicateSlots(t *testing.T) {
+	b := codec.AppendUvarint(nil, 3)
+	b = codec.AppendBool(b, false)
+	b = codec.AppendUvarint(b, 2)
+	for x := 0; x < 2; x++ {
+		b = codec.AppendInt(b, x)
+		b = codec.AppendInt(b, 0)
+		b = codec.AppendUvarint(b, 1) // both robots claim slot 1
+		b = codec.AppendUvarint(b, 0)
+	}
+	if _, _, err := DecodeDense(b, false); !errors.Is(err, ErrDuplicateSlot) {
+		t.Fatalf("two robots in slot 1: %v, want ErrDuplicateSlot", err)
+	}
+}
+
+// A bounding box wider than the slot space could ever span is refused
+// before the chunk table covering it is allocated.
+func TestDecodeDenseRejectsWideBounds(t *testing.T) {
+	encode := func(x int) []byte {
+		b := codec.AppendUvarint(nil, 2)
+		b = codec.AppendBool(b, false)
+		b = codec.AppendUvarint(b, 2)
+		for i, p := range []grid.Point{{X: 0, Y: 0}, {X: x, Y: 0}} {
+			b = codec.AppendInt(b, p.X)
+			b = codec.AppendInt(b, p.Y)
+			b = codec.AppendUvarint(b, uint64(i))
+			b = codec.AppendUvarint(b, 0)
+		}
+		return b
+	}
+	if _, _, err := DecodeDense(encode(100), false); err != nil {
+		t.Fatalf("a gap within the slack was refused: %v", err)
+	}
+	for _, x := range []int{1 << 20, 1 << 40, math.MaxInt64} {
+		if _, _, err := DecodeDense(encode(x), false); err == nil {
+			t.Errorf("robots at x = 0 and %d in a 2-slot world were accepted", x)
+		}
+	}
+}
+
+func TestDecodeDenseRejectsImpossibleRuns(t *testing.T) {
+	good := robot.Run{ID: 1, Dir: grid.East, Inside: grid.North}
+	for _, r := range []robot.Run{
+		{ID: 0, Dir: grid.East, Inside: grid.North},
+		{ID: 1, Dir: grid.Pt(1, 1), Inside: grid.North},
+		{ID: 1, Dir: grid.East, Inside: grid.West},
+		{ID: 1, Dir: grid.East, Inside: grid.Pt(0, 2)},
+		{ID: 1, Dir: grid.East, Inside: grid.North, Phase: 7},
+	} {
+		for _, run := range []robot.Run{good, r} {
+			b := codec.AppendUvarint(nil, 1)
+			b = codec.AppendBool(b, false)
+			b = codec.AppendUvarint(b, 1)
+			b = codec.AppendInt(b, 0)
+			b = codec.AppendInt(b, 0)
+			b = codec.AppendUvarint(b, 0)
+			b = codec.AppendUvarint(b, 1)
+			b = appendRun(b, run)
+			_, _, err := DecodeDense(b, false)
+			if ok := run == good; (err == nil) != ok {
+				t.Errorf("run %+v: err = %v", run, err)
+			}
+		}
+	}
+}
+
+// Only robots that carry runs hold a pool entry, and a merge returns the
+// entries of both the survivor and the robot merged away.
+func TestRunPoolHoldsOnlyCarriers(t *testing.T) {
+	d := buildWorld(t, false)
+	carriers := 0
+	for _, p := range d.Cells() {
+		if d.HasRunsAt(p) {
+			carriers++
+		}
+	}
+	got, _, err := DecodeDense(d.AppendState(nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(got.runPool) - 1 - len(got.runFree); n != carriers {
+		t.Fatalf("decoded pool holds %d entries for %d carriers", n, carriers)
+	}
+
+	w := NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	run := robot.Run{ID: 1, Dir: grid.East, Inside: grid.North}
+	w.SetState(grid.Pt(0, 0), robot.State{Runs: []robot.Run{run}})
+	w.SetState(grid.Pt(1, 0), robot.State{Runs: []robot.Run{run, run}})
+	w.BeginRound()
+	w.Arrive(grid.Pt(1, 0), grid.Pt(1, 0))
+	w.Arrive(grid.Pt(0, 0), grid.Pt(1, 0)) // merges onto the stayer
+	w.Arrive(grid.Pt(2, 0), grid.Pt(2, 0))
+	w.Commit()
+	if w.Len() != 2 || len(w.runFree) != 2 || w.StateAt(grid.Pt(1, 0)).HasRuns() {
+		t.Fatalf("after the merge: %d robots, %d free entries, survivor state %+v",
+			w.Len(), len(w.runFree), w.StateAt(grid.Pt(1, 0)))
+	}
+	w.SetState(grid.Pt(2, 0), robot.State{Runs: []robot.Run{run}})
+	if len(w.runPool) != 3 || len(w.runFree) != 1 {
+		t.Fatalf("a new carrier did not reuse a released entry: pool %d, free %d", len(w.runPool), len(w.runFree))
 	}
 }

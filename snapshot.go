@@ -4,7 +4,7 @@
 // fingerprint on each run; if the format changed without a snapshotVersion
 // bump, it reports the stale hash and the new one to paste in after bumping.
 //
-//gather:snapshot-format version=snapshotVersion hash=48616ae94ac37895
+//gather:snapshot-format version=snapshotVersion hash=993c38f8343b938d
 
 package gridgather
 
@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"gridgather/internal/codec"
 	"gridgather/internal/core"
@@ -57,7 +58,11 @@ var (
 // round-limit abort is re-derived from the restored budget instead, so
 // WithMaxRounds at Restore can grant an exhausted run more rounds.
 func (s *Simulation) Snapshot() ([]byte, error) {
-	b := append([]byte(nil), snapshotMagic...)
+	// A robot without runs encodes in about eight bytes (two coordinates,
+	// slot, run count), so sizing the buffer from the population spares
+	// the doubling copies of a growing append.
+	b := make([]byte, 0, 256+10*s.eng.World().Len())
+	b = append(b, snapshotMagic...)
 	b = codec.AppendUvarint(b, snapshotVersion)
 	b = codec.AppendInt(b, s.radius)
 	b = codec.AppendInt(b, s.l)
@@ -139,40 +144,15 @@ func decodeAbortState(r *codec.Reader) (error, bool) {
 //
 // Truncated input fails with ErrSnapshotTruncated, an unknown format
 // version with ErrSnapshotVersion, and corrupt or trailing data with
-// ErrSnapshotInvalid (all wrapped; match with errors.Is).
+// ErrSnapshotInvalid (all wrapped; match with errors.Is). Restore
+// allocates in proportion to the initial population the snapshot
+// declares; a server restoring snapshots it did not write bounds that
+// first with SnapshotInitialRobots.
 func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
-	if len(snapshot) < len(snapshotMagic) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotTruncated, len(snapshot))
+	sim, r, err := decodeHeader(snapshot)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(snapshot[:len(snapshotMagic)], snapshotMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotInvalid)
-	}
-	r := codec.NewReader(snapshot[len(snapshotMagic):])
-	if v := r.Uvarint(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrSnapshotVersion, v, snapshotVersion)
-	}
-	sim := &Simulation{
-		radius:        r.Int(),
-		l:             r.Int(),
-		scheduler:     r.Text(),
-		schedulerSeed: r.Varint(),
-		algorithm:     r.Text(),
-		faults:        r.Text(),
-		maxRounds:     r.Int(),
-		noMergeLimit:  r.Int(),
-		checkConn:     r.Bool(),
-		strict:        r.Bool(),
-		initial:       int(r.Uvarint()),
-	}
-	stickyErr, okTag := decodeAbortState(r)
-	if err := r.Err(); err != nil {
-		return nil, snapshotErr(err)
-	}
-	if !okTag {
-		return nil, fmt.Errorf("%w: unknown abort tag", ErrSnapshotInvalid)
-	}
-	sim.err = stickyErr
-
 	var cfg settings
 	if err := cfg.apply(opts); err != nil {
 		return nil, err
@@ -197,6 +177,17 @@ func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotInvalid, err)
 	}
+	// New gives the robots slots 0..initial-1 and merges never add one, so
+	// the world's slot space is exactly the initial population. Checking it
+	// before the engine decodes keeps a forged slot space from sizing the
+	// per-slot tables.
+	slots, err := fsync.SlotSpace(r.Rest())
+	if err != nil {
+		return nil, snapshotErr(err)
+	}
+	if slots != uint64(sim.initial) {
+		return nil, fmt.Errorf("%w: world of %d slots for an initial population of %d", ErrSnapshotInvalid, slots, sim.initial)
+	}
 	// The budget was resolved at the original construction (fairness-scaled
 	// by the initial population); Resolve here only rebuilds the algorithm
 	// and a fresh scheduler instance for the cursor to restore into.
@@ -215,10 +206,65 @@ func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
 	return sim, nil
 }
 
-// snapshotErr wraps a decode failure in the matching public sentinel.
+// SnapshotInitialRobots returns the initial population a snapshot
+// declares, reading only its header. Restore's memory grows with this
+// number, so a server accepting snapshots from clients checks it against
+// its own limit first. It fails with the same typed errors as Restore.
+func SnapshotInitialRobots(snapshot []byte) (int, error) {
+	sim, _, err := decodeHeader(snapshot)
+	if err != nil {
+		return 0, err
+	}
+	return sim.initial, nil
+}
+
+// decodeHeader reads everything ahead of the engine state: magic, version,
+// structural configuration, budget, safety flags, initial population and
+// the abort state. The reader is left at the engine state.
+func decodeHeader(snapshot []byte) (*Simulation, *codec.Reader, error) {
+	if len(snapshot) < len(snapshotMagic) {
+		return nil, nil, fmt.Errorf("%w: %d bytes", ErrSnapshotTruncated, len(snapshot))
+	}
+	if !bytes.Equal(snapshot[:len(snapshotMagic)], snapshotMagic) {
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrSnapshotInvalid)
+	}
+	r := codec.NewReader(snapshot[len(snapshotMagic):])
+	if v := r.Uvarint(); r.Err() == nil && v != snapshotVersion {
+		return nil, nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrSnapshotVersion, v, snapshotVersion)
+	}
+	sim := &Simulation{
+		radius:        r.Int(),
+		l:             r.Int(),
+		scheduler:     r.Text(),
+		schedulerSeed: r.Varint(),
+		algorithm:     r.Text(),
+		faults:        r.Text(),
+		maxRounds:     r.Int(),
+		noMergeLimit:  r.Int(),
+		checkConn:     r.Bool(),
+		strict:        r.Bool(),
+	}
+	initial := r.Uvarint()
+	stickyErr, okTag := decodeAbortState(r)
+	if err := r.Err(); err != nil {
+		return nil, nil, snapshotErr(err)
+	}
+	if !okTag {
+		return nil, nil, fmt.Errorf("%w: unknown abort tag", ErrSnapshotInvalid)
+	}
+	if initial > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("%w: initial population %d", ErrSnapshotInvalid, initial)
+	}
+	sim.initial = int(initial)
+	sim.err = stickyErr
+	return sim, r, nil
+}
+
+// snapshotErr wraps a decode failure in the matching public sentinel,
+// keeping the cause matchable too.
 func snapshotErr(err error) error {
 	if errors.Is(err, codec.ErrTruncated) {
-		return fmt.Errorf("%w: %v", ErrSnapshotTruncated, err)
+		return fmt.Errorf("%w: %w", ErrSnapshotTruncated, err)
 	}
-	return fmt.Errorf("%w: %v", ErrSnapshotInvalid, err)
+	return fmt.Errorf("%w: %w", ErrSnapshotInvalid, err)
 }
