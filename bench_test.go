@@ -14,7 +14,6 @@ import (
 	"gridgather/internal/fsync"
 	"gridgather/internal/gen"
 	"gridgather/internal/grid"
-	"gridgather/internal/robot"
 	"gridgather/internal/swarm"
 	"gridgather/internal/sweep"
 	"gridgather/internal/view"
@@ -100,9 +99,8 @@ func BenchmarkAsyncBaseline(b *testing.B) {
 // BenchmarkMergeDetection is experiment E5: the per-robot cost of checking
 // the Fig. 2 merge configurations — the inner loop of every round.
 //
-// "closure" builds a view per robot over a swarm-map closure. The "dense"
-// sub-benchmarks read the way the engine's compute stage does: one view
-// over a world.Dense, repositioned at each robot. They are split into
+// The sub-benchmarks read the way the engine's compute stage does: one
+// view over a world.Dense, repositioned at each robot. They are split into
 // interior robots (all four neighbours occupied, so no direction can be
 // exposed) and boundary robots, the only ones that can be black.
 // "dense/straight" reads the walls of a one-cell-thick 64×64 ring, where
@@ -111,21 +109,8 @@ func BenchmarkAsyncBaseline(b *testing.B) {
 func BenchmarkMergeDetection(b *testing.B) {
 	s := gen.RandomBlob(400, 7)
 	p := core.Defaults()
-	cells := s.Cells()
-	b.Run("closure", func(b *testing.B) {
-		cfg := view.Config{
-			Radius: p.Radius,
-			Occ:    s.Has,
-			State:  func(grid.Point) robot.State { return robot.State{} },
-		}
-		for i := 0; i < b.N; i++ {
-			c := cells[i%len(cells)]
-			v := view.New(cfg, c, 0)
-			core.MergeMove(v, p)
-		}
-	})
 	var interior, boundary []grid.Point
-	for _, c := range cells {
+	for _, c := range s.Cells() {
 		if s.Degree(c) == 4 {
 			interior = append(interior, c)
 		} else {

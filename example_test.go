@@ -197,6 +197,15 @@ func ExampleConnected() {
 	// false
 }
 
+// Render draws a swarm row by row, highest y first: '#' marks a robot and
+// '.' a free cell inside the bounding box.
+func ExampleRender() {
+	fmt.Print(gridgather.Render([]gridgather.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}}))
+	// Output:
+	// #.
+	// ##
+}
+
 // WithObserver subscribes at construction; a RoundEvents observer sees
 // every FSYNC round. Here it finds the round in which the population first
 // halves.

@@ -81,6 +81,11 @@ var ErrNotConnected = errors.New("gridgather: input swarm is not connected")
 // ErrEmpty is returned for an empty input.
 var ErrEmpty = errors.New("gridgather: input swarm is empty")
 
+// ErrCoordinateRange is returned for an input cell with |X| or |Y| above
+// 2^62: robots look and move a bounded distance past their cell, and the
+// bound keeps those reads clear of the int64 wrap.
+var ErrCoordinateRange = errors.New("gridgather: cell coordinate beyond ±2^62")
+
 // ErrNegativeMaxRounds is returned for a negative WithMaxRounds, which is
 // reserved (0 already selects the default budget; there is no "unlimited"
 // knob in the public API — a broken configuration should abort, not spin).
@@ -163,7 +168,7 @@ func Connected(cells []Point) bool {
 	return buildSwarm(cells).Connected()
 }
 
-// Render draws the cells as ASCII art ('#' robots, '·' free), highest y
+// Render draws the cells as ASCII art ('#' robots, '.' free), highest y
 // first — a convenience for demos and debugging.
 func Render(cells []Point) string {
 	return buildSwarm(cells).String()

@@ -2,31 +2,29 @@ package core
 
 import (
 	"gridgather/internal/grid"
-	"gridgather/internal/robot"
 	"gridgather/internal/swarm"
 	"gridgather/internal/view"
+	"gridgather/internal/world"
 )
 
 // Global analysis helpers. These evaluate the algorithm's *local* predicates
 // at every robot of a swarm, giving tests and the experiment harness a
 // global picture (e.g. "is this swarm mergeless?", the premise of Lemma 1).
 
-// analysisView builds a stateless view for the robot at origin.
+// analysisView builds a stateless view over a world built from the swarm,
+// for the robot at origin; Reposition moves it to another robot.
 func analysisView(s *swarm.Swarm, p Params, origin grid.Point, round int) *view.View {
-	return view.New(view.Config{
-		Radius:  p.Radius,
-		Checked: false,
-		Occ:     s.Has,
-		State:   func(grid.Point) robot.State { return robot.State{} },
-	}, origin, round)
+	return view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(s, false)}, origin, round)
 }
 
 // MergeBlacks returns every robot that would execute a merge hop this
 // round, with its hop direction.
 func MergeBlacks(s *swarm.Swarm, p Params) map[grid.Point]grid.Point {
 	out := make(map[grid.Point]grid.Point)
+	v := analysisView(s, p, grid.Zero, 0)
 	for _, c := range s.Cells() {
-		if d, ok := MergeMove(analysisView(s, p, c, 0), p); ok {
+		v.Reposition(c, 0)
+		if d, ok := MergeMove(v, p); ok {
 			out[c] = d
 		}
 	}
@@ -36,8 +34,10 @@ func MergeBlacks(s *swarm.Swarm, p Params) map[grid.Point]grid.Point {
 // Mergeless reports whether no robot of the swarm can execute a merge — the
 // paper's "Mergeless Swarm" (§3.2).
 func Mergeless(s *swarm.Swarm, p Params) bool {
+	v := analysisView(s, p, grid.Zero, 0)
 	for _, c := range s.Cells() {
-		if _, ok := MergeMove(analysisView(s, p, c, 0), p); ok {
+		v.Reposition(c, 0)
+		if _, ok := MergeMove(v, p); ok {
 			return false
 		}
 	}
@@ -48,8 +48,9 @@ func Mergeless(s *swarm.Swarm, p Params) bool {
 // with the matched orientations (one entry = Start-A, two = Start-B).
 func StartPoints(s *swarm.Swarm, p Params) map[grid.Point][]startMatch {
 	out := make(map[grid.Point][]startMatch)
+	v := analysisView(s, p, grid.Zero, 0)
 	for _, c := range s.Cells() {
-		v := analysisView(s, p, c, 0)
+		v.Reposition(c, 0)
 		matches := startMatches(v)
 		switch len(matches) {
 		case 1:

@@ -1,18 +1,19 @@
-// Differential oracle suite for the incremental connectivity layer: an
-// engine running the incremental Connected path must be indistinguishable —
-// same per-round boolean, same abort error, same abort round — from an
-// engine pinned to the full scratch-BFS path (Config.FullBFSConnectivity),
-// across the seeded workload corpus, every scheduler family and several
-// worker counts. Each round additionally cross-checks the incremental
-// world's own two paths (Connected vs ConnectedBFS), so a wrong incremental
-// answer is caught even on rounds where both engines would abort alike.
+// Oracle suite for the incremental connectivity layer: an engine checking
+// connectivity every round through the incremental layer must answer as
+// the scratch flood does — after every round its world's Connected must
+// equal ConnectedBFS and its LargestComponent must equal
+// LargestComponentBFS — across the seeded workload corpus, every scheduler
+// family and several worker counts. Wherever the engine aborts with
+// ErrDisconnected, the scratch BFS must find the swarm disconnected too.
 //
 // The planted-disconnection tests drive the complementary direction: a
-// scripted algorithm severs a known bridge robot at a known round, and both
-// connectivity modes must report ErrDisconnected at exactly the same round.
+// scripted algorithm severs a known bridge robot at a known round, and the
+// engine must report ErrDisconnected at exactly that round.
 package fsync_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -26,69 +27,59 @@ import (
 	"gridgather/internal/view"
 )
 
-// connEngines builds two engines over the same swarm, spec and worker
-// count: one on the incremental connectivity path, one pinned to the
-// full-BFS oracle.
-func connEngines(t *testing.T, s *swarm.Swarm, spec string, workers int) (incr, oracle *fsync.Engine, maxRounds int) {
+// connEngine builds an engine over the swarm with the connectivity check
+// on: the paper's algorithm under FSYNC, the asyncseq baseline under any
+// other scheduler spec.
+func connEngine(t *testing.T, s *swarm.Swarm, spec string, workers int) (eng *fsync.Engine, maxRounds int) {
 	t.Helper()
-	build := func(fullBFS bool) *fsync.Engine {
-		var alg fsync.Algorithm = core.Default()
-		var sch sched.Scheduler
-		if spec != "fsync" {
-			alg = asyncseq.Algorithm{}
-			var err error
-			if sch, err = sched.Parse(spec, 42); err != nil {
-				t.Fatal(err)
-			}
+	var alg fsync.Algorithm = core.Default()
+	var sch sched.Scheduler
+	if spec != "fsync" {
+		alg = asyncseq.Algorithm{}
+		var err error
+		if sch, err = sched.Parse(spec, 42); err != nil {
+			t.Fatal(err)
 		}
-		budget := fsync.DefaultBudget(s.Len())
-		if sch != nil {
-			budget = budget.Scale(sch.Fairness(s.Len()))
-		}
-		maxRounds = budget.MaxRounds
-		return fsync.New(s, alg, fsync.Config{
-			MaxRounds:           budget.MaxRounds,
-			NoMergeLimit:        budget.NoMergeLimit,
-			CheckConnectivity:   true,
-			Workers:             workers,
-			Scheduler:           sch,
-			FullBFSConnectivity: fullBFS,
-		})
 	}
-	return build(false), build(true), maxRounds
+	budget := fsync.DefaultBudget(s.Len())
+	if sch != nil {
+		budget = budget.Scale(sch.Fairness(s.Len()))
+	}
+	return fsync.New(s, alg, fsync.Config{
+		MaxRounds:         budget.MaxRounds,
+		NoMergeLimit:      budget.NoMergeLimit,
+		CheckConnectivity: true,
+		Workers:           workers,
+		Scheduler:         sch,
+	}), budget.MaxRounds
 }
 
-// stepBoth advances both engines one round and fails on any observable
-// divergence between the connectivity modes; it returns true when the run
-// is over (both gathered or both aborted identically).
-func stepBoth(t *testing.T, incr, oracle *fsync.Engine) bool {
+// stepChecked advances the engine one round and holds its world's
+// incremental answers to the scratch flood. An ErrDisconnected abort must
+// leave a world the scratch BFS finds disconnected.
+func stepChecked(t *testing.T, eng *fsync.Engine) error {
 	t.Helper()
-	errI, errO := incr.Step(), oracle.Step()
-	if (errI == nil) != (errO == nil) {
-		t.Fatalf("round %d: abort diverged: incremental %v, full-BFS %v",
-			incr.Round(), errI, errO)
+	err := eng.Step()
+	w := eng.World()
+	bfs := w.ConnectedBFS()
+	if got := w.Connected(); got != bfs {
+		t.Fatalf("round %d: incremental Connected = %v, scratch BFS = %v", eng.Round(), got, bfs)
 	}
-	if errI != nil {
-		dI, okI := errI.(fsync.ErrDisconnected)
-		dO, okO := errO.(fsync.ErrDisconnected)
-		if okI != okO || (okI && dI.Round != dO.Round) || (!okI && errI.Error() != errO.Error()) {
-			t.Fatalf("abort error diverged: incremental %v, full-BFS %v", errI, errO)
-		}
-		return true
+	size, bounds, seed := w.LargestComponent()
+	bsize, bbounds, bseed := w.LargestComponentBFS()
+	if size != bsize || bounds != bbounds || seed != bseed {
+		t.Fatalf("round %d: incremental LargestComponent = (%d %+v %v), scratch BFS = (%d %+v %v)",
+			eng.Round(), size, bounds, seed, bsize, bbounds, bseed)
 	}
-	// The engines agree; now make the incremental world testify against
-	// itself — its incremental answer must match its own scratch BFS.
-	w := incr.World()
-	if got, want := w.Connected(), w.ConnectedBFS(); got != want {
-		t.Fatalf("round %d: incremental Connected = %v, scratch BFS = %v",
-			incr.Round(), got, want)
+	if errors.As(err, new(fsync.ErrDisconnected)) && bfs {
+		t.Fatalf("round %d: %v, but the scratch BFS finds the swarm connected", eng.Round(), err)
 	}
-	return incr.Gathered() && oracle.Gathered()
+	return err
 }
 
 // TestConnectivityDifferential is the headline oracle suite: seeded
-// catalog × scheduler families × worker counts, incremental vs full-BFS
-// engines in lockstep until both gather.
+// catalog × scheduler families × worker counts, one engine per cell run
+// until it gathers, its incremental answers checked every round.
 func TestConnectivityDifferential(t *testing.T) {
 	const n = 56
 	specs := []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:8"}
@@ -96,18 +87,16 @@ func TestConnectivityDifferential(t *testing.T) {
 		for _, spec := range specs {
 			for _, workers := range []int{1, 4, 16} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", w.Name, spec, workers), func(t *testing.T) {
-					s := w.Build(n, 42)
-					incr, oracle, maxRounds := connEngines(t, s, spec, workers)
-					for r := 0; r < maxRounds; r++ {
-						if stepBoth(t, incr, oracle) {
-							break
+					eng, maxRounds := connEngine(t, w.Build(n, 42), spec, workers)
+					for r := 0; r < maxRounds && !eng.Gathered(); r++ {
+						if err := stepChecked(t, eng); err != nil {
+							t.Fatalf("round %d: %v", eng.Round(), err)
 						}
 					}
-					if !incr.Gathered() || !oracle.Gathered() {
-						t.Fatalf("round budget exhausted: incremental gathered=%v, full-BFS gathered=%v",
-							incr.Gathered(), oracle.Gathered())
+					if !eng.Gathered() {
+						t.Fatal("round budget exhausted before gathering")
 					}
-					st := incr.World().ConnStats()
+					st := eng.World().ConnStats()
 					if st.Queries == 0 || st.Fallbacks != 1 {
 						t.Fatalf("incremental layer never took over: %+v", st)
 					}
@@ -170,101 +159,88 @@ func dumbbell() *swarm.Swarm {
 }
 
 // TestPlantedDisconnection severs the dumbbell's bridge at a known round
-// and checks both connectivity modes abort with ErrDisconnected at exactly
-// the same round — and, under FSYNC (where activation timing is total),
-// exactly the planted round.
+// and checks the engine aborts with ErrDisconnected at the first round the
+// scratch BFS finds the swarm disconnected — and, under FSYNC (where
+// activation timing is total), exactly the planted round.
 func TestPlantedDisconnection(t *testing.T) {
 	const cut = 7
 	for _, spec := range []string{"fsync", "ssync-rr:3", "async:8"} {
 		t.Run(spec, func(t *testing.T) {
-			run := func(fullBFS bool) fsync.ErrDisconnected {
-				t.Helper()
-				var sch sched.Scheduler
-				if spec != "fsync" {
-					var err error
-					if sch, err = sched.Parse(spec, 42); err != nil {
-						t.Fatal(err)
-					}
+			var sch sched.Scheduler
+			if spec != "fsync" {
+				var err error
+				if sch, err = sched.Parse(spec, 42); err != nil {
+					t.Fatal(err)
 				}
-				eng := fsync.New(dumbbell(), bridgeCutAlg{cutRound: cut}, fsync.Config{
-					MaxRounds:           1000,
-					CheckConnectivity:   true,
-					StrictViews:         true,
-					Workers:             4,
-					Scheduler:           sch,
-					FullBFSConnectivity: fullBFS,
-				})
-				for r := 0; r < 1000; r++ {
-					if err := eng.Step(); err != nil {
-						dis, ok := err.(fsync.ErrDisconnected)
-						if !ok {
-							t.Fatalf("step %d: %v (want ErrDisconnected)", r, err)
-						}
-						return dis
+			}
+			eng := fsync.New(dumbbell(), bridgeCutAlg{cutRound: cut}, fsync.Config{
+				MaxRounds:         1000,
+				CheckConnectivity: true,
+				StrictViews:       true,
+				Workers:           4,
+				Scheduler:         sch,
+			})
+			var dis fsync.ErrDisconnected
+			for r := 0; r < 1000; r++ {
+				// stepChecked holds every earlier round connected under
+				// the scratch BFS, and this one disconnected.
+				if err := stepChecked(t, eng); err != nil {
+					if !errors.As(err, &dis) {
+						t.Fatalf("step %d: %v (want ErrDisconnected)", r, err)
 					}
+					break
 				}
+			}
+			if dis.Round == 0 {
 				t.Fatal("the planted cut never disconnected the swarm")
-				panic("unreachable")
 			}
-			gotIncr, gotBFS := run(false), run(true)
-			if gotIncr != gotBFS {
-				t.Fatalf("abort rounds diverged: incremental %v, full-BFS %v", gotIncr, gotBFS)
-			}
-			if spec == "fsync" && gotIncr.Round != cut+1 {
+			if spec == "fsync" && dis.Round != cut+1 {
 				// Views carry the pre-increment round counter, so a move
 				// computed at view round `cut` lands in engine round cut+1.
-				t.Fatalf("FSYNC abort round = %d, want %d", gotIncr.Round, cut+1)
+				t.Fatalf("FSYNC abort round = %d, want %d", dis.Round, cut+1)
 			}
 		})
 	}
 }
 
 // TestConnectivitySnapshotRestore cuts a run mid-flight, snapshots the
-// incremental engine, and restores it twice — once per connectivity mode.
-// Both restored engines and the original must stay in lockstep to the end,
-// proving Restore rebuilds the incremental state (via its cold-start
-// fallback) without observable difference.
+// engine and restores it. The restored engine starts with a cold
+// incremental structure; it and the original must stay in lockstep to the
+// end, both checked against the scratch flood every round, proving Restore
+// rebuilds the incremental state without observable difference.
 func TestConnectivitySnapshotRestore(t *testing.T) {
 	s := gen.SeededCatalog()[0].Build(56, 42)
-	incr, _, maxRounds := connEngines(t, s, "fsync", 4)
-	for r := 0; r < 40 && !incr.Gathered(); r++ {
-		if err := incr.Step(); err != nil {
+	orig, maxRounds := connEngine(t, s, "fsync", 4)
+	// The line gathers in 27 rounds at this size: cut well before that.
+	for r := 0; r < 10; r++ {
+		if err := stepChecked(t, orig); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := incr.AppendState(nil)
-
-	restore := func(fullBFS bool) *fsync.Engine {
-		t.Helper()
-		eng, rest, err := fsync.NewRestored(core.Default(), fsync.Config{
-			MaxRounds:           maxRounds,
-			CheckConnectivity:   true,
-			Workers:             4,
-			FullBFSConnectivity: fullBFS,
-		}, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%d bytes left after restore", len(rest))
-		}
-		return eng
+	restored, rest, err := fsync.NewRestored(core.Default(), fsync.Config{
+		MaxRounds:         maxRounds,
+		CheckConnectivity: true,
+		Workers:           4,
+	}, orig.AppendState(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rIncr, rBFS := restore(false), restore(true)
-	for r := 0; r < maxRounds && !incr.Gathered(); r++ {
-		if stepBoth(t, incr, rBFS) {
-			break
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after restore", len(rest))
+	}
+	for r := 0; r < maxRounds && !orig.Gathered(); r++ {
+		errO, errR := stepChecked(t, orig), stepChecked(t, restored)
+		if errO != nil || errR != nil {
+			t.Fatalf("round %d: original %v, restored %v", orig.Round(), errO, errR)
 		}
-		if err := rIncr.Step(); err != nil {
-			t.Fatalf("restored incremental engine aborted: %v", err)
-		}
-		a, b := incr.World(), rIncr.World()
-		if got, want := b.Connected(), a.Connected(); got != want {
-			t.Fatalf("round %d: restored Connected = %v, original %v", incr.Round(), got, want)
+		if !bytes.Equal(orig.AppendState(nil), restored.AppendState(nil)) {
+			t.Fatalf("round %d: restored engine diverged from the original", orig.Round())
 		}
 	}
-	if !incr.Gathered() || !rIncr.Gathered() || !rBFS.Gathered() {
-		t.Fatalf("gather diverged: original=%v restored-incr=%v restored-bfs=%v",
-			incr.Gathered(), rIncr.Gathered(), rBFS.Gathered())
+	if !orig.Gathered() || !restored.Gathered() {
+		t.Fatalf("gather diverged: original=%v restored=%v", orig.Gathered(), restored.Gathered())
+	}
+	if st := restored.World().ConnStats(); st.Fallbacks != 1 {
+		t.Fatalf("restored engine's connectivity stats %+v, want one cold rebuild", st)
 	}
 }

@@ -16,9 +16,7 @@
 // Step executes each round in four explicit stages:
 //
 //	Activate  resolve the round's activation set (everyone under FSYNC; a
-//	          scheduler subset otherwise — contiguous activation windows
-//	          are sliced straight out of the cell order via
-//	          sched.RangeActivator, without a per-robot mask pass)
+//	          scheduler's activation mask over the cell order otherwise)
 //	Compute   Look+Compute for every activated robot, sharded across
 //	          workers against the immutable pre-round snapshot
 //	Resolve   apply all moves in one pass in canonical cell order: merge
@@ -93,13 +91,14 @@ type Config struct {
 	// Callers that want the standard limits should use DefaultBudget; the
 	// public API rejects negative values outright.
 	MaxRounds int
-	// CheckConnectivity verifies after every CheckEvery rounds that the
-	// swarm is still connected, and aborts with an error if not. The
-	// paper's central safety property is that "robot movements must not
-	// harm the (only globally checkable) swarm connectivity".
+	// CheckConnectivity verifies after every round that the swarm is still
+	// connected, and aborts with an error if not. The paper's central
+	// safety property is that "robot movements must not harm the (only
+	// globally checkable) swarm connectivity". The check answers through
+	// the world's incremental connectivity layer (see
+	// internal/world/connincr.go); the connectivity suite holds it to the
+	// scratch BFS every round.
 	CheckConnectivity bool
-	// CheckEvery is the connectivity check period (default 1).
-	CheckEvery int
 	// StrictViews makes views panic on out-of-radius reads, proving the
 	// algorithm local. Slightly slower; on by default in tests.
 	StrictViews bool
@@ -120,23 +119,6 @@ type Config struct {
 	// 1 (core.Gatherer is: it only reads the view and bumps atomic
 	// counters).
 	Workers int
-	// FullBFSConnectivity pins the connectivity check to the full
-	// scratch-BFS path instead of the default incremental layer (per-chunk
-	// component labels + a seam union-find, recomputed only for chunks the
-	// round dirtied — see internal/world/connincr.go). The two paths are
-	// proven to agree answer-for-answer by the differential suite; this
-	// knob is the escape hatch and the oracle side of that suite.
-	FullBFSConnectivity bool
-	// FullRecompute disables the quiescence fast path: every activated
-	// robot rebuilds its view and reruns Compute every round, even when the
-	// dirty-region tracking proves its view unchanged and its cached
-	// verdict is "stay". Like FullBFSConnectivity this never changes
-	// outcomes — the quiescence differential suite proves skip ≡ recompute
-	// bit-identically — so it is an escape hatch and the oracle side of
-	// that suite. Quiescence also self-disables when the algorithm does not
-	// implement Periodic or when StrictViews is on (a skipped robot proves
-	// no locality).
-	FullRecompute bool
 	// Scheduler yields each round's activation set, generalizing the time
 	// model to SSYNC/ASYNC (see internal/sched). nil means FSYNC — every
 	// robot every round — via a fast path that skips the activation and
@@ -335,18 +317,13 @@ func (e ErrRoundLimit) Error() string {
 // New creates an engine simulating the given swarm (which it does not
 // retain) under the given algorithm.
 func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 1
-	}
 	if cfg.MaxRounds < 0 {
 		cfg.MaxRounds = 0 // reserved: negative means the same as "no limit"
 	}
-	w := world.NewDense(s, cfg.Scheduler != nil)
-	w.ForceFullBFS(cfg.FullBFSConnectivity)
 	e := &Engine{
 		cfg:       cfg,
 		alg:       alg,
-		w:         w,
+		w:         world.NewDense(s, cfg.Scheduler != nil),
 		nextRunID: 1,
 	}
 	e.initFaults()
@@ -636,7 +613,7 @@ func (e *Engine) Step() error {
 		e.lastMerge = e.round
 	}
 
-	if e.cfg.CheckConnectivity && e.round%e.cfg.CheckEvery == 0 && !e.degraded {
+	if e.cfg.CheckConnectivity && !e.degraded {
 		if !e.w.Connected() {
 			if e.cfg.Faults == nil {
 				return ErrDisconnected{Round: e.round}
@@ -661,10 +638,7 @@ func (e *Engine) Step() error {
 // stageActivate fills e.order (this round's activation set) and e.sleep
 // (everyone else), both in canonical cell order. Under FSYNC every robot
 // runs a full look-compute-move cycle every round; a Scheduler restricts
-// the round to its activation subset. Schedulers whose activation set is a
-// contiguous window of the cell order (sched.RangeActivator — FSYNC,
-// ASYNC wavefronts) deliver it as a slot range sliced straight out of the
-// sorted order, skipping the per-robot mask pass entirely.
+// the round to the robots it marks in a mask over the cell order.
 //
 //gather:hotpath
 func (e *Engine) stageActivate(scheduled bool) {
@@ -682,24 +656,6 @@ func (e *Engine) stageActivate(scheduled bool) {
 	if e.crashTrack {
 		e.activateFaulty(scheduled, cells)
 		return
-	}
-	if ra, ok := e.cfg.Scheduler.(sched.RangeActivator); ok {
-		if lo, m, ok := ra.ActivateRange(e.round, len(cells)); ok {
-			n := len(cells)
-			switch hi := lo + m; {
-			case m >= n:
-				e.order = append(e.order, cells...)
-			case hi <= n:
-				e.order = append(e.order, cells[lo:hi]...)
-				e.sleep = append(e.sleep, cells[:lo]...)
-				e.sleep = append(e.sleep, cells[hi:]...)
-			default: // the window wraps: ascending order is [0,hi-n) ∪ [lo,n)
-				e.order = append(e.order, cells[:hi-n]...)
-				e.order = append(e.order, cells[lo:]...)
-				e.sleep = append(e.sleep, cells[hi-n:lo]...)
-			}
-			return
-		}
 	}
 	slots := e.w.Slots()
 	if cap(e.mask) < len(cells) {
@@ -721,9 +677,7 @@ func (e *Engine) stageActivate(scheduled bool) {
 // round's crash decisions over the live population (in canonical cell
 // order, so the coin stream is position-stable), then intersects the
 // scheduler's activation set with the survivors — a crashed robot sleeps
-// forever. Range-activating schedulers go through the generic mask path
-// here: Activate and ActivateRange are proven equivalent, and a mask is
-// needed anyway to subtract the crashed set.
+// forever.
 //
 //gather:hotpath
 func (e *Engine) activateFaulty(scheduled bool, cells []grid.Point) {

@@ -19,10 +19,11 @@
 //	commit     Dense.noteRoundDiff dilates every occupancy change by the
 //	           view radius into the dirty planes for the next round
 //
-// The skip is exact, not approximate: the differential suite steps
-// quiescent and full-recompute engines in lockstep and demands bit
-// identity (cells, slots, run states + IDs, clocks, counters, final
-// Result) across the workload corpus × scheduler families × worker
+// The skip is exact, not approximate: the differential suite steps a
+// quiescent engine in lockstep with one running the same algorithm
+// without its Periodic declaration (so every robot recomputes) and
+// demands bit identity (cells, slots, run states + IDs, clocks, counters,
+// final Result) across the workload corpus × scheduler families × worker
 // counts × fault plans.
 //
 //gather:deterministic
@@ -38,8 +39,8 @@ const (
 
 // QuiesceStats reports the quiescence layer's lifetime counters.
 type QuiesceStats struct {
-	// Enabled reports whether the fast path is active (algorithm is
-	// Periodic, FullRecompute and StrictViews are off).
+	// Enabled reports whether the fast path is active (the algorithm is
+	// Periodic and StrictViews is off).
 	Enabled bool
 	// Computed counts activations that ran Look+Compute; Skipped counts
 	// activations that replayed the cached quiescent action.
@@ -62,12 +63,14 @@ func (e *Engine) QuiesceStats() QuiesceStats {
 // initQuiesce enables the quiescence fast path when it is sound: the
 // algorithm declares a round period (Periodic) small enough for the
 // 32-bit verdict masks, its radius fits the dirty planes' dilation window,
-// FullRecompute is off, and views are not strict (a skipped robot proves
-// no locality, so StrictViews must see every compute). Shared by New and
+// and views are not strict (a skipped robot proves no locality, so
+// StrictViews must see every compute). An algorithm that does not
+// implement Periodic therefore recomputes every robot every round; the
+// quiescence suite builds its reference engine that way. Shared by New and
 // NewRestored; restored engines start with empty masks, which is always
 // sound — every robot recomputes until fresh verdicts accumulate.
 func (e *Engine) initQuiesce() {
-	if e.cfg.FullRecompute || e.cfg.StrictViews {
+	if e.cfg.StrictViews {
 		return
 	}
 	p, ok := e.alg.(Periodic)

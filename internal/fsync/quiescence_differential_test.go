@@ -2,9 +2,10 @@
 // cached quiescent actions for robots whose dirty-region tracking proves
 // their views unchanged must be BIT-IDENTICAL — cells, slots, run states +
 // IDs, logical clocks, counters, and the final Result — to an engine
-// pinned to full recomputation (Config.FullRecompute), across the seeded
-// workload corpus, every scheduler family, several worker counts, fault
-// plans (crashes and sensor noise), and a mid-run snapshot/restore. The
+// running the same algorithm inside recomputeAll, which hides its Periodic
+// declaration so that every robot recomputes every round, across the
+// seeded workload corpus, every scheduler family, several worker counts,
+// fault plans (crashes and sensor noise), and a mid-run snapshot/restore. The
 // comparison is the engines' own canonical snapshot encoding, so any state
 // the codec can see diverging fails the round it diverges.
 package fsync_test
@@ -23,10 +24,15 @@ import (
 	"gridgather/internal/swarm"
 )
 
+// recomputeAll embeds only the Algorithm interface, so it does not
+// implement fsync.Periodic and the engine turns quiescence off: the
+// reference engine of this suite recomputes every robot every round.
+type recomputeAll struct{ fsync.Algorithm }
+
 // qEngines builds two engines over the same swarm, scheduler spec, fault
-// spec and worker count: one on the quiescence fast path, one pinned to
-// full recomputation. Each engine gets its own freshly parsed scheduler
-// and fault plan (both carry consumable RNG cursors).
+// spec and worker count: one on the quiescence fast path, one running the
+// same algorithm inside recomputeAll. Each engine gets its own freshly
+// parsed scheduler and fault plan (both carry consumable RNG cursors).
 func qEngines(t *testing.T, s *swarm.Swarm, spec, faults string, workers int) (quick, oracle *fsync.Engine, maxRounds int) {
 	t.Helper()
 	build := func(fullRecompute bool) *fsync.Engine {
@@ -51,6 +57,9 @@ func qEngines(t *testing.T, s *swarm.Swarm, spec, faults string, workers int) (q
 			budget = budget.Scale(sch.Fairness(s.Len()))
 		}
 		maxRounds = budget.MaxRounds
+		if fullRecompute {
+			alg = recomputeAll{alg}
+		}
 		return fsync.New(s, alg, fsync.Config{
 			MaxRounds:         budget.MaxRounds,
 			NoMergeLimit:      budget.NoMergeLimit,
@@ -58,7 +67,6 @@ func qEngines(t *testing.T, s *swarm.Swarm, spec, faults string, workers int) (q
 			Workers:           workers,
 			Scheduler:         sch,
 			Faults:            plan,
-			FullRecompute:     fullRecompute,
 		})
 	}
 	return build(false), build(true), maxRounds
@@ -161,27 +169,27 @@ func TestQuiescenceDifferentialFaults(t *testing.T) {
 }
 
 // TestQuiescenceSnapshotRestore cuts a quiescent run mid-flight, snapshots
-// it, and restores the snapshot twice — once per recompute mode. All three
-// engines must stay in lockstep to the end: the verdict masks are not
-// snapshot state, so a restored engine must converge bit-identically from
-// a cold cache.
+// it, and restores the snapshot twice — once with the fast path, once
+// inside recomputeAll. All three engines must stay in lockstep to the end:
+// the verdict masks are not snapshot state, so a restored engine must
+// converge bit-identically from a cold cache.
 func TestQuiescenceSnapshotRestore(t *testing.T) {
 	s := gen.SeededCatalog()[0].Build(56, 42)
 	quick, _, maxRounds := qEngines(t, s, "fsync", "", 4)
-	for r := 0; r < 40 && !quick.Gathered(); r++ {
+	// The line gathers in 27 rounds at this size: cut well before that.
+	for r := 0; r < 10; r++ {
 		if err := quick.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := quick.AppendState(nil)
 
-	restore := func(fullRecompute bool) *fsync.Engine {
+	restore := func(alg fsync.Algorithm) *fsync.Engine {
 		t.Helper()
-		eng, rest, err := fsync.NewRestored(core.Default(), fsync.Config{
+		eng, rest, err := fsync.NewRestored(alg, fsync.Config{
 			MaxRounds:         maxRounds,
 			CheckConnectivity: true,
 			Workers:           4,
-			FullRecompute:     fullRecompute,
 		}, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -191,16 +199,17 @@ func TestQuiescenceSnapshotRestore(t *testing.T) {
 		}
 		return eng
 	}
-	rQuick, rFull := restore(false), restore(true)
+	rQuick, rFull := restore(core.Default()), restore(recomputeAll{core.Default()})
 	for r := 0; r < maxRounds && !quick.Gathered(); r++ {
-		if qStepBoth(t, quick, rFull) {
-			break
-		}
+		done := qStepBoth(t, quick, rFull)
 		if err := rQuick.Step(); err != nil {
 			t.Fatalf("restored quiescent engine aborted: %v", err)
 		}
 		if !bytes.Equal(quick.AppendState(nil), rQuick.AppendState(nil)) {
 			t.Fatalf("round %d: restored quiescent engine diverged from the original", quick.Round())
+		}
+		if done {
+			break
 		}
 	}
 	if !quick.Gathered() || !rQuick.Gathered() || !rFull.Gathered() {

@@ -151,9 +151,6 @@ func SlotSpace(b []byte) (uint64, error) {
 // worker count and hooks may differ freely. The scheduler's cursor is
 // restored into cfg.Scheduler in place.
 func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 1
-	}
 	if cfg.MaxRounds < 0 {
 		cfg.MaxRounds = 0
 	}
@@ -170,7 +167,6 @@ func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w.ForceFullBFS(cfg.FullBFSConnectivity)
 	e.w = w
 	if cfg.Scheduler != nil {
 		cc, ok := cfg.Scheduler.(sched.CursorCodec)

@@ -14,6 +14,16 @@ type Point struct {
 	X, Y int
 }
 
+// MaxCoord bounds the cells a simulation accepts: |X| and |Y| at most
+// 2^62. Robots look and move a bounded distance past their own cell, and
+// the bound keeps every such read and move clear of the int64 wrap.
+const MaxCoord = 1 << 62
+
+// InRange reports whether |X| and |Y| are at most MaxCoord.
+func (p Point) InRange() bool {
+	return p.X >= -MaxCoord && p.X <= MaxCoord && p.Y >= -MaxCoord && p.Y <= MaxCoord
+}
+
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y int) Point { return Point{x, y} }
 

@@ -33,15 +33,16 @@ type Entry struct {
 	Workers  int    `json:"workers"`
 	// Conn marks connectivity-check microbench entries ("incr" or "bfs"):
 	// NsPerRound is then the cost of one sparse-movement round — a single
-	// ad-hoc robot hop plus one Connected query — under that connectivity
-	// mode, with no engine attached. Empty for engine Step entries. The
+	// ad-hoc robot hop plus one Connected ("incr") or ConnectedBFS ("bfs")
+	// query — with no engine attached. Empty for engine Step entries. The
 	// regression guard ignores conn entries.
 	Conn string `json:"conn,omitempty"`
 	// Quiesce tags engine Step entries measured under an explicit
-	// quiescence mode ("on" = the dirty-region fast path, "off" =
-	// Config.FullRecompute). Empty when the run did not sweep the quiesce
-	// axis (entries then measure the engine default, which is "on"). The
-	// regression guard compares worker counts within one mode only.
+	// quiescence mode ("on" = the dirty-region fast path, "off" = every
+	// robot recomputes every round). Empty when the run did not sweep the
+	// quiesce axis (entries then measure the engine default, which is
+	// "on"). The regression guard compares worker counts within one mode
+	// only.
 	Quiesce string `json:"quiesce,omitempty"`
 	// NsPerRound is the mean wall-clock cost of one Engine.Step.
 	NsPerRound float64 `json:"ns_per_round"`
@@ -96,9 +97,9 @@ type Config struct {
 	// connectivity layer.
 	ConnCheck bool
 	// Quiesce measures every engine Step cell twice — quiescence fast path
-	// ("on") versus full recomputation ("off", fsync.Config.FullRecompute)
-	// — tagging the entries accordingly. The on/off ratio is the headline
-	// of the quiescence layer.
+	// ("on") versus full recomputation ("off", the algorithm wrapped in
+	// recomputeAll) — tagging the entries accordingly. The on/off ratio is
+	// the headline of the quiescence layer.
 	Quiesce bool
 }
 
@@ -159,12 +160,15 @@ func measureBest(repeats int, one func() (Entry, error)) (Entry, error) {
 // measureConn times sparse-movement connectivity rounds over the swarm's
 // world without an engine: each round removes or re-adds one robot (the
 // canonical-order corner — an O(1) mutation that dirties exactly one
-// chunk) and runs one Connected query under the chosen mode. This isolates
-// what the incremental layer replaces: the per-round connectivity check
-// cost on rounds where almost nothing moved.
-func measureConn(s *swarm.Swarm, fullBFS bool, warmup, rounds int) (Entry, error) {
+// chunk) and runs one query: Connected, or the scratch ConnectedBFS when
+// bfs is set. This isolates what the incremental layer replaces: the
+// per-round connectivity check cost on rounds where almost nothing moved.
+func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
 	d := world.NewDense(s, false)
-	d.ForceFullBFS(fullBFS)
+	query := d.Connected
+	if bfs {
+		query = d.ConnectedBFS
+	}
 	p := d.Cells()[0]
 	i := 0
 	round := func() {
@@ -173,7 +177,7 @@ func measureConn(s *swarm.Swarm, fullBFS bool, warmup, rounds int) (Entry, error
 		} else {
 			d.Add(p)
 		}
-		d.Connected()
+		query()
 	}
 	for j := 0; j < warmup; j++ {
 		round()
@@ -187,7 +191,7 @@ func measureConn(s *swarm.Swarm, fullBFS bool, warmup, rounds int) (Entry, error
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	mode := "incr"
-	if fullBFS {
+	if bfs {
 		mode = "bfs"
 	}
 	return Entry{
@@ -200,14 +204,27 @@ func measureConn(s *swarm.Swarm, fullBFS bool, warmup, rounds int) (Entry, error
 	}, nil
 }
 
+// recomputeAll runs an algorithm without its fsync.Periodic declaration,
+// so the engine turns quiescence off and every robot recomputes every
+// round.
+type recomputeAll struct{ fsync.Algorithm }
+
 // measure times MeasureRounds engine steps after warmup, restarting the
 // simulation if it gathers mid-measurement (it does not at bench sizes).
+// fullRecompute runs the algorithm in recomputeAll.
 func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (Entry, error) {
-	cfg := fsync.Config{Workers: workers, FullRecompute: fullRecompute}
-	eng := fsync.New(s, core.Default(), cfg)
+	cfg := fsync.Config{Workers: workers}
+	newEngine := func() *fsync.Engine {
+		var alg fsync.Algorithm = core.Default()
+		if fullRecompute {
+			alg = recomputeAll{alg}
+		}
+		return fsync.New(s, alg, cfg)
+	}
+	eng := newEngine()
 	step := func() error {
 		if eng.Gathered() {
-			eng = fsync.New(s, core.Default(), cfg)
+			eng = newEngine()
 		}
 		return eng.Step()
 	}
@@ -282,9 +299,9 @@ func Run(cfg Config) (Report, error) {
 				}
 			}
 			if cfg.ConnCheck {
-				for _, fullBFS := range []bool{false, true} {
+				for _, bfs := range []bool{false, true} {
 					e, err := measureBest(cfg.Repeats, func() (Entry, error) {
-						return measureConn(s, fullBFS, cfg.WarmupRounds, cfg.MeasureRounds)
+						return measureConn(s, bfs, cfg.WarmupRounds, cfg.MeasureRounds)
 					})
 					if err != nil {
 						return Report{}, fmt.Errorf("perf: %s/n=%d/conn: %w", name, n, err)

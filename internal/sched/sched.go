@@ -88,21 +88,6 @@ type CursorCodec interface {
 	RestoreCursor(b []byte) ([]byte, error)
 }
 
-// RangeActivator is an optional fast-path interface for schedulers whose
-// activation set is one contiguous window of the canonical cell order
-// (wrapping at the end). ActivateRange replaces Activate for the round: it
-// returns the window start index and length over a population of n robots
-// and advances any scheduler state, so the engine can slice the activation
-// set straight out of the sorted cell order — and hand it to the resolve
-// workers as per-chunk slot ranges — without filling and rescanning a
-// per-robot mask. Implementations must activate exactly the indices
-// {lo, lo+1, …, lo+m-1} mod n that Activate would have marked; ok=false
-// means "no range this round, fall back to Activate" and must leave the
-// scheduler state untouched.
-type RangeActivator interface {
-	ActivateRange(round, n int) (lo, m int, ok bool)
-}
-
 // FSYNC returns the fully synchronous scheduler: every robot, every round.
 // The engine's nil-scheduler fast path is bit-identical to this (proved by
 // the determinism tests in internal/fsync); the explicit value exists so the
@@ -116,9 +101,6 @@ func (fsyncSched) Activate(_ int, cells []grid.Point, _ []int32, active []bool) 
 		active[i] = true
 	}
 }
-
-// ActivateRange activates the whole population: the window [0, n).
-func (fsyncSched) ActivateRange(_, n int) (int, int, bool) { return 0, n, true }
 
 func (fsyncSched) Fairness(int) int { return 1 }
 func (fsyncSched) String() string   { return "fsync" }
@@ -390,23 +372,6 @@ func (s *sequential) Activate(_ int, cells []grid.Point, _ []int32, active []boo
 		active[(s.cursor+j)%n] = true
 	}
 	s.cursor = (s.cursor + s.width) % n
-}
-
-// ActivateRange is the wavefront as a window: `width` robots starting at
-// the cursor, wrapping at the population end — exactly the indices
-// Activate marks, without the per-robot mask.
-func (s *sequential) ActivateRange(_, n int) (int, int, bool) {
-	if n == 0 {
-		return 0, 0, true
-	}
-	s.cursor %= n
-	lo := s.cursor
-	m := s.width
-	if m > n {
-		m = n
-	}
-	s.cursor = (s.cursor + s.width) % n
-	return lo, m, true
 }
 
 func (s *sequential) Fairness(n int) int {

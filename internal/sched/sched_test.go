@@ -248,59 +248,3 @@ func TestRandomized(t *testing.T) {
 		}
 	}
 }
-
-// TestActivateRangeMatchesMask proves the RangeActivator fast path: for
-// the schedulers that deliver their activation set as a contiguous slot
-// range (FSYNC and the ASYNC wavefronts), slicing the range must activate
-// exactly the indices the mask path marks, round for round, including
-// wrap-around and a shrinking population.
-func TestActivateRangeMatchesMask(t *testing.T) {
-	cells := func(n int) []grid.Point {
-		out := make([]grid.Point, n)
-		for i := range out {
-			out[i] = grid.Pt(i, 0)
-		}
-		return out
-	}
-	slots := func(n int) []int32 {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	builds := map[string]func() Scheduler{
-		"fsync":   FSYNC,
-		"async:1": func() Scheduler { return Sequential(1) },
-		"async:3": func() Scheduler { return Sequential(3) },
-		"async:9": func() Scheduler { return Sequential(9) }, // wider than the shrunken population
-	}
-	sizes := []int{7, 7, 7, 5, 5, 4, 3, 1} // population shrinks mid-run
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			maskSched := build()
-			rangeSched, ok := build().(RangeActivator)
-			if !ok {
-				t.Fatalf("%s does not implement RangeActivator", name)
-			}
-			for round, n := range sizes {
-				active := make([]bool, n)
-				maskSched.Activate(round, cells(n), slots(n), active)
-				lo, m, ok := rangeSched.ActivateRange(round, n)
-				if !ok {
-					t.Fatalf("round %d: ActivateRange declined", round)
-				}
-				got := make([]bool, n)
-				for j := 0; j < m; j++ {
-					got[(lo+j)%n] = true
-				}
-				for i := range active {
-					if active[i] != got[i] {
-						t.Fatalf("round %d (n=%d): index %d mask=%v range=%v (lo=%d m=%d)",
-							round, n, i, active[i], got[i], lo, m)
-					}
-				}
-			}
-		})
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -213,6 +214,11 @@ func TestCreateValidation(t *testing.T) {
 	if code := doJSON(t, "POST", base+"/v1/sessions",
 		CreateRequest{Workload: "hollow", N: 10, Scheduler: "no-such-model"}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("bad scheduler: %d", code)
+	}
+	// So does a cell beyond ±2^62 (gridgather.ErrCoordinateRange).
+	if code := doJSON(t, "POST", base+"/v1/sessions",
+		CreateRequest{Cells: [][2]int{{math.MaxInt64, 0}}}, &errResp); code != http.StatusBadRequest || !strings.Contains(errResp.Error, "2^62") {
+		t.Fatalf("cell beyond 2^62: %d %q", code, errResp.Error)
 	}
 	var list ListResponse
 	doJSON(t, "GET", base+"/v1/sessions", nil, &list)

@@ -25,13 +25,11 @@ type View struct {
 	radius  int
 	checked bool
 	dense   *world.Dense
-	occ     func(grid.Point) bool
-	state   func(grid.Point) robot.State
 	round   int
 	crashed func(grid.Point) bool
 	noise   grid.Point // non-zero: occupancy reads at this offset are inverted
-	// fast marks a dense, unchecked, noise-free view: Occ is then a bare
-	// bit test. Derived by refresh whenever dense, checked or noise change.
+	// fast marks an unchecked, noise-free view: Occ is then a bare bit
+	// test. Derived by refresh whenever checked or noise change.
 	fast bool
 }
 
@@ -41,17 +39,9 @@ type Config struct {
 	Radius int
 	// Checked panics on out-of-radius reads when true.
 	Checked bool
-	// Dense, when non-nil, is the direct fast path: lookups go straight
-	// to the tiled bitset backend (concrete method calls, no closures, no
-	// hashing). The radius enforcement of Checked applies unchanged.
+	// Dense is the world the view reads: lookups go straight to the tiled
+	// bitset (concrete method calls, no closures, no hashing).
 	Dense *world.Dense
-	// Occ reports world-coordinate occupancy (the closure slow path, used
-	// when Dense is nil — e.g. views built over a bare swarm in tests and
-	// micro-benchmarks).
-	Occ func(grid.Point) bool
-	// State returns the state of the robot at a world coordinate (zero
-	// State if the cell is free). Closure slow path like Occ.
-	State func(grid.Point) robot.State
 	// Crashed reports whether the robot at a world coordinate has
 	// crash-stopped (nil when the simulation carries no crash faults).
 	// Exposing it in views is the failure-detector assumption of the
@@ -68,8 +58,6 @@ func New(cfg Config, origin grid.Point, round int) *View {
 		radius:  cfg.Radius,
 		checked: cfg.Checked,
 		dense:   cfg.Dense,
-		occ:     cfg.Occ,
-		state:   cfg.State,
 		crashed: cfg.Crashed,
 		round:   round,
 	}
@@ -79,7 +67,7 @@ func New(cfg Config, origin grid.Point, round int) *View {
 
 // refresh re-derives the fast-path flag from the fields it depends on.
 func (v *View) refresh() {
-	v.fast = v.dense != nil && !v.checked && v.noise == (grid.Point{})
+	v.fast = !v.checked && v.noise == (grid.Point{})
 }
 
 // Reposition retargets the view at a new observing robot and round,
@@ -136,15 +124,10 @@ func (v *View) Occ(rel grid.Point) bool {
 	return v.occSlow(rel)
 }
 
-// occSlow is Occ for views that are checked, noisy or closure-backed.
+// occSlow is Occ for views that are checked or noisy.
 func (v *View) occSlow(rel grid.Point) bool {
 	v.check(rel)
-	occ := false
-	if v.dense != nil {
-		occ = v.dense.Has(v.origin.Add(rel))
-	} else {
-		occ = v.occ(v.origin.Add(rel))
-	}
+	occ := v.dense.Has(v.origin.Add(rel))
 	if rel == v.noise && v.noise != (grid.Point{}) {
 		return !occ
 	}
@@ -207,16 +190,8 @@ func (v *View) CrashedAt(rel grid.Point) bool {
 // "see the states of all robots inside the viewing range".
 func (v *View) StateAt(rel grid.Point) robot.State {
 	v.check(rel)
-	if v.dense != nil {
-		return v.dense.StateAt(v.origin.Add(rel))
-	}
-	return v.state(v.origin.Add(rel))
+	return v.dense.StateAt(v.origin.Add(rel))
 }
 
 // Self returns the observing robot's own state.
-func (v *View) Self() robot.State {
-	if v.dense != nil {
-		return v.dense.StateAt(v.origin)
-	}
-	return v.state(v.origin)
-}
+func (v *View) Self() robot.State { return v.dense.StateAt(v.origin) }

@@ -10,13 +10,20 @@ import (
 	"gridgather/internal/world"
 )
 
+// testConfig builds a view config over a world holding the occupied cells
+// of occ, each cell in states carrying that run state.
 func testConfig(occ map[grid.Point]bool, states map[grid.Point]robot.State, radius int, checked bool) Config {
-	return Config{
-		Radius:  radius,
-		Checked: checked,
-		Occ:     func(p grid.Point) bool { return occ[p] },
-		State:   func(p grid.Point) robot.State { return states[p] },
+	s := swarm.New()
+	for p, ok := range occ {
+		if ok {
+			s.Add(p)
+		}
 	}
+	d := world.NewDense(s, false)
+	for p, st := range states {
+		d.SetState(p, st)
+	}
+	return Config{Radius: radius, Checked: checked, Dense: d}
 }
 
 func TestViewRelativeCoordinates(t *testing.T) {
@@ -108,26 +115,22 @@ func TestViewDenseFastPathStrictRadius(t *testing.T) {
 }
 
 // TestViewDenseFastPathMatchesClosures runs the same reads through the
-// dense fast path and the closure slow path and requires identical
-// answers.
+// unchecked bit-test path and the checked per-cell path over one world and
+// requires both to answer as the swarm's own Has closure does.
 func TestViewDenseFastPathMatchesClosures(t *testing.T) {
 	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(-1, -1), grid.Pt(0, -1))
 	d := world.NewDense(s, false)
-	fast := New(Config{Radius: 3, Checked: true, Dense: d}, grid.Pt(0, 0), 0)
-	slow := New(Config{
-		Radius:  3,
-		Checked: true,
-		Occ:     s.Has,
-		State:   func(grid.Point) robot.State { return robot.State{} },
-	}, grid.Pt(0, 0), 0)
+	fast := New(Config{Radius: 3, Dense: d}, grid.Pt(0, 0), 0)
+	slow := New(Config{Radius: 3, Checked: true, Dense: d}, grid.Pt(0, 0), 0)
+	has := s.Has
 	for dx := -3; dx <= 3; dx++ {
 		for dy := -3; dy <= 3; dy++ {
 			rel := grid.Pt(dx, dy)
 			if rel.L1() > 3 {
 				continue
 			}
-			if fast.Occ(rel) != slow.Occ(rel) {
-				t.Fatalf("Occ(%v) diverged between fast and closure paths", rel)
+			if fast.Occ(rel) != has(rel) || slow.Occ(rel) != has(rel) {
+				t.Fatalf("Occ(%v): fast %v, checked %v, swarm %v", rel, fast.Occ(rel), slow.Occ(rel), has(rel))
 			}
 		}
 	}

@@ -33,14 +33,14 @@ package world
 // makes splits free while keeping the query cost proportional to the
 // chunk-level structure instead of the robot count.
 //
-// The full bitset BFS survives as the always-available oracle and escape
-// hatch: ConnectedBFS answers from scratch, and ForceFullBFS pins
-// Connected to it. The incremental structure is cold on the first query of
-// a world, after a snapshot restore, and after an explicit reset; a cold
-// query rebuilds it — one relabel per occupied chunk, no BFS — and answers
-// from the rebuilt structure like any other query. The differential suite
-// in this package and internal/fsync proves the two paths agree
-// bit-for-bit, round by round, cold queries included.
+// The scratch flood of the bitset survives as the reference:
+// ConnectedBFS and LargestComponentBFS answer from scratch. The
+// incremental structure is cold on the first query of a world, including
+// the first after a snapshot restore; a cold query rebuilds it — one
+// relabel per occupied chunk, no BFS — and answers from the rebuilt
+// structure like any other query. The suites in this package and
+// internal/fsync hold the incremental answers to the reference round by
+// round, cold queries included.
 
 import (
 	"math/bits"
@@ -100,7 +100,7 @@ type rowRun struct {
 type ConnStats struct {
 	// Queries counts Connected and LargestComponent calls answered by
 	// the incremental layer; Fallbacks counts the subset that found the
-	// structure cold (first query, snapshot restore, reset) and rebuilt it
+	// structure cold (first query, snapshot restore) and rebuilt it
 	// before answering from it.
 	Queries, Fallbacks int
 	// Rebuilds counts full from-scratch structure rebuilds; Relabels
@@ -141,23 +141,6 @@ func (c *connIncr) markDirty(t *tile) {
 // one tile diff per round queues changed chunks here via markDirty and
 // feeds the quiescence dirty planes — no double word-compare when both
 // consumers are on.
-
-// invalidate resets the incremental structure; the next query rebuilds it.
-func (c *connIncr) invalidate() {
-	c.valid = false
-	for _, t := range c.dirty {
-		t.connDirty = false
-	}
-	c.dirty = c.dirty[:0]
-}
-
-// connectedIncr answers Connected through the incremental layer.
-func (d *Dense) connectedIncr() bool {
-	if d.count <= 1 {
-		return true
-	}
-	return d.connReady().query(d)
-}
 
 // connReady counts a query and brings the incremental structure up to
 // date with the current occupancy: a cold structure is rebuilt, a warm one

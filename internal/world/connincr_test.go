@@ -151,10 +151,9 @@ func TestConnIncrEviction(t *testing.T) {
 	}
 }
 
-// TestConnIncrColdStartAndForceBFS pins the fallback protocol: exactly one
-// BFS fallback on the first query, none after; ForceFullBFS drops the
-// structure entirely and re-enabling pays exactly one more fallback.
-func TestConnIncrColdStartAndForceBFS(t *testing.T) {
+// TestConnIncrColdStart pins the cold-start protocol: exactly one
+// fallback (a structure rebuild) on the first query, none after.
+func TestConnIncrColdStart(t *testing.T) {
 	d := connWorld(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0))
 	for i := 0; i < 4; i++ {
 		if !d.Connected() {
@@ -163,22 +162,6 @@ func TestConnIncrColdStartAndForceBFS(t *testing.T) {
 	}
 	if st := d.ConnStats(); st.Queries != 4 || st.Fallbacks != 1 {
 		t.Fatalf("stats = %+v, want 4 queries / 1 fallback", st)
-	}
-
-	d.ForceFullBFS(true)
-	if !d.Connected() {
-		t.Fatal("Connected under ForceFullBFS = false")
-	}
-	if st := d.ConnStats(); st != (ConnStats{}) {
-		t.Fatalf("ForceFullBFS kept incremental state: %+v", st)
-	}
-
-	d.ForceFullBFS(false)
-	if !d.Connected() || !d.Connected() {
-		t.Fatal("Connected after re-enabling incremental = false")
-	}
-	if st := d.ConnStats(); st.Queries != 2 || st.Fallbacks != 1 {
-		t.Fatalf("stats after re-enable = %+v, want 2 queries / 1 fallback", st)
 	}
 }
 
@@ -342,8 +325,9 @@ func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
 
 // FuzzIncrementalConnectivity drives random L∞-1 move sequences (plus the
 // occasional ad-hoc add/remove) over a block planted on a four-chunk corner
-// and checks the incremental path against the scratch-BFS and swarm oracles
-// after every operation. The seed corpus aims at the seams: border
+// and checks the incremental Connected against the scratch BFS and the
+// swarm, and the incremental LargestComponent (size, bounds and seed)
+// against LargestComponentBFS, after every operation. The seed corpus aims at the seams: border
 // oscillation, corner bridges, and a planted disconnect-and-return.
 func FuzzIncrementalConnectivity(f *testing.F) {
 	// Each op is two bytes: robot selector, then direction/op code.
@@ -370,6 +354,12 @@ func FuzzIncrementalConnectivity(f *testing.F) {
 			if incr != bfs || incr != oracle {
 				t.Fatalf("Connected diverged: incr=%v bfs=%v oracle=%v (n=%d)",
 					incr, bfs, oracle, d.Len())
+			}
+			size, bounds, seed := d.LargestComponent()
+			bsize, bbounds, bseed := d.LargestComponentBFS()
+			if size != bsize || bounds != bbounds || seed != bseed {
+				t.Fatalf("LargestComponent diverged: incr=(%d %+v %v) bfs=(%d %+v %v) (n=%d)",
+					size, bounds, seed, bsize, bbounds, bseed, d.Len())
 			}
 		}
 		check()

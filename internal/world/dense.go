@@ -169,10 +169,9 @@ type Dense struct {
 	bounds   grid.Rect
 	boundsOK bool
 
-	stack []grid.Point // BFS scratch
+	stack []grid.Point // flood scratch
 
-	conn    *connIncr // incremental connectivity (lazily built on first query)
-	fullBFS bool      // pin Connected to the full-BFS path (escape hatch/oracle)
+	conn *connIncr // incremental connectivity (lazily built on first query)
 
 	// Quiescence layer (quiesce.go): Commit's tile diff dilates every
 	// occupancy change by the view radius into the per-tile qdirty planes,
@@ -905,11 +904,11 @@ func SlotSpace(b []byte) (uint64, error) {
 // returns it with the unread remainder of b. withClocks must match the
 // configuration the snapshot was taken under (the engine derives it from
 // its scheduler). A mismatch, a truncated stream or structurally invalid
-// data is an error: cells out of canonical order, slots outside the
-// encoded slot space or claimed twice (ErrDuplicateSlot), too many runs,
-// runs no engine could have produced, or a bounding box wider than the
-// slot space allows. The decoded world is bit-equivalent to the encoded
-// one for every future round.
+// data is an error: cells out of canonical order or beyond grid.MaxCoord,
+// slots outside the encoded slot space or claimed twice (ErrDuplicateSlot),
+// too many runs, runs no engine could have produced, or a bounding box
+// wider than the slot space allows. The decoded world is bit-equivalent
+// to the encoded one for every future round.
 //
 // Snapshots may come from outside the process (gatherd accepts uploads),
 // so nothing here is trusted — except the slot space, which sizes the
@@ -945,6 +944,9 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 		nruns := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return nil, nil, err
+		}
+		if !p.InRange() {
+			return nil, nil, fmt.Errorf("world: snapshot cell %v beyond ±2^62", p)
 		}
 		if i > 0 && !prev.Less(p) {
 			return nil, nil, fmt.Errorf("world: snapshot cells out of canonical order at %v", p)
@@ -1037,31 +1039,17 @@ func (d *Dense) visClear() {
 	}
 }
 
-// Connected reports 4-connectivity. By default it answers through the
-// incremental connectivity layer (see connincr.go): per-chunk component
-// labels maintained only for chunks whose occupancy changed, plus a small
-// union-find over the chunk-boundary seam links — so a round where little
-// moved costs far less than a full scan. ForceFullBFS pins it to the
-// scratch-BFS path instead; the two are proven to agree answer-for-answer
-// by the differential suites here and in internal/fsync.
+// Connected reports 4-connectivity through the incremental connectivity
+// layer (see connincr.go): per-chunk component labels maintained only for
+// chunks whose occupancy changed, plus a small union-find over the
+// chunk-boundary seam links — so a round where little moved costs far
+// less than a full scan. ConnectedBFS is its reference; the suites here
+// and in internal/fsync hold the two equal answer for answer.
 func (d *Dense) Connected() bool {
-	if d.fullBFS {
-		return d.ConnectedBFS()
+	if d.count <= 1 {
+		return true
 	}
-	return d.connectedIncr()
-}
-
-// ForceFullBFS pins Connected to the full scratch-BFS path (the escape
-// hatch and differential oracle), dropping any incremental state. Turning
-// it back off rebuilds the incremental structure on the next query.
-func (d *Dense) ForceFullBFS(on bool) {
-	d.fullBFS = on
-	if d.conn != nil {
-		d.conn.invalidate()
-	}
-	if on {
-		d.conn = nil
-	}
+	return d.connReady().query(d)
 }
 
 // ConnStats returns the incremental connectivity layer's counters (zero
@@ -1073,33 +1061,17 @@ func (d *Dense) ConnStats() ConnStats {
 	return d.conn.stats
 }
 
-// ConnectedBFS reports 4-connectivity with the full bitset BFS, reusing
-// internal scratch so the check allocates nothing in steady state. It is
-// the incremental layer's differential oracle and the ForceFullBFS path.
+// ConnectedBFS reports 4-connectivity with a scratch flood of the bitset,
+// reusing internal scratch so the check allocates nothing in steady state.
+// It is the incremental layer's reference.
 func (d *Dense) ConnectedBFS() bool {
 	d.ensureOcc()
-	n := len(d.occ)
-	if n <= 1 {
+	if len(d.occ) <= 1 {
 		return true
 	}
 	d.visClear()
-	start := d.occ[0].p
-	stack := append(d.stack[:0], start)
-	d.visSet(start)
-	seen := 1
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range grid.Neighbors4(p) {
-			if d.Has(q) && !d.visGet(q) {
-				d.visSet(q)
-				seen++
-				stack = append(stack, q)
-			}
-		}
-	}
-	d.stack = stack[:0]
-	return seen == n
+	n, _ := d.flood(d.occ[0].p, nil)
+	return n == len(d.occ)
 }
 
 // LargestComponent returns the largest 4-connected component's cell count,
@@ -1108,67 +1080,42 @@ func (d *Dense) ConnectedBFS() bool {
 // to the component with the smaller minimum cell. Size 0 means the world
 // is empty. Like Connected it answers through the incremental layer —
 // folding the per-chunk component summaries relabel maintains across the
-// seam union-find — rebuilding a cold structure first, and ForceFullBFS
-// pins it to the scratch BFS. The
-// engine's graceful-degradation mode queries this every round, so the
-// incremental path matters.
+// seam union-find — rebuilding a cold structure first. The engine's
+// graceful-degradation mode queries this every round, so the incremental
+// path matters.
 func (d *Dense) LargestComponent() (size int, bounds grid.Rect, seed grid.Point) {
 	if d.count == 0 {
 		return 0, grid.EmptyRect, grid.Point{}
 	}
-	if d.fullBFS {
-		return d.LargestComponentBFS()
-	}
 	return d.connReady().largest(d)
 }
 
-// LargestComponentBFS is the scratch-BFS implementation of
-// LargestComponent: scan the canonical cell order, flood each unvisited
-// component, keep the strictly largest — first-wins, which resolves ties
-// to the component with the smallest cell, matching the incremental path.
-// It is the differential oracle and the ForceFullBFS path.
+// LargestComponentBFS is the scratch-flood reference for LargestComponent.
 func (d *Dense) LargestComponentBFS() (size int, bounds grid.Rect, seed grid.Point) {
-	d.ensureOcc()
-	d.visClear()
-	bounds = grid.EmptyRect
-	for _, c := range d.occ {
-		if d.visGet(c.p) {
-			continue
-		}
-		csize, cb := 0, grid.EmptyRect
-		stack := append(d.stack[:0], c.p)
-		d.visSet(c.p)
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			csize++
-			cb = cb.Include(p)
-			for _, q := range grid.Neighbors4(p) {
-				if d.Has(q) && !d.visGet(q) {
-					d.visSet(q)
-					stack = append(stack, q)
-				}
-			}
-		}
-		d.stack = stack[:0]
-		if csize > size {
-			size, bounds, seed = csize, cb, c.p
-		}
-	}
-	return size, bounds, seed
+	return d.largestFlood(nil)
 }
 
-// LargestLiveComponent floods every 4-connected component and returns the
-// live-cell count and live-cell bounding box of the component holding the
-// most live robots (first-wins on ties, resolving to the component whose
-// canonical minimum cell is smallest). It answers the engine's
-// degraded-mode gathering question — in which component should the
-// survivors gather? — where the cell-count ranking of LargestComponent is
-// wrong: a stranded heap of crashed robots can outrank the split-off
-// survivors, yet can never gather. Always scratch BFS: the query only
-// runs while degraded with crashed robots present, off the fault-free hot
-// path.
+// LargestLiveComponent returns the live-cell count and live-cell bounding
+// box of the 4-connected component holding the most live robots (ties go
+// to the component whose canonical minimum cell is smallest). It answers
+// the engine's degraded-mode gathering question — in which component
+// should the survivors gather? — where the cell-count ranking of
+// LargestComponent is wrong: a stranded heap of crashed robots can
+// outrank the split-off survivors, yet can never gather. Always a scratch
+// flood: the query only runs while degraded with crashed robots present,
+// off the fault-free hot path.
 func (d *Dense) LargestLiveComponent(live func(int32) bool) (n int, bounds grid.Rect) {
+	n, bounds, _ = d.largestFlood(live)
+	return n, bounds
+}
+
+// largestFlood floods every 4-connected component in canonical cell order
+// and returns the count, bounding box and canonical minimum cell of the
+// one with the most counted cells — every cell when live is nil, else the
+// cells whose slot is live. The first such component wins ties, which
+// resolves them to the smallest minimum cell, as the incremental path
+// does.
+func (d *Dense) largestFlood(live func(int32) bool) (n int, bounds grid.Rect, seed grid.Point) {
 	d.ensureOcc()
 	d.visClear()
 	bounds = grid.EmptyRect
@@ -1176,27 +1123,35 @@ func (d *Dense) LargestLiveComponent(live func(int32) bool) (n int, bounds grid.
 		if d.visGet(c.p) {
 			continue
 		}
-		clive, cb := 0, grid.EmptyRect
-		stack := append(d.stack[:0], c.p)
-		d.visSet(c.p)
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if live(d.SlotAt(p)) {
-				clive++
-				cb = cb.Include(p)
-			}
-			for _, q := range grid.Neighbors4(p) {
-				if d.Has(q) && !d.visGet(q) {
-					d.visSet(q)
-					stack = append(stack, q)
-				}
-			}
-		}
-		d.stack = stack[:0]
-		if clive > n {
-			n, bounds = clive, cb
+		if cn, cb := d.flood(c.p, live); cn > n {
+			n, bounds, seed = cn, cb, c.p
 		}
 	}
+	return n, bounds, seed
+}
+
+// flood marks the 4-connected component of start in the vis scratch (the
+// caller clears it first) and returns how many of its cells count —
+// every cell when live is nil, else those whose slot is live — and their
+// bounding box.
+func (d *Dense) flood(start grid.Point, live func(int32) bool) (n int, bounds grid.Rect) {
+	bounds = grid.EmptyRect
+	stack := append(d.stack[:0], start)
+	d.visSet(start)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if live == nil || live(d.SlotAt(p)) {
+			n++
+			bounds = bounds.Include(p)
+		}
+		for _, q := range grid.Neighbors4(p) {
+			if d.Has(q) && !d.visGet(q) {
+				d.visSet(q)
+				stack = append(stack, q)
+			}
+		}
+	}
+	d.stack = stack[:0]
 	return n, bounds
 }

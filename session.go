@@ -7,6 +7,7 @@ import (
 
 	"gridgather/internal/core"
 	"gridgather/internal/fsync"
+	"gridgather/internal/grid"
 	"gridgather/internal/scenario"
 )
 
@@ -63,6 +64,11 @@ func New(cells []Point, opts ...Option) (*Simulation, error) {
 	s := buildSwarm(cells)
 	if s.Len() == 0 {
 		return nil, ErrEmpty
+	}
+	for _, c := range cells {
+		if !grid.Pt(c.X, c.Y).InRange() {
+			return nil, fmt.Errorf("%w: cell (%d,%d)", ErrCoordinateRange, c.X, c.Y)
+		}
 	}
 	if !s.Connected() {
 		return nil, ErrNotConnected
