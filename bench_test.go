@@ -47,11 +47,10 @@ func benchGather(b *testing.B, build func() *swarm.Swarm, p core.Params) {
 // BenchmarkTheorem1 is experiment E1: linear-round gathering per workload
 // family and size (the paper's headline O(n) result).
 func BenchmarkTheorem1(b *testing.B) {
-	for _, w := range gen.Catalog() {
+	for _, w := range gen.SeededCatalog() {
 		for _, n := range []int{64, 128, 256} {
-			w := w
 			b.Run(fmt.Sprintf("%s/n=%d", w.Name, n), func(b *testing.B) {
-				benchGather(b, func() *swarm.Swarm { return w.Build(n) }, core.Defaults())
+				benchGather(b, func() *swarm.Swarm { return w.Build(n, 42) }, core.Defaults())
 			})
 		}
 	}
@@ -290,17 +289,16 @@ func BenchmarkSessionObserver(b *testing.B) {
 				b.Fatal(err)
 			}
 			newSim := func() *gridgather.Simulation {
-				opts := []gridgather.Option{gridgather.WithWorkers(1)}
+				sim, err := gridgather.New(cells, gridgather.WithWorkers(1))
+				if err != nil {
+					b.Fatal(err)
+				}
 				if observed {
-					opts = append(opts, gridgather.WithObserver(gridgather.AllEvents, func(ev gridgather.Event) {
+					sim.Subscribe(gridgather.AllEvents, func(ev gridgather.Event) {
 						if len(ev.Robots) == 0 {
 							b.Fatal("empty event payload")
 						}
-					}))
-				}
-				sim, err := gridgather.New(cells, opts...)
-				if err != nil {
-					b.Fatal(err)
+					})
 				}
 				return sim
 			}

@@ -10,7 +10,7 @@
 //	gatherbench -bench-json BENCH_engine.json -bench-workers 1,2,4,8
 //	                                    # measure Engine.Step per workload
 //	                                    # and worker count, write bench JSON
-//	gatherbench -bench-json out.json -bench-n 512 -bench-rounds 60 \
+//	gatherbench -bench-json out.json -bench-ns 512 -bench-rounds 60 \
 //	            -bench-gather=false -bench-workers 1,4 -bench-guard
 //	                                    # CI smoke: quick measurement plus
 //	                                    # the serial-vs-parallel regression
@@ -74,8 +74,7 @@ func main() {
 	which := flag.String("exp", "all", "experiment to run: all, e1, e1b, e2, e3, e15, e18, e20, e21")
 	jobs := flag.Int("jobs", 0, "concurrent simulations for batched experiments (0 = all CPUs)")
 	benchJSON := flag.String("bench-json", "", "measure Engine.Step per workload/backend and write bench JSON to this path (skips the experiments)")
-	benchN := flag.Int("bench-n", 2048, "approximate robot count for -bench-json workloads")
-	benchNs := flag.String("bench-ns", "", "comma-separated robot-count grid for -bench-json (overrides -bench-n)")
+	benchNs := flag.String("bench-ns", "2048", "comma-separated approximate robot counts for -bench-json workloads")
 	benchRounds := flag.Int("bench-rounds", 150, "measured rounds per -bench-json cell")
 	benchWarmup := flag.Int("bench-warmup", 30, "warmup rounds per -bench-json cell before measurement")
 	benchRepeats := flag.Int("bench-repeats", 1, "repeat each -bench-json cell this many times and keep the fastest (noise filter)")
@@ -138,7 +137,6 @@ func main() {
 			}
 		}
 		rep, err := perf.Run(perf.Config{
-			N:             *benchN,
 			Ns:            ns,
 			Workloads:     workloads,
 			MeasureRounds: *benchRounds,

@@ -49,6 +49,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gridgather"
 	"gridgather/internal/core"
 	"gridgather/internal/fault"
 	"gridgather/internal/sched"
@@ -63,7 +64,7 @@ func main() {
 		radii      = flag.String("radius", "20", "comma-separated viewing radii")
 		ls         = flag.String("L", "22", "comma-separated run start periods")
 		schedulers = flag.String("scheduler", "fsync", "comma-separated time models (grammar: "+strings.Join(sched.Specs(), ", ")+")")
-		algorithms = flag.String("algorithms", "paper", "comma-separated robot programs (have: "+strings.Join(sweep.Algorithms(), ", ")+")")
+		algorithms = flag.String("algorithms", "paper", "comma-separated robot programs (have: "+strings.Join(gridgather.Algorithms(), ", ")+")")
 		faults     = flag.String("faults", "", "semicolon-separated fault plans, each \"+\"-joined clauses of: "+strings.Join(fault.Specs(), ", ")+" (empty = fault-free)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = auto: all CPUs divided by engine workers)")
 		engineW    = flag.Int("engine-workers", 1, "compute workers inside each engine (0 = all CPUs)")

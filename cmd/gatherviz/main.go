@@ -44,20 +44,20 @@ func main() {
 
 	var frames []trace.Frame
 	frames = append(frames, trace.FrameOf(0, toGrid(cells), nil, 0, viewport))
-	sim, err := gridgather.New(cells,
-		gridgather.WithObserver(gridgather.RoundEvents|gridgather.GatheredEvents, func(ev gridgather.Event) {
-			if ev.Kind == gridgather.EventRound && ev.Round%*every != 0 {
-				return
-			}
-			if len(frames) > 0 && frames[len(frames)-1].Round == ev.Round {
-				return // the gathered event follows the final round event
-			}
-			frames = append(frames, trace.FrameOf(ev.Round, toGrid(ev.Robots), toGrid(ev.Runners), ev.Merges, viewport))
-		}))
+	sim, err := gridgather.New(cells)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	sim.Subscribe(gridgather.RoundEvents|gridgather.GatheredEvents, func(ev gridgather.Event) {
+		if ev.Kind == gridgather.EventRound && ev.Round%*every != 0 {
+			return
+		}
+		if len(frames) > 0 && frames[len(frames)-1].Round == ev.Round {
+			return // the gathered event follows the final round event
+		}
+		frames = append(frames, trace.FrameOf(ev.Round, toGrid(ev.Robots), toGrid(ev.Runners), ev.Merges, viewport))
+	})
 	res := sim.Run(context.Background())
 	if res.Err != nil {
 		fmt.Fprintf(os.Stderr, "simulation failed: %v\n", res.Err)

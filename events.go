@@ -48,7 +48,7 @@ func (k EventKind) String() string {
 	}
 }
 
-// EventMask selects event kinds for Subscribe and WithObserver.
+// EventMask selects event kinds for Subscribe.
 type EventMask uint8
 
 const (

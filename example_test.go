@@ -144,7 +144,9 @@ func ExampleWorkloads() {
 	// sierpinski
 	// tree
 	// blob
+	// walk
 	// clusters
+	// antcolony
 }
 
 // WithWorkers shards each round's Look+Compute phase across a goroutine
@@ -204,23 +206,4 @@ func ExampleRender() {
 	// Output:
 	// #.
 	// ##
-}
-
-// WithObserver subscribes at construction; a RoundEvents observer sees
-// every FSYNC round. Here it finds the round in which the population first
-// halves.
-func ExampleWithObserver() {
-	cells, _ := gridgather.Workload("line", 20)
-	halvedAt := -1
-	sim, _ := gridgather.New(cells, gridgather.WithObserver(gridgather.RoundEvents, func(ev gridgather.Event) {
-		if halvedAt < 0 && len(ev.Robots) <= 10 {
-			halvedAt = ev.Round
-		}
-	}))
-	res := sim.Run(context.Background())
-	fmt.Println("halved at round:", halvedAt)
-	fmt.Println("done at round:", res.Rounds)
-	// Output:
-	// halved at round: 5
-	// done at round: 9
 }

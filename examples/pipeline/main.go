@@ -25,14 +25,14 @@ func main() {
 	}
 	fmt.Printf("mergeless ring with %d robots; runner count per round:\n\n", len(cells))
 
-	history := []int{}
-	sim, err := gridgather.New(cells,
-		gridgather.WithObserver(gridgather.RoundEvents, func(ev gridgather.Event) {
-			history = append(history, len(ev.Runners))
-		}))
+	sim, err := gridgather.New(cells)
 	if err != nil {
 		log.Fatal(err)
 	}
+	history := []int{}
+	sim.Subscribe(gridgather.RoundEvents, func(ev gridgather.Event) {
+		history = append(history, len(ev.Runners))
+	})
 	res := sim.Run(context.Background())
 	if res.Err != nil {
 		log.Fatal(res.Err)

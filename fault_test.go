@@ -58,19 +58,19 @@ func TestSessionCrashObservability(t *testing.T) {
 	sim := mustNew(t, cells,
 		WithAlgorithm("greedy"),
 		WithConnectivityCheck(true),
-		WithFaults("crash-at:r=5,k=6@3"),
-		WithObserver(CrashEvents|DegradedEvents, func(ev Event) {
-			switch ev.Kind {
-			case EventCrash:
-				crashEvents++
-				crashSum += ev.RoundCrashes
-				if ev.Crashes != crashSum {
-					t.Errorf("event crash counter %d != summed rounds %d", ev.Crashes, crashSum)
-				}
-			case EventDegraded:
-				degradedEvents++
+		WithFaults("crash-at:r=5,k=6@3"))
+	sim.Subscribe(CrashEvents|DegradedEvents, func(ev Event) {
+		switch ev.Kind {
+		case EventCrash:
+			crashEvents++
+			crashSum += ev.RoundCrashes
+			if ev.Crashes != crashSum {
+				t.Errorf("event crash counter %d != summed rounds %d", ev.Crashes, crashSum)
 			}
-		}))
+		case EventDegraded:
+			degradedEvents++
+		}
+	})
 	res := sim.Run(context.Background())
 	if res.Err != nil || !res.Gathered {
 		t.Fatalf("run: %+v", res)

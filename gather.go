@@ -37,7 +37,6 @@ import (
 	"gridgather/internal/fault"
 	"gridgather/internal/gen"
 	"gridgather/internal/grid"
-	"gridgather/internal/scenario"
 	"gridgather/internal/sched"
 	"gridgather/internal/swarm"
 )
@@ -116,13 +115,13 @@ func fromSwarm(s *swarm.Swarm) []Point {
 
 // catalog indexes the workload families once; Workload and Workloads are
 // called per lookup (some per round in observer tooling) and must not
-// re-walk gen.Catalog linearly every time.
+// re-walk gen.SeededCatalog linearly every time.
 var catalog = sync.OnceValue(func() (c struct {
-	byName map[string]gen.Workload
+	byName map[string]gen.SeededWorkload
 	names  []string
 }) {
-	all := gen.Catalog()
-	c.byName = make(map[string]gen.Workload, len(all))
+	all := gen.SeededCatalog()
+	c.byName = make(map[string]gen.SeededWorkload, len(all))
 	c.names = make([]string, 0, len(all))
 	for _, w := range all {
 		c.byName[w.Name] = w
@@ -132,7 +131,8 @@ var catalog = sync.OnceValue(func() (c struct {
 })
 
 // Workload builds one of the named workload families at (approximately)
-// the requested robot count. See Workloads for the available names.
+// the requested robot count; randomized families use seed 42. See
+// Workloads for the available names.
 func Workload(name string, n int) ([]Point, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gridgather: workload size %d", n)
@@ -141,7 +141,7 @@ func Workload(name string, n int) ([]Point, error) {
 	if !ok {
 		return nil, fmt.Errorf("gridgather: unknown workload %q (have %v)", name, Workloads())
 	}
-	return fromSwarm(w.Build(n)), nil
+	return fromSwarm(w.Build(n, 42)), nil
 }
 
 // Workloads lists the available workload family names.
@@ -157,7 +157,7 @@ func Schedulers() []string { return sched.Specs() }
 func FaultSpecs() []string { return fault.Specs() }
 
 // Algorithms lists the available robot program names (see WithAlgorithm).
-func Algorithms() []string { return scenario.Algorithms() }
+func Algorithms() []string { return []string{"paper", "greedy"} }
 
 // Connected reports whether the cells form a connected swarm under the
 // paper's horizontal/vertical adjacency.

@@ -1,8 +1,11 @@
 package gridgather
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"gridgather/internal/gen"
 )
 
 func TestGatherPublicAPI(t *testing.T) {
@@ -44,8 +47,10 @@ func TestGatherDoesNotMutateInput(t *testing.T) {
 
 func TestWorkloadsCatalog(t *testing.T) {
 	names := Workloads()
-	if len(names) < 5 {
-		t.Fatalf("workloads = %v", names)
+	for _, w := range gen.SeededCatalog() {
+		if !slices.Contains(names, w.Name) {
+			t.Errorf("workload family %s missing from %v", w.Name, names)
+		}
 	}
 	for _, name := range names {
 		cells, err := Workload(name, 40)

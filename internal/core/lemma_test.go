@@ -112,10 +112,10 @@ func TestTheorem1_LinearRounds(t *testing.T) {
 		t.Skip("short mode")
 	}
 	sizes := []int{40, 80, 160, 320, 480}
-	for _, w := range gen.Catalog() {
+	for _, w := range gen.SeededCatalog() {
 		var series metrics.Series
 		for _, n := range sizes {
-			s := w.Build(n)
+			s := w.Build(n, 42)
 			actual := s.Len()
 			g := Default()
 			eng := fsync.New(s, g, fsync.Config{
@@ -163,9 +163,9 @@ func TestTheorem1_LinearRounds(t *testing.T) {
 // linear budget).
 func TestTheorem1_LinearBudget(t *testing.T) {
 	const C = 25
-	for _, w := range gen.Catalog() {
+	for _, w := range gen.SeededCatalog() {
 		n := 120
-		s := w.Build(n)
+		s := w.Build(n, 42)
 		actual := s.Len()
 		g := Default()
 		eng := fsync.New(s, g, fsync.Config{MaxRounds: C*actual + 200})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"gridgather/internal/fsync"
@@ -44,19 +43,20 @@ func TestSoakPerRoundInvariants(t *testing.T) {
 		prev := s.Len()
 		g := Default()
 		eng := fsync.New(s, g, fsync.Config{
-			MaxRounds:         20000,
 			CheckConnectivity: true,
 			StrictViews:       true,
-			OnRound: func(e *fsync.Engine) {
-				if e.Swarm().Len() > prev {
-					panic(fmt.Sprintf("population grew at round %d", e.Round()))
-				}
-				prev = e.Swarm().Len()
-			},
 		})
-		res := eng.Run()
-		if res.Err != nil || !res.Gathered {
-			t.Fatalf("seed %d: %+v", seed, res)
+		for !eng.Gathered() {
+			if eng.Round() >= 20000 {
+				t.Fatalf("seed %d: not gathered in %d rounds", seed, eng.Round())
+			}
+			if err := eng.Step(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if n := eng.World().Len(); n > prev {
+				t.Fatalf("seed %d: population grew at round %d", seed, eng.Round())
+			}
+			prev = eng.World().Len()
 		}
 	}
 }

@@ -21,17 +21,33 @@ func TestE2Small(t *testing.T) {
 	var b strings.Builder
 	E2PlaneComparison(&b, []int{12, 24})
 	out := b.String()
-	if !strings.Contains(out, "plane/grid") || !strings.Contains(out, "growth exponents") {
-		t.Errorf("E2 output:\n%s", out)
+	hasRows(t, out,
+		"n grid line grid ring plane circle plane/grid-line",
+		"12 5 1 2 0.40",
+		"24 11 3 6 0.55",
+		"growth exponents: grid line 1.14 (linear, meets the diameter bound),",
+		"plane circle 1.58 (quadratic); grid ring 1.58 — inflated by a negative")
+}
+
+// hasRows fails unless every want line appears in out as a line, compared
+// with runs of blanks collapsed (table columns are space-padded).
+func hasRows(t *testing.T, out string, want ...string) {
+	t.Helper()
+	lines := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		lines[strings.Join(strings.Fields(line), " ")] = true
+	}
+	for _, w := range want {
+		if !lines[w] {
+			t.Errorf("missing row %q in:\n%s", w, out)
+		}
 	}
 }
 
 func TestE1bSmall(t *testing.T) {
 	var b strings.Builder
 	E1bHollowDetail(&b, []int{15, 21})
-	if !strings.Contains(b.String(), "Δrounds/Δw") {
-		t.Errorf("E1b output:\n%s", b.String())
-	}
+	hasRows(t, b.String(), "w n rounds Δrounds/Δw", "15 56 7 -", "21 80 11 0.7")
 }
 
 func TestE3Small(t *testing.T) {
@@ -45,9 +61,9 @@ func TestE3Small(t *testing.T) {
 func TestE15Small(t *testing.T) {
 	var b strings.Builder
 	E15Pipelining(&b, 30)
-	if !strings.Contains(b.String(), "max concurrent runners") {
-		t.Errorf("E15 output:\n%s", b.String())
-	}
+	hasRows(t, b.String(),
+		"n rounds runs started max concurrent runners rounds with merges",
+		"116 120 48 8 14")
 }
 
 func TestE18Small(t *testing.T) {
@@ -62,9 +78,10 @@ func TestE18Small(t *testing.T) {
 func TestE20Small(t *testing.T) {
 	var b strings.Builder
 	E20LowerBound(&b, []int{30, 60})
-	if !strings.Contains(b.String(), "lower bound") {
-		t.Errorf("E20 output:\n%s", b.String())
-	}
+	hasRows(t, b.String(),
+		"n diameter lower bound measured rounds",
+		"30 29 14 14",
+		"60 59 29 29")
 }
 
 func TestE21Small(t *testing.T) {

@@ -106,9 +106,6 @@ type Config struct {
 	// pass without a merge (0 disables). Gathering must merge at least
 	// every O(L + n) rounds, so tests set a generous linear budget.
 	NoMergeLimit int
-	// OnRound, if non-nil, is called after every completed round with the
-	// engine in its post-round state (used by tracing and tests).
-	OnRound func(e *Engine)
 	// Workers is the number of goroutines sharding the Compute stage of
 	// each round. 0 means runtime.GOMAXPROCS(0); 1 keeps the fully serial
 	// path. Compute shards the activation set (every robot runs the same
@@ -359,7 +356,7 @@ func (e *Engine) workers(n int) int {
 }
 
 // Swarm exposes the current occupancy as a freshly built swarm, so avoid
-// calling it per round on hot paths (OnRound hooks should read World()).
+// calling it per round on hot paths (per-round readers should use World()).
 func (e *Engine) Swarm() *swarm.Swarm { return e.w.Snapshot() }
 
 // World exposes the engine's state (read-only by convention).
@@ -629,16 +626,16 @@ func (e *Engine) Step() error {
 	if e.cfg.NoMergeLimit > 0 && e.round-e.lastMerge >= e.cfg.NoMergeLimit && !e.Gathered() {
 		return ErrStuck{Round: e.round, SinceMerge: e.round - e.lastMerge}
 	}
-	if e.cfg.OnRound != nil {
-		e.cfg.OnRound(e)
-	}
 	return nil
 }
 
 // stageActivate fills e.order (this round's activation set) and e.sleep
 // (everyone else), both in canonical cell order. Under FSYNC every robot
-// runs a full look-compute-move cycle every round; a Scheduler restricts
-// the round to the robots it marks in a mask over the cell order.
+// runs a full look-compute-move cycle every round. Under faults the stage
+// first draws this round's crash decisions over the live population (in
+// canonical cell order, so the coin stream is position-stable); a crashed
+// robot sleeps forever. A Scheduler then marks the robots it activates in
+// a mask over the cell order, and only robots both marked and alive run.
 //
 //gather:hotpath
 func (e *Engine) stageActivate(scheduled bool) {
@@ -648,82 +645,48 @@ func (e *Engine) stageActivate(scheduled bool) {
 		// Everyone activates in cell order: alias the world's cell view,
 		// which stays valid until Commit, after Resolve's last read. The
 		// scheduler and the crash plan are fixed for an engine's lifetime,
-		// so the appending paths below never see the alias.
+		// so the appending path below never sees the alias.
 		e.order = cells
 		return
 	}
 	e.order = e.order[:0]
-	if e.crashTrack {
-		e.activateFaulty(scheduled, cells)
-		return
-	}
-	slots := e.w.Slots()
-	if cap(e.mask) < len(cells) {
-		e.mask = make([]bool, len(cells))
-	}
-	mask := e.mask[:len(cells)]
-	clear(mask)
-	e.cfg.Scheduler.Activate(e.round, cells, slots, mask)
-	for i, p := range cells {
-		if mask[i] {
-			e.order = append(e.order, p)
-		} else {
-			e.sleep = append(e.sleep, p)
-		}
-	}
-}
-
-// activateFaulty is the crash-aware Activate stage: it first draws this
-// round's crash decisions over the live population (in canonical cell
-// order, so the coin stream is position-stable), then intersects the
-// scheduler's activation set with the survivors — a crashed robot sleeps
-// forever.
-//
-//gather:hotpath
-func (e *Engine) activateFaulty(scheduled bool, cells []grid.Point) {
-	e.order = e.order[:0]
-	e.sleep = e.sleep[:0]
 	slots := e.w.Slots()
 	n := len(cells)
-	if cap(e.aliveBuf) < n {
-		e.aliveBuf = make([]bool, n)
-	}
-	alive := e.aliveBuf[:n]
-	for i, s := range slots {
-		alive[i] = !e.crashed[s]
-	}
-	if c := e.cfg.Faults.DrawCrashes(e.round, alive); c > 0 {
+	var alive, mask []bool
+	if e.crashTrack {
+		if cap(e.aliveBuf) < n {
+			e.aliveBuf = make([]bool, n)
+		}
+		alive = e.aliveBuf[:n]
 		for i, s := range slots {
-			if !alive[i] && !e.crashed[s] {
-				e.crashed[s] = true
-				// The crash flips CrashedAt for this very round's views
-				// (crashes draw before compute), with no occupancy change:
-				// view-dirty the region before any skip check runs.
-				e.w.MarkViewDirty(cells[i])
-			}
+			alive[i] = !e.crashed[s]
 		}
-		e.crashesTotal += c
-		e.crashedLive += c
-		e.roundCrash = c
-	}
-	if !scheduled {
-		for i, p := range cells {
-			if alive[i] {
-				e.order = append(e.order, p)
-			} else {
-				e.sleep = append(e.sleep, p)
+		if c := e.cfg.Faults.DrawCrashes(e.round, alive); c > 0 {
+			for i, s := range slots {
+				if !alive[i] && !e.crashed[s] {
+					e.crashed[s] = true
+					// The crash flips CrashedAt for this very round's views
+					// (crashes draw before compute), with no occupancy
+					// change: view-dirty the region before any skip check
+					// runs.
+					e.w.MarkViewDirty(cells[i])
+				}
 			}
+			e.crashesTotal += c
+			e.crashedLive += c
+			e.roundCrash = c
 		}
-		return
 	}
-	if cap(e.mask) < n {
-		e.mask = make([]bool, n)
+	if scheduled {
+		if cap(e.mask) < n {
+			e.mask = make([]bool, n)
+		}
+		mask = e.mask[:n]
+		clear(mask)
+		e.cfg.Scheduler.Activate(e.round, cells, slots, mask)
 	}
-	mask := e.mask[:n]
-	clear(mask)
-	e.cfg.Scheduler.Activate(e.round, cells, slots, mask)
 	for i, p := range cells {
-		if mask[i] && alive[i] {
+		if (mask == nil || mask[i]) && (alive == nil || alive[i]) {
 			e.order = append(e.order, p)
 		} else {
 			e.sleep = append(e.sleep, p)

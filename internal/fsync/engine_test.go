@@ -219,17 +219,6 @@ func TestEngineDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestEngineOnRoundHook(t *testing.T) {
-	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0))
-	calls := 0
-	alg := &scripted{radius: 5, actions: map[grid.Point]Action{}}
-	eng := New(s, alg, Config{MaxRounds: 3, OnRound: func(e *Engine) { calls++ }})
-	eng.Run()
-	if calls != 3 {
-		t.Errorf("hook calls = %d", calls)
-	}
-}
-
 // TestEngineTransferFromMergingSenderDies pins the Table 1 semantics for
 // the round in which a runner both hands off a run and merges: "it was part
 // of a merge operation" stops ALL of the robot's runs, including states in

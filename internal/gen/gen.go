@@ -457,20 +457,13 @@ func sierpinskiDepth(n int) int {
 	return d
 }
 
-// Workload is a named workload family: a builder parameterized only by n
-// (robot count), seeded deterministically where random.
-type Workload struct {
-	Name  string
-	Build func(n int) *swarm.Swarm
-}
-
 // SeededWorkload is a workload family whose builder takes an explicit seed.
 // Deterministic families (lines, rings, spirals, …) ignore the seed; for
 // them Random is false and running more than one seed reproduces the same
 // swarm. The sweep harness uses this to expand (workload × n × seed) grids
 // without duplicating deterministic instances.
 type SeededWorkload struct {
-	// Name identifies the family (same names as Catalog).
+	// Name identifies the family.
 	Name string
 	// Build returns the family's swarm with approximately n robots.
 	Build func(n int, seed int64) *swarm.Swarm
@@ -479,7 +472,7 @@ type SeededWorkload struct {
 }
 
 // SeededCatalog returns the standard workload families with explicit-seed
-// builders. Catalog is this list with every seed fixed to 42.
+// builders.
 func SeededCatalog() []SeededWorkload {
 	return []SeededWorkload{
 		{Name: "line", Build: func(n int, _ int64) *swarm.Swarm { return Line(n) }},
@@ -494,26 +487,6 @@ func SeededCatalog() []SeededWorkload {
 		{Name: "clusters", Build: func(n int, seed int64) *swarm.Swarm { return RandomClusters(n, 4, seed) }, Random: true},
 		{Name: "antcolony", Build: AntColony, Random: true},
 	}
-}
-
-// Catalog returns the standard workload families of the experiment suite,
-// with randomized families fixed to seed 42.
-func Catalog() []Workload {
-	seeded := SeededCatalog()
-	out := make([]Workload, 0, len(seeded))
-	for _, w := range seeded {
-		if w.Name == "walk" || w.Name == "antcolony" {
-			// These families are sweep-only: their shapes vary too wildly
-			// across seeds for the fixed-seed experiment tables.
-			continue
-		}
-		w := w
-		out = append(out, Workload{
-			Name:  w.Name,
-			Build: func(n int) *swarm.Swarm { return w.Build(n, 42) },
-		})
-	}
-	return out
 }
 
 func isqrt(n int) int {

@@ -164,9 +164,9 @@ func TestTableShape(t *testing.T) {
 }
 
 func TestCatalogBuildsConnectedSwarms(t *testing.T) {
-	for _, w := range Catalog() {
+	for _, w := range SeededCatalog() {
 		for _, n := range []int{16, 60} {
-			s := w.Build(n)
+			s := w.Build(n, 42)
 			if s.Len() == 0 || !s.Connected() {
 				t.Errorf("catalog %s(n=%d): bad swarm", w.Name, n)
 			}

@@ -67,11 +67,8 @@ type Report struct {
 
 // Config controls a measurement run.
 type Config struct {
-	// N is the approximate robot count per workload (default 2048).
-	N int
-	// Ns, when non-empty, measures every workload at each of these robot
-	// counts instead of the single N — the scaling grid (e.g. 2^14, 2^17,
-	// 2^20).
+	// Ns are the approximate robot counts every workload is measured at
+	// (default 2048) — the scaling grid (e.g. 2^14, 2^17, 2^20).
 	Ns []int
 	// Workloads are seeded-catalog family names (default hollow, solid,
 	// line, blob — the acceptance workloads).
@@ -104,11 +101,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.N <= 0 {
-		c.N = 2048
-	}
 	if len(c.Ns) == 0 {
-		c.Ns = []int{c.N}
+		c.Ns = []int{2048}
 	}
 	if c.Repeats <= 0 {
 		c.Repeats = 1

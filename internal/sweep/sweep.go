@@ -26,6 +26,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,7 +35,6 @@ import (
 	"gridgather/internal/core"
 	"gridgather/internal/fault"
 	"gridgather/internal/gen"
-	"gridgather/internal/scenario"
 	"gridgather/internal/sched"
 	"gridgather/internal/swarm"
 )
@@ -171,9 +172,6 @@ func RunOne(job Job) Result {
 	}
 	return out
 }
-
-// Algorithms lists the robot programs available to sweeps.
-func Algorithms() []string { return scenario.Algorithms() }
 
 // toPoints converts a built swarm into the public API's point slice.
 func toPoints(s *swarm.Swarm) []gridgather.Point {
@@ -331,8 +329,9 @@ func (s Spec) Jobs() ([]Job, error) {
 		algorithms = []string{"paper"}
 	}
 	for _, a := range algorithms {
-		if err := scenario.CheckAlgorithm(a); err != nil {
-			return nil, err
+		if a != "" && !slices.Contains(gridgather.Algorithms(), a) {
+			return nil, fmt.Errorf("sweep: unknown algorithm %q (have %s)",
+				a, strings.Join(gridgather.Algorithms(), ", "))
 		}
 	}
 	// Validate scheduler specs once, up front — a bad spec must fail the

@@ -1,8 +1,14 @@
 package gridgather
 
 import (
-	"errors"
 	"fmt"
+	"strings"
+
+	"gridgather/internal/baseline/asyncseq"
+	"gridgather/internal/core"
+	"gridgather/internal/fault"
+	"gridgather/internal/fsync"
+	"gridgather/internal/sched"
 )
 
 // An Option configures a Simulation at construction. The zero
@@ -14,26 +20,25 @@ import (
 // WithScheduler, WithSchedulerSeed, WithAlgorithm, WithFaults) define what
 // is being simulated; they are baked into snapshots and rejected by Restore.
 // Execution options (WithMaxRounds, WithNoMergeLimit, WithWorkers,
-// WithConnectivityCheck, WithStrictLocality, WithObserver) only control
-// how the simulation is driven and may be changed freely on Restore.
+// WithConnectivityCheck, WithStrictLocality) only control how the
+// simulation is driven and may be changed freely on Restore.
 type Option func(*settings) error
 
-// settings is the resolved session configuration New and Restore build
-// from options (and, for Restore, from the snapshot header).
+// settings is a session's configuration: the record New builds from
+// options and a snapshot carries, with the budget resolved at
+// construction. Restore decodes it from the snapshot header and applies
+// the caller's options on top.
 type settings struct {
 	radius, l     int
-	maxRounds     int
-	noMergeLimit  int
 	scheduler     string
 	schedulerSeed int64
 	algorithm     string
 	faults        string
+	maxRounds     int
+	noMergeLimit  int
 	checkConn     bool
-	checkConnSet  bool // WithConnectivityCheck was passed (Restore override)
 	strict        bool
-	strictSet     bool // WithStrictLocality was passed (Restore override)
 	workers       int
-	subs          []subscription
 
 	// structural lists the structural options that were applied, so
 	// Restore can reject attempts to reshape a checkpointed simulation.
@@ -143,7 +148,6 @@ func WithNoMergeLimit(n int) Option {
 func WithConnectivityCheck(on bool) Option {
 	return func(s *settings) error {
 		s.checkConn = on
-		s.checkConnSet = true
 		return nil
 	}
 }
@@ -153,7 +157,6 @@ func WithConnectivityCheck(on bool) Option {
 func WithStrictLocality(on bool) Option {
 	return func(s *settings) error {
 		s.strict = on
-		s.strictSet = true
 		return nil
 	}
 }
@@ -173,22 +176,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithObserver subscribes fn to the selected event kinds at construction —
-// equivalent to calling Simulation.Subscribe immediately after New or
-// Restore. See Subscribe for the delivery and borrow semantics.
-func WithObserver(mask EventMask, fn func(Event)) Option {
-	return func(s *settings) error {
-		if fn == nil {
-			return errors.New("gridgather: WithObserver with nil function")
-		}
-		if mask == 0 {
-			return errors.New("gridgather: WithObserver with empty event mask")
-		}
-		s.subs = append(s.subs, subscription{mask: mask, fn: fn})
-		return nil
-	}
-}
-
 // rejectStructural reports an error if any structural option was applied —
 // Restore resumes exactly the simulation that was checkpointed and refuses
 // to reshape it.
@@ -197,4 +184,73 @@ func (s *settings) rejectStructural() error {
 		return nil
 	}
 	return fmt.Errorf("gridgather: option %s is structural and cannot be changed on Restore (the snapshot defines it)", s.structural[0])
+}
+
+// scenario is what a configuration resolves to for one instance.
+type scenario struct {
+	alg fsync.Algorithm
+	// scheduler is the engine's time model; nil means FSYNC and keeps the
+	// engine's fast path.
+	scheduler sched.Scheduler
+	// faults is the fault-injection plan; nil means a clean, fault-free
+	// run and keeps every engine fast path.
+	faults *fault.Plan
+	// budget is the canonical simulation budget scaled by the scheduler's
+	// fairness bound. Apply caller overrides with Budget.WithOverrides.
+	budget fsync.Budget
+}
+
+// resolve builds the scenario of an n-robot instance: the robot program
+// ("" or "paper" for the paper's algorithm with the configured radius and
+// L, "greedy" for the scheduler-robust strategy, which ignores both), the
+// time model (a sched.Parse spec), the fault plan (a fault.Parse spec)
+// and the canonical budget. The scheduler seed feeds the randomized
+// schedulers and unseeded fault clauses, with seed 0 normalized to 1
+// here — the single place that rule lives, so New and Restore cannot
+// drift on it.
+func (c *settings) resolve(n int) (scenario, error) {
+	params := core.WithConstants(c.radius, c.l)
+	if err := params.Validate(); err != nil {
+		return scenario{}, err
+	}
+	seed := c.schedulerSeed
+	if seed == 0 {
+		seed = 1
+	}
+	sch, err := sched.Parse(c.scheduler, seed)
+	if err != nil {
+		return scenario{}, err
+	}
+	var out scenario
+	switch c.algorithm {
+	case "", "paper":
+		out.alg = core.NewGatherer(params)
+	case "greedy":
+		out.alg = asyncseq.Algorithm{}
+	default:
+		return scenario{}, fmt.Errorf("unknown algorithm %q (have %s)",
+			c.algorithm, strings.Join(Algorithms(), ", "))
+	}
+	if out.faults, err = fault.Parse(c.faults, seed); err != nil {
+		return scenario{}, err
+	}
+	out.budget = fsync.DefaultBudget(n).Scale(sch.Fairness(n))
+	if !sched.IsFSYNC(sch) {
+		out.scheduler = sch
+	}
+	return out, nil
+}
+
+// engineConfig assembles the engine configuration from the resolved
+// settings. The round limit stays with the session (the engine's Step has
+// no budget); the stuck watchdog and safety checks run inside the engine.
+func (c *settings) engineConfig(sc scenario) fsync.Config {
+	return fsync.Config{
+		NoMergeLimit:      c.noMergeLimit,
+		CheckConnectivity: c.checkConn,
+		StrictViews:       c.strict,
+		Workers:           c.workers,
+		Scheduler:         sc.scheduler,
+		Faults:            sc.faults,
+	}
 }

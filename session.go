@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"gridgather/internal/core"
 	"gridgather/internal/fsync"
 	"gridgather/internal/grid"
-	"gridgather/internal/scenario"
 )
 
 // ErrDone is returned by Step and StepN when the simulation has already
@@ -28,23 +26,13 @@ var ErrDone = errors.New("gridgather: simulation has finished")
 type Simulation struct {
 	eng *fsync.Engine
 
-	// Resolved simulation budget (fairness-scaled at construction from the
-	// initial population; carried verbatim through snapshots).
-	maxRounds    int
-	noMergeLimit int
+	// cfg is the session's configuration, its budget resolved at
+	// construction (fairness-scaled from the initial population) and
+	// carried verbatim through snapshots.
+	cfg settings
 
 	initial int   // initial robot count
 	err     error // sticky abort error; nil while running or gathered
-
-	// Structural configuration, retained for Snapshot.
-	radius, l     int
-	scheduler     string
-	schedulerSeed int64
-	algorithm     string
-	faults        string
-	checkConn     bool
-	strict        bool
-	workers       int
 
 	// Event plumbing.
 	subs       []subscription
@@ -73,63 +61,18 @@ func New(cells []Point, opts ...Option) (*Simulation, error) {
 	if !s.Connected() {
 		return nil, ErrNotConnected
 	}
-	var cfg settings
-	if err := cfg.apply(opts); err != nil {
+	sim := &Simulation{initial: s.Len()}
+	if err := sim.cfg.apply(opts); err != nil {
 		return nil, err
 	}
-	params := core.WithConstants(cfg.radius, cfg.l)
-	if err := params.Validate(); err != nil {
-		return nil, fmt.Errorf("gridgather: %w", err)
-	}
-	sc, err := scenario.Resolve(cfg.algorithm, cfg.scheduler, cfg.faults, cfg.schedulerSeed, params, s.Len())
+	sc, err := sim.cfg.resolve(s.Len())
 	if err != nil {
 		return nil, fmt.Errorf("gridgather: %w", err)
 	}
-	budget := sc.Budget.WithOverrides(cfg.maxRounds, cfg.noMergeLimit)
-	sim := &Simulation{
-		maxRounds:     budget.MaxRounds,
-		noMergeLimit:  budget.NoMergeLimit,
-		initial:       s.Len(),
-		radius:        cfg.radius,
-		l:             cfg.l,
-		scheduler:     cfg.scheduler,
-		schedulerSeed: cfg.schedulerSeed,
-		algorithm:     cfg.algorithm,
-		faults:        cfg.faults,
-		checkConn:     cfg.checkConn,
-		strict:        cfg.strict,
-		workers:       cfg.workers,
-		subs:          cfg.subs,
-	}
-	sim.seedSubIDs()
-	sim.eng = fsync.New(s, sc.Algorithm, sim.engineConfig(sc))
+	budget := sc.budget.WithOverrides(sim.cfg.maxRounds, sim.cfg.noMergeLimit)
+	sim.cfg.maxRounds, sim.cfg.noMergeLimit = budget.MaxRounds, budget.NoMergeLimit
+	sim.eng = fsync.New(s, sc.alg, sim.cfg.engineConfig(sc))
 	return sim, nil
-}
-
-// seedSubIDs assigns IDs to subscriptions installed via options (the same
-// unique-increasing scheme Subscribe uses), so their cancel semantics
-// match run-time subscriptions.
-func (s *Simulation) seedSubIDs() {
-	s.subIDs = make([]int, len(s.subs))
-	for i := range s.subIDs {
-		s.subSeq++
-		s.subIDs[i] = s.subSeq
-	}
-}
-
-// engineConfig assembles the engine configuration from the session's
-// resolved settings. The round limit stays with the session (the engine's
-// Step has no budget); the stuck watchdog and safety checks run inside the
-// engine.
-func (s *Simulation) engineConfig(sc scenario.Scenario) fsync.Config {
-	return fsync.Config{
-		NoMergeLimit:      s.noMergeLimit,
-		CheckConnectivity: s.checkConn,
-		StrictViews:       s.strict,
-		Workers:           s.workers,
-		Scheduler:         sc.Scheduler,
-		Faults:            sc.Faults,
-	}
 }
 
 // Step executes one round. It returns nil when a round was executed
@@ -146,7 +89,7 @@ func (s *Simulation) Step() error {
 	if s.eng.Gathered() {
 		return ErrDone
 	}
-	if s.maxRounds > 0 && s.eng.Round() >= s.maxRounds {
+	if s.cfg.maxRounds > 0 && s.eng.Round() >= s.cfg.maxRounds {
 		return s.abort(fsync.ErrRoundLimit{Rounds: s.eng.Round()})
 	}
 	runsBefore := s.eng.RunsStarted()

@@ -158,8 +158,8 @@ func TestRunHonorsCancellation(t *testing.T) {
 func TestSessionAbortSticky(t *testing.T) {
 	cells := mustWorkload(t, "hollow", 120)
 	var aborts []error
-	sim := mustNew(t, cells, WithMaxRounds(3),
-		WithObserver(AbortEvents, func(ev Event) { aborts = append(aborts, ev.Err) }))
+	sim := mustNew(t, cells, WithMaxRounds(3))
+	sim.Subscribe(AbortEvents, func(ev Event) { aborts = append(aborts, ev.Err) })
 	res := sim.Run(context.Background())
 	var limit fsync.ErrRoundLimit
 	if !errors.As(res.Err, &limit) {
@@ -183,28 +183,28 @@ func TestSessionEvents(t *testing.T) {
 	var rounds, merges, runStarts, gathered int
 	var lastRobots int
 	mergeSum := 0
-	sim := mustNew(t, cells,
-		WithObserver(RoundEvents, func(ev Event) {
-			rounds++
-			lastRobots = len(ev.Robots)
-			if ev.Kind != EventRound {
-				t.Errorf("round event kind = %v", ev.Kind)
+	sim := mustNew(t, cells)
+	sim.Subscribe(RoundEvents, func(ev Event) {
+		rounds++
+		lastRobots = len(ev.Robots)
+		if ev.Kind != EventRound {
+			t.Errorf("round event kind = %v", ev.Kind)
+		}
+	})
+	sim.Subscribe(MergeEvents|RunStartEvents|GatheredEvents, func(ev Event) {
+		switch ev.Kind {
+		case EventMerge:
+			merges++
+			mergeSum += ev.RoundMerges
+		case EventRunStart:
+			runStarts++
+		case EventGathered:
+			gathered++
+			if !Connected(ev.Robots) {
+				t.Error("gathered event with disconnected payload")
 			}
-		}),
-		WithObserver(MergeEvents|RunStartEvents|GatheredEvents, func(ev Event) {
-			switch ev.Kind {
-			case EventMerge:
-				merges++
-				mergeSum += ev.RoundMerges
-			case EventRunStart:
-				runStarts++
-			case EventGathered:
-				gathered++
-				if !Connected(ev.Robots) {
-					t.Error("gathered event with disconnected payload")
-				}
-			}
-		}))
+		}
+	})
 	res := sim.Run(context.Background())
 	if res.Err != nil || !res.Gathered {
 		t.Fatalf("run: %+v", res)
@@ -285,9 +285,12 @@ func TestSubscribeCancel(t *testing.T) {
 // The observer path adds zero allocations on top of a bare Step: the event
 // payload reuses session-owned scratch refilled from engine-owned state.
 func TestObserverPathAllocationFree(t *testing.T) {
-	measure := func(opts ...Option) float64 {
+	measure := func(observe func(Event)) float64 {
 		cells := mustWorkload(t, "hollow", 400)
-		sim := mustNew(t, cells, append(opts, WithWorkers(1))...)
+		sim := mustNew(t, cells, WithWorkers(1))
+		if observe != nil {
+			sim.Subscribe(AllEvents, observe)
+		}
 		// Warm the scratch buffers, then measure steady-state rounds.
 		if _, err := sim.StepN(3); err != nil {
 			t.Fatal(err)
@@ -298,9 +301,9 @@ func TestObserverPathAllocationFree(t *testing.T) {
 			}
 		})
 	}
-	bare := measure()
+	bare := measure(nil)
 	seen := 0
-	observed := measure(WithObserver(AllEvents, func(ev Event) { seen += len(ev.Robots) + len(ev.Runners) }))
+	observed := measure(func(ev Event) { seen += len(ev.Robots) + len(ev.Runners) })
 	if observed > bare {
 		t.Errorf("observer path allocates: %.1f allocs/round with observer, %.1f without", observed, bare)
 	}

@@ -4,7 +4,7 @@
 // fingerprint on each run; if the format changed without a snapshotVersion
 // bump, it reports the stale hash and the new one to paste in after bumping.
 //
-//gather:snapshot-format version=snapshotVersion hash=993c38f8343b938d
+//gather:snapshot-format version=snapshotVersion hash=572772e3c62d7e3f
 
 package gridgather
 
@@ -15,9 +15,7 @@ import (
 	"math"
 
 	"gridgather/internal/codec"
-	"gridgather/internal/core"
 	"gridgather/internal/fsync"
-	"gridgather/internal/scenario"
 )
 
 // Snapshot format: a four-byte magic, a version, the structural
@@ -64,16 +62,16 @@ func (s *Simulation) Snapshot() ([]byte, error) {
 	b := make([]byte, 0, 256+10*s.eng.World().Len())
 	b = append(b, snapshotMagic...)
 	b = codec.AppendUvarint(b, snapshotVersion)
-	b = codec.AppendInt(b, s.radius)
-	b = codec.AppendInt(b, s.l)
-	b = codec.AppendString(b, s.scheduler)
-	b = codec.AppendVarint(b, s.schedulerSeed)
-	b = codec.AppendString(b, s.algorithm)
-	b = codec.AppendString(b, s.faults)
-	b = codec.AppendInt(b, s.maxRounds)
-	b = codec.AppendInt(b, s.noMergeLimit)
-	b = codec.AppendBool(b, s.checkConn)
-	b = codec.AppendBool(b, s.strict)
+	b = codec.AppendInt(b, s.cfg.radius)
+	b = codec.AppendInt(b, s.cfg.l)
+	b = codec.AppendString(b, s.cfg.scheduler)
+	b = codec.AppendVarint(b, s.cfg.schedulerSeed)
+	b = codec.AppendString(b, s.cfg.algorithm)
+	b = codec.AppendString(b, s.cfg.faults)
+	b = codec.AppendInt(b, s.cfg.maxRounds)
+	b = codec.AppendInt(b, s.cfg.noMergeLimit)
+	b = codec.AppendBool(b, s.cfg.checkConn)
+	b = codec.AppendBool(b, s.cfg.strict)
 	b = codec.AppendUvarint(b, uint64(s.initial))
 	b = appendAbortState(b, s.err)
 	return s.eng.AppendState(b), nil
@@ -134,13 +132,13 @@ func decodeAbortState(r *codec.Reader) (error, bool) {
 }
 
 // Restore rebuilds a session from a Snapshot. The structural configuration
-// (radius, L, scheduler, seed, algorithm) comes from the snapshot and
-// cannot be overridden — passing a structural Option is an error. Execution
-// options are free: WithWorkers, observers, WithConnectivityCheck,
-// WithStrictLocality, and budget overrides (WithMaxRounds /
-// WithNoMergeLimit replace the checkpointed limits, e.g. to grant an
-// exhausted run more budget) may all differ from the original session
-// without affecting the simulated rounds.
+// (radius, L, scheduler, seed, algorithm, faults) comes from the snapshot
+// and cannot be overridden — passing a structural Option is an error.
+// Execution options apply on top of the checkpointed ones: WithWorkers,
+// WithConnectivityCheck, WithStrictLocality, and budget overrides
+// (WithMaxRounds / WithNoMergeLimit replace the checkpointed limits, e.g.
+// to grant an exhausted run more budget; 0 keeps them) may all differ from
+// the original session without affecting the simulated rounds.
 //
 // Truncated input fails with ErrSnapshotTruncated, an unknown format
 // version with ErrSnapshotVersion, and corrupt or trailing data with
@@ -153,28 +151,26 @@ func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg settings
+	cfg := &sim.cfg
+	ckpt := fsync.Budget{MaxRounds: cfg.maxRounds, NoMergeLimit: cfg.noMergeLimit}
+	// The budget options start unset, so a checkpointed limit passes
+	// through WithOverrides verbatim, even one a snapshot encodes as
+	// negative.
+	cfg.maxRounds, cfg.noMergeLimit = 0, 0
 	if err := cfg.apply(opts); err != nil {
 		return nil, err
 	}
 	if err := cfg.rejectStructural(); err != nil {
 		return nil, err
 	}
-	budget := fsync.Budget{MaxRounds: sim.maxRounds, NoMergeLimit: sim.noMergeLimit}.
-		WithOverrides(cfg.maxRounds, cfg.noMergeLimit)
-	sim.maxRounds, sim.noMergeLimit = budget.MaxRounds, budget.NoMergeLimit
-	if cfg.checkConnSet {
-		sim.checkConn = cfg.checkConn
-	}
-	if cfg.strictSet {
-		sim.strict = cfg.strict
-	}
-	sim.workers = cfg.workers
-	sim.subs = cfg.subs
-	sim.seedSubIDs()
+	budget := ckpt.WithOverrides(cfg.maxRounds, cfg.noMergeLimit)
+	cfg.maxRounds, cfg.noMergeLimit = budget.MaxRounds, budget.NoMergeLimit
 
-	params := core.WithConstants(sim.radius, sim.l)
-	if err := params.Validate(); err != nil {
+	// The budget was resolved at the original construction (fairness-scaled
+	// by the initial population); resolve here only rebuilds the algorithm
+	// and a fresh scheduler instance for the cursor to restore into.
+	sc, err := cfg.resolve(sim.initial)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotInvalid, err)
 	}
 	// New gives the robots slots 0..initial-1 and merges never add one, so
@@ -188,14 +184,7 @@ func Restore(snapshot []byte, opts ...Option) (*Simulation, error) {
 	if slots != uint64(sim.initial) {
 		return nil, fmt.Errorf("%w: world of %d slots for an initial population of %d", ErrSnapshotInvalid, slots, sim.initial)
 	}
-	// The budget was resolved at the original construction (fairness-scaled
-	// by the initial population); Resolve here only rebuilds the algorithm
-	// and a fresh scheduler instance for the cursor to restore into.
-	sc, err := scenario.Resolve(sim.algorithm, sim.scheduler, sim.faults, sim.schedulerSeed, params, sim.initial)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotInvalid, err)
-	}
-	eng, rest, err := fsync.NewRestored(sc.Algorithm, sim.engineConfig(sc), r.Rest())
+	eng, rest, err := fsync.NewRestored(sc.alg, cfg.engineConfig(sc), r.Rest())
 	if err != nil {
 		return nil, snapshotErr(err)
 	}
@@ -232,7 +221,7 @@ func decodeHeader(snapshot []byte) (*Simulation, *codec.Reader, error) {
 	if v := r.Uvarint(); r.Err() == nil && v != snapshotVersion {
 		return nil, nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrSnapshotVersion, v, snapshotVersion)
 	}
-	sim := &Simulation{
+	sim := &Simulation{cfg: settings{
 		radius:        r.Int(),
 		l:             r.Int(),
 		scheduler:     r.Text(),
@@ -243,7 +232,7 @@ func decodeHeader(snapshot []byte) (*Simulation, *codec.Reader, error) {
 		noMergeLimit:  r.Int(),
 		checkConn:     r.Bool(),
 		strict:        r.Bool(),
-	}
+	}}
 	initial := r.Uvarint()
 	stickyErr, okTag := decodeAbortState(r)
 	if err := r.Err(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gridgather/internal/codec"
 	"gridgather/internal/fsync"
 	"gridgather/internal/gen"
 )
@@ -217,7 +218,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 	// Execution options are fine.
 	if _, err := Restore(snap, WithWorkers(4), WithConnectivityCheck(true),
-		WithObserver(RoundEvents, func(Event) {})); err != nil {
+		WithStrictLocality(true), WithMaxRounds(50), WithNoMergeLimit(-1)); err != nil {
 		t.Errorf("execution options rejected: %v", err)
 	}
 	// …but validated like New: a negative worker count is not "all CPUs".
@@ -290,5 +291,95 @@ func TestRestoreBudgetOverride(t *testing.T) {
 	res = granted.Run(context.Background())
 	if res.Err != nil || !res.Gathered || res.Rounds != want.Rounds {
 		t.Errorf("granted run %+v, want rounds=%d", res, want.Rounds)
+	}
+}
+
+// executionHeader is the execution part of a snapshot header: the
+// resolved budget and the two safety flags.
+type executionHeader struct {
+	maxRounds, noMergeLimit int
+	checkConn, strict       bool
+}
+
+// readExecutionHeader parses a snapshot header far enough to return its
+// execution settings, independently of decodeHeader.
+func readExecutionHeader(t *testing.T, snap []byte) executionHeader {
+	t.Helper()
+	r := codec.NewReader(snap[len(snapshotMagic):])
+	r.Uvarint() // version
+	r.Int()     // radius
+	r.Int()     // L
+	r.Text()    // scheduler
+	r.Varint()  // scheduler seed
+	r.Text()    // algorithm
+	r.Text()    // faults
+	h := executionHeader{maxRounds: r.Int(), noMergeLimit: r.Int(), checkConn: r.Bool(), strict: r.Bool()}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// Execution options passed to Restore replace the checkpointed values;
+// options left out keep them, and a zero budget option keeps the
+// checkpointed limit rather than re-deriving the canonical one.
+func TestRestoreExecutionOverrides(t *testing.T) {
+	cells := mustWorkload(t, "blob", 80)
+	sim := mustNew(t, cells, WithConnectivityCheck(true), WithStrictLocality(true),
+		WithNoMergeLimit(321), WithMaxRounds(4321))
+	if _, err := sim.StepN(25); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := executionHeader{maxRounds: 4321, noMergeLimit: 321, checkConn: true, strict: true}
+	if got := readExecutionHeader(t, snap); got != ckpt {
+		t.Fatalf("checkpoint header %+v, want %+v", got, ckpt)
+	}
+	cases := []struct {
+		name string
+		opts []Option
+		want executionHeader
+	}{
+		{"none", nil, ckpt},
+		{"conn off", []Option{WithConnectivityCheck(false)},
+			executionHeader{maxRounds: 4321, noMergeLimit: 321, strict: true}},
+		{"strict off", []Option{WithStrictLocality(false)},
+			executionHeader{maxRounds: 4321, noMergeLimit: 321, checkConn: true}},
+		{"both off", []Option{WithConnectivityCheck(false), WithStrictLocality(false)},
+			executionHeader{maxRounds: 4321, noMergeLimit: 321}},
+		{"watchdog off", []Option{WithNoMergeLimit(-1)},
+			executionHeader{maxRounds: 4321, checkConn: true, strict: true}},
+		{"zero budget", []Option{WithMaxRounds(0), WithNoMergeLimit(0)}, ckpt},
+		{"new budget", []Option{WithMaxRounds(9000), WithNoMergeLimit(77)},
+			executionHeader{maxRounds: 9000, noMergeLimit: 77, checkConn: true, strict: true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Restore(snap, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := r.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readExecutionHeader(t, again); got != tc.want {
+				t.Fatalf("restored header %+v, want %+v", got, tc.want)
+			}
+			if tc.want == ckpt && !bytes.Equal(again, snap) {
+				t.Fatal("restore without changed settings re-snapshots to different bytes")
+			}
+			if _, err := r.StepN(30); err != nil {
+				t.Fatal(err)
+			}
+			// Strict locality disables the quiescence fast path, so the
+			// counters show which setting the engine actually runs with.
+			if computed := r.Metrics().QuiesceComputed; (computed == 0) != tc.want.strict {
+				t.Errorf("strict=%v but QuiesceComputed=%d", tc.want.strict, computed)
+			}
+		})
 	}
 }
