@@ -39,11 +39,76 @@ import (
 // MergeMove decides whether the robot at the view's origin participates in
 // a merge operation this round, and returns its hop. The second return is
 // false if the robot is not a black robot of any configuration.
+//
+// The robot is black for hop direction d when every Fig. 2 test holds.
+// Each test is a pure conjunction of occupancy reads, so the order of the
+// reads cannot change a verdict; only the number of reads depends on it.
+// The rule therefore reads the origin's 3×3 block once and runs every
+// direction's m = 0 tests from it before any run scan: the origin's own
+// far-side cell (exposure), and, when both of its run neighbours are
+// occupied so that the origin is an interior black robot, its own landing
+// cell. A robot inside the swarm is rejected after that one read.
+//
+// The straight run through the origin lies on the axis perpendicular to
+// d, so d and −d share it. "Run too long" means the run's extents neg and
+// pos on the two sides of the origin sum to MergeMax or more, which does
+// not depend on which side is which, so each axis is scanned at most once
+// per call: a one-cell-thick edge, whose robot survives the m = 0 tests
+// in both directions across the edge, pays one pair of scans, not two.
+// The scans and the segment tests go through View.Run and View.AnyIn,
+// which a dense view answers a word at a time.
 func MergeMove(v *view.View, p Params) (grid.Point, bool) {
+	b := v.Block3()
+	if b&allAxes == allAxes {
+		return grid.Zero, false // inside the swarm: no direction is exposed
+	}
+	// run[k] is the length of the straight run of robots beside the
+	// origin along grid.Axis4[k]; an axis's two entries are valid once
+	// scanned[k&1] is set, and exact unless long[k&1].
+	var run [4]int
+	var scanned, long [2]bool
 	var dirs [4]grid.Point
 	n := 0
-	for _, d := range grid.Axis4 {
-		if blackIn(v, d, p) {
+	for k, d := range grid.Axis4 {
+		// −d is grid.Axis4[(k+2)&3]; the line axis of the black
+		// subboundary, d.PerpCW(), is grid.Axis4[(k+3)&3].
+		if b&axisBit[(k+2)&3] != 0 {
+			continue // the far-side cell −d is occupied: not exposed
+		}
+		if b&axisBit[k] != 0 && b&axisBit[(k+1)&3] != 0 && b&axisBit[(k+3)&3] != 0 {
+			continue // an interior black robot whose landing cell d is occupied
+		}
+		axis := d.PerpCW()
+
+		// Extent of the straight run of robots through the origin along
+		// ±axis. A run of MergeMax or more robots is too long to verify
+		// within the radius; below that, maximality holds because each Run
+		// stopped at a free cell, so the cells extending the run at both
+		// ends are free.
+		if c := k & 1; !scanned[c] {
+			scanned[c] = true
+			i, j := (k+1)&3, (k+3)&3
+			run[i] = runBeside(v, b, i, p.MergeMax)
+			long[c] = run[i] >= p.MergeMax
+			if !long[c] {
+				rest := p.MergeMax - run[i]
+				run[j] = runBeside(v, b, j, rest)
+				long[c] = run[j] >= rest
+			}
+		}
+		if long[k&1] {
+			continue
+		}
+		neg, pos := run[(k+1)&3], run[(k+3)&3]
+
+		// Far side (outside) must be fully exposed, and the interior
+		// landing cells must be free.
+		if v.AnyIn(axis.Scale(-neg).Sub(d), axis, neg+pos+1) ||
+			v.AnyIn(axis.Scale(-neg+1).Add(d), axis, neg+pos-1) {
+			continue
+		}
+		// At least one end landing cell must hold a grey anchor.
+		if v.Occ(axis.Scale(-neg).Add(d)) || v.Occ(axis.Scale(pos).Add(d)) {
 			dirs[n] = d
 			n++
 		}
@@ -61,49 +126,22 @@ func MergeMove(v *view.View, p Params) (grid.Point, bool) {
 	return grid.Zero, false
 }
 
-// blackIn reports whether the origin robot is a black robot of a merge
-// configuration whose hop direction is d.
-//
-// The verdict is a pure conjunction of occupancy tests, so the order of the
-// reads cannot change it; only the number of reads depends on the order.
-// The m = 0 cases are therefore tested before any run scan: the origin's
-// own far-side cell (exposure), and, when both of its run neighbours are
-// occupied so that the origin is an interior black robot, its own landing
-// cell. A robot inside the swarm is rejected after one read per direction,
-// one in the middle of a solid edge after at most four, instead of after
-// scanning its run up to MergeMax cells each way. The run scans and the
-// segment tests go through View.Run and View.AnyIn, which a dense view
-// answers a row word at a time.
-func blackIn(v *view.View, d grid.Point, p Params) bool {
-	if v.Occ(d.Neg()) {
-		return false
-	}
-	axis := d.PerpCW() // the line axis of the black subboundary
-	if v.Occ(d) && v.Occ(axis) && v.Occ(axis.Neg()) {
-		return false
-	}
+// axisBit[k] is the grid.Block3 bit of the origin's neighbour along
+// grid.Axis4[k].
+var axisBit = [4]grid.Block3{
+	grid.Block3Bit(grid.Axis4[0]), grid.Block3Bit(grid.Axis4[1]),
+	grid.Block3Bit(grid.Axis4[2]), grid.Block3Bit(grid.Axis4[3]),
+}
 
-	// Extent of the straight run of robots through the origin along ±axis.
-	// A run of MergeMax or more robots is too long to verify within the
-	// radius; below that, maximality holds because each Run stopped at a
-	// free cell, so the cells extending the run at both ends are free.
-	neg := v.Run(axis.Neg(), p.MergeMax)
-	if neg >= p.MergeMax {
-		return false
-	}
-	pos := v.Run(axis, p.MergeMax-neg)
-	if pos >= p.MergeMax-neg {
-		return false
-	}
+// allAxes holds the bits of all four axis neighbours.
+var allAxes = axisBit[0] | axisBit[1] | axisBit[2] | axisBit[3]
 
-	// Far side (outside) must be fully exposed, and the interior landing
-	// cells must be free.
-	if v.AnyIn(axis.Scale(-neg).Sub(d), axis, neg+pos+1) ||
-		v.AnyIn(axis.Scale(-neg+1).Add(d), axis, neg+pos-1) {
-		return false
+// runBeside returns the length of the straight run of robots beside the
+// origin along grid.Axis4[k], capped at max: 0 without a scan when the
+// block shows the first cell free.
+func runBeside(v *view.View, b grid.Block3, k, max int) int {
+	if b&axisBit[k] == 0 {
+		return 0
 	}
-	// At least one end landing cell must hold a grey anchor.
-	landA := axis.Scale(-neg).Add(d)
-	landB := axis.Scale(pos).Add(d)
-	return v.Occ(landA) || v.Occ(landB)
+	return v.Run(grid.Axis4[k], max)
 }

@@ -340,24 +340,42 @@ func checkMergeAgainstReference(t *testing.T, w *world.Dense, origin, off grid.P
 	return gok
 }
 
+// mergeAligns are the in-chunk coordinates (mod 64) the merge tests put
+// robots at: the chunk corner and its neighbour, the middle, and the far
+// edge. A robot off the chunk edges takes the single-tile 3×3 read, one
+// on an edge the per-cell seam read, and runs and segments then start
+// anywhere in a tile line.
+var mergeAligns = [5]int{0, 1, 31, 62, 63}
+
 // TestMergeMoveMatchesReference gathers every seeded-catalog swarm and
 // checks, for every robot of every round, that MergeMove agrees with the
-// reference rule, with and without a sensor noise flip in the view.
+// reference rule, with and without a sensor noise flip in the view. Each
+// swarm runs at several translations, which put its lowest-leftmost robot
+// at in-chunk coordinates drawn from mergeAligns.
 func TestMergeMoveMatchesReference(t *testing.T) {
 	noise := []grid.Point{grid.Zero, grid.North, grid.Pt(1, 1), grid.Pt(-2, 0), grid.Pt(0, -3), grid.Pt(5, -4)}
 	for _, wl := range gen.SeededCatalog() {
 		t.Run(wl.Name, func(t *testing.T) {
-			s := wl.Build(120, 42)
-			eng := fsync.New(s, Default(), fsync.Config{})
+			base := wl.Build(120, 42)
+			b := base.Bounds()
 			matched := 0
-			for r := 0; r < 60*s.Len() && !eng.Gathered(); r++ {
-				for i, c := range eng.Swarm().Cells() {
-					if checkMergeAgainstReference(t, eng.World(), c, noise[i%len(noise)], eng.Round()) {
-						matched++
-					}
+			for k, ax := range mergeAligns {
+				ay := mergeAligns[(k+2)%len(mergeAligns)]
+				shift := grid.Pt(ax-b.MinX+64*(k-2), ay-b.MinY-64*(k%2))
+				s := swarm.New()
+				for _, c := range base.Cells() {
+					s.Add(c.Add(shift))
 				}
-				if err := eng.Step(); err != nil {
-					t.Fatal(err)
+				eng := fsync.New(s, Default(), fsync.Config{})
+				for r := 0; r < 60*s.Len() && !eng.Gathered(); r++ {
+					for i, c := range eng.Swarm().Cells() {
+						if checkMergeAgainstReference(t, eng.World(), c, noise[i%len(noise)], eng.Round()) {
+							matched++
+						}
+					}
+					if err := eng.Step(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if matched == 0 {
@@ -394,21 +412,36 @@ func windowBits(s *swarm.Swarm, c grid.Point) []byte {
 }
 
 // FuzzMergeMove checks MergeMove against the reference rule on arbitrary
-// radius-20 windows around an occupied origin, with and without a noise
-// flip at (nx, ny). The seed corpus holds windows cut around merging and
-// non-merging robots of catalog swarms, a solid interior, and random
-// windows of several densities.
+// radius-20 windows around an occupied origin at (ox, oy), with and
+// without a noise flip at (nx, ny). The seed corpus holds windows cut
+// around merging and non-merging robots of catalog swarms, a solid
+// interior, and random windows of several densities, with the origin at
+// in-chunk coordinates drawn from mergeAligns on both sides of zero.
 func FuzzMergeMove(f *testing.F) {
+	seeds := 0
+	origin := func() (int16, int16) {
+		k := seeds
+		seeds++
+		ox, oy := mergeAligns[k%5], mergeAligns[(k/5)%5]
+		if k%2 == 1 {
+			ox, oy = ox-64, oy-128
+		}
+		return int16(ox), int16(oy)
+	}
 	for _, wl := range gen.SeededCatalog() {
 		s := wl.Build(60, 7)
 		blacks := MergeBlacks(s, Defaults())
 		for i, c := range s.Cells() {
 			if _, ok := blacks[c]; ok || i%17 == 0 {
-				f.Add(windowBits(s, c), int8(i%5-2), int8(i%3-1))
+				ox, oy := origin()
+				f.Add(windowBits(s, c), int8(i%5-2), int8(i%3-1), ox, oy)
 			}
 		}
 	}
-	f.Add(windowBits(solid(41, 41), grid.Pt(20, 20)), int8(0), int8(1))
+	for range mergeAligns {
+		ox, oy := origin()
+		f.Add(windowBits(solid(41, 41), grid.Pt(20, 20)), int8(0), int8(1), ox, oy)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for _, density := range []float64{0.1, 0.3, 0.5, 0.8} {
 		b := make([]byte, (len(fuzzWindow)+7)/8)
@@ -417,20 +450,22 @@ func FuzzMergeMove(f *testing.F) {
 				b[i/8] |= 1 << (i % 8)
 			}
 		}
-		f.Add(b, int8(rng.Intn(7)-3), int8(rng.Intn(7)-3))
+		ox, oy := origin()
+		f.Add(b, int8(rng.Intn(7)-3), int8(rng.Intn(7)-3), ox, oy)
 	}
 	r := Defaults().Radius
-	f.Fuzz(func(t *testing.T, bits []byte, nx, ny int8) {
-		s := swarm.New(grid.Zero)
+	f.Fuzz(func(t *testing.T, bits []byte, nx, ny int8, ox, oy int16) {
+		o := grid.Pt(int(ox), int(oy))
+		s := swarm.New(o)
 		for i, rel := range fuzzWindow {
 			if i/8 < len(bits) && bits[i/8]&(1<<(i%8)) != 0 {
-				s.Add(rel)
+				s.Add(o.Add(rel))
 			}
 		}
 		off := grid.Pt(int(nx)%(r+1), int(ny)%(r+1))
 		if off.L1() > r {
 			off = grid.Pt(off.X/2, off.Y/2)
 		}
-		checkMergeAgainstReference(t, world.NewDense(s, false), grid.Zero, off, 0)
+		checkMergeAgainstReference(t, world.NewDense(s, false), o, off, 0)
 	})
 }

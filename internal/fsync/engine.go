@@ -199,6 +199,7 @@ type Engine struct {
 	// Scratch structures reused across rounds. Each Step fills them from
 	// scratch; nothing outside Step may retain references to them.
 	order        []grid.Point      // this round's activation set
+	orderSlots   []int32           // the world slots of order's robots, indexed like order
 	sleep        []grid.Point      // robots outside the activation set
 	mask         []bool            // scheduler activation mask over the cell order
 	acts         []actionAt        // actions indexed like order
@@ -535,6 +536,10 @@ func (e *Engine) crashedAtCell(p grid.Point) bool {
 // perturbed view is not the cached one. Each robot's skip/noisy/had-runs
 // disposition lands in e.qFlags for the serial post-pass.
 //
+// The robot's slot comes from e.orderSlots, so the skip test, the had-runs
+// flag, the view's Self and the post-pass's QuiesceNote read it without
+// looking the robot's cell up again.
+//
 //gather:hotpath
 func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 	v := view.New(vc, grid.Zero, e.round)
@@ -542,18 +547,18 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 	flips := e.flips
 	q := e.qOn
 	for i := lo; i < hi; i++ {
-		p := e.order[i]
+		p, slot := e.order[i], e.orderSlots[i]
 		lr := e.localRound(p)
 		var off grid.Point
 		if len(flips) != 0 {
 			off = flips[i]
 		}
-		if q && off == (grid.Point{}) && e.w.QuiesceSkip(p, lr%e.qPeriod) {
+		if q && off == (grid.Point{}) && e.w.QuiesceSkip(p, slot, lr%e.qPeriod) {
 			e.acts[i] = actionAt{} // the cached quiescent action: Stay
 			e.qFlags[i] = qfSkip
 			continue
 		}
-		v.Reposition(p, lr)
+		v.RepositionSlot(p, slot, lr)
 		if off != (grid.Point{}) {
 			v.SetNoise(off)
 		}
@@ -572,7 +577,7 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 			if off != (grid.Point{}) {
 				f = qfNoisy
 			}
-			if e.w.HasRunsAt(p) {
+			if e.w.HasRuns(slot) {
 				f |= qfHadRuns
 			}
 			e.qFlags[i] = f
@@ -642,14 +647,16 @@ func (e *Engine) stageActivate(scheduled bool) {
 	cells := e.w.Cells()
 	e.sleep = e.sleep[:0]
 	if !scheduled && !e.crashTrack {
-		// Everyone activates in cell order: alias the world's cell view,
-		// which stays valid until Commit, after Resolve's last read. The
+		// Everyone activates in cell order: alias the world's cell and
+		// slot views, which stay valid until Commit, after Resolve's last
+		// read. The
 		// scheduler and the crash plan are fixed for an engine's lifetime,
 		// so the appending path below never sees the alias.
-		e.order = cells
+		e.order, e.orderSlots = cells, e.w.Slots()
 		return
 	}
 	e.order = e.order[:0]
+	e.orderSlots = e.orderSlots[:0]
 	slots := e.w.Slots()
 	n := len(cells)
 	var alive, mask []bool
@@ -688,6 +695,7 @@ func (e *Engine) stageActivate(scheduled bool) {
 	for i, p := range cells {
 		if (mask == nil || mask[i]) && (alive == nil || alive[i]) {
 			e.order = append(e.order, p)
+			e.orderSlots = append(e.orderSlots, slots[i])
 		} else {
 			e.sleep = append(e.sleep, p)
 		}

@@ -113,7 +113,7 @@ func (e *Engine) quiescePost() {
 		a, from := &e.acts[i], e.order[i]
 		hadRuns := f&qfHadRuns != 0
 		if f&qfNoisy == 0 {
-			e.w.QuiesceNote(from, e.localRound(from)%e.qPeriod, !hadRuns && a.quiescent())
+			e.w.QuiesceNote(from, e.orderSlots[i], e.localRound(from)%e.qPeriod, !hadRuns && a.quiescent())
 		}
 		if hadRuns {
 			// The robot's runs age, glide or hand off this round; even if

@@ -135,3 +135,23 @@ func TestNeighbors(t *testing.T) {
 		}
 	}
 }
+
+// Block3Bit maps the nine offsets of a 3×3 block one-to-one onto bits
+// 0..8, row by row from the bottom-left cell, with the centre on bit 4.
+func TestBlock3Bit(t *testing.T) {
+	seen := Block3(0)
+	i := 0
+	for y := -1; y <= 1; y++ {
+		for x := -1; x <= 1; x++ {
+			b := Block3Bit(Pt(x, y))
+			if b != 1<<i || seen&b != 0 {
+				t.Fatalf("Block3Bit(%d, %d) = %#b, want bit %d", x, y, b, i)
+			}
+			seen |= b
+			i++
+		}
+	}
+	if Block3Bit(Zero) != 1<<4 {
+		t.Fatalf("centre bit %#b", Block3Bit(Zero))
+	}
+}

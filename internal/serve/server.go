@@ -505,12 +505,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
+	// An empty body, sent with or without a length, is the zero request:
+	// one round.
 	var req StepRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			s.httpError(w, http.StatusBadRequest, "serve: bad step body: "+err.Error())
-			return
-		}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && err != io.EOF {
+		s.httpError(w, http.StatusBadRequest, "serve: bad step body: "+err.Error())
+		return
 	}
 	limit := req.BudgetRounds // ≤ 0: until the session finishes
 	if !req.ToCompletion {

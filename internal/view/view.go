@@ -22,6 +22,7 @@ import (
 // view is O(1) and only the cells actually inspected are touched.
 type View struct {
 	origin  grid.Point
+	slot    int32 // the observing robot's world slot, or -1 when not given
 	radius  int
 	checked bool
 	dense   *world.Dense
@@ -55,6 +56,7 @@ type Config struct {
 func New(cfg Config, origin grid.Point, round int) *View {
 	v := &View{
 		origin:  origin,
+		slot:    -1,
 		radius:  cfg.Radius,
 		checked: cfg.Checked,
 		dense:   cfg.Dense,
@@ -76,7 +78,16 @@ func (v *View) refresh() {
 // robot. The accessors and radius are unchanged; only the origin and round
 // move.
 func (v *View) Reposition(origin grid.Point, round int) {
+	v.RepositionSlot(origin, -1, round)
+}
+
+// RepositionSlot is Reposition for a caller that already holds the world
+// slot of the robot at origin (the engine's compute loop): Self then reads
+// the robot's state by slot instead of looking its cell up. A negative
+// slot means "not known", as after Reposition.
+func (v *View) RepositionSlot(origin grid.Point, slot int32, round int) {
 	v.origin = origin
+	v.slot = slot
 	v.round = round
 	v.noise = grid.Point{}
 	v.refresh()
@@ -134,6 +145,32 @@ func (v *View) occSlow(rel grid.Point) bool {
 	return occ
 }
 
+// Block3 returns the occupancy of the 3×3 block of cells around the
+// observing robot, in grid.Block3's bit layout. The centre bit is set:
+// Occ(grid.Zero) is always true. A fast view reads the block as three
+// shifted row words (world.Dense.Block3); a checked or noisy view makes
+// the eight Occ reads it stands for, so a noise flip on a neighbour is
+// honoured.
+func (v *View) Block3() grid.Block3 {
+	if v.fast {
+		return grid.Block3Bit(grid.Zero) | v.dense.Block3(v.origin)
+	}
+	return v.block3Slow()
+}
+
+// block3Slow is Block3 for views that are checked or noisy.
+func (v *View) block3Slow() grid.Block3 {
+	b := grid.Block3Bit(grid.Zero)
+	for y := -1; y <= 1; y++ {
+		for x := -1; x <= 1; x++ {
+			if rel := grid.Pt(x, y); rel != grid.Zero && v.occSlow(rel) {
+				b |= grid.Block3Bit(rel)
+			}
+		}
+	}
+	return b
+}
+
 // Run counts the consecutive occupied cells step, 2·step, … from the
 // observing robot, stopping at the first free cell or after max cells.
 // step must be a unit axis vector. The answer and, on a checked or noisy
@@ -144,7 +181,8 @@ func (v *View) occSlow(rel grid.Point) bool {
 //
 // so a checked view panics at the first out-of-radius cell that loop would
 // read, and a noise flip inside the run is honoured. A fast view counts
-// whole row words instead (world.Dense.RunLen).
+// whole tile lines instead, row words along x and column words along y
+// (world.Dense.RunLen).
 func (v *View) Run(step grid.Point, max int) int {
 	if v.fast {
 		return v.dense.RunLen(v.origin, step, max)
@@ -160,7 +198,7 @@ func (v *View) Run(step grid.Point, max int) int {
 // from+(count-1)·step (offsets from the observing robot) is occupied.
 // step must be a unit axis vector. Like Run, it answers as Occ reads in
 // that order would, stopping at the first occupied cell, and a fast view
-// tests the segment with masked row words (world.Dense.AnyIn).
+// tests the segment with masked row or column words (world.Dense.AnyIn).
 func (v *View) AnyIn(from, step grid.Point, count int) bool {
 	if v.fast {
 		return v.dense.AnyIn(v.origin.Add(from), step, count)
@@ -193,5 +231,11 @@ func (v *View) StateAt(rel grid.Point) robot.State {
 	return v.dense.StateAt(v.origin.Add(rel))
 }
 
-// Self returns the observing robot's own state.
-func (v *View) Self() robot.State { return v.dense.StateAt(v.origin) }
+// Self returns the observing robot's own state: read by slot when the view
+// was placed with RepositionSlot, through a cell lookup otherwise.
+func (v *View) Self() robot.State {
+	if v.slot >= 0 {
+		return v.dense.StateOf(v.slot)
+	}
+	return v.dense.StateAt(v.origin)
+}

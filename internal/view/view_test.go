@@ -77,6 +77,25 @@ func TestViewStates(t *testing.T) {
 	}
 }
 
+// A view placed with RepositionSlot reads Self by slot; it must answer
+// what the cell lookup does, and Reposition must drop the slot again.
+func TestViewSelfBySlot(t *testing.T) {
+	d := world.NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	d.SetState(grid.Pt(1, 0), robot.State{Runs: []robot.Run{{ID: 4, Dir: grid.East, Inside: grid.North}}})
+	v := New(Config{Radius: 4, Dense: d}, grid.Pt(0, 0), 0)
+	for _, p := range d.Cells() {
+		v.RepositionSlot(p, d.SlotAt(p), 1)
+		if got, want := v.Self(), d.StateAt(p); len(got.Runs) != len(want.Runs) || (len(got.Runs) > 0 && got.Runs[0] != want.Runs[0]) {
+			t.Errorf("Self at %v by slot = %+v, by cell %+v", p, got, want)
+		}
+	}
+	v.RepositionSlot(grid.Pt(1, 0), d.SlotAt(grid.Pt(1, 0)), 1)
+	v.Reposition(grid.Pt(0, 0), 2)
+	if v.Self().HasRuns() {
+		t.Error("Reposition kept the previous robot's slot")
+	}
+}
+
 func TestViewRadiusAccessor(t *testing.T) {
 	v := New(testConfig(nil, nil, 13, false), grid.Pt(0, 0), 0)
 	if v.Radius() != 13 {
@@ -147,13 +166,25 @@ func readOutcome(read func() any) (out string) {
 	return fmt.Sprint(read())
 }
 
-// checkRunReads compares View.Run and View.AnyIn with the per-cell Occ
-// loops they stand for, in all four axis directions, for negative lengths,
+// checkRunReads compares View.Block3 with the eight Occ reads it stands
+// for, and View.Run and View.AnyIn with the per-cell Occ loops they stand
+// for, in all four axis directions, for negative lengths,
 // lengths that run past the radius, and segments starting on and off the
 // axes. On a checked view the outcomes include the panic, whose message
 // names the offset of the first out-of-radius read.
 func checkRunReads(t *testing.T, v *View, label string) {
 	t.Helper()
+	want := grid.Block3(0)
+	for y := -1; y <= 1; y++ {
+		for x := -1; x <= 1; x++ {
+			if rel := grid.Pt(x, y); rel == grid.Zero || v.Occ(rel) {
+				want |= grid.Block3Bit(rel)
+			}
+		}
+	}
+	if got := v.Block3(); got != want {
+		t.Errorf("%s: Block3() = %09b, per-cell reads give %09b", label, got, want)
+	}
 	for _, step := range grid.Axis4 {
 		for n := -2; n <= 2*v.Radius(); n++ {
 			got := readOutcome(func() any { return v.Run(step, n) })

@@ -475,7 +475,8 @@ func (c *connIncr) neighborConn(d *Dense, cx, cy int) *chunkConn {
 
 // appendEastLinks collects the seam links across the chunk's east border:
 // cells in its column 63 that are 4-adjacent to occupied cells in the east
-// neighbor's column 0. Consecutive duplicate pairs are skipped (vertical
+// neighbor's column 0, found with one AND of the two column words.
+// Consecutive duplicate pairs are skipped (vertical
 // runs touch along many rows); remaining duplicates are harmless — union
 // is idempotent.
 func appendEastLinks(links []connLink, t *tile, cc *chunkConn, layer int) []connLink {
@@ -483,13 +484,12 @@ func appendEastLinks(links []connLink, t *tile, cc *chunkConn, layer int) []conn
 	if nbr == nil {
 		return links
 	}
-	nt := nbr.t
-	for y := 0; y < tileSize; y++ {
-		if t.bits[layer][y]>>tileMask&1 != 0 && nt.bits[layer][y]&1 != 0 {
-			l := connLink{cc.labels[y<<tileShift|tileMask], nbr.labels[y<<tileShift]}
-			if n := len(links); n == 0 || links[n-1] != l {
-				links = append(links, l)
-			}
+	w := t.cols[layer][tileMask] & nbr.t.cols[layer][0]
+	for ; w != 0; w &= w - 1 {
+		y := bits.TrailingZeros64(w)
+		l := connLink{cc.labels[y<<tileShift|tileMask], nbr.labels[y<<tileShift]}
+		if n := len(links); n == 0 || links[n-1] != l {
+			links = append(links, l)
 		}
 	}
 	return links

@@ -3,15 +3,16 @@
 // per-round apply protocol (arrivals, merges, state hand-offs).
 //
 // The single implementation is Dense, a tiled bitset occupancy index —
-// 64-bit words over fixed 64×64-cell chunks, O(1) unchecked reads, no
-// rebasing as the swarm shrinks — plus flat robot-indexed arrays for run
-// states and logical clocks. Robots are identified by a stable slot
-// assigned once at construction (in sorted cell order) and carried along as
-// they move; a point→slot index lives in the chunk tiles and is maintained
-// incrementally. The sorted cell order is repaired incrementally each round
-// (robots move L∞ ≤ 1, so a near-sorted insertion pass replaces a full
-// re-sort), and the enclosing bounds for the Gathered() check are
-// accumulated from the round's arrivals instead of rescanned.
+// 64-bit row words, with a column-major copy, over fixed 64×64-cell
+// chunks, O(1) unchecked reads, no rebasing as the swarm shrinks — plus
+// flat robot-indexed arrays for run states and logical clocks. Robots are
+// identified by a stable slot assigned once at construction (in sorted
+// cell order) and carried along as they move; a point→slot index lives in
+// the chunk tiles and is maintained incrementally. The sorted cell order
+// is repaired incrementally each round (robots move L∞ ≤ 1, so a
+// near-sorted insertion pass replaces a full re-sort), and the enclosing
+// bounds for the Gathered() check are accumulated from the round's
+// arrivals instead of rescanned.
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
@@ -58,13 +59,16 @@ const (
 )
 
 // tile is one 64×64-cell chunk. Occupancy is one uint64 word per row
-// (bit x&63 of word y&63), double-buffered across the two round layers;
-// multi marks cells that received more than one arrival in the round being
-// built; vis is the BFS scratch plane for the connectivity floods. The slot
-// planes are only meaningful under set occupancy bits, so they are never
-// cleared — stale entries are unreachable.
+// (bit x&63 of word y&63), double-buffered across the two round layers,
+// with a column-major copy (bit y&63 of word x&63) so that reads along y
+// scan one word the way reads along x do; multi marks cells that received
+// more than one arrival in the round being built; vis is the BFS scratch
+// plane for the connectivity floods. The slot planes are only meaningful
+// under set occupancy bits, so they are never cleared — stale entries are
+// unreachable.
 type tile struct {
 	bits      [2][tileSize]uint64
+	cols      [2][tileSize]uint64 // the transpose of bits, kept in step by set/unset and clearLayers
 	multi     [tileSize]uint64
 	vis       [tileSize]uint64
 	qdirty    [tileSize]uint64 // quiescence: cells whose view may have changed since the robot there last recomputed (cumulative; cleared per cell by QuiesceNote)
@@ -72,6 +76,19 @@ type tile struct {
 	connDirty bool             // queued on connIncr.dirty (occupancy changed since the last relabel)
 	cx, cy    int              // absolute chunk coordinates (set once at allocation)
 	slots     [2][tileSize * tileSize]int32
+}
+
+// set marks the cell at in-chunk coordinates (rx, ry) occupied in layer,
+// in the row and the column words.
+func (t *tile) set(layer, rx, ry int) {
+	t.bits[layer][ry] |= 1 << uint(rx)
+	t.cols[layer][rx] |= 1 << uint(ry)
+}
+
+// unset marks the cell at (rx, ry) free in layer.
+func (t *tile) unset(layer, rx, ry int) {
+	t.bits[layer][ry] &^= 1 << uint(rx)
+	t.cols[layer][rx] &^= 1 << uint(ry)
 }
 
 // runState is the run state of one robot that carries runs. MaxRuns is
@@ -215,7 +232,7 @@ func (d *Dense) place(bounds grid.Rect) {
 		t := d.ensureTile(c.p)
 		d.mark(d.cur, t)
 		ry, rx := c.p.Y&tileMask, c.p.X&tileMask
-		t.bits[d.cur][ry] |= 1 << uint(rx)
+		t.set(d.cur, rx, ry)
 		t.slots[d.cur][ry<<tileShift|rx] = c.slot
 	}
 	n := len(d.occ)
@@ -312,13 +329,66 @@ func (d *Dense) Has(p grid.Point) bool {
 	return t != nil && t.bits[d.cur][p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
 }
 
+// Block3 returns the occupancy of the 3×3 block of cells centred on p, in
+// grid.Block3's bit layout. Away from a chunk edge it is three shifted row
+// words of one tile; when the block crosses a chunk seam it reads the nine
+// cells one by one. Read-only, so Compute workers may call it
+// concurrently.
+//
+//gather:hotpath
+func (d *Dense) Block3(p grid.Point) grid.Block3 {
+	rx, ry := p.X&tileMask, p.Y&tileMask
+	if uint(rx-1) >= tileSize-2 || uint(ry-1) >= tileSize-2 {
+		return d.block3Seam(p)
+	}
+	t := d.tileAt(p)
+	if t == nil {
+		return 0
+	}
+	rows, s := &t.bits[d.cur], uint(rx-1)
+	return grid.Block3(rows[ry-1]>>s&7 | (rows[ry]>>s&7)<<3 | (rows[ry+1]>>s&7)<<6)
+}
+
+// block3Seam is Block3 for a block that crosses a chunk seam: nine cell
+// reads.
+func (d *Dense) block3Seam(p grid.Point) grid.Block3 {
+	var b grid.Block3
+	for y := -1; y <= 1; y++ {
+		for x := -1; x <= 1; x++ {
+			if rel := grid.Pt(x, y); d.Has(p.Add(rel)) {
+				b |= grid.Block3Bit(rel)
+			}
+		}
+	}
+	return b
+}
+
+// lineWord returns t's occupancy word for the tile line through p along
+// step's axis: the row word for a horizontal step, the column word for a
+// vertical one. Bit lineBit(p, step) of it is p.
+func (d *Dense) lineWord(t *tile, p, step grid.Point) uint64 {
+	if step.Y == 0 {
+		return t.bits[d.cur][p.Y&tileMask]
+	}
+	return t.cols[d.cur][p.X&tileMask]
+}
+
+// lineBit returns p's in-chunk coordinate along step's axis, its bit in
+// lineWord.
+func lineBit(p, step grid.Point) uint {
+	if step.Y == 0 {
+		return uint(p.X & tileMask)
+	}
+	return uint(p.Y & tileMask)
+}
+
 // RunLen counts the consecutive occupied cells p+step, p+2·step, … and
 // stops at the first free cell or after max cells, so it returns a value
 // in [0, max], and 0 when max ≤ 0. step must be a unit axis vector. It
-// answers exactly what a Has loop over the same cells would, but along x
-// it counts a whole row word per tile with one bit scan, and along y it
-// keeps the tile pointer while it walks the rows of one chunk. Read-only,
-// so Compute workers may call it concurrently.
+// answers exactly what a Has loop over the same cells would, but counts a
+// whole tile line per chunk with one bit scan: a row word along x, a
+// column word along y. Read-only, so Compute workers may call it
+// concurrently.
 //
 //gather:hotpath
 func (d *Dense) RunLen(p, step grid.Point, max int) int {
@@ -326,98 +396,55 @@ func (d *Dense) RunLen(p, step grid.Point, max int) int {
 		return 0
 	}
 	n := 0
-	if step.Y == 0 {
-		x, y := p.X+step.X, p.Y
-		for n < max {
-			t := d.tileAt(grid.Point{X: x, Y: y})
-			if t == nil {
-				break
-			}
-			w, s := t.bits[d.cur][y&tileMask], uint(x&tileMask)
-			var ones, avail int
-			if step.X > 0 {
-				// Bits s.. of the word, shifted down to bit 0; the zeros
-				// shifted in at the top end the count at the chunk edge.
-				ones, avail = bits.TrailingZeros64(^(w >> s)), tileSize-int(s)
-			} else {
-				// Bits ..s of the word, shifted up to bit 63.
-				ones, avail = bits.LeadingZeros64(^(w << (tileMask - s))), int(s)+1
-			}
-			n += ones
-			if ones < avail {
-				break
-			}
-			x += step.X * avail
+	q := p.Add(step)
+	fwd := step.X+step.Y > 0
+	for n < max {
+		t := d.tileAt(q)
+		if t == nil {
+			break
 		}
-	} else {
-		x, y := p.X, p.Y+step.Y
-		bit := uint64(1) << uint(x&tileMask)
-		var t *tile
-		cy := 0
-		for n < max {
-			if t == nil || y>>tileShift != cy {
-				if t = d.tileAt(grid.Point{X: x, Y: y}); t == nil {
-					break
-				}
-				cy = y >> tileShift
-			}
-			if t.bits[d.cur][y&tileMask]&bit == 0 {
-				break
-			}
-			n++
-			y += step.Y
+		w, s := d.lineWord(t, q, step), lineBit(q, step)
+		var ones, avail int
+		if fwd {
+			// Bits s.. of the word, shifted down to bit 0; the zeros
+			// shifted in at the top end the count at the chunk edge.
+			ones, avail = bits.TrailingZeros64(^(w >> s)), tileSize-int(s)
+		} else {
+			// Bits ..s of the word, shifted up to bit 63.
+			ones, avail = bits.LeadingZeros64(^(w << (tileMask - s))), int(s)+1
 		}
+		n += ones
+		if ones < avail {
+			break
+		}
+		q = q.Add(step.Scale(avail))
 	}
 	return min(n, max)
 }
 
 // AnyIn reports whether any of the count cells p, p+step, …,
 // p+(count-1)·step is occupied (false when count ≤ 0). step must be a unit
-// axis vector. Along x it tests the segment with one masked row word per
-// chunk it spans; along y it walks the rows of each chunk with the tile
-// pointer held and skips chunks that were never allocated. Read-only, so
-// Compute workers may call it concurrently.
+// axis vector. It tests the segment with one masked tile line per chunk it
+// spans — row words along x, column words along y — and skips chunks that
+// were never allocated. Read-only, so Compute workers may call it
+// concurrently.
 //
 //gather:hotpath
 func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
 	if count <= 0 {
 		return false
 	}
-	if step.Y == 0 {
-		x := p.X
-		if step.X < 0 {
-			x -= count - 1
-		}
-		for count > 0 {
-			s := x & tileMask
-			k := min(count, tileSize-s)
-			if t := d.tileAt(grid.Point{X: x, Y: p.Y}); t != nil {
-				mask := (uint64(1)<<uint(k) - 1) << uint(s)
-				if t.bits[d.cur][p.Y&tileMask]&mask != 0 {
-					return true
-				}
-			}
-			x += k
-			count -= k
-		}
-		return false
+	if step.X+step.Y < 0 {
+		p = p.Add(step.Scale(count - 1))
+		step = step.Neg()
 	}
-	y := p.Y
-	if step.Y < 0 {
-		y -= count - 1
-	}
-	bit := uint64(1) << uint(p.X&tileMask)
 	for count > 0 {
-		r0 := y & tileMask
-		k := min(count, tileSize-r0)
-		if t := d.tileAt(grid.Point{X: p.X, Y: y}); t != nil {
-			for _, w := range t.bits[d.cur][r0 : r0+k] {
-				if w&bit != 0 {
-					return true
-				}
-			}
+		s := lineBit(p, step)
+		k := min(count, tileSize-int(s))
+		if t := d.tileAt(p); t != nil && d.lineWord(t, p, step)&((uint64(1)<<uint(k)-1)<<s) != 0 {
+			return true
 		}
-		y += k
+		p = p.Add(step.Scale(k))
 		count -= k
 	}
 	return false
@@ -444,11 +471,12 @@ func (d *Dense) StateAt(p grid.Point) robot.State {
 	if t == nil || t.bits[d.cur][ry]&(1<<uint(rx)) == 0 {
 		return robot.State{}
 	}
-	return d.stateOf(t.slots[d.cur][ry<<tileShift|rx])
+	return d.StateOf(t.slots[d.cur][ry<<tileShift|rx])
 }
 
-// stateOf returns the run state stored for slot, aliasing the pool.
-func (d *Dense) stateOf(slot int32) robot.State {
+// StateOf returns the run state of the robot in slot, aliasing the run
+// pool like StateAt.
+func (d *Dense) StateOf(slot int32) robot.State {
 	h := d.runOf[slot]
 	if h == 0 {
 		return robot.State{}
@@ -585,7 +613,7 @@ func (d *Dense) Add(p grid.Point) {
 	t := d.ensureTile(p)
 	d.mark(d.cur, t)
 	ry, rx := p.Y&tileMask, p.X&tileMask
-	t.bits[d.cur][ry] |= 1 << uint(rx)
+	t.set(d.cur, rx, ry)
 	t.slots[d.cur][ry<<tileShift|rx] = int32(len(d.runOf))
 	d.runOf = append(d.runOf, 0)
 	if d.clocks != nil {
@@ -612,7 +640,7 @@ func (d *Dense) Remove(p grid.Point) {
 		return
 	}
 	t := d.tileAt(p)
-	t.bits[d.cur][p.Y&tileMask] &^= 1 << uint(p.X&tileMask)
+	t.unset(d.cur, p.X&tileMask, p.Y&tileMask)
 	d.count--
 	if d.boundsOK && (p.X == d.bounds.MinX || p.X == d.bounds.MaxX ||
 		p.Y == d.bounds.MinY || p.Y == d.bounds.MaxY) {
@@ -686,7 +714,7 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	ry, rx := dst.Y&tileMask, dst.X&tileMask
 	b := uint64(1) << uint(rx)
 	if t.bits[nxt][ry]&b == 0 {
-		t.bits[nxt][ry] |= b
+		t.set(nxt, rx, ry)
 		t.slots[nxt][ry<<tileShift|rx] = slot
 		l := &d.next
 		// The arrival buffer was length-reset by lane.reset at round start
@@ -726,7 +754,7 @@ func (d *Dense) SetArrivalState(dst grid.Point, st robot.State) {
 
 // ArrivalState returns the pending next-round state at dst.
 func (d *Dense) ArrivalState(dst grid.Point) robot.State {
-	return d.stateOf(d.slotAt(d.cur^1, dst))
+	return d.StateOf(d.slotAt(d.cur^1, dst))
 }
 
 // ArrivalCount returns how many robots arrived at dst this round: 0
@@ -798,6 +826,7 @@ func (d *Dense) Commit() {
 func (d *Dense) clearLayers(old, nxt int) {
 	for _, t := range d.live[old] {
 		t.bits[old] = [tileSize]uint64{}
+		t.cols[old] = [tileSize]uint64{}
 		t.marked[old] = false
 	}
 	for _, t := range d.live[nxt] {
@@ -850,7 +879,7 @@ func (d *Dense) AppendState(b []byte) []byte {
 		b = codec.AppendInt(b, c.p.X)
 		b = codec.AppendInt(b, c.p.Y)
 		b = codec.AppendUvarint(b, uint64(c.slot))
-		runs := d.stateOf(c.slot).Runs
+		runs := d.StateOf(c.slot).Runs
 		b = codec.AppendUvarint(b, uint64(len(runs)))
 		for _, r := range runs {
 			b = appendRun(b, r)

@@ -53,43 +53,40 @@ func (d *Dense) QuiesceReset() {
 	}
 }
 
-// HasRunsAt reports whether the robot at p carries any active runs: one
-// 4-byte handle read. p must be occupied. Read-only and safe to call from
-// concurrent compute workers.
-func (d *Dense) HasRunsAt(p grid.Point) bool {
-	t := d.tileAt(p)
-	return d.runOf[t.slots[d.cur][(p.Y&tileMask)<<tileShift|(p.X&tileMask)]] != 0
-}
+// HasRuns reports whether the robot in slot carries any active runs: one
+// 4-byte handle read. Read-only and safe to call from concurrent compute
+// workers.
+func (d *Dense) HasRuns(slot int32) bool { return d.runOf[slot] != 0 }
 
-// QuiesceSkip reports whether the robot at p may skip Look+Compute this
-// activation: its cell is clean (no occupancy change landed within the
-// view radius since its last recompute), its cached verdict for this round
-// phase is "quiescent", and it still carries no runs. p must be occupied.
-// Read-only and safe to call from concurrent compute workers.
+// QuiesceSkip reports whether the robot in slot, standing at p, may skip
+// Look+Compute this activation: its cell is clean (no occupancy change
+// landed within the view radius since its last recompute), its cached
+// verdict for this round phase is "quiescent", and it still carries no
+// runs. The caller passes the slot it already holds, so the test reads
+// the cell's dirty bit and the slot's tables and no slot plane. Read-only
+// and safe to call from concurrent compute workers.
 //
 //gather:hotpath
-func (d *Dense) QuiesceSkip(p grid.Point, phase int) bool {
+func (d *Dense) QuiesceSkip(p grid.Point, slot int32, phase int) bool {
 	t := d.tileAt(p)
-	ry, rx := p.Y&tileMask, p.X&tileMask
-	if t.qdirty[ry]&(1<<uint(rx)) != 0 {
+	if t.qdirty[p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0 {
 		return false
 	}
-	slot := t.slots[d.cur][ry<<tileShift|rx]
 	return d.qmask[slot]&(1<<uint(phase)) != 0 && d.runOf[slot] == 0
 }
 
-// QuiesceNote records the verdict of a clean recompute for the robot at p:
-// the cell's dirty bit is consumed (test-and-clear), a consumed dirty bit
-// invalidates every phase's cached verdict (the view changed — the other
-// phases were judged against the old view), and the current phase's bit is
-// set or cleared per the fresh verdict. Serial-phase only. The engine must
-// NOT call this for activations whose view was perturbed by sensor noise —
-// the verdict would describe the flipped view, not the real one.
-func (d *Dense) QuiesceNote(p grid.Point, phase int, quiescent bool) {
+// QuiesceNote records the verdict of a clean recompute for the robot in
+// slot, standing at p: the cell's dirty bit is consumed (test-and-clear),
+// a consumed dirty bit invalidates every phase's cached verdict (the view
+// changed — the other phases were judged against the old view), and the
+// current phase's bit is set or cleared per the fresh verdict. Serial-phase
+// only. The engine must NOT call this for activations whose view was
+// perturbed by sensor noise — the verdict would describe the flipped view,
+// not the real one.
+func (d *Dense) QuiesceNote(p grid.Point, slot int32, phase int, quiescent bool) {
 	t := d.tileAt(p)
-	ry, rx := p.Y&tileMask, p.X&tileMask
-	b := uint64(1) << uint(rx)
-	slot := t.slots[d.cur][ry<<tileShift|rx]
+	ry := p.Y & tileMask
+	b := uint64(1) << uint(p.X&tileMask)
 	if t.qdirty[ry]&b != 0 {
 		t.qdirty[ry] &^= b
 		d.qmask[slot] = 0

@@ -73,7 +73,7 @@ func qCheck(t *testing.T, d *Dense, r int, cached map[int32]uint64) {
 	for i, p := range cells {
 		slot := slots[i]
 		sig := qWindow(d, p, r)
-		if d.QuiesceSkip(p, 0) {
+		if d.QuiesceSkip(p, slot, 0) {
 			if want, ok := cached[slot]; !ok || want != sig {
 				t.Fatalf("slot %d at %v skipped but its view changed (cached %#x, now %#x)",
 					slot, p, want, sig)
@@ -81,7 +81,7 @@ func qCheck(t *testing.T, d *Dense, r int, cached map[int32]uint64) {
 			continue
 		}
 		cached[slot] = sig
-		d.QuiesceNote(p, 0, true)
+		d.QuiesceNote(p, slot, 0, true)
 	}
 }
 

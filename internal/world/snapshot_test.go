@@ -77,6 +77,9 @@ func TestDenseSnapshotRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("clocks=%v: %d trailing bytes", withClocks, len(rest))
 		}
+		if err := got.ColumnsMismatch(); err != nil {
+			t.Fatalf("clocks=%v: %v", withClocks, err)
+		}
 		equalWorlds(t, d, got)
 		// Determinism: equal worlds produce equal bytes.
 		if string(got.AppendState(nil)) != string(b) {
@@ -105,6 +108,9 @@ func TestDecodedWorldAdvances(t *testing.T) {
 	step(d)
 	step(got)
 	equalWorlds(t, d, got)
+	if err := got.ColumnsMismatch(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDecodeDenseRejectsTruncation(t *testing.T) {
@@ -282,8 +288,8 @@ func TestDecodeDenseRejectsImpossibleRuns(t *testing.T) {
 func TestRunPoolHoldsOnlyCarriers(t *testing.T) {
 	d := buildWorld(t, false)
 	carriers := 0
-	for _, p := range d.Cells() {
-		if d.HasRunsAt(p) {
+	for _, slot := range d.Slots() {
+		if d.HasRuns(slot) {
 			carriers++
 		}
 	}

@@ -16,9 +16,13 @@ import (
 )
 
 // checkAgainstOracle compares every occupancy observable of d against the
-// swarm oracle.
+// swarm oracle, and checks that the column words are the transpose of the
+// row words.
 func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Point) {
 	t.Helper()
+	if err := d.ColumnsMismatch(); err != nil {
+		t.Fatal(err)
+	}
 	if d.Len() != s.Len() {
 		t.Fatalf("Len: dense %d, oracle %d", d.Len(), s.Len())
 	}
