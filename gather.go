@@ -32,7 +32,6 @@ package gridgather
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"gridgather/internal/fault"
 	"gridgather/internal/gen"
@@ -113,23 +112,6 @@ func fromSwarm(s *swarm.Swarm) []Point {
 	return out
 }
 
-// catalog indexes the workload families once; Workload and Workloads are
-// called per lookup (some per round in observer tooling) and must not
-// re-walk gen.SeededCatalog linearly every time.
-var catalog = sync.OnceValue(func() (c struct {
-	byName map[string]gen.SeededWorkload
-	names  []string
-}) {
-	all := gen.SeededCatalog()
-	c.byName = make(map[string]gen.SeededWorkload, len(all))
-	c.names = make([]string, 0, len(all))
-	for _, w := range all {
-		c.byName[w.Name] = w
-		c.names = append(c.names, w.Name)
-	}
-	return c
-})
-
 // Workload builds one of the named workload families at (approximately)
 // the requested robot count; randomized families use seed 42. See
 // Workloads for the available names.
@@ -137,7 +119,7 @@ func Workload(name string, n int) ([]Point, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gridgather: workload size %d", n)
 	}
-	w, ok := catalog().byName[name]
+	w, ok := gen.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("gridgather: unknown workload %q (have %v)", name, Workloads())
 	}
@@ -146,7 +128,11 @@ func Workload(name string, n int) ([]Point, error) {
 
 // Workloads lists the available workload family names.
 func Workloads() []string {
-	return append([]string(nil), catalog().names...)
+	var names []string
+	for _, w := range gen.SeededCatalog() {
+		names = append(names, w.Name)
+	}
+	return names
 }
 
 // Schedulers lists the accepted scheduler spec grammars (see

@@ -172,19 +172,16 @@ type Engine struct {
 	lastMerge  int
 	roundMerge int // merges in the most recent round
 
-	// Fault state (all zero without Config.Faults). crashed is indexed by
-	// the world's stable robot slots — slots are never reused after a
-	// merge, so a crash mark can never migrate to another robot.
-	crashTrack    bool             // the plan has crash clauses
-	crashed       []bool           // per-slot crash-stop marks
-	crashesTotal  int              // robots ever crashed
-	crashedLive   int              // crashed robots still occupying a cell
-	roundCrash    int              // crashes in the most recent round
-	degraded      bool             // a fault disconnected the swarm; latched
-	degradedRound int              // round the degradation latched
-	flips         []grid.Point     // per-activation noise offsets, indexed like order
-	aliveBuf      []bool           // scratch: liveness over the cell order
-	liveFn        func(int32) bool // slot liveness for component queries
+	// Fault state (all zero without Config.Faults). The crash marks
+	// themselves live in the world, on the robots' stable slots.
+	crashTrack    bool         // the plan has crash clauses
+	crashesTotal  int          // robots ever crashed
+	crashedLive   int          // crashed robots still occupying a cell
+	roundCrash    int          // crashes in the most recent round
+	degraded      bool         // a fault disconnected the swarm; latched
+	degradedRound int          // round the degradation latched
+	flips         []grid.Point // per-activation noise offsets, indexed like order
+	aliveBuf      []bool       // scratch: liveness over the cell order
 
 	// Quiescence state (quiesce.go; all zero when the fast path is off).
 	// qFlags parallels acts/order: compute workers write one byte per
@@ -192,9 +189,8 @@ type Engine struct {
 	qOn       bool
 	qPeriod   int
 	qFlags    []uint8
-	qMarks    []grid.Point // deferred view-dirty marks (post-pass scratch)
-	qComputed int          // activations that ran Look+Compute
-	qSkipped  int          // activations replayed from the quiescent cache
+	qComputed int // activations that ran Look+Compute
+	qSkipped  int // activations replayed from the quiescent cache
 
 	// Scratch structures reused across rounds. Each Step fills them from
 	// scratch; nothing outside Step may retain references to them.
@@ -331,14 +327,13 @@ func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
 
 // initFaults sets up crash-stop tracking when the configuration carries a
 // fault plan with crash clauses. Shared by New and NewRestored (the
-// restore path then overwrites the crash marks from the snapshot).
+// restore path then sets the crash marks from the snapshot).
 func (e *Engine) initFaults() {
 	if e.cfg.Faults == nil || !e.cfg.Faults.HasCrashes() {
 		return
 	}
 	e.crashTrack = true
-	e.crashed = make([]bool, e.w.SlotCount())
-	e.liveFn = func(s int32) bool { return !e.crashed[s] }
+	e.w.EnableCrashes()
 }
 
 // workers resolves the configured worker count for a round over n robots.
@@ -477,7 +472,7 @@ func (e *Engine) Gathered() bool {
 		size, bounds, _ := e.w.LargestComponent()
 		return size > 0 && bounds.FitsIn2x2()
 	}
-	live, lb := e.w.LargestLiveComponent(e.liveFn)
+	live, lb := e.w.LargestLiveComponent()
 	return live > 0 && lb.FitsIn2x2()
 }
 
@@ -489,7 +484,7 @@ func (e *Engine) liveGathered() bool {
 	b := grid.EmptyRect
 	live := 0
 	for i, p := range e.w.Cells() {
-		if e.crashed[slots[i]] {
+		if e.w.Crashed(slots[i]) {
 			continue
 		}
 		live++
@@ -504,23 +499,11 @@ func (e *Engine) liveGathered() bool {
 // viewConfig builds the view accessor bundle against current state: views
 // read the tiled bitset directly (no closures, no hashing).
 func (e *Engine) viewConfig() view.Config {
-	vc := view.Config{
+	return view.Config{
 		Radius:  e.alg.Radius(),
 		Checked: e.cfg.StrictViews,
 		Dense:   e.w,
 	}
-	if e.crashTrack {
-		vc.Crashed = e.crashedAtCell
-	}
-	return vc
-}
-
-// crashedAtCell reports whether the cell holds a crash-stopped robot. It is
-// the failure detector views expose to algorithms. Safe for concurrent use
-// during the compute phase: crash draws happen before compute, and the
-// marks are not touched again until commit.
-func (e *Engine) crashedAtCell(p grid.Point) bool {
-	return e.w.Has(p) && e.crashed[e.w.SlotAt(p)]
 }
 
 // computeRange runs Look+Compute for the robots e.order[lo:hi) as compute
@@ -533,12 +516,12 @@ func (e *Engine) crashedAtCell(p grid.Point) bool {
 // for this round phase is "quiescent" replay Stay without building a view
 // (QuiesceSkip reads only immutable pre-round state, so the check is safe
 // from concurrent workers); noise-flipped activations never skip — the
-// perturbed view is not the cached one. Each robot's skip/noisy/had-runs
+// perturbed view is not the cached one. Each robot's skip/noisy
 // disposition lands in e.qFlags for the serial post-pass.
 //
-// The robot's slot comes from e.orderSlots, so the skip test, the had-runs
-// flag, the view's Self and the post-pass's QuiesceNote read it without
-// looking the robot's cell up again.
+// The robot's slot comes from e.orderSlots, so the skip test, the view's
+// Self and the post-pass's QuiesceNote read it without looking the robot's
+// cell up again.
 //
 //gather:hotpath
 func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
@@ -576,9 +559,6 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 			f := uint8(0)
 			if off != (grid.Point{}) {
 				f = qfNoisy
-			}
-			if e.w.HasRuns(slot) {
-				f |= qfHadRuns
 			}
 			e.qFlags[i] = f
 		}
@@ -666,17 +646,14 @@ func (e *Engine) stageActivate(scheduled bool) {
 		}
 		alive = e.aliveBuf[:n]
 		for i, s := range slots {
-			alive[i] = !e.crashed[s]
+			alive[i] = !e.w.Crashed(s)
 		}
 		if c := e.cfg.Faults.DrawCrashes(e.round, alive); c > 0 {
 			for i, s := range slots {
-				if !alive[i] && !e.crashed[s] {
-					e.crashed[s] = true
-					// The crash flips CrashedAt for this very round's views
-					// (crashes draw before compute), with no occupancy
-					// change: view-dirty the region before any skip check
-					// runs.
-					e.w.MarkViewDirty(cells[i])
+				if !alive[i] && !e.w.Crashed(s) {
+					// Crashes draw before compute, so this round's views
+					// already see the crash.
+					e.w.Crash(cells[i])
 				}
 			}
 			e.crashesTotal += c
@@ -836,9 +813,6 @@ func (e *Engine) stageResolve(scheduled bool) int {
 				rb = append(rb, e.deliver[k].run)
 			}
 			e.w.SetArrivalState(to, robot.State{Runs: rb})
-			// The recipient gained runs without moving: view-dirty its
-			// region so it and its neighbors recompute next round.
-			e.w.MarkViewDirty(to)
 		}
 		i = j
 	}
@@ -887,11 +861,6 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 					break
 				}
 			}
-		} else if e.qOn {
-			// A merge can leave dst occupancy-stable (arrival onto a stayer)
-			// while its state, slot and crash mark change under the
-			// neighbors' views — the commit diff can't see it.
-			e.w.MarkViewDirty(dst)
 		}
 		if scheduled {
 			e.w.RaiseClock(dst, cl)
@@ -917,12 +886,7 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 			cl = e.w.ClockAt(p)
 		}
 		cnt := e.w.Sleep(p)
-		if e.qOn && cnt > 1 {
-			// An activated robot already landed on this sleeper's cell: the
-			// sleeper merges away, an occupancy-stable state/slot change.
-			e.w.MarkViewDirty(p)
-		}
-		if e.crashTrack && cnt > 1 && e.crashed[e.w.SlotAt(p)] {
+		if e.crashTrack && cnt > 1 && e.w.Crashed(e.w.SlotAt(p)) {
 			// A live robot merged onto a crashed sleeper: the crash mark
 			// dies with the sleeper's slot (slots are never reused), and
 			// the cell now holds the live first-arriver. Activated arrivals

@@ -4,18 +4,17 @@
 // "stay" every round; this layer replays those cached verdicts and makes
 // per-round compute cost scale with the moving frontier instead of n.
 //
-// Division of labor per round:
+// Division of labor: the world marks every write a view can observe
+// (internal/world/quiesce.go), and the engine marks nothing. Per round:
 //
-//	activate   newly crashed cells view-dirty their region (the crash is
+//	activate   Dense.Crash marks each newly crashed cell (the crash is
 //	           visible to this round's views)
 //	compute    workers consult Dense.QuiesceSkip per activation and record
-//	           each robot's disposition in qFlags (skip / noisy / had runs)
-//	post-pass  quiescePost (serial): records clean verdicts via
-//	           QuiesceNote, then applies the deferred view-dirty marks for
-//	           state changes the commit diff can't see (run aging and
-//	           departures via had-runs, run starts via keeps)
-//	resolve    merges onto occupancy-stable cells and delivered transfers
-//	           add their own marks (serially, after the lanes join)
+//	           each robot's disposition in qFlags (skip / noisy)
+//	post-pass  quiescePost (serial) records clean verdicts via QuiesceNote
+//	resolve    the world's round protocol marks the writes the occupancy
+//	           diff can't see: cells left by run carriers, merges, and
+//	           kept, adopted or delivered runs
 //	commit     Dense.noteRoundDiff dilates every occupancy change by the
 //	           view radius into the dirty planes for the next round
 //
@@ -32,9 +31,8 @@ package fsync
 // qFlags disposition bits, written per activation index by the compute
 // workers (disjoint indices — race-free) and drained by quiescePost.
 const (
-	qfSkip    = 1 << iota // replayed the cached quiescent Stay
-	qfNoisy               // view was noise-perturbed; verdict not cacheable
-	qfHadRuns             // robot carried runs entering the round
+	qfSkip  = 1 << iota // replayed the cached quiescent Stay
+	qfNoisy             // view was noise-perturbed; verdict not cacheable
 )
 
 // QuiesceStats reports the quiescence layer's lifetime counters.
@@ -90,19 +88,16 @@ func (e *Engine) initQuiesce() {
 
 // quiescePost is the serial post-compute pass: one sweep over the round's
 // disposition bytes. Skipped robots cost a counter bump; each computed
-// robot with a clean (noise-free) view records its verdict — consuming
-// its cell's dirty bit — and robots whose state the commit diff cannot
-// observe (runs aging or departing in place, runs starting via keeps)
-// queue view-dirty marks. The marks apply only after every verdict is
-// recorded: applying them inline could set a dirty bit that a later
-// robot's QuiesceNote would wrongly consume as its own.
+// robot with a clean (noise-free) view records its verdict, consuming its
+// cell's dirty bit. A robot carrying runs is never quiescent: its runs
+// age, glide or hand off this round. Runs are unchanged until Resolve, so
+// the world still answers HasRuns for the round's start.
 //
 //gather:hotpath
 func (e *Engine) quiescePost() {
 	if !e.qOn {
 		return
 	}
-	marks := e.qMarks[:0]
 	for i := range e.acts {
 		f := e.qFlags[i]
 		if f&qfSkip != 0 {
@@ -110,23 +105,9 @@ func (e *Engine) quiescePost() {
 			continue
 		}
 		e.qComputed++
-		a, from := &e.acts[i], e.order[i]
-		hadRuns := f&qfHadRuns != 0
 		if f&qfNoisy == 0 {
-			e.w.QuiesceNote(from, e.orderSlots[i], e.localRound(from)%e.qPeriod, !hadRuns && a.quiescent())
-		}
-		if hadRuns {
-			// The robot's runs age, glide or hand off this round; even if
-			// another robot re-occupies the cell (occupancy-stable under
-			// the commit diff), the neighbors' views change.
-			marks = append(marks, from) //gather:alloc-ok length-reset per round, steady-state reuse
-		}
-		if r := e.runsOf(a); r != nil && r.nKeep > 0 {
-			marks = append(marks, from.Add(a.move)) //gather:alloc-ok length-reset per round, steady-state reuse
+			from, slot := e.order[i], e.orderSlots[i]
+			e.w.QuiesceNote(from, slot, e.localRound(from)%e.qPeriod, !e.w.HasRuns(slot) && e.acts[i].quiescent())
 		}
 	}
-	for _, p := range marks {
-		e.w.MarkViewDirty(p)
-	}
-	e.qMarks = marks
 }

@@ -56,10 +56,9 @@ func (e *Engine) appendFaultState(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(e.degradedRound))
 	b = codec.AppendUvarint(b, uint64(e.crashedLive))
 	if e.crashTrack {
-		slots := e.w.Slots()
-		for i := range e.w.Cells() {
-			if e.crashed[slots[i]] {
-				b = codec.AppendUvarint(b, uint64(slots[i]))
+		for _, s := range e.w.Slots() {
+			if e.w.Crashed(s) {
+				b = codec.AppendUvarint(b, uint64(s))
 			}
 		}
 	}
@@ -91,24 +90,22 @@ func (e *Engine) restoreFaultState(b []byte) ([]byte, error) {
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if slot >= uint64(len(e.crashed)) {
-				return nil, fmt.Errorf("fsync: snapshot crashed slot %d out of range (have %d slots)", slot, len(e.crashed))
+			if slot >= uint64(e.w.SlotCount()) {
+				return nil, fmt.Errorf("fsync: snapshot crashed slot %d out of range (have %d slots)", slot, e.w.SlotCount())
 			}
 			listed[i] = int32(slot)
-			e.crashed[slot] = true
 		}
 		// appendFaultState lists each crashed robot once, in canonical cell
 		// order; a dead slot, a repeat or another order would restore a
-		// state that encodes to different bytes.
+		// state that encodes to different bytes. One walk over the cell
+		// order both checks the list and sets the marks.
 		i := 0
-		for _, s := range e.w.Slots() {
-			if !e.crashed[s] {
-				continue
+		cells := e.w.Cells()
+		for j, s := range e.w.Slots() {
+			if i < len(listed) && listed[i] == s {
+				e.w.Crash(cells[j])
+				i++
 			}
-			if i == len(listed) || listed[i] != s {
-				break
-			}
-			i++
 		}
 		if i != len(listed) {
 			return nil, fmt.Errorf("fsync: snapshot crashed slots %v are not live robots in cell order", listed)

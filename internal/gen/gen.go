@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"gridgather/internal/grid"
 	"gridgather/internal/swarm"
@@ -487,6 +488,22 @@ func SeededCatalog() []SeededWorkload {
 		{Name: "clusters", Build: func(n int, seed int64) *swarm.Swarm { return RandomClusters(n, 4, seed) }, Random: true},
 		{Name: "antcolony", Build: AntColony, Random: true},
 	}
+}
+
+// catalogIndex maps each SeededCatalog family name to its entry, built once.
+var catalogIndex = sync.OnceValue(func() map[string]SeededWorkload {
+	idx := make(map[string]SeededWorkload)
+	for _, w := range SeededCatalog() {
+		idx[w.Name] = w
+	}
+	return idx
+})
+
+// Lookup returns the SeededCatalog family with the given name, and false
+// if there is none.
+func Lookup(name string) (SeededWorkload, bool) {
+	w, ok := catalogIndex()[name]
+	return w, ok
 }
 
 func isqrt(n int) int {

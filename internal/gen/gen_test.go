@@ -210,3 +210,19 @@ func TestDiamondRing(t *testing.T) {
 		t.Error("shell membership wrong")
 	}
 }
+
+// Lookup answers every SeededCatalog family by name and nothing else.
+func TestLookup(t *testing.T) {
+	for _, w := range SeededCatalog() {
+		got, ok := Lookup(w.Name)
+		if !ok || got.Name != w.Name || got.Random != w.Random {
+			t.Fatalf("Lookup(%q) = %+v, %v", w.Name, got, ok)
+		}
+		if a, b := got.Build(50, 7), w.Build(50, 7); a.Len() != b.Len() {
+			t.Fatalf("Lookup(%q) builds %d robots, the catalog %d", w.Name, a.Len(), b.Len())
+		}
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Fatal(`Lookup("nope") found a family`)
+	}
+}

@@ -124,12 +124,11 @@ func (c Config) withDefaults() Config {
 
 // build returns the named seeded-catalog workload at size n.
 func build(name string, n int) (*swarm.Swarm, error) {
-	for _, w := range gen.SeededCatalog() {
-		if w.Name == name {
-			return w.Build(n, 42), nil
-		}
+	w, ok := gen.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("perf: unknown workload %q", name)
 	}
-	return nil, fmt.Errorf("perf: unknown workload %q", name)
+	return w.Build(n, 42), nil
 }
 
 // measureBest returns the fastest of repeats calls to one (keeping that

@@ -67,10 +67,10 @@ func TestRestoreUploadRobotLimit(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
 
-	if code, msg := uploadSnapshot(t, base, forgedSnapshot(maxRobots)); code != http.StatusCreated {
+	if code, msg := uploadSnapshot(t, base, forgedSnapshot(uint64(maxRobots))); code != http.StatusCreated {
 		t.Fatalf("upload at the limit: %d %q", code, msg)
 	}
-	code, msg := uploadSnapshot(t, base, forgedSnapshot(maxRobots+1))
+	code, msg := uploadSnapshot(t, base, forgedSnapshot(uint64(maxRobots)+1))
 	if code != http.StatusBadRequest || !strings.Contains(msg, "robot limit") {
 		t.Fatalf("upload over the limit: %d %q, want 400 naming the robot limit", code, msg)
 	}

@@ -266,10 +266,10 @@ func (req CreateRequest) options() []gridgather.Option {
 	}
 }
 
-// maxRobots caps the swarm one create may ask for, at the engine's
-// million-robot scale, so a single request cannot make the daemon build an
-// arbitrarily large workload.
-const maxRobots = 1 << 20
+// maxRobots caps the swarm one create may build, at the engine's
+// million-robot scale, so a single request cannot make the daemon simulate
+// an arbitrarily large workload. A variable only so tests can lower it.
+var maxRobots = 1 << 20
 
 // cells materializes the requested swarm.
 func (req CreateRequest) cells() ([]gridgather.Point, error) {
@@ -287,7 +287,13 @@ func (req CreateRequest) cells() ([]gridgather.Point, error) {
 		}
 		return pts, nil
 	case req.Workload != "":
-		return gridgather.Workload(req.Workload, req.N)
+		// A family rounds n to its own sizes (a Sierpinski carpet holds 8^d
+		// robots), so the cap applies to what was built.
+		pts, err := gridgather.Workload(req.Workload, req.N)
+		if err == nil && len(pts) > maxRobots {
+			return nil, fmt.Errorf("serve: n %d of workload %q builds %d robots, over the robot limit %d", req.N, req.Workload, len(pts), maxRobots)
+		}
+		return pts, err
 	default:
 		return nil, fmt.Errorf("serve: create needs a workload name or explicit cells")
 	}

@@ -120,7 +120,7 @@ type Result struct {
 // set in this codebase comes from (see the WithConstants doc).
 func RunOne(job Job) Result {
 	out := Result{Job: job}
-	builder, err := builderFor(job.Workload)
+	family, err := lookup(job.Workload)
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -133,7 +133,7 @@ func RunOne(job Job) Result {
 		out.Err = fmt.Sprintf("sweep: negative MaxRounds %d (0 selects the default budget)", job.MaxRounds)
 		return out
 	}
-	s := builder(job.N, job.Seed)
+	s := family.Build(job.N, job.Seed)
 	sim, err := gridgather.New(toPoints(s),
 		gridgather.WithRadius(job.Params.Radius),
 		gridgather.WithL(job.Params.L),
@@ -183,24 +183,13 @@ func toPoints(s *swarm.Swarm) []gridgather.Point {
 	return out
 }
 
-// builderFor resolves a workload family name to its seeded builder.
-func builderFor(name string) (func(n int, seed int64) *swarm.Swarm, error) {
-	for _, w := range gen.SeededCatalog() {
-		if w.Name == name {
-			return w.Build, nil
-		}
+// lookup resolves a workload family name to its seeded catalog entry.
+func lookup(name string) (gen.SeededWorkload, error) {
+	w, ok := gen.Lookup(name)
+	if !ok {
+		return gen.SeededWorkload{}, fmt.Errorf("sweep: unknown workload %q (have %v)", name, Families())
 	}
-	return nil, fmt.Errorf("sweep: unknown workload %q (have %v)", name, Families())
-}
-
-// isRandom reports whether the named family's builder depends on the seed.
-func isRandom(name string) (bool, error) {
-	for _, w := range gen.SeededCatalog() {
-		if w.Name == name {
-			return w.Random, nil
-		}
-	}
-	return false, fmt.Errorf("sweep: unknown workload %q (have %v)", name, Families())
+	return w, nil
 }
 
 // Families lists the workload family names available to sweeps.
@@ -360,7 +349,7 @@ func (s Spec) Jobs() ([]Job, error) {
 	}
 	var jobs []Job
 	for _, name := range families {
-		random, err := isRandom(name)
+		family, err := lookup(name)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +367,7 @@ func (s Spec) Jobs() ([]Job, error) {
 						// workload builder, the scheduler, nor the fault
 						// plan depends on the seed.
 						jobSeeds := seeds
-						if !random && !schedRandom[scheduler] && !faultSeeded[faultSpec] {
+						if !family.Random && !schedRandom[scheduler] && !faultSeeded[faultSpec] {
 							jobSeeds = seeds[:1]
 						}
 						for _, algorithm := range algorithms {

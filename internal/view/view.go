@@ -27,7 +27,6 @@ type View struct {
 	checked bool
 	dense   *world.Dense
 	round   int
-	crashed func(grid.Point) bool
 	noise   grid.Point // non-zero: occupancy reads at this offset are inverted
 	// fast marks an unchecked, noise-free view: Occ is then a bare bit
 	// test. Derived by refresh whenever checked or noise change.
@@ -41,14 +40,9 @@ type Config struct {
 	// Checked panics on out-of-radius reads when true.
 	Checked bool
 	// Dense is the world the view reads: lookups go straight to the tiled
-	// bitset (concrete method calls, no closures, no hashing).
+	// bitset (concrete method calls, no closures, no hashing). Its crash
+	// marks (Dense.Crash) are what CrashedAt reports.
 	Dense *world.Dense
-	// Crashed reports whether the robot at a world coordinate has
-	// crash-stopped (nil when the simulation carries no crash faults).
-	// Exposing it in views is the failure-detector assumption of the
-	// crash-stop model: a robot can tell a crashed neighbor from a live
-	// one, but learns nothing else about it.
-	Crashed func(grid.Point) bool
 }
 
 // New builds the view of the robot at world position origin for the given
@@ -60,7 +54,6 @@ func New(cfg Config, origin grid.Point, round int) *View {
 		radius:  cfg.Radius,
 		checked: cfg.Checked,
 		dense:   cfg.Dense,
-		crashed: cfg.Crashed,
 		round:   round,
 	}
 	v.refresh()
@@ -212,16 +205,16 @@ func (v *View) AnyIn(from, step grid.Point, count int) bool {
 }
 
 // CrashedAt reports whether the cell at the given offset holds a
-// crash-stopped robot. Always false when the simulation carries no crash
-// faults. The liveness read is gated on the (possibly noise-corrupted)
-// occupancy read, so the view never tells an inconsistent story: a noise
-// flip that hides a crashed robot also hides its crash mark, and a phantom
-// robot conjured on a free cell always reads as live.
+// crash-stopped robot. Always false when the world carries no crash marks.
+// Exposing it in views is the failure-detector assumption of the
+// crash-stop model: a robot can tell a crashed neighbor from a live one,
+// but learns nothing else about it. The liveness read is gated on the
+// (possibly noise-corrupted) occupancy read, so the view never tells an
+// inconsistent story: a noise flip that hides a crashed robot also hides
+// its crash mark, and a phantom robot conjured on a free cell always reads
+// as live.
 func (v *View) CrashedAt(rel grid.Point) bool {
-	if v.crashed == nil {
-		return false
-	}
-	return v.Occ(rel) && v.crashed(v.origin.Add(rel))
+	return v.Occ(rel) && v.dense.CrashedAt(v.origin.Add(rel))
 }
 
 // StateAt returns the state of the robot at the given offset. Robots can

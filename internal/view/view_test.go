@@ -334,3 +334,28 @@ func TestViewDenseReadPathToggles(t *testing.T) {
 		}
 	}
 }
+
+// CrashedAt reads the world's crash marks through the view's occupancy
+// read: a noise flip that hides a crashed robot hides its mark, and a
+// phantom robot on a free cell reads as live.
+func TestCrashedAtReadsWorldMarks(t *testing.T) {
+	occ := map[grid.Point]bool{{X: 0, Y: 0}: true, {X: 1, Y: 0}: true, {X: 2, Y: 0}: true}
+	cfg := testConfig(occ, nil, 4, true)
+	v := New(cfg, grid.Pt(0, 0), 0)
+	if v.CrashedAt(grid.East) {
+		t.Fatal("crash mark reported before the world enabled crashes")
+	}
+	cfg.Dense.EnableCrashes()
+	cfg.Dense.Crash(grid.Pt(1, 0))
+	if !v.CrashedAt(grid.East) || v.CrashedAt(grid.Pt(2, 0)) || v.CrashedAt(grid.Zero) {
+		t.Fatal("CrashedAt does not match the world's marks")
+	}
+	v.SetNoise(grid.East)
+	if v.CrashedAt(grid.East) {
+		t.Fatal("a noise flip hiding the crashed robot must hide its mark")
+	}
+	v.SetNoise(grid.North)
+	if v.CrashedAt(grid.North) {
+		t.Fatal("a phantom robot must read as live")
+	}
+}

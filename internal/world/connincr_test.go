@@ -410,15 +410,14 @@ func TestLargestLiveComponent(t *testing.T) {
 	}
 	cells = append(cells, grid.Pt(50, 0), grid.Pt(51, 0))
 	d := connWorld(cells...)
-	crashed := map[int32]bool{}
+	d.EnableCrashes()
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
-			crashed[d.SlotAt(grid.Pt(x, y))] = true
+			d.Crash(grid.Pt(x, y))
 		}
 	}
-	live := func(s int32) bool { return !crashed[s] }
 
-	n, b := d.LargestLiveComponent(live)
+	n, b := d.LargestLiveComponent()
 	if n != 2 {
 		t.Fatalf("live count = %d, want 2 (the crashed 3×3 must not win)", n)
 	}
@@ -429,14 +428,17 @@ func TestLargestLiveComponent(t *testing.T) {
 	// A crashed cell inside the winning component is scenery: it affects
 	// neither the count nor the bounds.
 	d2 := connWorld(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0))
-	mid := d2.SlotAt(grid.Pt(1, 0))
-	n2, b2 := d2.LargestLiveComponent(func(s int32) bool { return s != mid })
+	d2.EnableCrashes()
+	d2.Crash(grid.Pt(1, 0))
+	n2, b2 := d2.LargestLiveComponent()
 	if n2 != 2 || b2 != (grid.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 0}) {
 		t.Fatalf("count/bounds with embedded crash = %d, %v", n2, b2)
 	}
 
 	// All-crashed world: no live component at all.
-	n3, _ := d.LargestLiveComponent(func(int32) bool { return false })
+	d.Crash(grid.Pt(50, 0))
+	d.Crash(grid.Pt(51, 0))
+	n3, _ := d.LargestLiveComponent()
 	if n3 != 0 {
 		t.Fatalf("all-crashed world reported %d live robots", n3)
 	}
@@ -444,7 +446,8 @@ func TestLargestLiveComponent(t *testing.T) {
 	// Tie on live count: first-wins over canonical order — the component
 	// with the smaller minimum cell.
 	d4 := connWorld(grid.Pt(0, 0), grid.Pt(10, 0))
-	n4, b4 := d4.LargestLiveComponent(func(int32) bool { return true })
+	d4.EnableCrashes()
+	n4, b4 := d4.LargestLiveComponent()
 	if n4 != 1 || b4 != (grid.Rect{MinX: 0, MinY: 0, MaxX: 0, MaxY: 0}) {
 		t.Fatalf("tie-break: %d, %v; want the canonical-first singleton", n4, b4)
 	}

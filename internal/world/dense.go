@@ -22,9 +22,10 @@
 // # Round protocol
 //
 // The engine owns the round semantics (merge rules, transfer death rules,
-// clock maxing); the world only stores. Reads refer to the current
-// (pre-round) occupancy; the round protocol builds the next round's
-// occupancy, which Commit swaps in:
+// clock maxing); the world stores, and marks every write a view could
+// observe for the quiescence layer (quiesce.go). Reads refer to the
+// current (pre-round) occupancy; the round protocol builds the next
+// round's occupancy, which Commit swaps in:
 //
 //	BeginRound
 //	  Arrive(from, dst) for every activated robot, in canonical cell
@@ -197,6 +198,8 @@ type Dense struct {
 	qOn     bool
 	qRadius int
 	qmask   []uint32 // slot → per-phase quiescent-verdict bits
+
+	crashed []bool // slot → crash-stop mark; nil until EnableCrashes
 }
 
 // NewDense builds the dense world over the swarm's cells (the swarm is
@@ -574,8 +577,8 @@ func (d *Dense) Slots() []int32 {
 
 // SlotCount returns the size of the slot space: every live slot is in
 // [0, SlotCount). Slots are stable for a robot's lifetime and never reused
-// after a merge, so per-slot side tables (the engine's crash marks) sized
-// by SlotCount stay valid for the whole run.
+// after a merge, so per-slot tables (verdict masks, crash marks) sized by
+// SlotCount stay valid for the whole run.
 func (d *Dense) SlotCount() int { return len(d.runOf) }
 
 func (d *Dense) ensureCellViews() {
@@ -622,6 +625,9 @@ func (d *Dense) Add(p grid.Point) {
 	if d.qOn {
 		d.qmask = append(d.qmask, 0)
 		d.QuiesceReset()
+	}
+	if d.crashed != nil {
+		d.crashed = append(d.crashed, false)
 	}
 	d.count++
 	if d.boundsOK {
@@ -696,6 +702,12 @@ func (d *Dense) BeginRound() { d.next.reset() }
 // none costs no state write. The first arrival's slot survives at dst; a
 // merge clears any pending state at dst.
 //
+// Two of these writes are invisible to Commit's occupancy diff, so Arrive
+// marks them view-dirty itself: a robot that carried runs changes the
+// states its neighbours see at from even if another robot takes its cell,
+// and a merge can leave dst occupied while its slot, state and crash mark
+// change.
+//
 //gather:hotpath
 func (d *Dense) Arrive(from, dst grid.Point) int { return d.arrive(from, dst, true) }
 
@@ -705,6 +717,9 @@ func (d *Dense) Arrive(from, dst grid.Point) int { return d.arrive(from, dst, tr
 //gather:hotpath
 func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	slot := d.slotAt(d.cur, from)
+	if drop && d.runOf[slot] != 0 {
+		d.markViewDirty(from)
+	}
 	nxt := d.cur ^ 1
 	t := d.tileAt(dst)
 	if t == nil || !t.marked[nxt] {
@@ -729,6 +744,7 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	}
 	// A merge: the survivor's pending runs stop (Table 1) and the arriving
 	// robot's slot dies with its runs.
+	d.markViewDirty(dst)
 	t.multi[ry] |= b
 	d.dropRuns(t.slots[nxt][ry<<tileShift|rx])
 	d.dropRuns(slot)
@@ -747,9 +763,11 @@ func (d *Dense) Sleep(p grid.Point) int { return d.arrive(p, p, false) }
 // SetArrivalState sets the pending next-round state of the sole robot at
 // dst. The runs are copied; an empty state clears. Arrive already cleared
 // an activated robot's runs, so only robots that keep or receive runs need
-// this call.
+// this call. The new state is marked view-dirty at dst: a robot that keeps,
+// adopts or receives runs may not have moved at all.
 func (d *Dense) SetArrivalState(dst grid.Point, st robot.State) {
 	d.packState(d.slotAt(d.cur^1, dst), st)
+	d.markViewDirty(dst)
 }
 
 // ArrivalState returns the pending next-round state at dst.
@@ -1050,6 +1068,32 @@ func isAxisUnit(p grid.Point) bool {
 	return (p.X == 0) != (p.Y == 0) && p.X >= -1 && p.X <= 1 && p.Y >= -1 && p.Y <= 1
 }
 
+// --- crash marks ---
+
+// EnableCrashes allocates the per-slot crash-stop marks, all clear. The
+// engine enables them once when its fault plan can crash robots; without
+// them Crashed and CrashedAt always report false.
+func (d *Dense) EnableCrashes() { d.crashed = make([]bool, len(d.runOf)) }
+
+// Crash marks the robot at p crash-stopped (p must be occupied and crashes
+// enabled). The mark belongs to the robot's slot and dies with it when a
+// live robot merges onto the cell. Views see crash marks, so the cell is
+// marked view-dirty.
+func (d *Dense) Crash(p grid.Point) {
+	d.crashed[d.SlotAt(p)] = true
+	d.markViewDirty(p)
+}
+
+// Crashed reports whether the robot in slot has crash-stopped.
+func (d *Dense) Crashed(slot int32) bool { return d.crashed != nil && d.crashed[slot] }
+
+// CrashedAt reports whether cell p holds a crash-stopped robot: the
+// failure detector views expose to algorithms. Read-only and safe to call
+// from concurrent compute workers.
+func (d *Dense) CrashedAt(p grid.Point) bool {
+	return d.crashed != nil && d.Has(p) && d.crashed[d.SlotAt(p)]
+}
+
 // --- connectivity ---
 
 func (d *Dense) visGet(p grid.Point) bool {
@@ -1099,7 +1143,7 @@ func (d *Dense) ConnectedBFS() bool {
 		return true
 	}
 	d.visClear()
-	n, _ := d.flood(d.occ[0].p, nil)
+	n, _ := d.flood(d.occ[0].p, false)
 	return n == len(d.occ)
 }
 
@@ -1121,7 +1165,7 @@ func (d *Dense) LargestComponent() (size int, bounds grid.Rect, seed grid.Point)
 
 // LargestComponentBFS is the scratch-flood reference for LargestComponent.
 func (d *Dense) LargestComponentBFS() (size int, bounds grid.Rect, seed grid.Point) {
-	return d.largestFlood(nil)
+	return d.largestFlood(false)
 }
 
 // LargestLiveComponent returns the live-cell count and live-cell bounding
@@ -1130,21 +1174,20 @@ func (d *Dense) LargestComponentBFS() (size int, bounds grid.Rect, seed grid.Poi
 // the engine's degraded-mode gathering question — in which component
 // should the survivors gather? — where the cell-count ranking of
 // LargestComponent is wrong: a stranded heap of crashed robots can
-// outrank the split-off survivors, yet can never gather. Always a scratch
-// flood: the query only runs while degraded with crashed robots present,
-// off the fault-free hot path.
-func (d *Dense) LargestLiveComponent(live func(int32) bool) (n int, bounds grid.Rect) {
-	n, bounds, _ = d.largestFlood(live)
+// outrank the split-off survivors, yet can never gather. A robot is live
+// unless Crash marked it. Always a scratch flood: the query only runs while
+// degraded with crashed robots present, off the fault-free hot path.
+func (d *Dense) LargestLiveComponent() (n int, bounds grid.Rect) {
+	n, bounds, _ = d.largestFlood(true)
 	return n, bounds
 }
 
 // largestFlood floods every 4-connected component in canonical cell order
 // and returns the count, bounding box and canonical minimum cell of the
-// one with the most counted cells — every cell when live is nil, else the
-// cells whose slot is live. The first such component wins ties, which
-// resolves them to the smallest minimum cell, as the incremental path
-// does.
-func (d *Dense) largestFlood(live func(int32) bool) (n int, bounds grid.Rect, seed grid.Point) {
+// one with the most counted cells — every cell, or only the live ones when
+// liveOnly is set. The first such component wins ties, which resolves them
+// to the smallest minimum cell, as the incremental path does.
+func (d *Dense) largestFlood(liveOnly bool) (n int, bounds grid.Rect, seed grid.Point) {
 	d.ensureOcc()
 	d.visClear()
 	bounds = grid.EmptyRect
@@ -1152,7 +1195,7 @@ func (d *Dense) largestFlood(live func(int32) bool) (n int, bounds grid.Rect, se
 		if d.visGet(c.p) {
 			continue
 		}
-		if cn, cb := d.flood(c.p, live); cn > n {
+		if cn, cb := d.flood(c.p, liveOnly); cn > n {
 			n, bounds, seed = cn, cb, c.p
 		}
 	}
@@ -1161,16 +1204,16 @@ func (d *Dense) largestFlood(live func(int32) bool) (n int, bounds grid.Rect, se
 
 // flood marks the 4-connected component of start in the vis scratch (the
 // caller clears it first) and returns how many of its cells count —
-// every cell when live is nil, else those whose slot is live — and their
+// every cell, or only the live ones when liveOnly is set — and their
 // bounding box.
-func (d *Dense) flood(start grid.Point, live func(int32) bool) (n int, bounds grid.Rect) {
+func (d *Dense) flood(start grid.Point, liveOnly bool) (n int, bounds grid.Rect) {
 	bounds = grid.EmptyRect
 	stack := append(d.stack[:0], start)
 	d.visSet(start)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if live == nil || live(d.SlotAt(p)) {
+		if !liveOnly || !d.Crashed(d.SlotAt(p)) {
 			n++
 			bounds = bounds.Include(p)
 		}

@@ -15,11 +15,16 @@
 //     nothing). The engine consults QuiesceSkip on the compute hot path
 //     and records verdicts through QuiesceNote on its serial post-pass.
 //
-// Occupancy is not everything a view can see, so the engine adds targeted
-// marks (MarkViewDirty) for changes the occupancy diff can't observe: run
-// state rewrites on occupancy-stable cells, run transfers, merges onto
-// sleepers, and crash-status flips. Ad-hoc world edits (Add/Remove/
-// SetState) conservatively reset every cached verdict via QuiesceReset.
+// Division of labor: the world marks every write a view can observe, and
+// the engine marks nothing. Occupancy is not everything a view can see, so
+// the world's own writes that leave occupancy unchanged mark themselves
+// (markViewDirty): Arrive marks the cell an activated robot carrying runs
+// leaves (its runs end, age or move on) and every merge's cell (its slot,
+// state and crash mark change), SetArrivalState marks kept, adopted and
+// delivered runs, and Crash marks the crashed robot's cell. The engine only
+// asks (QuiesceSkip) and reports verdicts (QuiesceNote). Ad-hoc world
+// edits (Add/Remove/SetState) conservatively reset every cached verdict
+// via QuiesceReset.
 //
 //gather:deterministic
 package world
@@ -98,11 +103,14 @@ func (d *Dense) QuiesceNote(p grid.Point, slot int32, phase int, quiescent bool)
 	}
 }
 
-// MarkViewDirty dirties every cell whose view includes p — the engine's
-// hook for state changes the occupancy diff cannot see (run rewrites on
-// occupancy-stable cells, transfers, merges onto sleepers, crash flips).
-// Serial-phase only.
-func (d *Dense) MarkViewDirty(p grid.Point) {
+// markViewDirty dirties every cell whose view includes p: the mark for a
+// world write the occupancy diff cannot see (run rewrites on
+// occupancy-stable cells, transfers, merges onto stayers, crashes). The
+// round-protocol marks land in Resolve, after the round's verdicts were
+// recorded, so no QuiesceNote consumes one before the next round's skip
+// test reads it; a crash lands before Compute, so this round's skip tests
+// already see it. Serial-phase only.
+func (d *Dense) markViewDirty(p grid.Point) {
 	if !d.qOn {
 		return
 	}

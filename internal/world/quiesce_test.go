@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridgather/internal/grid"
+	"gridgather/internal/robot"
 	"gridgather/internal/swarm"
 )
 
@@ -47,15 +48,35 @@ func TestQsmear(t *testing.T) {
 	}
 }
 
-// qWindow fingerprints the occupancy within L∞ radius r of p — everything
-// the quiescence contract promises a clean cell's robot has already seen.
+// qWindow fingerprints everything the quiescence contract promises a
+// clean cell's robot has already seen: per cell within L∞ radius r of p,
+// its occupancy, crash mark and run state.
 func qWindow(d *Dense, p grid.Point, r int) uint64 {
-	sig := uint64(1)
+	sig := uint64(14695981039346656037)
+	mix := func(v int) { sig = (sig ^ uint64(v)) * 1099511628211 }
 	for dy := -r; dy <= r; dy++ {
 		for dx := -r; dx <= r; dx++ {
-			sig *= 131
-			if d.Has(grid.Pt(p.X+dx, p.Y+dy)) {
-				sig |= 1
+			q := grid.Pt(p.X+dx, p.Y+dy)
+			switch {
+			case !d.Has(q):
+				mix(0)
+				continue
+			case d.CrashedAt(q):
+				mix(2)
+			default:
+				mix(1)
+			}
+			runs := d.StateAt(q).Runs
+			mix(len(runs))
+			for _, run := range runs {
+				mix(run.ID)
+				mix(run.Dir.X)
+				mix(run.Dir.Y)
+				mix(run.Inside.X)
+				mix(run.Inside.Y)
+				mix(int(run.Phase))
+				mix(run.StepsLeft)
+				mix(run.Age)
 			}
 		}
 	}
@@ -63,9 +84,9 @@ func qWindow(d *Dense, p grid.Point, r int) uint64 {
 }
 
 // qCheck is the soundness oracle pass: a robot whose cell QuiesceSkip
-// clears must have an occupancy window identical to the one cached at its
-// last recorded verdict; every other robot "recomputes" — recaches its
-// window and records a fresh quiescent verdict.
+// clears must have a window identical to the one cached at its last
+// recorded verdict; every other robot "recomputes" — recaches its window
+// and records a fresh quiescent verdict.
 func qCheck(t *testing.T, d *Dense, r int, cached map[int32]uint64) {
 	t.Helper()
 	cells := d.Cells()
@@ -85,17 +106,53 @@ func qCheck(t *testing.T, d *Dense, r int, cached map[int32]uint64) {
 	}
 }
 
-// FuzzQuiescenceSoundness drives random L∞ ≤ 1 move rounds, ad-hoc
-// Add/Remove edits and explicit MarkViewDirty calls through the round
-// protocol, asserting after every operation that the recompute set is a
-// superset of the robots whose views actually changed: QuiesceSkip may
-// clear a robot only if its radius-window occupancy is bit-identical to
-// the window it last recomputed against. The seed corpus covers chunk
-// seams (the initial cluster sits at the 0/63/64 boundary) and merges.
+// qRound drives one protocol round in which every robot is activated and
+// stays, except the robot at index mover (-1 for none), which moves by
+// dir. keep gives the mover a run to keep at its landing cell, and recv
+// (-1 for none) is the index of a robot that receives a delivered run
+// after every arrival is counted. Each new run gets a fresh ID from *id.
+func qRound(d *Dense, mover int, dir grid.Point, keep bool, recv int, id *int) {
+	run := func() robot.State {
+		*id++
+		return robot.State{Runs: []robot.Run{{ID: *id, Dir: grid.East, Inside: grid.North, Phase: robot.PhaseRoll, Age: *id % 5}}}
+	}
+	cells := d.Cells()
+	var to grid.Point
+	if recv >= 0 {
+		to = cells[recv]
+	}
+	d.BeginRound()
+	for j, p := range cells {
+		dst := p
+		if j == mover {
+			dst = p.Add(dir)
+		}
+		if d.Arrive(p, dst) == 1 && j == mover && keep {
+			d.SetArrivalState(dst, run())
+		}
+	}
+	if recv >= 0 && d.ArrivalCount(to) == 1 {
+		d.SetArrivalState(to, run())
+	}
+	d.Commit()
+}
+
+// FuzzQuiescenceSoundness drives random protocol rounds and ad-hoc edits
+// through the world, asserting after every operation that the recompute
+// set is a superset of the robots whose views actually changed:
+// QuiesceSkip may clear a robot only if its radius window — occupancy,
+// crash marks and run states — is identical to the window it last
+// recomputed against. Every mark comes from the world's own writes: moves,
+// merges onto stayers, kept and delivered runs, arrivals of robots that
+// carry runs, and crashes. The seed corpus covers chunk seams (the initial
+// cluster sits at the 0/63/64 boundary), merges and every operation.
 func FuzzQuiescenceSoundness(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 3, 0, 2, 5, 1, 10, 10, 0, 3, 7})
 	f.Add([]byte{2, 0, 0, 3, 1, 1, 0, 4, 4, 0, 5, 8, 0, 6, 2})
 	f.Add([]byte{1, 200, 200, 0, 7, 6, 0, 7, 6, 0, 7, 6, 2, 200, 200})
+	f.Add([]byte{4, 14, 4, 6, 0, 5, 6, 0, 4, 5, 9, 0, 6, 3, 1, 3, 9, 0, 7, 8, 2, 0, 14, 5})
+	f.Add([]byte{3, 20, 0, 7, 21, 1, 4, 0, 0, 6, 0, 7, 5, 35, 0, 0, 0, 4, 7, 22, 3, 2, 20, 0})
+	f.Add([]byte{3, 12, 0, 7, 12, 0}) // a crashed robot merges onto a stayer, taking its cell
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -111,38 +168,50 @@ func FuzzQuiescenceSoundness(f *testing.F) {
 		}
 		d := NewDense(s, false)
 		d.EnableQuiescence(radius)
+		d.EnableCrashes()
 		cached := make(map[int32]uint64)
 		qCheck(t, d, radius, cached)
 
+		id := 0
 		for i := 0; i+2 < len(data) && i < 3*120; i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
-			switch op & 3 {
+			cells := d.Cells()
+			if len(cells) == 0 && op%8 != 1 {
+				return // only an Add can follow removing every robot
+			}
+			pick := int(a) % max(len(cells), 1)
+			dir := grid.Pt(int(b%3)-1, int(b/3%3)-1)
+			switch op % 8 {
 			case 0: // one robot moves L∞ ≤ 1, everyone else stays
-				cells := d.Cells()
-				if len(cells) == 0 {
-					return
-				}
-				mover := int(a) % len(cells)
-				dir := grid.Pt(int(b%3)-1, int(b/3%3)-1)
-				d.BeginRound()
-				for j, p := range cells {
-					dst := p
-					if j == mover {
-						dst = p.Add(dir)
-					}
-					d.Arrive(p, dst)
-				}
-				d.Commit()
+				qRound(d, pick, dir, false, -1, &id)
 			case 1: // ad-hoc Add near the cluster (resets every verdict)
 				d.Add(grid.Pt(58+int(a)%12, 58+int(b)%12))
 			case 2: // ad-hoc Remove (resets every verdict)
-				cells := d.Cells()
-				if len(cells) == 0 {
-					return
+				d.Remove(cells[pick])
+			case 3: // a crash: no occupancy change
+				d.Crash(cells[pick])
+			case 4: // the mover keeps a run at its landing cell
+				qRound(d, pick, dir, true, -1, &id)
+			case 5: // everyone stays; one robot receives a delivered run
+				qRound(d, -1, grid.Point{}, false, pick, &id)
+			case 6: // the next robot carrying runs moves (its runs end)
+				mover := -1
+				for k := range cells {
+					if j := (pick + k) % len(cells); d.StateAt(cells[j]).HasRuns() {
+						mover = j
+						break
+					}
 				}
-				d.Remove(cells[int(a)%len(cells)])
-			case 3: // engine-style targeted mark: must force recompute nearby
-				d.MarkViewDirty(grid.Pt(58+int(a)%12, 58+int(b)%12))
+				qRound(d, mover, dir, false, -1, &id)
+			case 7: // the mover merges onto a stayer in its 8-neighbourhood
+				kings := [8]grid.Point{grid.East, grid.NorthEast, grid.North, grid.NorthWest,
+					grid.West, grid.SouthWest, grid.South, grid.SouthEast}
+				for k := range kings {
+					if step := kings[(int(b)+k)%8]; d.Has(cells[pick].Add(step)) {
+						qRound(d, pick, step, false, -1, &id)
+						break
+					}
+				}
 			}
 			qCheck(t, d, radius, cached)
 		}

@@ -184,3 +184,40 @@ func TestDenseClocksDisabled(t *testing.T) {
 		t.Fatalf("ClockAt with clocks disabled = %d", got)
 	}
 }
+
+// Crash marks belong to slots: Crash marks a robot, the mark stays with
+// the robot as long as it is the cell's first arrival, dies with its slot
+// when it is merged onto, and Add extends the table.
+func TestCrashMarks(t *testing.T) {
+	d := NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	if d.CrashedAt(grid.Pt(1, 0)) || d.Crashed(d.SlotAt(grid.Pt(1, 0))) {
+		t.Fatal("crash mark reported before EnableCrashes")
+	}
+	d.EnableCrashes()
+	d.Crash(grid.Pt(1, 0))
+	crashed := d.SlotAt(grid.Pt(1, 0))
+	if !d.CrashedAt(grid.Pt(1, 0)) || !d.Crashed(crashed) || d.CrashedAt(grid.Pt(0, 0)) || d.CrashedAt(grid.Pt(5, 5)) {
+		t.Fatal("CrashedAt does not match the single crash")
+	}
+	// The robot at (0,0) moves onto the crashed sleeper: it arrives first,
+	// so the cell now holds a live robot.
+	d.BeginRound()
+	d.Arrive(grid.Pt(0, 0), grid.Pt(1, 0))
+	d.Arrive(grid.Pt(2, 0), grid.Pt(2, 0))
+	d.BeginSleep()
+	if d.Sleep(grid.Pt(1, 0)) != 2 {
+		t.Fatal("the sleeper was not merged onto")
+	}
+	d.Commit()
+	if d.CrashedAt(grid.Pt(1, 0)) || d.SlotAt(grid.Pt(1, 0)) == crashed {
+		t.Fatal("the crash mark survived its slot's merge")
+	}
+	d.Add(grid.Pt(3, 0))
+	if d.CrashedAt(grid.Pt(3, 0)) {
+		t.Fatal("an added robot starts crashed")
+	}
+	d.Crash(grid.Pt(3, 0))
+	if n, b := d.LargestLiveComponent(); n != 2 || b != (grid.Rect{MinX: 1, MinY: 0, MaxX: 2, MaxY: 0}) {
+		t.Fatalf("LargestLiveComponent = %d, %v", n, b)
+	}
+}
