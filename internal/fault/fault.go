@@ -335,7 +335,7 @@ func (p *Plan) String() string {
 // AppendCursor encodes the plan's mutable state — each clause's RNG
 // position and one-shot latch — in clause order. Construction parameters
 // are not encoded: the restore path re-parses the spec and then restores
-// the cursor into the fresh plan, mirroring sched.CursorCodec.
+// the cursor into the fresh plan, as sched.Scheduler's cursor methods do.
 func (p *Plan) AppendCursor(b []byte) []byte {
 	for i := range p.clauses {
 		c := &p.clauses[i]

@@ -466,12 +466,6 @@ func (e *Engine) Gathered() bool {
 		}
 		return e.liveGathered()
 	}
-	if e.crashedLive == 0 {
-		// Every robot is live, so the most-survivors component is simply
-		// the largest one — answered by the incremental layer.
-		size, bounds, _ := e.w.LargestComponent()
-		return size > 0 && bounds.FitsIn2x2()
-	}
 	live, lb := e.w.LargestLiveComponent()
 	return live > 0 && lb.FitsIn2x2()
 }

@@ -291,8 +291,10 @@ func (s staticSched) Activate(round int, cells []grid.Point, _ []int32, active [
 		active[i] = s.active(round, p)
 	}
 }
-func (staticSched) Fairness(int) int { return 1 }
-func (staticSched) String() string   { return "static" }
+func (staticSched) Fairness(int) int                       { return 1 }
+func (staticSched) String() string                         { return "static" }
+func (staticSched) AppendCursor(b []byte) []byte           { return b }
+func (staticSched) RestoreCursor(b []byte) ([]byte, error) { return b, nil }
 
 // TestEngineSleepersKeepStateAndClock checks the relaxed-scheduler
 // semantics: robots outside the activation set stay put, keep their run

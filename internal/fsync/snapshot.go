@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"gridgather/internal/codec"
-	"gridgather/internal/sched"
 	"gridgather/internal/world"
 )
 
@@ -32,11 +31,7 @@ func (e *Engine) AppendState(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(e.roundMerge))
 	b = e.w.AppendState(b)
 	if e.cfg.Scheduler != nil {
-		// Parse-built schedulers all implement CursorCodec; a custom one
-		// that does not simply has no cursor to carry.
-		if cc, ok := e.cfg.Scheduler.(sched.CursorCodec); ok {
-			b = cc.AppendCursor(b)
-		}
+		b = e.cfg.Scheduler.AppendCursor(b)
 	}
 	if e.cfg.Faults != nil {
 		b = e.appendFaultState(b)
@@ -166,11 +161,7 @@ func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
 	}
 	e.w = w
 	if cfg.Scheduler != nil {
-		cc, ok := cfg.Scheduler.(sched.CursorCodec)
-		if !ok {
-			return nil, nil, fmt.Errorf("fsync: scheduler %v cannot restore a cursor", cfg.Scheduler)
-		}
-		if rest, err = cc.RestoreCursor(rest); err != nil {
+		if rest, err = cfg.Scheduler.RestoreCursor(rest); err != nil {
 			return nil, nil, err
 		}
 	}

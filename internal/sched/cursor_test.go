@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Every Parse-built scheduler implements CursorCodec, and a cursor
-// restored into a fresh instance reproduces the original's activation
-// sets exactly from that round on.
+// A cursor of every Parse-built scheduler, restored into a fresh
+// instance, reproduces the original's activation sets exactly from that
+// round on.
 func TestCursorCodecResumes(t *testing.T) {
 	specs := []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:4"}
 	cells := cellsN(23)
@@ -18,15 +18,11 @@ func TestCursorCodecResumes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cc, ok := orig.(CursorCodec)
-			if !ok {
-				t.Fatalf("%s does not implement CursorCodec", spec)
-			}
 			for round := 0; round < cut; round++ {
 				activate(orig, round, cells)
 			}
-			cursor := cc.AppendCursor(nil)
-			if again := cc.AppendCursor(nil); !bytes.Equal(cursor, again) {
+			cursor := orig.AppendCursor(nil)
+			if again := orig.AppendCursor(nil); !bytes.Equal(cursor, again) {
 				t.Fatal("cursor encoding not deterministic")
 			}
 
@@ -34,7 +30,7 @@ func TestCursorCodecResumes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rest, err := fresh.(CursorCodec).RestoreCursor(cursor)
+			rest, err := fresh.RestoreCursor(cursor)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,14 +59,13 @@ func TestCursorCodecFraming(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			activate(s, round, cells)
 		}
-		cc := s.(CursorCodec)
-		cursor := cc.AppendCursor(nil)
+		cursor := s.AppendCursor(nil)
 		if len(cursor) == 0 {
 			t.Fatalf("%s: stateful scheduler encoded an empty cursor", spec)
 		}
 
 		fresh, _ := Parse(spec, 7)
-		rest, err := fresh.(CursorCodec).RestoreCursor(append(append([]byte(nil), cursor...), 0xEE, 0xFF))
+		rest, err := fresh.RestoreCursor(append(append([]byte(nil), cursor...), 0xEE, 0xFF))
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -79,7 +74,7 @@ func TestCursorCodecFraming(t *testing.T) {
 		}
 
 		fresh, _ = Parse(spec, 7)
-		if _, err := fresh.(CursorCodec).RestoreCursor(cursor[:len(cursor)-1]); err == nil {
+		if _, err := fresh.RestoreCursor(cursor[:len(cursor)-1]); err == nil {
 			t.Errorf("%s: truncated cursor accepted", spec)
 		}
 	}

@@ -72,18 +72,17 @@ type Scheduler interface {
 	Fairness(n int) int
 	// String names the scheduler for reports and sweep group keys.
 	String() string
-}
-
-// CursorCodec checkpoints a scheduler's mutable per-simulation state — the
-// cursors, fairness deadlines and RNG streams that advance as rounds are
-// consumed. Every scheduler Parse builds implements it, which is what makes
-// simulation snapshots resumable under any time model: AppendCursor encodes
-// the state (construction parameters like the fairness window are NOT
-// encoded — the caller re-parses the spec and then restores the cursor into
-// the fresh instance), and RestoreCursor decodes it, returning the unread
-// remainder. A restored scheduler must produce exactly the activation sets
-// the original would have produced from that round on.
-type CursorCodec interface {
+	// AppendCursor and RestoreCursor checkpoint the scheduler's mutable
+	// per-simulation state — the cursors, fairness deadlines and RNG
+	// streams that advance as rounds are consumed — which is what makes
+	// simulation snapshots resumable under any time model. AppendCursor
+	// encodes the state (construction parameters like the fairness window
+	// are NOT encoded — the caller re-parses the spec and then restores the
+	// cursor into the fresh instance), and RestoreCursor decodes it,
+	// returning the unread remainder. A restored scheduler must produce
+	// exactly the activation sets the original would have produced from
+	// that round on. A stateless scheduler appends nothing and hands its
+	// input back.
 	AppendCursor(b []byte) []byte
 	RestoreCursor(b []byte) ([]byte, error)
 }

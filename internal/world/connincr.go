@@ -34,19 +34,16 @@ package world
 // chunk-level structure instead of the robot count.
 //
 // The scratch flood of the bitset survives as the reference:
-// ConnectedBFS and LargestComponentBFS answer from scratch. The
-// incremental structure is cold on the first query of a world, including
-// the first after a snapshot restore; a cold query rebuilds it — one
-// relabel per occupied chunk, no BFS — and answers from the rebuilt
-// structure like any other query. The suites in this package and
-// internal/fsync hold the incremental answers to the reference round by
-// round, cold queries included.
+// ConnectedBFS answers from scratch. The incremental structure is cold
+// on the first query of a world, including the first after a snapshot
+// restore; a cold query rebuilds it — one relabel per occupied chunk, no
+// BFS — and answers from the rebuilt structure like any other query. The
+// suites in this package and internal/fsync hold the incremental answer
+// to the reference round by round, cold queries included. Degraded-mode
+// gathering does not use this layer: Dense.LargestLiveComponent answers
+// it with one scratch flood.
 
-import (
-	"math/bits"
-
-	"gridgather/internal/grid"
-)
+import "math/bits"
 
 // connLink is one seam adjacency: local component a of the owning chunk
 // touches local component b of the neighbor across the border.
@@ -64,27 +61,12 @@ type chunkConn struct {
 	ncomps int
 	labels [tileSize * tileSize]uint16
 
-	// comps aggregates each local component's cell count, bounding box and
-	// canonical minimum cell (absolute coordinates), maintained by relabel.
-	// The largest-component query folds these per-chunk summaries across
-	// seam links instead of revisiting cells.
-	comps []compAgg
-
 	east, north     []connLink
 	eastNbr         *chunkConn
 	northNbr        *chunkConn
 	eastOK, northOK bool
 
 	base int32 // per-query scratch: first global union-find node of this chunk
-}
-
-// compAgg summarizes one component (chunk-local in chunkConn.comps, global
-// in the largest-component query scratch): cell count, bounding box, and
-// the component's minimum cell in canonical (Less) order.
-type compAgg struct {
-	size   int32
-	bounds grid.Rect
-	min    grid.Point
 }
 
 // rowRun is one horizontal run of consecutive occupied cells during a
@@ -98,10 +80,9 @@ type rowRun struct {
 // ConnStats is the observable state of the incremental layer, for tests
 // and benchmarks.
 type ConnStats struct {
-	// Queries counts Connected and LargestComponent calls answered by
-	// the incremental layer; Fallbacks counts the subset that found the
-	// structure cold (first query, snapshot restore) and rebuilt it
-	// before answering from it.
+	// Queries counts Connected calls answered by the incremental layer;
+	// Fallbacks counts the subset that found the structure cold (first
+	// query, snapshot restore) and rebuilt it before answering from it.
 	Queries, Fallbacks int
 	// Rebuilds counts full from-scratch structure rebuilds; Relabels
 	// counts dirty-chunk component recomputations.
@@ -124,7 +105,6 @@ type connIncr struct {
 	runUF   []int32
 	runRows []int8 // run id → row (for the label fill pass)
 	runs    []rowRun
-	agg     []compAgg    // largest-component per-root aggregates
 	free    []*chunkConn // chunkConn free list (evicted chunks)
 }
 
@@ -299,34 +279,12 @@ func (c *connIncr) relabel(cc *chunkConn, t *tile, layer int) {
 			ncomps++
 		}
 	}
-	if cap(cc.comps) < ncomps {
-		cc.comps = make([]compAgg, ncomps)
-	}
-	cc.comps = cc.comps[:ncomps]
-	for i := range cc.comps {
-		cc.comps[i] = compAgg{bounds: grid.EmptyRect}
-	}
-	// Absolute coordinates via OR: x < 64 and the low 6 bits of cx<<6 are
-	// zero (also for negative cx in two's complement), so OR is addition.
-	baseX, baseY := cc.cx<<tileShift, cc.cy<<tileShift
 	for i := range runs {
 		comp := uint16(runs[findRun(uf, int32(i))].id)
 		row := int(rows[i]) << tileShift
-		mask := runs[i].mask
-		for m := mask; m != 0; m &= m - 1 {
+		for m := runs[i].mask; m != 0; m &= m - 1 {
 			cc.labels[row|bits.TrailingZeros64(m)] = comp
 		}
-		a := &cc.comps[comp]
-		y := baseY | int(rows[i])
-		lo := grid.Point{X: baseX | bits.TrailingZeros64(mask), Y: y}
-		hi := grid.Point{X: baseX | (63 - bits.LeadingZeros64(mask)), Y: y}
-		// Rows ascend and a run's lowest cell is its Less-minimum, so the
-		// Less-least run candidate is the component's true minimum cell.
-		if a.size == 0 || lo.Less(a.min) {
-			a.min = lo
-		}
-		a.size += int32(bits.OnesCount64(mask))
-		a.bounds = a.bounds.Include(lo).Include(hi)
 	}
 	cc.ncomps = ncomps
 	c.runs, c.runUF, c.runRows = runs, uf, rows
@@ -347,10 +305,11 @@ func unionRuns(uf []int32, a, b int32) {
 	}
 }
 
-// query runs the chunk-graph union-find: one node per local component,
-// one union per cached seam link. Border caches invalidated by this
-// round's dirty chunks are recomputed here, after every relabel is done,
-// so links always pair fresh labels on both sides.
+// query runs the chunk-graph union-find — one node per local component,
+// one union per cached seam link — and reports whether at most one root
+// remains. Border caches invalidated by this round's dirty chunks are
+// recomputed here, after every relabel is done, so links always pair
+// fresh labels on both sides.
 // Both loops below walk d.live[d.cur] — the deduplicated, insertion-ordered
 // list of tiles that may hold current-layer bits — rather than the chunks
 // map: every occupied tile is on the live list (mark runs on every arrival),
@@ -358,16 +317,7 @@ func unionRuns(uf []int32, a, b int32) {
 // entries, in deterministic order. Label bases, and therefore the union-find
 // trace, come out identical on every run.
 func (c *connIncr) query(d *Dense) bool {
-	n, roots := c.unite(d)
-	return n <= 1 || roots == 1
-}
-
-// unite runs the shared half of the chunk-graph queries: assign label
-// bases, initialize the union-find, refresh invalidated border caches and
-// union every seam link. Returns the node count and the surviving root
-// count. n ≤ 1 short-circuits before the union-find is touched (there is
-// nothing to union); callers must not read c.parent in that case.
-func (c *connIncr) unite(d *Dense) (n, roots int32) {
+	var n int32
 	for _, t := range d.live[d.cur] {
 		cc := c.chunks[t]
 		if cc == nil {
@@ -378,7 +328,7 @@ func (c *connIncr) unite(d *Dense) (n, roots int32) {
 	}
 	c.stats.Chunks, c.stats.Comps = len(c.chunks), int(n)
 	if n <= 1 {
-		return n, n
+		return true
 	}
 	if cap(c.parent) < int(n) {
 		c.parent = make([]int32, n)
@@ -387,7 +337,7 @@ func (c *connIncr) unite(d *Dense) (n, roots int32) {
 	for i := range c.parent {
 		c.parent[i] = int32(i)
 	}
-	roots = n
+	roots := n
 	for _, t := range d.live[d.cur] {
 		cc := c.chunks[t]
 		if cc == nil {
@@ -410,57 +360,7 @@ func (c *connIncr) unite(d *Dense) (n, roots int32) {
 			roots -= c.union(cc.base+int32(l.a), cc.northNbr.base+int32(l.b))
 		}
 	}
-	return n, roots
-}
-
-// largest folds the per-chunk component summaries across the seam
-// union-find and returns the largest component's cell count, bounding box
-// and canonical minimum cell. Ties go to the component with the smaller
-// minimum cell — exactly the component a first-wins scan in canonical cell
-// order keeps, so the incremental answer matches LargestComponentBFS
-// bit-for-bit.
-func (c *connIncr) largest(d *Dense) (size int, bounds grid.Rect, seed grid.Point) {
-	n, _ := c.unite(d)
-	if n == 0 {
-		return 0, grid.EmptyRect, grid.Point{}
-	}
-	if cap(c.agg) < int(n) {
-		c.agg = make([]compAgg, n)
-	}
-	agg := c.agg[:n]
-	for i := range agg {
-		agg[i] = compAgg{bounds: grid.EmptyRect}
-	}
-	for _, t := range d.live[d.cur] {
-		cc := c.chunks[t]
-		if cc == nil {
-			continue
-		}
-		for id := range cc.comps {
-			node := cc.base + int32(id)
-			if n > 1 {
-				node = c.find(node)
-			}
-			a, src := &agg[node], &cc.comps[id]
-			if a.size == 0 || src.min.Less(a.min) {
-				a.min = src.min
-			}
-			a.size += src.size
-			a.bounds = a.bounds.Include(grid.Point{X: src.bounds.MinX, Y: src.bounds.MinY}).
-				Include(grid.Point{X: src.bounds.MaxX, Y: src.bounds.MaxY})
-		}
-	}
-	best := -1
-	for i := range agg {
-		if agg[i].size == 0 {
-			continue // not a root: its cells were folded into the root's entry
-		}
-		if best < 0 || agg[i].size > agg[best].size ||
-			(agg[i].size == agg[best].size && agg[i].min.Less(agg[best].min)) {
-			best = i
-		}
-	}
-	return int(agg[best].size), agg[best].bounds, agg[best].min
+	return roots == 1
 }
 
 // neighborConn resolves the chunkConn at chunk coordinates (cx, cy), nil

@@ -1147,47 +1147,18 @@ func (d *Dense) ConnectedBFS() bool {
 	return n == len(d.occ)
 }
 
-// LargestComponent returns the largest 4-connected component's cell count,
-// bounding box, and canonical minimum cell (the component's first cell in
-// canonical order — a stable representative usable as a BFS seed). Ties go
-// to the component with the smaller minimum cell. Size 0 means the world
-// is empty. Like Connected it answers through the incremental layer —
-// folding the per-chunk component summaries relabel maintains across the
-// seam union-find — rebuilding a cold structure first. The engine's
-// graceful-degradation mode queries this every round, so the incremental
-// path matters.
-func (d *Dense) LargestComponent() (size int, bounds grid.Rect, seed grid.Point) {
-	if d.count == 0 {
-		return 0, grid.EmptyRect, grid.Point{}
-	}
-	return d.connReady().largest(d)
-}
-
-// LargestComponentBFS is the scratch-flood reference for LargestComponent.
-func (d *Dense) LargestComponentBFS() (size int, bounds grid.Rect, seed grid.Point) {
-	return d.largestFlood(false)
-}
-
 // LargestLiveComponent returns the live-cell count and live-cell bounding
-// box of the 4-connected component holding the most live robots (ties go
-// to the component whose canonical minimum cell is smallest). It answers
-// the engine's degraded-mode gathering question — in which component
-// should the survivors gather? — where the cell-count ranking of
-// LargestComponent is wrong: a stranded heap of crashed robots can
+// box of the 4-connected component holding the most live robots. It floods
+// every component in canonical cell order and keeps the first with the
+// most live cells, so ties go to the component whose canonical minimum
+// cell is smallest. It answers the engine's degraded-mode gathering
+// question — in which component should the survivors gather? — where a
+// cell-count ranking is wrong: a stranded heap of crashed robots can
 // outrank the split-off survivors, yet can never gather. A robot is live
-// unless Crash marked it. Always a scratch flood: the query only runs while
-// degraded with crashed robots present, off the fault-free hot path.
+// unless Crash marked it. Always a scratch flood, whether or not any
+// crashed robot is present; it runs only in degraded rounds, off the
+// fault-free hot path.
 func (d *Dense) LargestLiveComponent() (n int, bounds grid.Rect) {
-	n, bounds, _ = d.largestFlood(true)
-	return n, bounds
-}
-
-// largestFlood floods every 4-connected component in canonical cell order
-// and returns the count, bounding box and canonical minimum cell of the
-// one with the most counted cells — every cell, or only the live ones when
-// liveOnly is set. The first such component wins ties, which resolves them
-// to the smallest minimum cell, as the incremental path does.
-func (d *Dense) largestFlood(liveOnly bool) (n int, bounds grid.Rect, seed grid.Point) {
 	d.ensureOcc()
 	d.visClear()
 	bounds = grid.EmptyRect
@@ -1195,11 +1166,11 @@ func (d *Dense) largestFlood(liveOnly bool) (n int, bounds grid.Rect, seed grid.
 		if d.visGet(c.p) {
 			continue
 		}
-		if cn, cb := d.flood(c.p, liveOnly); cn > n {
-			n, bounds, seed = cn, cb, c.p
+		if cn, cb := d.flood(c.p, true); cn > n {
+			n, bounds = cn, cb
 		}
 	}
-	return n, bounds, seed
+	return n, bounds
 }
 
 // flood marks the 4-connected component of start in the vis scratch (the

@@ -106,7 +106,7 @@ func (s *Simulation) Step() error {
 	runs := s.roundRuns > 0 && s.wants(EventRunStart)
 	crash := s.eng.RoundCrashes() > 0 && s.wants(EventCrash)
 	degraded := s.eng.Degraded() && s.eng.DegradedRound() == s.eng.Round() && s.wants(EventDegraded)
-	gathered := s.eng.Gathered() && s.wants(EventGathered)
+	gathered := s.wants(EventGathered) && s.eng.Gathered()
 	if round || merge || runs || crash || degraded || gathered {
 		s.fillEventBuffers()
 		if round {
