@@ -118,3 +118,78 @@ func TestDegradedGatheredMatchesFlood(t *testing.T) {
 		t.Fatalf("degraded rounds: %d with crashed robots, %d without; want both > 0", withCrashed, noCrashed)
 	}
 }
+
+// TestGatheredCacheFollowsWrites asks Gathered three times before and
+// after every round and holds each answer to the uncached verdict. At the
+// end of each run it crashes the remaining live robots one by one through
+// World(), as test scaffolding writes to the world directly, and asks
+// again after each crash. Once no live robot is left a faulty swarm can
+// never gather, so the verdict of every run that ended gathered with
+// crashed robots present, or degraded, turns false: a cache that missed a
+// direct world write would answer stale. Some run must flip that way.
+func TestGatheredCacheFollowsWrites(t *testing.T) {
+	plans := []struct{ sched, faults string }{
+		{"ssync-rr:3", "crash-at:r=4,k=2@1"},
+		{"ssync-rr:2", "crash:p=0.002@3"},
+		{"fsync", "crash-at:r=2,k=1@2"},
+	}
+	var flips int
+	for _, family := range []string{"spiral", "hollow", "blob", "line"} {
+		w, ok := gen.Lookup(family)
+		if !ok {
+			t.Fatalf("unknown workload %q", family)
+		}
+		for _, p := range plans {
+			t.Run(fmt.Sprintf("%s/%s/%s", family, p.sched, p.faults), func(t *testing.T) {
+				var sch sched.Scheduler
+				if p.sched != "fsync" {
+					var err error
+					if sch, err = sched.Parse(p.sched, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan, err := fault.Parse(p.faults, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := fsync.New(w.Build(60, 42), core.Default(), fsync.Config{
+					CheckConnectivity: true,
+					Workers:           1,
+					Scheduler:         sch,
+					Faults:            plan,
+				})
+				check := func(when string) {
+					t.Helper()
+					want := eng.GatheredUncached()
+					for k := 0; k < 3; k++ {
+						if got := eng.Gathered(); got != want {
+							t.Fatalf("round %d, %s, ask %d: Gathered = %v, uncached %v", eng.Round(), when, k, got, want)
+						}
+					}
+				}
+				for r := 0; r < 600; r++ {
+					check("before the round")
+					if eng.Gathered() || eng.Step() != nil {
+						break
+					}
+					check("after the round")
+				}
+				before := eng.Gathered()
+				world := eng.World()
+				for _, c := range append([]grid.Point(nil), world.Cells()...) {
+					if !world.CrashedAt(c) {
+						world.Crash(c)
+						check("after a direct crash")
+					}
+				}
+				if before && !eng.Gathered() {
+					flips++
+				}
+			})
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no run's verdict turned false under direct crashes; the cache's invalidation went unexercised")
+	}
+	t.Logf("%d runs flipped to not gathered under direct crashes", flips)
+}

@@ -183,6 +183,12 @@ type Engine struct {
 	flips         []grid.Point // per-activation noise offsets, indexed like order
 	aliveBuf      []bool       // scratch: liveness over the cell order
 
+	// The gathered verdict, cached per world version and degradation
+	// latch: under faults it is a walk over all cells or, once degraded,
+	// a whole-swarm flood, and a session asks for it several times per
+	// round.
+	gathered gatheredVerdict
+
 	// Quiescence state (quiesce.go; all zero when the fast path is off).
 	// qFlags parallels acts/order: compute workers write one byte per
 	// robot at disjoint indices, the serial post-pass reads them all.
@@ -229,29 +235,35 @@ func (e *Engine) ensureComputeFn() {
 	}
 }
 
-// actionAt is a robot's computed move; the robot is the one at the same
-// index of e.order. An Action with its inline run arrays is about 300
-// bytes and few robots hold runs, so an action that keeps or transfers any
-// is stored out of line in the computing worker's runActs list: ext is 1 +
-// its index there, and 0 for an action without runs.
+// actionAt is a robot's computed action in 8 bytes; the robot is the one
+// at the same index of e.order. The move is an L∞ ≤ 1 step, stored as an
+// int8 pair. An Action with its inline run arrays is about 300 bytes and
+// few robots hold runs, so an action that keeps or transfers any is
+// stored out of line in the computing worker's runActs list: ext is 1 +
+// its index there, and 0 for an action without runs. The worker is not
+// stored: robot i was computed by worker i / e.computeChunk.
 type actionAt struct {
-	move grid.Point
-	w    int32
-	ext  int32
+	dx, dy int8
+	ext    int32
 }
+
+// move returns the action's move.
+func (c *actionAt) move() grid.Point { return grid.Pt(int(c.dx), int(c.dy)) }
 
 // quiescent reports whether the action is exactly the do-nothing Stay: no
 // move, nothing kept, nothing transferred. The quiescence layer caches
 // only these verdicts — any other action changes world state, so its
 // robot must recompute every round regardless.
-func (c *actionAt) quiescent() bool { return c.move == (grid.Point{}) && c.ext == 0 }
+func (c *actionAt) quiescent() bool { return c.dx == 0 && c.dy == 0 && c.ext == 0 }
 
-// runsOf returns the full action behind c, or nil if it carries no runs.
-func (e *Engine) runsOf(c *actionAt) *Action {
+// runsOf returns the full action behind the action of robot i, or nil if
+// it carries no runs.
+func (e *Engine) runsOf(i int) *Action {
+	c := &e.acts[i]
 	if c.ext == 0 {
 		return nil
 	}
-	return &e.runActs[c.w][c.ext-1]
+	return &e.runActs[i/e.computeChunk][c.ext-1]
 }
 
 // pendingTransfer is a run hand-off collected during the Resolve stage. It
@@ -448,6 +460,13 @@ func (e *Engine) Degraded() bool { return e.degraded }
 // degraded).
 func (e *Engine) DegradedRound() int { return e.degradedRound }
 
+// gatheredVerdict is a gathered verdict and the world version and
+// degradation latch it was computed under.
+type gatheredVerdict struct {
+	ok, val, degraded bool
+	version           uint64
+}
+
 // Gathered reports whether the swarm has gathered. Without faults this is
 // the paper's condition — all robots in a 2×2 square. With faults the
 // condition is over the survivors: crashed robots are immovable scenery,
@@ -455,8 +474,19 @@ func (e *Engine) DegradedRound() int { return e.degradedRound }
 // has disconnected the swarm (degraded mode), only the component holding
 // the most survivors is asked to gather — the rest (stranded crashed
 // robots, split-off minorities) is unreachable by a
-// connectivity-preserving algorithm.
+// connectivity-preserving algorithm. The verdict is computed once per
+// world version: every round's Commit and every direct occupancy or
+// crash-mark write through World() advance it.
 func (e *Engine) Gathered() bool {
+	g := &e.gathered
+	if v := e.w.Version(); !g.ok || g.version != v || g.degraded != e.degraded {
+		*g = gatheredVerdict{ok: true, val: e.gatheredNow(), degraded: e.degraded, version: v}
+	}
+	return g.val
+}
+
+// gatheredNow computes the gathered verdict Gathered caches.
+func (e *Engine) gatheredNow() bool {
 	if e.cfg.Faults == nil {
 		return e.w.Gathered()
 	}
@@ -543,10 +573,10 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 		if a.Move.Linf() > 1 {
 			return fmt.Errorf("fsync: robot at %v attempted move %v exceeding one cell", p, a.Move) //gather:alloc-ok abort path, the round is already lost
 		}
-		c := actionAt{move: a.Move}
+		c := actionAt{dx: int8(a.Move.X), dy: int8(a.Move.Y)}
 		if a.nKeep > 0 || a.nTransfers > 0 {
 			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
-			c.w, c.ext = int32(w), int32(len(ra))
+			c.ext = int32(len(ra))
 		}
 		e.acts[i] = c
 		if q {
@@ -720,6 +750,7 @@ func (e *Engine) stageCompute(workers int) error {
 		e.qFlags = e.qFlags[:n]
 	}
 	if workers == 1 {
+		e.computeChunk = n
 		if err := e.computeRange(vc, 0, 0, n); err != nil {
 			return err
 		}
@@ -824,10 +855,9 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 	e.freshKeeps = e.freshKeeps[:0]
 	e.transferList = e.transferList[:0]
 	for i := range e.acts {
-		c := &e.acts[i]
 		from := e.order[i]
-		dst := from.Add(c.move)
-		a := e.runsOf(c)
+		dst := from.Add(e.acts[i].move())
+		a := e.runsOf(i)
 		if dst != from {
 			moved++
 		}

@@ -3,6 +3,7 @@ package fsync
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"gridgather/internal/grid"
 	"gridgather/internal/robot"
@@ -77,6 +78,15 @@ func TestEngineCollisionMerges(t *testing.T) {
 	// The survivor of a collision loses all run states (Table 1.3).
 	if st := eng.StateAt(grid.Pt(1, 0)); st.HasRuns() {
 		t.Error("collision survivor kept run states")
+	}
+}
+
+// TestActionRecordSize pins the per-robot action record at 8 bytes: the
+// engine holds one for every activated robot each round, so its size is a
+// share of every session's memory per robot.
+func TestActionRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(actionAt{}); got != 8 {
+		t.Fatalf("actionAt is %d bytes, want 8", got)
 	}
 }
 

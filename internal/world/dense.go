@@ -9,10 +9,12 @@
 // identified by a stable slot assigned once at construction (in sorted
 // cell order) and carried along as they move; a point→slot index lives in
 // the chunk tiles and is maintained incrementally. The sorted cell order
-// is repaired incrementally each round (robots move L∞ ≤ 1, so a
-// near-sorted insertion pass replaces a full re-sort), and the enclosing
-// bounds for the Gathered() check are accumulated from the round's
-// arrivals instead of rescanned.
+// is stored once, as a cell array and a parallel slot array that Cells
+// and Slots return without copying (valid until the next Commit). It is
+// repaired incrementally each round (robots move L∞ ≤ 1, so a near-sorted
+// insertion pass replaces a full re-sort, each slot moving with its
+// cell), and the enclosing bounds for the Gathered() check are
+// accumulated from the round's arrivals instead of rescanned.
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
@@ -101,58 +103,58 @@ type runState struct {
 	runs [robot.MaxRuns]robot.Run
 }
 
-// cellSlot pairs an occupied cell with the slot of the robot on it.
-type cellSlot struct {
-	p    grid.Point
-	slot int32
-}
-
-// lane is the arrival buffer of the round being built: the arrivals split
-// into an activated prefix (near-sorted) and a sleeper suffix (sorted),
-// plus their exact bounds. buf is the merge scratch.
+// lane is the arrival buffer of the round being built: the arrivals' cells
+// and slots as two parallel arrays, split into an activated prefix
+// (near-sorted) and a sleeper suffix (sorted), plus their exact bounds.
+// bufCells and bufSlots are the merge scratch.
 type lane struct {
-	occ        []cellSlot
-	buf        []cellSlot
+	cells      []grid.Point
+	slots      []int32
+	bufCells   []grid.Point
+	bufSlots   []int32
 	sleepStart int
 	bounds     grid.Rect
 }
 
 // reset prepares the lane for a new round.
 func (l *lane) reset() {
-	l.occ = l.occ[:0]
+	l.cells = l.cells[:0]
+	l.slots = l.slots[:0]
 	l.sleepStart = -1
 	l.bounds = grid.EmptyRect
 }
 
 // repair sorts the lane: the activated prefix is repaired with a
 // near-sorted insertion pass (robots move L∞ ≤ 1) and merged with the
-// already-sorted sleeper suffix, leaving l.occ fully sorted.
+// already-sorted sleeper suffix, leaving the lane fully sorted. Every
+// slot moves with its cell.
 func (l *lane) repair() {
-	act := l.occ
+	n := len(l.cells)
 	ss := l.sleepStart
-	if ss < 0 || ss > len(act) {
-		ss = len(act)
+	if ss < 0 || ss > n {
+		ss = n
 	}
-	sortNearSorted(act[:ss])
-	if ss == len(act) {
+	sortNearSorted(l.cells[:ss], l.slots[:ss])
+	if ss == n {
 		return
 	}
-	out := l.buf[:0]
-	a, b := act[:ss], act[ss:]
+	outC, outS := l.bufCells[:0], l.bufSlots[:0]
+	ac, as := l.cells[:ss], l.slots[:ss]
+	bc, bs := l.cells[ss:], l.slots[ss:]
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].p.Less(b[j].p) {
-			out = append(out, a[i])
+	for i < len(ac) && j < len(bc) {
+		if ac[i].Less(bc[j]) {
+			outC, outS = append(outC, ac[i]), append(outS, as[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			outC, outS = append(outC, bc[j]), append(outS, bs[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	l.buf = act[:0]
-	l.occ = out
+	outC = append(append(outC, ac[i:]...), bc[j:]...)
+	outS = append(append(outS, as[i:]...), bs[j:]...)
+	l.bufCells, l.bufSlots = l.cells[:0], l.slots[:0]
+	l.cells, l.slots = outC, outS
 }
 
 // Dense is the tiled bitset world. Chunks are addressed through a dense
@@ -175,17 +177,19 @@ type Dense struct {
 	runFree []uint32
 	clocks  []int // slot → logical clock; nil when clocks are off
 
-	count    int        // number of robots
-	occ      []cellSlot // sorted (Y, X) cell order with slots
-	occDirty bool       // occ needs a rebuild from the bitset (Add/Remove)
-	next     lane       // arrivals of the round being built
-
-	cellsBuf   []grid.Point // Cells() view of occ
-	slotsBuf   []int32      // Slots() view of occ
-	cellsValid bool
+	// The canonical cell order, stored once: cells in sorted (Y, X) order
+	// and, at the same index, the slot of the robot on each. Cells and
+	// Slots hand these arrays out as they are.
+	count    int          // number of robots
+	cells    []grid.Point // sorted (Y, X) cell order
+	slots    []int32      // slots parallel to cells
+	occDirty bool         // cells and slots need a rebuild from the bitset (Add/Remove)
+	next     lane         // arrivals of the round being built
 
 	bounds   grid.Rect
 	boundsOK bool
+
+	version uint64 // bumped by every write to occupancy or crash marks
 
 	stack []grid.Point // flood scratch
 
@@ -203,14 +207,15 @@ type Dense struct {
 }
 
 // NewDense builds the dense world over the swarm's cells (the swarm is
-// not retained). withClocks enables per-robot logical clock tracking
+// not retained; the fresh sorted slice its Cells returns becomes the
+// world's cell order). withClocks enables per-robot logical clock tracking
 // (needed only under a scheduler).
 func NewDense(s *swarm.Swarm, withClocks bool) *Dense {
-	cells := s.Cells()
-	d := newDenseSlots(len(cells), withClocks)
-	d.occ = make([]cellSlot, len(cells))
-	for i, p := range cells {
-		d.occ[i] = cellSlot{p, int32(i)}
+	d := newDenseSlots(s.Len(), withClocks)
+	d.cells = s.Cells()
+	d.slots = make([]int32, len(d.cells))
+	for i := range d.slots {
+		d.slots[i] = int32(i)
 	}
 	d.place(s.Bounds())
 	return d
@@ -225,26 +230,25 @@ func newDenseSlots(n int, withClocks bool) *Dense {
 	return d
 }
 
-// place builds the occupancy layer from d.occ (canonical order, slots
-// set) over a chunk table sized to bounds, and sizes the per-round
-// buffers — the arrival lane and the cell and slot views — once for the
-// population, so the first rounds do not grow them by doubling.
+// place builds the occupancy layer from d.cells and d.slots (canonical
+// order) over a chunk table sized to bounds, and sizes the arrival lane
+// once for the population, so the first rounds do not grow it by
+// doubling.
 func (d *Dense) place(bounds grid.Rect) {
 	d.initTable(bounds)
-	for _, c := range d.occ {
-		t := d.ensureTile(c.p)
+	for i, p := range d.cells {
+		t := d.ensureTile(p)
 		d.mark(d.cur, t)
-		ry, rx := c.p.Y&tileMask, c.p.X&tileMask
+		ry, rx := p.Y&tileMask, p.X&tileMask
 		t.set(d.cur, rx, ry)
-		t.slots[d.cur][ry<<tileShift|rx] = c.slot
+		t.slots[d.cur][ry<<tileShift|rx] = d.slots[i]
 	}
-	n := len(d.occ)
+	n := len(d.cells)
 	d.count = n
 	d.bounds = bounds
 	d.boundsOK = true
-	d.next.occ = make([]cellSlot, 0, n)
-	d.cellsBuf = make([]grid.Point, 0, n)
-	d.slotsBuf = make([]int32, 0, n)
+	d.next.cells = make([]grid.Point, 0, n)
+	d.next.slots = make([]int32, 0, n)
 }
 
 // initTable sizes the chunk table to the bounds plus one chunk of margin
@@ -550,8 +554,8 @@ func (d *Dense) Bounds() grid.Rect {
 	if !d.boundsOK {
 		d.ensureOcc()
 		r := grid.EmptyRect
-		for _, c := range d.occ {
-			r = r.Include(c.p)
+		for _, p := range d.cells {
+			r = r.Include(p)
 		}
 		d.bounds = r
 		d.boundsOK = true
@@ -559,20 +563,27 @@ func (d *Dense) Bounds() grid.Rect {
 	return d.bounds
 }
 
+// Version counts the writes that can change occupancy or crash marks:
+// Commit, Add, Remove, Crash and EnableCrashes. A verdict computed from
+// those — the engine's gathered verdict — stays valid while it is
+// unchanged.
+func (d *Dense) Version() uint64 { return d.version }
+
 // Gathered reports whether the swarm fits in a 2×2 square.
 func (d *Dense) Gathered() bool { return d.count > 0 && d.Bounds().FitsIn2x2() }
 
 // Cells returns all occupied cells in sorted (Y, X) order. The slice is
-// world-owned: read-only, valid until the next Commit.
+// the world's own cell order, not a copy: read-only, valid until the next
+// Commit, Add or Remove.
 func (d *Dense) Cells() []grid.Point {
-	d.ensureCellViews()
-	return d.cellsBuf
+	d.ensureOcc()
+	return d.cells
 }
 
 // Slots returns the slots aligned with Cells(), same ownership rules.
 func (d *Dense) Slots() []int32 {
-	d.ensureCellViews()
-	return d.slotsBuf
+	d.ensureOcc()
+	return d.slots
 }
 
 // SlotCount returns the size of the slot space: every live slot is in
@@ -581,27 +592,13 @@ func (d *Dense) Slots() []int32 {
 // SlotCount stay valid for the whole run.
 func (d *Dense) SlotCount() int { return len(d.runOf) }
 
-func (d *Dense) ensureCellViews() {
-	if d.cellsValid {
-		return
-	}
-	d.ensureOcc()
-	d.cellsBuf = d.cellsBuf[:0]
-	d.slotsBuf = d.slotsBuf[:0]
-	for _, c := range d.occ {
-		d.cellsBuf = append(d.cellsBuf, c.p)
-		d.slotsBuf = append(d.slotsBuf, c.slot)
-	}
-	d.cellsValid = true
-}
-
 // Snapshot returns the occupancy as a fresh swarm (don't call it per round
 // on hot paths).
 func (d *Dense) Snapshot() *swarm.Swarm {
 	d.ensureOcc()
 	s := swarm.NewSized(d.count)
-	for _, c := range d.occ {
-		s.Add(c.p)
+	for _, p := range d.cells {
+		s.Add(p)
 	}
 	return s
 }
@@ -637,7 +634,7 @@ func (d *Dense) Add(p grid.Point) {
 		d.conn.markDirty(t)
 	}
 	d.occDirty = true
-	d.cellsValid = false
+	d.version++
 }
 
 // Remove marks cell p free.
@@ -657,17 +654,17 @@ func (d *Dense) Remove(p grid.Point) {
 	}
 	d.QuiesceReset()
 	d.occDirty = true
-	d.cellsValid = false
+	d.version++
 }
 
 // ensureOcc rebuilds the sorted cell order from the bitset after ad-hoc
-// Add/Remove edits. The engine's round path maintains occ incrementally
+// Add/Remove edits. The engine's round path maintains it incrementally
 // and never hits this.
 func (d *Dense) ensureOcc() {
 	if !d.occDirty {
 		return
 	}
-	d.occ = d.occ[:0]
+	d.cells, d.slots = d.cells[:0], d.slots[:0]
 	for ty := 0; ty < d.rows; ty++ {
 		for ry := 0; ry < tileSize; ry++ {
 			y := ((d.minCY + ty) << tileShift) | ry
@@ -681,7 +678,8 @@ func (d *Dense) ensureOcc() {
 					rx := bits.TrailingZeros64(w)
 					w &= w - 1
 					x := ((d.minCX + tx) << tileShift) | rx
-					d.occ = append(d.occ, cellSlot{grid.Pt(x, y), t.slots[d.cur][ry<<tileShift|rx]})
+					d.cells = append(d.cells, grid.Pt(x, y))
+					d.slots = append(d.slots, t.slots[d.cur][ry<<tileShift|rx])
 				}
 			}
 		}
@@ -735,7 +733,8 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 		// The arrival buffer was length-reset by lane.reset at round start
 		// and reaches swarm-size capacity within the first rounds; growth
 		// after that is a cold path the hint analysis cannot see from here.
-		l.occ = append(l.occ, cellSlot{dst, slot}) //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
+		l.cells = append(l.cells, dst)  //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
+		l.slots = append(l.slots, slot) //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
 		l.bounds = l.bounds.Include(dst)
 		if drop {
 			d.dropRuns(slot)
@@ -754,7 +753,7 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 // BeginSleep marks the boundary between the activated arrivals (a
 // near-sorted prefix) and the sleeper arrivals (an exactly sorted suffix),
 // so Commit can repair the prefix and merge the suffix.
-func (d *Dense) BeginSleep() { d.next.sleepStart = len(d.next.occ) }
+func (d *Dense) BeginSleep() { d.next.sleepStart = len(d.next.cells) }
 
 // Sleep records the robot at p staying put. Its runs are not touched —
 // frozen for free. Merge handling is as in Arrive.
@@ -810,16 +809,18 @@ func (d *Dense) RaiseClock(dst grid.Point, cl int) {
 }
 
 // Commit swaps the pending round in: occupancy, states, clocks and the
-// sorted cell order all advance to the next round. The arrival buffer is
-// repaired into the canonical sorted order and swapped with occ, so the
-// outgoing occ array becomes next round's arrival buffer — no copy happens
-// in the common no-sleeper round. The bounds come from the round's
-// arrivals, and the outgoing layer's occupancy words are cleared to become
-// the next round's scratch. Slot planes are never cleared (stale entries
-// are unreachable) and the chunk table never rebases.
+// sorted cell order all advance to the next round. The arrival lane is
+// repaired into the canonical sorted order and its cell and slot arrays
+// swapped with the world's, so the outgoing arrays become next round's
+// arrival lane — no copy happens in the common no-sleeper round. The
+// bounds come from the round's arrivals, and the outgoing layer's
+// occupancy words are cleared to become the next round's scratch. Slot
+// planes are never cleared (stale entries are unreachable) and the chunk
+// table never rebases.
 func (d *Dense) Commit() {
 	d.next.repair()
-	d.occ, d.next.occ = d.next.occ, d.occ[:0]
+	d.cells, d.next.cells = d.next.cells, d.cells[:0]
+	d.slots, d.next.slots = d.next.slots, d.slots[:0]
 	old := d.cur
 	nxt := old ^ 1
 	// One tile diff feeds both the incremental connectivity layer and the
@@ -828,11 +829,11 @@ func (d *Dense) Commit() {
 	d.noteRoundDiff(old, nxt)
 	d.clearLayers(old, nxt)
 	d.cur = nxt
-	d.count = len(d.occ)
+	d.count = len(d.cells)
 	d.bounds = d.next.bounds
 	d.boundsOK = true
 	d.occDirty = false
-	d.cellsValid = false
+	d.version++
 }
 
 // clearLayers clears the outgoing layer (it becomes the next round's
@@ -853,31 +854,44 @@ func (d *Dense) clearLayers(old, nxt int) {
 	d.live[old] = d.live[old][:0]
 }
 
-// sortNearSorted sorts a by (Y, X) with an insertion pass that is O(n +
-// inversions) — linear on the engine's near-sorted arrival streams. A
-// shift budget bounds pathological rounds: past it, the remainder is
-// handed to the standard sort (keys are unique, so the result is
-// deterministic either way).
-func sortNearSorted(a []cellSlot) {
-	budget := 8*len(a) + 64
-	for i := 1; i < len(a); i++ {
-		e := a[i]
+// sortNearSorted sorts cells by (Y, X), moving each slot with its cell,
+// with an insertion pass that is O(n + inversions) — linear on the
+// engine's near-sorted arrival streams. A shift budget bounds pathological
+// rounds: past it, the remainder is handed to the standard sort (keys are
+// unique, so the result is deterministic either way).
+func sortNearSorted(cells []grid.Point, slots []int32) {
+	budget := 8*len(cells) + 64
+	for i := 1; i < len(cells); i++ {
+		p, s := cells[i], slots[i]
 		j := i - 1
-		if !e.p.Less(a[j].p) {
+		if !p.Less(cells[j]) {
 			continue
 		}
-		for j >= 0 && e.p.Less(a[j].p) {
-			a[j+1] = a[j]
+		for j >= 0 && p.Less(cells[j]) {
+			cells[j+1], slots[j+1] = cells[j], slots[j]
 			j--
 			budget--
 			if budget < 0 {
-				a[j+1] = e
-				sort.Slice(a, func(x, y int) bool { return a[x].p.Less(a[y].p) })
+				cells[j+1], slots[j+1] = p, s
+				sort.Sort(cellOrder{cells, slots})
 				return
 			}
 		}
-		a[j+1] = e
+		cells[j+1], slots[j+1] = p, s
 	}
+}
+
+// cellOrder sorts parallel cell and slot arrays by cell.
+type cellOrder struct {
+	cells []grid.Point
+	slots []int32
+}
+
+func (o cellOrder) Len() int           { return len(o.cells) }
+func (o cellOrder) Less(i, j int) bool { return o.cells[i].Less(o.cells[j]) }
+func (o cellOrder) Swap(i, j int) {
+	o.cells[i], o.cells[j] = o.cells[j], o.cells[i]
+	o.slots[i], o.slots[j] = o.slots[j], o.slots[i]
 }
 
 // --- snapshot codec ---
@@ -892,18 +906,19 @@ func (d *Dense) AppendState(b []byte) []byte {
 	d.ensureOcc()
 	b = codec.AppendUvarint(b, uint64(len(d.runOf)))
 	b = codec.AppendBool(b, d.clocks != nil)
-	b = codec.AppendUvarint(b, uint64(len(d.occ)))
-	for _, c := range d.occ {
-		b = codec.AppendInt(b, c.p.X)
-		b = codec.AppendInt(b, c.p.Y)
-		b = codec.AppendUvarint(b, uint64(c.slot))
-		runs := d.StateOf(c.slot).Runs
+	b = codec.AppendUvarint(b, uint64(len(d.cells)))
+	for i, p := range d.cells {
+		slot := d.slots[i]
+		b = codec.AppendInt(b, p.X)
+		b = codec.AppendInt(b, p.Y)
+		b = codec.AppendUvarint(b, uint64(slot))
+		runs := d.StateOf(slot).Runs
 		b = codec.AppendUvarint(b, uint64(len(runs)))
 		for _, r := range runs {
 			b = appendRun(b, r)
 		}
 		if d.clocks != nil {
-			b = codec.AppendUvarint(b, uint64(d.clocks[c.slot]))
+			b = codec.AppendUvarint(b, uint64(d.clocks[slot]))
 		}
 	}
 	return b
@@ -981,7 +996,8 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 		return nil, nil, fmt.Errorf("world: snapshot claims %d robots in %d bytes", count, r.Len())
 	}
 	d := newDenseSlots(int(numSlots), withClocks)
-	d.occ = make([]cellSlot, 0, count)
+	d.cells = make([]grid.Point, 0, count)
+	d.slots = make([]int32, 0, count)
 	seen := make([]uint64, (numSlots+63)/64)
 	bounds := grid.EmptyRect
 	var prev grid.Point
@@ -1029,7 +1045,8 @@ func DecodeDense(b []byte, withClocks bool) (*Dense, []byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, nil, err
 		}
-		d.occ = append(d.occ, cellSlot{p, int32(slot)})
+		d.cells = append(d.cells, p)
+		d.slots = append(d.slots, int32(slot))
 		bounds = bounds.Include(p)
 	}
 	if !bounds.Empty() {
@@ -1073,7 +1090,10 @@ func isAxisUnit(p grid.Point) bool {
 // EnableCrashes allocates the per-slot crash-stop marks, all clear. The
 // engine enables them once when its fault plan can crash robots; without
 // them Crashed and CrashedAt always report false.
-func (d *Dense) EnableCrashes() { d.crashed = make([]bool, len(d.runOf)) }
+func (d *Dense) EnableCrashes() {
+	d.crashed = make([]bool, len(d.runOf))
+	d.version++
+}
 
 // Crash marks the robot at p crash-stopped (p must be occupied and crashes
 // enabled). The mark belongs to the robot's slot and dies with it when a
@@ -1082,6 +1102,7 @@ func (d *Dense) EnableCrashes() { d.crashed = make([]bool, len(d.runOf)) }
 func (d *Dense) Crash(p grid.Point) {
 	d.crashed[d.SlotAt(p)] = true
 	d.markViewDirty(p)
+	d.version++
 }
 
 // Crashed reports whether the robot in slot has crash-stopped.
@@ -1139,12 +1160,12 @@ func (d *Dense) ConnStats() ConnStats {
 // It is the incremental layer's reference.
 func (d *Dense) ConnectedBFS() bool {
 	d.ensureOcc()
-	if len(d.occ) <= 1 {
+	if len(d.cells) <= 1 {
 		return true
 	}
 	d.visClear()
-	n, _ := d.flood(d.occ[0].p, false)
-	return n == len(d.occ)
+	n, _ := d.flood(d.cells[0], false)
+	return n == len(d.cells)
 }
 
 // LargestLiveComponent returns the live-cell count and live-cell bounding
@@ -1162,11 +1183,11 @@ func (d *Dense) LargestLiveComponent() (n int, bounds grid.Rect) {
 	d.ensureOcc()
 	d.visClear()
 	bounds = grid.EmptyRect
-	for _, c := range d.occ {
-		if d.visGet(c.p) {
+	for _, p := range d.cells {
+		if d.visGet(p) {
 			continue
 		}
-		if cn, cb := d.flood(c.p, true); cn > n {
+		if cn, cb := d.flood(p, true); cn > n {
 			n, bounds = cn, cb
 		}
 	}

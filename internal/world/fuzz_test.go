@@ -1,6 +1,7 @@
 package world
 
 import (
+	"sort"
 	"testing"
 
 	"gridgather/internal/grid"
@@ -37,5 +38,98 @@ func FuzzOccupancy(f *testing.F) {
 			}
 		}
 		checkAgainstOracle(t, d, s, probes)
+	})
+}
+
+// FuzzRoundProtocol drives random rounds through the round protocol —
+// BeginRound, Arrive for the activated robots, BeginSleep, Sleep for the
+// rest, Commit — and holds the world to a map replay in which the first
+// arrival at a cell keeps its slot. The first byte sizes the swarm (up to
+// 48 robots), the next two per robot place it in a 16×16 box straddling
+// the chunk corner at (64, 64); every later byte decides one robot's
+// round, robots taken in canonical order: bits 0–1 zero means it sleeps,
+// otherwise bits 2–3 and 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, so
+// rounds mix sleepers, moves and merges. After every Commit the world's
+// Cells, Slots, Len and Bounds must match the replay, and the column
+// words and slot planes must agree with the row words and the cell order.
+func FuzzRoundProtocol(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 1, 0, 2, 0, 3, 0, 5, 5, 5, 5, 0, 21, 9, 37})
+	f.Add([]byte{6, 7, 7, 8, 7, 9, 7, 7, 8, 8, 8, 9, 8, 1, 2, 3, 0, 4, 5, 0, 42, 42, 42, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{8, 0, 8, 15, 8, 8, 0, 8, 15, 7, 7, 9, 9, 7, 9, 9, 7, 60, 4, 0, 16, 0, 20, 36, 60, 5, 5, 5, 5, 5, 5, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 49
+		data = data[1:]
+		s := swarm.New()
+		for i := 0; i < n && len(data) >= 2; i++ {
+			s.Add(grid.Pt(56+int(data[0]%16), 56+int(data[1]%16)))
+			data = data[2:]
+		}
+		d := NewDense(s, false)
+		// The replay: the robot on each cell's slot, assigned in canonical
+		// order at construction like the world's.
+		slotOf := make(map[grid.Point]int32, s.Len())
+		for i, p := range s.Cells() {
+			slotOf[p] = int32(i)
+		}
+		for round := 0; round < 64 && len(data) > 0; round++ {
+			cells := append([]grid.Point(nil), d.Cells()...)
+			var sleepers []grid.Point
+			next := make(map[grid.Point]int32, len(cells))
+			arrive := func(from, dst grid.Point) {
+				if _, ok := next[dst]; !ok {
+					next[dst] = slotOf[from]
+				}
+			}
+			d.BeginRound()
+			for _, p := range cells {
+				var b byte
+				if len(data) > 0 {
+					b, data = data[0], data[1:]
+				}
+				if b&3 == 0 {
+					sleepers = append(sleepers, p)
+					continue
+				}
+				dst := p.Add(grid.Pt(int(b>>2&3)%3-1, int(b>>4&3)%3-1))
+				d.Arrive(p, dst)
+				arrive(p, dst)
+			}
+			d.BeginSleep()
+			for _, p := range sleepers {
+				d.Sleep(p)
+				arrive(p, p)
+			}
+			d.Commit()
+			slotOf = next
+
+			want := make([]grid.Point, 0, len(next))
+			bounds := grid.EmptyRect
+			for p := range next {
+				want = append(want, p)
+				bounds = bounds.Include(p)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+			got, gotSlots := d.Cells(), d.Slots()
+			if d.Len() != len(want) || len(got) != len(want) || len(gotSlots) != len(want) {
+				t.Fatalf("round %d: Len %d, %d cells, %d slots; replay has %d robots", round, d.Len(), len(got), len(gotSlots), len(want))
+			}
+			for i, p := range want {
+				if got[i] != p || gotSlots[i] != next[p] {
+					t.Fatalf("round %d: index %d holds %v slot %d, replay %v slot %d", round, i, got[i], gotSlots[i], p, next[p])
+				}
+			}
+			if b := d.Bounds(); b != bounds {
+				t.Fatalf("round %d: Bounds %v, replay %v", round, b, bounds)
+			}
+			if err := d.ColumnsMismatch(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if err := d.SlotsMismatch(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 	})
 }

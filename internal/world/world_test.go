@@ -17,10 +17,14 @@ import (
 
 // checkAgainstOracle compares every occupancy observable of d against the
 // swarm oracle, and checks that the column words are the transpose of the
-// row words.
+// row words and that every slot of the cell order is the one the tile
+// plane holds at its cell, with no slot repeated.
 func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Point) {
 	t.Helper()
 	if err := d.ColumnsMismatch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SlotsMismatch(); err != nil {
 		t.Fatal(err)
 	}
 	if d.Len() != s.Len() {
@@ -156,17 +160,23 @@ func TestDenseConstructionMatchesWorkloads(t *testing.T) {
 
 // TestSortNearSortedFallback feeds the insertion pass a fully reversed
 // permutation — far past the shift budget — and checks the fallback still
-// sorts correctly.
+// sorts correctly and moves every slot with its cell.
 func TestSortNearSortedFallback(t *testing.T) {
 	const n = 4096
-	a := make([]cellSlot, n)
-	for i := range a {
-		a[i] = cellSlot{grid.Pt(n-i, 0), int32(i)}
+	cells := make([]grid.Point, n)
+	slots := make([]int32, n)
+	for i := range cells {
+		cells[i], slots[i] = grid.Pt(n-i, 0), int32(i)
 	}
-	sortNearSorted(a)
+	sortNearSorted(cells, slots)
 	for i := 1; i < n; i++ {
-		if !a[i-1].p.Less(a[i].p) {
-			t.Fatalf("not sorted at %d: %v then %v", i, a[i-1].p, a[i].p)
+		if !cells[i-1].Less(cells[i]) {
+			t.Fatalf("not sorted at %d: %v then %v", i, cells[i-1], cells[i])
+		}
+	}
+	for i, p := range cells {
+		if want := int32(n - p.X); slots[i] != want {
+			t.Fatalf("cell %v carries slot %d, want %d", p, slots[i], want)
 		}
 	}
 }

@@ -159,11 +159,14 @@ func TestColdStartAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cells))
-	// Measured 129 bytes per robot (linux/amd64, Go 1.24): the sorted cell
-	// order, arrival lane, cell and slot views, actions, chunk tiles and
-	// per-slot handles and verdict masks. The bound leaves about 25 %
-	// headroom; before run states moved out of line it was 489.
-	const bound = 160
+	// Measured 85.2 bytes per robot (linux/amd64, Go 1.24): the canonical
+	// cell order and the arrival lane (each a cell array and a slot
+	// array), the 8-byte actions, chunk tiles and per-slot handles and
+	// verdict masks. The bound leaves about 25 % headroom; it was 160
+	// while the cell order was also kept as cell-slot pairs and copied
+	// into cell and slot views, and 489 before run states moved out of
+	// line.
+	const bound = 106
 	if per > bound {
 		t.Fatalf("Restore + first Step allocated %.1f bytes per robot, bound %d", per, bound)
 	}
