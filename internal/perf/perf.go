@@ -51,6 +51,11 @@ type Entry struct {
 	// touches).
 	BytesPerRound  float64 `json:"bytes_per_round"`
 	AllocsPerRound float64 `json:"allocs_per_round"`
+	// HeapBytesPerRobot is the engine's resident heap per robot: HeapInuse
+	// after a GC once the warm-up rounds have run, less HeapInuse after a
+	// GC before the engine was built, divided by N. Empty for connectivity
+	// entries.
+	HeapBytesPerRobot float64 `json:"heap_bytes_per_robot,omitempty"`
 	// GatherRounds is the number of rounds a full simulation of this
 	// workload takes at this n (worker-independent — the pipeline is
 	// proven bit-identical across worker counts). 0 when the gather pass
@@ -214,6 +219,9 @@ func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (E
 		}
 		return fsync.New(s, alg, cfg)
 	}
+	var base, warm runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
 	eng := newEngine()
 	step := func() error {
 		if eng.Gathered() {
@@ -226,6 +234,8 @@ func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (E
 			return Entry{}, err
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&warm)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -237,11 +247,12 @@ func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (E
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return Entry{
-		N:              s.Len(),
-		Workers:        workers,
-		NsPerRound:     float64(elapsed.Nanoseconds()) / float64(rounds),
-		BytesPerRound:  float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds),
-		AllocsPerRound: float64(after.Mallocs-before.Mallocs) / float64(rounds),
+		N:                 s.Len(),
+		Workers:           workers,
+		NsPerRound:        float64(elapsed.Nanoseconds()) / float64(rounds),
+		BytesPerRound:     float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds),
+		AllocsPerRound:    float64(after.Mallocs-before.Mallocs) / float64(rounds),
+		HeapBytesPerRobot: (float64(warm.HeapInuse) - float64(base.HeapInuse)) / float64(s.Len()),
 	}, nil
 }
 
@@ -320,15 +331,19 @@ func WriteJSON(rep Report, path string) error {
 // WriteTable renders the report for terminals.
 func WriteTable(w io.Writer, rep Report) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tn\tworkers\tconn\tquiesce\tms/round\tKB/round\tallocs/round\tgather rounds")
+	fmt.Fprintln(tw, "workload\tn\tworkers\tconn\tquiesce\tms/round\tKB/round\tallocs/round\theap B/robot\tgather rounds")
 	for _, e := range rep.Entries {
 		gather := ""
 		if e.GatherRounds > 0 {
 			gather = fmt.Sprintf("%d", e.GatherRounds)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.4f\t%.1f\t%.1f\t%s\n",
+		heap := ""
+		if e.Conn == "" {
+			heap = fmt.Sprintf("%.1f", e.HeapBytesPerRobot)
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.4f\t%.1f\t%.1f\t%s\t%s\n",
 			e.Workload, e.N, e.Workers, e.Conn, e.Quiesce,
-			e.NsPerRound/1e6, e.BytesPerRound/1024, e.AllocsPerRound, gather)
+			e.NsPerRound/1e6, e.BytesPerRound/1024, e.AllocsPerRound, heap, gather)
 	}
 	return tw.Flush()
 }

@@ -268,7 +268,13 @@ func (req CreateRequest) options() []gridgather.Option {
 
 // maxRobots caps the swarm one create may build, at the engine's
 // million-robot scale, so a single request cannot make the daemon simulate
-// an arbitrarily large workload. A variable only so tests can lower it.
+// an arbitrarily large workload. It is a memory bound: a resident
+// session's engine holds about 67 bytes per robot for a compact swarm and
+// about 200 for a one-cell-wide one (line, ring, staircase), plus 8 bytes
+// per 64×64 chunk of the swarm's bounding box. At the cap that is at most
+// about 210 MB plus the chunk table, which reaches 0.5 GB for the widest
+// connected shape, a diagonal staircase 2^19 cells on a side. A variable
+// only so tests can lower it.
 var maxRobots = 1 << 20
 
 // cells materializes the requested swarm.

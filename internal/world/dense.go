@@ -8,13 +8,17 @@
 // flat robot-indexed arrays for run states and logical clocks. Robots are
 // identified by a stable slot assigned once at construction (in sorted
 // cell order) and carried along as they move; a point→slot index lives in
-// the chunk tiles and is maintained incrementally. The sorted cell order
-// is stored once, as a cell array and a parallel slot array that Cells
-// and Slots return without copying (valid until the next Commit). It is
-// repaired incrementally each round (robots move L∞ ≤ 1, so a near-sorted
-// insertion pass replaces a full re-sort, each slot moving with its
-// cell), and the enclosing bounds for the Gathered() check are
-// accumulated from the round's arrivals instead of rescanned.
+// the chunk tiles and is maintained incrementally. The index is stored in
+// 8×8-cell blocks, each allocated the first time a layer writes a slot
+// into it and never freed, so a thin swarm (a line, a ring, a staircase)
+// pays for the blocks its robots have touched, not for whole 64×64
+// planes, and a slot read costs one load more than a dense plane would.
+// The sorted cell order is stored once, as a cell array and a parallel
+// slot array that Cells and Slots return without copying (valid until the
+// next Commit). It is repaired incrementally each round (robots move
+// L∞ ≤ 1, so a near-sorted insertion pass replaces a full re-sort, each
+// slot moving with its cell), and the enclosing bounds for the Gathered()
+// check are accumulated from the round's arrivals instead of rescanned.
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
@@ -59,16 +63,30 @@ const (
 	tileShift = 6
 	tileSize  = 1 << tileShift // 64×64 cells per chunk
 	tileMask  = tileSize - 1
+
+	blockShift = 3
+	blockSize  = 1 << blockShift // 8×8 cells per slot block
+	blockMask  = blockSize - 1
+	tileBlocks = tileSize >> blockShift // slot blocks per chunk side
 )
+
+// slotBlock holds the slots of one 8×8 block of a chunk, row-major.
+type slotBlock [blockSize * blockSize]int32
 
 // tile is one 64×64-cell chunk. Occupancy is one uint64 word per row
 // (bit x&63 of word y&63), double-buffered across the two round layers,
 // with a column-major copy (bit y&63 of word x&63) so that reads along y
 // scan one word the way reads along x do; multi marks cells that received
 // more than one arrival in the round being built; vis is the BFS scratch
-// plane for the connectivity floods. The slot planes are only meaningful
-// under set occupancy bits, so they are never cleared — stale entries are
-// unreachable.
+// plane for the connectivity floods.
+//
+// The point→slot index is split into 8×8 blocks: slots holds, per layer,
+// a row-major table of tileBlocks×tileBlocks block pointers, and a block
+// is allocated the first time its layer writes a slot into it (setSlot).
+// Blocks are never freed: a slot entry is only meaningful under a set
+// occupancy bit, so entries are never cleared and stale ones stay
+// unreachable, and a tile never costs more than two dense 64×64 planes
+// plus its pointer tables.
 type tile struct {
 	bits      [2][tileSize]uint64
 	cols      [2][tileSize]uint64 // the transpose of bits, kept in step by set/unset and clearLayers
@@ -78,7 +96,23 @@ type tile struct {
 	marked    [2]bool          // on Dense.live[layer]: this tile may hold bits in that layer
 	connDirty bool             // queued on connIncr.dirty (occupancy changed since the last relabel)
 	cx, cy    int              // absolute chunk coordinates (set once at allocation)
-	slots     [2][tileSize * tileSize]int32
+	slots     [2][tileBlocks * tileBlocks]*slotBlock
+}
+
+// slot returns the slot stored at (rx, ry) in layer. The occupancy bit
+// must be set, which guarantees the block exists.
+func (t *tile) slot(layer, rx, ry int) int32 {
+	return t.slots[layer][(ry>>blockShift)*tileBlocks+rx>>blockShift][(ry&blockMask)<<blockShift|rx&blockMask]
+}
+
+// setSlot stores slot at (rx, ry) in layer, allocating the cell's block on
+// the layer's first write into it.
+func (t *tile) setSlot(layer, rx, ry int, slot int32) {
+	bp := &t.slots[layer][(ry>>blockShift)*tileBlocks+rx>>blockShift]
+	if *bp == nil {
+		*bp = new(slotBlock)
+	}
+	(*bp)[(ry&blockMask)<<blockShift|rx&blockMask] = slot
 }
 
 // set marks the cell at in-chunk coordinates (rx, ry) occupied in layer,
@@ -241,7 +275,7 @@ func (d *Dense) place(bounds grid.Rect) {
 		d.mark(d.cur, t)
 		ry, rx := p.Y&tileMask, p.X&tileMask
 		t.set(d.cur, rx, ry)
-		t.slots[d.cur][ry<<tileShift|rx] = d.slots[i]
+		t.setSlot(d.cur, rx, ry, d.slots[i])
 	}
 	n := len(d.cells)
 	d.count = n
@@ -458,9 +492,11 @@ func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
 }
 
 // slotAt returns the slot stored for p in the given layer. The occupancy
-// bit must be set.
+// bit must be set, so p's chunk is in the table and the lookup skips
+// tileAt's range check (which keeps slotAt inlinable with the block load).
 func (d *Dense) slotAt(layer int, p grid.Point) int32 {
-	return d.tileAt(p).slots[layer][(p.Y&tileMask)<<tileShift|(p.X&tileMask)]
+	t := d.tiles[(p.Y>>tileShift-d.minCY)*d.cols+p.X>>tileShift-d.minCX]
+	return t.slot(layer, p.X&tileMask, p.Y&tileMask)
 }
 
 // SlotAt returns the stable slot of the robot at p. Slots are assigned
@@ -478,7 +514,7 @@ func (d *Dense) StateAt(p grid.Point) robot.State {
 	if t == nil || t.bits[d.cur][ry]&(1<<uint(rx)) == 0 {
 		return robot.State{}
 	}
-	return d.StateOf(t.slots[d.cur][ry<<tileShift|rx])
+	return d.StateOf(t.slot(d.cur, rx, ry))
 }
 
 // StateOf returns the run state of the robot in slot, aliasing the run
@@ -614,7 +650,7 @@ func (d *Dense) Add(p grid.Point) {
 	d.mark(d.cur, t)
 	ry, rx := p.Y&tileMask, p.X&tileMask
 	t.set(d.cur, rx, ry)
-	t.slots[d.cur][ry<<tileShift|rx] = int32(len(d.runOf))
+	t.setSlot(d.cur, rx, ry, int32(len(d.runOf)))
 	d.runOf = append(d.runOf, 0)
 	if d.clocks != nil {
 		d.clocks = append(d.clocks, 0)
@@ -679,7 +715,7 @@ func (d *Dense) ensureOcc() {
 					w &= w - 1
 					x := ((d.minCX + tx) << tileShift) | rx
 					d.cells = append(d.cells, grid.Pt(x, y))
-					d.slots = append(d.slots, t.slots[d.cur][ry<<tileShift|rx])
+					d.slots = append(d.slots, t.slot(d.cur, rx, ry))
 				}
 			}
 		}
@@ -728,7 +764,7 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	b := uint64(1) << uint(rx)
 	if t.bits[nxt][ry]&b == 0 {
 		t.set(nxt, rx, ry)
-		t.slots[nxt][ry<<tileShift|rx] = slot
+		t.setSlot(nxt, rx, ry, slot)
 		l := &d.next
 		// The arrival buffer was length-reset by lane.reset at round start
 		// and reaches swarm-size capacity within the first rounds; growth
@@ -745,7 +781,7 @@ func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
 	// robot's slot dies with its runs.
 	d.markViewDirty(dst)
 	t.multi[ry] |= b
-	d.dropRuns(t.slots[nxt][ry<<tileShift|rx])
+	d.dropRuns(t.slot(nxt, rx, ry))
 	d.dropRuns(slot)
 	return 2
 }

@@ -51,3 +51,22 @@ func (d *Dense) ColumnsMismatch() error {
 	}
 	return nil
 }
+
+// SlotBlocks returns the number of 8×8 slot blocks allocated over every
+// tile and both layers.
+func (d *Dense) SlotBlocks() int {
+	n := 0
+	for _, t := range d.tiles {
+		if t == nil {
+			continue
+		}
+		for _, layer := range t.slots {
+			for _, b := range layer {
+				if b != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}

@@ -50,12 +50,29 @@ func FuzzOccupancy(f *testing.F) {
 // round, robots taken in canonical order: bits 0–1 zero means it sleeps,
 // otherwise bits 2–3 and 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, so
 // rounds mix sleepers, moves and merges. After every Commit the world's
-// Cells, Slots, Len and Bounds must match the replay, and the column
-// words and slot planes must agree with the row words and the cell order.
+// Cells, Slots, Len and Bounds must match the replay, the column words and
+// slot blocks must agree with the row words and the cell order, and every
+// occupancy observable must match a swarm oracle (checkAgainstOracle).
+//
+// A move byte is 1 | (dx+1)<<2 | (dy+1)<<4: 21 stays, 25 is +x, 17 −x,
+// 37 +y, 5 −y, 41 +x+y and 1 −x−y. The last three seeds walk robots
+// across slot-block and chunk seams: a row over x = 71↔72 and a column
+// over y = 71↔72 (in-chunk 7↔8, the seam between the first two 8×8
+// blocks), then a swap and a merge on the seam; and three robots around
+// (63, 63) over the chunk seams x = 63↔64 and y = 63↔64 (in-chunk 63↔0)
+// on both axes at once, ending in a merge.
 func FuzzRoundProtocol(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 0, 2, 0, 3, 0, 5, 5, 5, 5, 0, 21, 9, 37})
 	f.Add([]byte{6, 7, 7, 8, 7, 9, 7, 7, 8, 8, 8, 9, 8, 1, 2, 3, 0, 4, 5, 0, 42, 42, 42, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{8, 0, 8, 15, 8, 8, 0, 8, 15, 7, 7, 9, 9, 7, 9, 9, 7, 60, 4, 0, 16, 0, 20, 36, 60, 5, 5, 5, 5, 5, 5, 5, 5})
+	f.Add([]byte{4, 12, 4, 13, 4, 14, 4, 15, 4,
+		25, 25, 25, 25, 25, 25, 25, 25, 17, 17, 17, 17, 17, 17, 17, 17,
+		21, 0, 25, 25, 21, 21, 25, 17, 21, 21, 25, 21})
+	f.Add([]byte{4, 4, 12, 4, 13, 4, 14, 4, 15,
+		37, 37, 37, 37, 37, 37, 37, 37, 5, 5, 5, 5, 5, 5, 5, 5,
+		21, 0, 37, 37, 21, 21, 37, 5, 21, 21, 37, 21})
+	f.Add([]byte{3, 7, 6, 6, 7, 7, 7,
+		41, 41, 41, 1, 1, 1, 25, 37, 41, 17, 5, 1, 37, 21, 21})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -124,12 +141,11 @@ func FuzzRoundProtocol(f *testing.F) {
 			if b := d.Bounds(); b != bounds {
 				t.Fatalf("round %d: Bounds %v, replay %v", round, b, bounds)
 			}
-			if err := d.ColumnsMismatch(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+			oracle := swarm.NewSized(len(want))
+			for _, p := range want {
+				oracle.Add(p)
 			}
-			if err := d.SlotsMismatch(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
+			checkAgainstOracle(t, d, oracle, append(cells, want...))
 		}
 	})
 }

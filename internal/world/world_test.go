@@ -231,3 +231,32 @@ func TestCrashMarks(t *testing.T) {
 		t.Fatalf("LargestLiveComponent = %d, %v", n, b)
 	}
 }
+
+// TestSlotBlocksFollowRobots pins the slot index's allocation unit: a row
+// of 64 robots across one chunk allocates one 8×8 slot block per eight
+// robots in each layer it writes — 8, not the 64 blocks of a full chunk
+// plane — and later rounds reuse them, while a filled chunk takes all 64
+// distinct blocks of its layer.
+func TestSlotBlocksFollowRobots(t *testing.T) {
+	if got := NewDense(gen.Solid(tileSize, tileSize), false).SlotBlocks(); got != 64 {
+		t.Fatalf("filled chunk: %d slot blocks, want 64", got)
+	}
+	d := NewDense(gen.Line(tileSize), false)
+	if got := d.SlotBlocks(); got != 8 {
+		t.Fatalf("after construction: %d slot blocks, want 8", got)
+	}
+	for round := 1; round <= 3; round++ {
+		d.BeginRound()
+		for _, p := range append([]grid.Point(nil), d.Cells()...) {
+			d.Arrive(p, p)
+		}
+		d.BeginSleep()
+		d.Commit()
+		if got := d.SlotBlocks(); got != 16 {
+			t.Fatalf("after round %d: %d slot blocks, want 8 in each layer", round, got)
+		}
+		if err := d.SlotsMismatch(); err != nil {
+			t.Fatalf("after round %d: %v", round, err)
+		}
+	}
+}

@@ -171,3 +171,42 @@ func TestColdStartAllocation(t *testing.T) {
 		t.Fatalf("Restore + first Step allocated %.1f bytes per robot, bound %d", per, bound)
 	}
 }
+
+// TestSparseSwarmAllocation bounds what a long, thin swarm allocates per
+// robot: New plus the first Step of a 2^14-robot line, hollow square and
+// staircase. These fill few cells of each 64×64 chunk they cross, so the
+// bound holds only while a chunk's point→slot index is allocated in 8×8
+// blocks as robots write into it; two dense 16 KB slot planes per chunk
+// cost about 810 bytes per robot here.
+func TestSparseSwarmAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 2^14-robot sessions")
+	}
+	for _, name := range []string{"line", "hollow", "staircase"} {
+		t.Run(name, func(t *testing.T) {
+			cells, err := Workload(name, 1<<14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sim := mustNew(t, cells, WithWorkers(1))
+			if err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cells))
+			// Measured 304.8 (line), 307.7 (hollow) and 312.8 (staircase)
+			// bytes per robot (linux/amd64, Go 1.24): the compact-swarm
+			// allocations TestColdStartAllocation lists, plus per chunk
+			// its fixed occupancy planes, its block tables and the slot
+			// blocks both layers write. The bound leaves about 25 %
+			// headroom over the largest.
+			const bound = 390
+			if per > bound {
+				t.Fatalf("New + first Step of a %d-robot %s allocated %.1f bytes per robot, bound %d", len(cells), name, per, bound)
+			}
+		})
+	}
+}
