@@ -122,7 +122,7 @@ func BenchmarkMergeDetection(b *testing.B) {
 		world *swarm.Swarm
 		cells []grid.Point
 	}{{"dense/interior", s, interior}, {"dense/boundary", s, boundary}, {"dense/straight", ring, ring.Cells()}} {
-		v := view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(set.world, false)}, grid.Zero, 0)
+		v := view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(set.world.Cells(), false)}, grid.Zero, 0)
 		b.Run(set.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v.Reposition(set.cells[i%len(set.cells)], 0)

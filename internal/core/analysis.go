@@ -14,7 +14,7 @@ import (
 // analysisView builds a stateless view over a world built from the swarm,
 // for the robot at origin; Reposition moves it to another robot.
 func analysisView(s *swarm.Swarm, p Params, origin grid.Point, round int) *view.View {
-	return view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(s, false)}, origin, round)
+	return view.New(view.Config{Radius: p.Radius, Dense: world.NewDense(s.Cells(), false)}, origin, round)
 }
 
 // MergeBlacks returns every robot that would execute a merge hop this

@@ -466,6 +466,6 @@ func FuzzMergeMove(f *testing.F) {
 		if off.L1() > r {
 			off = grid.Pt(off.X/2, off.Y/2)
 		}
-		checkMergeAgainstReference(t, world.NewDense(s, false), o, off, 0)
+		checkMergeAgainstReference(t, world.NewDense(s.Cells(), false), o, off, 0)
 	})
 }

@@ -329,7 +329,7 @@ func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		alg:       alg,
-		w:         world.NewDense(s, cfg.Scheduler != nil),
+		w:         world.NewDense(s.Cells(), cfg.Scheduler != nil),
 		nextRunID: 1,
 	}
 	e.initFaults()
@@ -365,7 +365,7 @@ func (e *Engine) workers(n int) int {
 
 // Swarm exposes the current occupancy as a freshly built swarm, so avoid
 // calling it per round on hot paths (per-round readers should use World()).
-func (e *Engine) Swarm() *swarm.Swarm { return e.w.Snapshot() }
+func (e *Engine) Swarm() *swarm.Swarm { return swarm.New(e.w.Cells()...) }
 
 // World exposes the engine's state (read-only by convention).
 func (e *Engine) World() *world.Dense { return e.w }

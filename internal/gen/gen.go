@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,15 +39,20 @@ func Solid(w, h int) *swarm.Swarm {
 }
 
 // Hollow returns a w×h rectangle ring of wall thickness 1 — the canonical
-// mergeless swarm whose long walls only runs can shorten.
+// mergeless swarm whose long walls only runs can shorten. It places the
+// four sides directly, so the cost follows the perimeter, not the area.
 func Hollow(w, h int) *swarm.Swarm {
-	s := swarm.New()
+	if w <= 0 || h <= 0 {
+		return swarm.New()
+	}
+	s := swarm.NewSized(2 * (w + h))
 	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			if x == 0 || y == 0 || x == w-1 || y == h-1 {
-				s.Add(grid.Pt(x, y))
-			}
-		}
+		s.Add(grid.Pt(x, 0))
+		s.Add(grid.Pt(x, h-1))
+	}
+	for y := 1; y < h-1; y++ {
+		s.Add(grid.Pt(0, y))
+		s.Add(grid.Pt(w-1, y))
 	}
 	return s
 }
@@ -193,47 +199,46 @@ func RandomTree(n int, seed int64) *swarm.Swarm {
 
 // RandomBlob grows a random connected swarm of n robots preferring cells
 // with more occupied neighbors (compact, blobby shapes with occasional
-// holes).
+// holes). Each step scores every frontier cell — a free cell with deg ≥ 1
+// occupied 4-neighbours — as deg²·(0.25 + u), drawing u from the seeded
+// generator once per cell in sorted cell order, and adds the best (the
+// first in that order on a tie). The frontier is kept sorted with each
+// cell's deg, so a step costs O(frontier) and the build O(n·frontier),
+// about n^1.5 for a compact blob.
 func RandomBlob(n int, seed int64) *swarm.Swarm {
 	rng := rand.New(rand.NewSource(seed))
-	s := swarm.New(grid.Pt(0, 0))
-	frontier := map[grid.Point]struct{}{}
-	addFrontier := func(p grid.Point) {
+	s := swarm.NewSized(n)
+	type frontierCell struct {
+		p   grid.Point
+		deg int
+	}
+	var frontier []frontierCell // sorted by p
+	occupy := func(p grid.Point) {
+		s.Add(p)
 		for _, q := range grid.Neighbors4(p) {
-			if !s.Has(q) {
-				frontier[q] = struct{}{}
+			if s.Has(q) {
+				continue
+			}
+			i := sort.Search(len(frontier), func(i int) bool { return !frontier[i].p.Less(q) })
+			if i < len(frontier) && frontier[i].p == q {
+				frontier[i].deg++
+			} else {
+				// A free cell off the frontier had no occupied neighbour.
+				frontier = slices.Insert(frontier, i, frontierCell{q, 1})
 			}
 		}
 	}
-	addFrontier(grid.Pt(0, 0))
-	var keys []grid.Point
+	occupy(grid.Pt(0, 0))
 	for s.Len() < n {
-		// Weighted pick: probability proportional to occupied neighbors².
-		// Iterate the frontier in sorted order so the generator is
-		// deterministic for a fixed seed (map order is randomized).
-		keys = keys[:0]
-		for q := range frontier {
-			keys = append(keys, q)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-		var best grid.Point
-		bestScore := -1.0
-		for _, q := range keys {
-			deg := 0
-			for _, r := range grid.Neighbors4(q) {
-				if s.Has(r) {
-					deg++
-				}
-			}
-			score := float64(deg*deg) * (0.25 + rng.Float64())
-			if score > bestScore {
-				bestScore = score
-				best = q
+		best, bestScore := 0, -1.0
+		for i, c := range frontier {
+			if score := float64(c.deg*c.deg) * (0.25 + rng.Float64()); score > bestScore {
+				best, bestScore = i, score
 			}
 		}
-		s.Add(best)
-		delete(frontier, best)
-		addFrontier(best)
+		p := frontier[best].p
+		frontier = slices.Delete(frontier, best, best+1)
+		occupy(p)
 	}
 	return s
 }

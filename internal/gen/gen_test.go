@@ -1,9 +1,13 @@
 package gen
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"gridgather/internal/grid"
+	"gridgather/internal/swarm"
 )
 
 func TestAllGeneratorsConnected(t *testing.T) {
@@ -224,5 +228,95 @@ func TestLookup(t *testing.T) {
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal(`Lookup("nope") found a family`)
+	}
+}
+
+// refRandomBlob is RandomBlob as first written: it rebuilds and sorts the
+// frontier from a map and recounts every frontier cell's occupied
+// neighbours each step. It is the reference the incremental frontier must
+// match cell for cell.
+func refRandomBlob(n int, seed int64) *swarm.Swarm {
+	rng := rand.New(rand.NewSource(seed))
+	s := swarm.New(grid.Pt(0, 0))
+	frontier := map[grid.Point]struct{}{}
+	addFrontier := func(p grid.Point) {
+		for _, q := range grid.Neighbors4(p) {
+			if !s.Has(q) {
+				frontier[q] = struct{}{}
+			}
+		}
+	}
+	addFrontier(grid.Pt(0, 0))
+	var keys []grid.Point
+	for s.Len() < n {
+		keys = keys[:0]
+		for q := range frontier {
+			keys = append(keys, q)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+		var best grid.Point
+		bestScore := -1.0
+		for _, q := range keys {
+			deg := 0
+			for _, r := range grid.Neighbors4(q) {
+				if s.Has(r) {
+					deg++
+				}
+			}
+			score := float64(deg*deg) * (0.25 + rng.Float64())
+			if score > bestScore {
+				bestScore = score
+				best = q
+			}
+		}
+		s.Add(best)
+		delete(frontier, best)
+		addFrontier(best)
+	}
+	return s
+}
+
+// refHollow is Hollow as first written, a scan of the whole w×h box.
+func refHollow(w, h int) *swarm.Swarm {
+	s := swarm.New()
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			if x == 0 || y == 0 || x == w-1 || y == h-1 {
+				s.Add(grid.Pt(x, y))
+			}
+		}
+	}
+	return s
+}
+
+func sameCells(t *testing.T, name string, got, want *swarm.Swarm) {
+	t.Helper()
+	g, w := got.Cells(), want.Cells()
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d cells, reference %d", name, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: cell %d is %v, reference %v", name, i, g[i], w[i])
+		}
+	}
+}
+
+// TestRandomBlobMatchesReference holds the incremental frontier to the
+// reference generator: the same cells for every (n, seed) pair.
+func TestRandomBlobMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		seed int64
+	}{{0, 1}, {1, 2}, {2, 5}, {77, 3}, {300, 11}, {500, -9}, {1200, 7}, {4096, 1}} {
+		sameCells(t, fmt.Sprintf("RandomBlob(%d, %d)", c.n, c.seed), RandomBlob(c.n, c.seed), refRandomBlob(c.n, c.seed))
+	}
+}
+
+// TestHollowMatchesReference holds the side-by-side Hollow to the box scan
+// over degenerate and ordinary shapes.
+func TestHollowMatchesReference(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {0, 3}, {3, -1}, {1, 1}, {1, 5}, {5, 1}, {2, 2}, {2, 3}, {6, 5}, {64, 64}, {130, 7}} {
+		sameCells(t, fmt.Sprintf("Hollow(%d, %d)", c[0], c[1]), Hollow(c[0], c[1]), refHollow(c[0], c[1]))
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"gridgather/internal/core"
 	"gridgather/internal/fsync"
 	"gridgather/internal/gen"
+	"gridgather/internal/grid"
 	"gridgather/internal/swarm"
 	"gridgather/internal/world"
 )
@@ -32,10 +33,11 @@ type Entry struct {
 	N        int    `json:"n"`
 	Workers  int    `json:"workers"`
 	// Conn marks connectivity-check microbench entries ("incr" or "bfs"):
-	// NsPerRound is then the cost of one sparse-movement round — a single
-	// ad-hoc robot hop plus one Connected ("incr") or ConnectedBFS ("bfs")
-	// query — with no engine attached. Empty for engine Step entries. The
-	// regression guard ignores conn entries.
+	// NsPerRound is then the cost of the query on one sparse-movement
+	// round — a single robot hop through the round protocol (untimed),
+	// then one Connected ("incr") or ConnectedBFS ("bfs") query — with no
+	// engine attached. Empty for engine Step entries. The regression guard
+	// ignores conn entries.
 	Conn string `json:"conn,omitempty"`
 	// Quiesce tags engine Step entries measured under an explicit
 	// quiescence mode ("on" = the dirty-region fast path, "off" = every
@@ -156,37 +158,51 @@ func measureBest(repeats int, one func() (Entry, error)) (Entry, error) {
 }
 
 // measureConn times sparse-movement connectivity rounds over the swarm's
-// world without an engine: each round removes or re-adds one robot (the
-// canonical-order corner — an O(1) mutation that dirties exactly one
-// chunk) and runs one query: Connected, or the scratch ConnectedBFS when
-// bfs is set. This isolates what the incremental layer replaces: the
-// per-round connectivity check cost on rounds where almost nothing moved.
+// world without an engine: each round moves the canonical-order corner
+// robot one cell south, out of the swarm, or back, through the round
+// protocol with every other robot staying (a hop that dirties one or two
+// chunks), then runs one query: Connected, or the scratch ConnectedBFS
+// when bfs is set. Only the query is timed. This isolates what the
+// incremental layer replaces: the per-round connectivity check cost on
+// rounds where almost nothing moved.
 func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
-	d := world.NewDense(s, false)
+	d := world.NewDense(s.Cells(), false)
 	query := d.Connected
 	if bfs {
 		query = d.ConnectedBFS
 	}
-	p := d.Cells()[0]
+	corner := d.Cells()[0]
+	out := corner.Add(grid.South)
+	var queryTime time.Duration
 	i := 0
 	round := func() {
-		if i++; i%2 == 1 {
-			d.Remove(p)
-		} else {
-			d.Add(p)
+		from, to := corner, out
+		if i++; i%2 == 0 {
+			from, to = out, corner
 		}
+		d.BeginRound()
+		for _, p := range d.Cells() {
+			dst := p
+			if p == from {
+				dst = to
+			}
+			d.Arrive(p, dst)
+		}
+		d.BeginSleep()
+		d.Commit()
+		start := time.Now()
 		query()
+		queryTime += time.Since(start)
 	}
 	for j := 0; j < warmup; j++ {
 		round()
 	}
+	queryTime = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	for j := 0; j < rounds; j++ {
 		round()
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	mode := "incr"
 	if bfs {
@@ -196,7 +212,7 @@ func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
 		N:              s.Len(),
 		Workers:        1,
 		Conn:           mode,
-		NsPerRound:     float64(elapsed.Nanoseconds()) / float64(rounds),
+		NsPerRound:     float64(queryTime.Nanoseconds()) / float64(rounds),
 		BytesPerRound:  float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds),
 		AllocsPerRound: float64(after.Mallocs-before.Mallocs) / float64(rounds),
 	}, nil

@@ -19,7 +19,7 @@ func testConfig(occ map[grid.Point]bool, states map[grid.Point]robot.State, radi
 			s.Add(p)
 		}
 	}
-	d := world.NewDense(s, false)
+	d := world.NewDense(s.Cells(), false)
 	for p, st := range states {
 		d.SetState(p, st)
 	}
@@ -80,7 +80,7 @@ func TestViewStates(t *testing.T) {
 // A view placed with RepositionSlot reads Self by slot; it must answer
 // what the cell lookup does, and Reposition must drop the slot again.
 func TestViewSelfBySlot(t *testing.T) {
-	d := world.NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	d := world.NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)).Cells(), false)
 	d.SetState(grid.Pt(1, 0), robot.State{Runs: []robot.Run{{ID: 4, Dir: grid.East, Inside: grid.North}}})
 	v := New(Config{Radius: 4, Dense: d}, grid.Pt(0, 0), 0)
 	for _, p := range d.Cells() {
@@ -108,7 +108,7 @@ func TestViewRadiusAccessor(t *testing.T) {
 // backend (no closures), but a checked view still panics on any read
 // outside the viewing radius — for occupancy and state reads alike.
 func TestViewDenseFastPathStrictRadius(t *testing.T) {
-	d := world.NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0)), false)
+	d := world.NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0)).Cells(), false)
 	v := New(Config{Radius: 4, Checked: true, Dense: d}, grid.Pt(0, 0), 0)
 	// In-radius reads answer from the bitset.
 	if !v.Occ(grid.Zero) || !v.Occ(grid.East) {
@@ -138,7 +138,7 @@ func TestViewDenseFastPathStrictRadius(t *testing.T) {
 // requires both to answer as the swarm's own Has closure does.
 func TestViewDenseFastPathMatchesClosures(t *testing.T) {
 	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(-1, -1), grid.Pt(0, -1))
-	d := world.NewDense(s, false)
+	d := world.NewDense(s.Cells(), false)
 	fast := New(Config{Radius: 3, Dense: d}, grid.Pt(0, 0), 0)
 	slow := New(Config{Radius: 3, Checked: true, Dense: d}, grid.Pt(0, 0), 0)
 	has := s.Has
@@ -228,7 +228,7 @@ func checkRunReads(t *testing.T, v *View, label string) {
 // viewing diamond, through the runs and segments those reads cover.
 func TestViewDenseReadPathToggles(t *testing.T) {
 	s := swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(5, 5), grid.Pt(6, 5))
-	d := world.NewDense(s, false)
+	d := world.NewDense(s.Cells(), false)
 	// Runs through both origins the steps use, longer than the radius on
 	// some sides, and cells beside them for the segment reads.
 	rs := swarm.New()
@@ -243,7 +243,7 @@ func TestViewDenseReadPathToggles(t *testing.T) {
 	rs.Add(grid.Pt(2, 1))
 	rs.Add(grid.Pt(-2, -1))
 	rs.Add(grid.Pt(7, 4))
-	rd := world.NewDense(rs, false)
+	rd := world.NewDense(rs.Cells(), false)
 	steps := []struct {
 		name  string
 		apply func(v *View)

@@ -3,8 +3,8 @@ package world
 // Tests for the incremental connectivity layer (connincr.go). The contract
 // under test is differential: Connected through the incremental path must
 // equal ConnectedBFS (the scratch-BFS oracle) and the swarm oracle after
-// every mutation — cold start, warm queries, ad-hoc Add/Remove, full round
-// commits, chunk eviction and snapshot restore alike. The table cases pin
+// every round — cold start, warm queries, single-robot moves and merges,
+// chunk eviction and snapshot restore alike. The table cases pin
 // the seam union-find edge cases directly: merges across east and north
 // borders, diagonal-only contact (NOT connected under 4-connectivity),
 // four-corner meetings, and splits that must be re-detected after the
@@ -20,7 +20,7 @@ import (
 
 // connWorld builds a dense world over the given cells.
 func connWorld(cells ...grid.Point) *Dense {
-	return NewDense(swarm.New(cells...), false)
+	return NewDense(swarm.New(cells...).Cells(), false)
 }
 
 // checkConnAllPaths asserts the incremental answer, the BFS oracle and the
@@ -91,9 +91,10 @@ func TestConnIncrSeamTable(t *testing.T) {
 	}
 }
 
-// TestConnIncrSplitRejoin removes and re-adds a bridge cell through the
-// ad-hoc mutation path and checks the incremental layer tracks the split
-// and the rejoin without falling back to the BFS after warm-up.
+// TestConnIncrSplitRejoin moves the robot bridging the east seam off the
+// seam row and back through protocol rounds and checks the incremental
+// layer tracks the split and the rejoin without falling back to the BFS
+// after warm-up.
 func TestConnIncrSplitRejoin(t *testing.T) {
 	// Two cells per side of the east seam, bridged across it.
 	bridgeL, bridgeR := grid.Pt(63, 10), grid.Pt(64, 10)
@@ -104,13 +105,14 @@ func TestConnIncrSplitRejoin(t *testing.T) {
 		t.Fatalf("warm-up fallbacks = %d, want exactly 1 (cold start)", base.Fallbacks)
 	}
 
-	d.Remove(bridgeR)
+	off := bridgeR.Add(grid.North)
+	stepMoves(d, map[grid.Point]grid.Point{bridgeR: off})
 	if d.Connected() {
-		t.Fatal("Connected after removing the seam bridge = true")
+		t.Fatal("Connected after the seam bridge stepped off = true")
 	}
-	d.Add(bridgeR)
+	stepMoves(d, map[grid.Point]grid.Point{off: bridgeR})
 	if !d.Connected() {
-		t.Fatal("Connected after re-adding the seam bridge = false")
+		t.Fatal("Connected after the seam bridge returned = false")
 	}
 	st := d.ConnStats()
 	if st.Fallbacks != base.Fallbacks {
@@ -121,30 +123,32 @@ func TestConnIncrSplitRejoin(t *testing.T) {
 	}
 }
 
-// TestConnIncrEviction empties a whole chunk and checks the layer drops it
-// from the chunk graph (and keeps answering correctly when it repopulates).
+// TestConnIncrEviction empties a whole chunk — its last robot steps
+// across the seam and merges onto a robot of the western chunk — and
+// checks the layer drops it from the chunk graph (and keeps answering
+// correctly when a robot steps back into it).
 func TestConnIncrEviction(t *testing.T) {
-	left := []grid.Point{grid.Pt(10, 10), grid.Pt(11, 10)}
-	right := []grid.Point{grid.Pt(200, 10), grid.Pt(201, 10)}
-	d := connWorld(append(append([]grid.Point{}, left...), right...)...)
+	// A row ending on the west side of the seam at x = 63/64, and one
+	// robot in the eastern chunk with a gap between them.
+	d := connWorld(grid.Pt(60, 10), grid.Pt(61, 10), grid.Pt(62, 10), grid.Pt(63, 10), grid.Pt(65, 10))
 	checkConnAllPaths(t, d, false)
 	if st := d.ConnStats(); st.Chunks != 2 {
 		t.Fatalf("chunk graph size = %d, want 2", st.Chunks)
 	}
 
-	for _, p := range right {
-		d.Remove(p)
-	}
+	stepMoves(d, map[grid.Point]grid.Point{grid.Pt(65, 10): grid.Pt(64, 10)})
+	checkConnAllPaths(t, d, true)
+	stepMoves(d, map[grid.Point]grid.Point{grid.Pt(64, 10): grid.Pt(63, 10)}) // merges
 	if !d.Connected() {
-		t.Fatal("Connected after evicting the far chunk = false")
+		t.Fatal("Connected after evicting the eastern chunk = false")
 	}
 	if st := d.ConnStats(); st.Chunks != 1 || st.Comps != 1 {
 		t.Fatalf("after eviction: chunks=%d comps=%d, want 1/1", st.Chunks, st.Comps)
 	}
 
-	d.Add(right[0])
+	stepMoves(d, map[grid.Point]grid.Point{grid.Pt(63, 10): grid.Pt(64, 10)})
 	if d.Connected() {
-		t.Fatal("Connected after repopulating the far chunk = true")
+		t.Fatal("Connected after a robot stepped back into the eastern chunk = true")
 	}
 	if st := d.ConnStats(); st.Chunks != 2 || st.Comps != 2 {
 		t.Fatalf("after repopulation: chunks=%d comps=%d, want 2/2", st.Chunks, st.Comps)
@@ -220,13 +224,15 @@ func TestConnIncrRoundCommit(t *testing.T) {
 // same chunk graph (chunk coordinates, per-chunk component counts, total
 // components) once warm.
 func TestSnapshotRebuildsConnIncr(t *testing.T) {
-	d := NewDense(gen.RandomBlob(300, 11), false)
-	// Warm the structure and dirty a few chunks through ad-hoc mutations.
+	d := NewDense(gen.RandomBlob(300, 11).Cells(), false)
+	// Warm the structure, then dirty chunks through protocol rounds: the
+	// canonical-order corner robot steps out of the swarm and back.
 	d.Connected()
-	far := grid.Pt(500, 500)
-	d.Add(far)
+	corner := d.Cells()[0]
+	out := corner.Add(grid.South)
+	stepMoves(d, map[grid.Point]grid.Point{corner: out})
 	d.Connected()
-	d.Remove(far)
+	stepMoves(d, map[grid.Point]grid.Point{out: corner})
 	d.Connected()
 
 	r, rest, err := DecodeDense(d.AppendState(nil), false)
@@ -286,7 +292,7 @@ func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
 	for x := 0; x < 90; x++ { // a thinner bar two chunk rows up
 		cells = append(cells, grid.Pt(x, 200), grid.Pt(x, 201))
 	}
-	b := NewDense(swarm.New(cells...), false).AppendState(nil)
+	b := NewDense(swarm.New(cells...).Cells(), false).AppendState(nil)
 	decode := func() *Dense {
 		d, _, err := DecodeDense(b, false)
 		if err != nil {
@@ -314,19 +320,21 @@ func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalConnectivity drives random L∞-1 move sequences (plus the
-// occasional ad-hoc add/remove) over a block planted on a four-chunk corner
-// and checks the incremental Connected against the scratch BFS and the
-// swarm after every operation. The seed corpus aims at the seams: border
-// oscillation, corner bridges, and a planted disconnect-and-return.
+// FuzzIncrementalConnectivity drives random one-robot protocol rounds —
+// L∞-1 moves, merges onto a 4-neighbour and steps toward the seam corner —
+// over a block planted on a four-chunk corner and checks the incremental
+// Connected against the scratch BFS and the swarm after every round. The
+// seed corpus aims at the seams: border oscillation, corner bridges, and a
+// planted disconnect-and-return.
 func FuzzIncrementalConnectivity(f *testing.F) {
 	// Each op is two bytes: robot selector, then direction/op code.
 	// Codes 0..8 move robot (selector % len) by the L∞ unit vector
-	// (code%3-1, code/3-1); code 9 removes that robot; 10.. adds a cell at
-	// a seam-heavy spot derived from the selector.
+	// (code%3-1, code/3-1) onto a free cell; code 9 merges it onto its
+	// first occupied 4-neighbour; 10.. steps it one cell toward the chunk
+	// corner at (63.5, 63.5), merging if that cell is occupied.
 	f.Add([]byte{0, 5, 0, 5, 0, 3, 0, 3, 0, 5, 0, 5})        // east-west oscillation
 	f.Add([]byte{1, 7, 1, 1, 1, 7, 1, 1, 2, 7, 2, 1})        // north-south oscillation
-	f.Add([]byte{3, 9, 3, 10, 5, 9, 9, 9, 11, 12, 250, 200}) // removes + seam adds
+	f.Add([]byte{3, 9, 3, 10, 5, 9, 9, 9, 11, 12, 250, 200}) // merges + corner steps
 	f.Add([]byte{0, 0, 1, 2, 2, 6, 3, 8, 4, 4, 5, 0, 6, 2})  // diagonal drifts
 	f.Add([]byte{35, 5, 35, 5, 35, 5, 35, 5, 35, 3, 35, 3})  // walk a corner robot away and back
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -337,7 +345,7 @@ func FuzzIncrementalConnectivity(f *testing.F) {
 				s.Add(grid.Pt(x, y))
 			}
 		}
-		d := NewDense(s, false)
+		d := NewDense(s.Cells(), false)
 		check := func() {
 			t.Helper()
 			incr, bfs, oracle := d.Connected(), d.ConnectedBFS(), s.Connected()
@@ -346,32 +354,41 @@ func FuzzIncrementalConnectivity(f *testing.F) {
 					incr, bfs, oracle, d.Len())
 			}
 		}
+		toward := func(v int) int {
+			switch {
+			case v < 63:
+				return 1
+			case v > 64:
+				return -1
+			}
+			return 0
+		}
 		check()
 		for i := 0; i+1 < len(data) && i < 2*300; i += 2 {
 			cells := s.Cells()
-			if len(cells) == 0 {
-				break
-			}
 			p := cells[int(data[i])%len(cells)]
+			q := p
 			switch code := int(data[i+1]) % 12; {
 			case code < 9:
-				q := p.Add(grid.Pt(code%3-1, code/3-1))
-				if q != p && !s.Has(q) {
-					d.Remove(p)
-					s.Remove(p)
-					d.Add(q)
-					s.Add(q)
+				if r := p.Add(grid.Pt(code%3-1, code/3-1)); !s.Has(r) {
+					q = r
 				}
 			case code == 9:
-				d.Remove(p)
-				s.Remove(p)
+				for _, r := range grid.Neighbors4(p) {
+					if s.Has(r) {
+						q = r
+						break
+					}
+				}
 			default:
-				// Seam-heavy insert near the corner, derived from the
-				// selector byte.
-				q := grid.Pt(62+int(data[i])%5, 62+int(data[i])/32)
-				d.Add(q)
-				s.Add(q)
+				q = p.Add(grid.Pt(toward(p.X), toward(p.Y)))
 			}
+			if q == p {
+				continue
+			}
+			stepMoves(d, map[grid.Point]grid.Point{p: q})
+			s.Remove(p)
+			s.Add(q)
 			check()
 		}
 		// A final full-oracle sweep (components, degrees, bounds).

@@ -5,20 +5,26 @@
 // The single implementation is Dense, a tiled bitset occupancy index —
 // 64-bit row words, with a column-major copy, over fixed 64×64-cell
 // chunks, O(1) unchecked reads, no rebasing as the swarm shrinks — plus
-// flat robot-indexed arrays for run states and logical clocks. Robots are
-// identified by a stable slot assigned once at construction (in sorted
-// cell order) and carried along as they move; a point→slot index lives in
-// the chunk tiles and is maintained incrementally. The index is stored in
-// 8×8-cell blocks, each allocated the first time a layer writes a slot
-// into it and never freed, so a thin swarm (a line, a ring, a staircase)
-// pays for the blocks its robots have touched, not for whole 64×64
-// planes, and a slot read costs one load more than a dense plane would.
+// flat robot-indexed arrays for run states and logical clocks. A world is
+// built once, from a sorted cell list (NewDense) or a snapshot
+// (DecodeDense), and after that its occupancy changes only through the
+// round protocol below: robots move and merge, none is added or removed
+// out of band. Robots are identified by a stable slot assigned once at
+// construction (in sorted cell order) and carried along as they move, so
+// the slot space is fixed for the world's lifetime and every per-slot
+// table is sized once. A point→slot index lives in the chunk tiles and is
+// maintained incrementally. The index is stored in 8×8-cell blocks, each
+// allocated the first time a layer writes a slot into it and never freed,
+// so a thin swarm (a line, a ring, a staircase) pays for the blocks its
+// robots have touched, not for whole 64×64 planes, and a slot read costs
+// one load more than a dense plane would.
 // The sorted cell order is stored once, as a cell array and a parallel
 // slot array that Cells and Slots return without copying (valid until the
 // next Commit). It is repaired incrementally each round (robots move
 // L∞ ≤ 1, so a near-sorted insertion pass replaces a full re-sort, each
 // slot moving with its cell), and the enclosing bounds for the Gathered()
-// check are accumulated from the round's arrivals instead of rescanned.
+// check are accumulated from the round's arrivals instead of rescanned;
+// both are exact after every Commit.
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
@@ -56,7 +62,6 @@ import (
 	"gridgather/internal/codec"
 	"gridgather/internal/grid"
 	"gridgather/internal/robot"
-	"gridgather/internal/swarm"
 )
 
 const (
@@ -77,8 +82,8 @@ type slotBlock [blockSize * blockSize]int32
 // (bit x&63 of word y&63), double-buffered across the two round layers,
 // with a column-major copy (bit y&63 of word x&63) so that reads along y
 // scan one word the way reads along x do; multi marks cells that received
-// more than one arrival in the round being built; vis is the BFS scratch
-// plane for the connectivity floods.
+// more than one arrival in the round being built. Only construction and
+// the round protocol write the occupancy and slot planes.
 //
 // The point→slot index is split into 8×8 blocks: slots holds, per layer,
 // a row-major table of tileBlocks×tileBlocks block pointers, and a block
@@ -89,9 +94,8 @@ type slotBlock [blockSize * blockSize]int32
 // plus its pointer tables.
 type tile struct {
 	bits      [2][tileSize]uint64
-	cols      [2][tileSize]uint64 // the transpose of bits, kept in step by set/unset and clearLayers
+	cols      [2][tileSize]uint64 // the transpose of bits, kept in step by set and clearLayers
 	multi     [tileSize]uint64
-	vis       [tileSize]uint64
 	qdirty    [tileSize]uint64 // quiescence: cells whose view may have changed since the robot there last recomputed (cumulative; cleared per cell by QuiesceNote)
 	marked    [2]bool          // on Dense.live[layer]: this tile may hold bits in that layer
 	connDirty bool             // queued on connIncr.dirty (occupancy changed since the last relabel)
@@ -120,12 +124,6 @@ func (t *tile) setSlot(layer, rx, ry int, slot int32) {
 func (t *tile) set(layer, rx, ry int) {
 	t.bits[layer][ry] |= 1 << uint(rx)
 	t.cols[layer][rx] |= 1 << uint(ry)
-}
-
-// unset marks the cell at (rx, ry) free in layer.
-func (t *tile) unset(layer, rx, ry int) {
-	t.bits[layer][ry] &^= 1 << uint(rx)
-	t.cols[layer][rx] &^= 1 << uint(ry)
 }
 
 // runState is the run state of one robot that carries runs. MaxRuns is
@@ -214,18 +212,17 @@ type Dense struct {
 	// The canonical cell order, stored once: cells in sorted (Y, X) order
 	// and, at the same index, the slot of the robot on each. Cells and
 	// Slots hand these arrays out as they are.
-	count    int          // number of robots
-	cells    []grid.Point // sorted (Y, X) cell order
-	slots    []int32      // slots parallel to cells
-	occDirty bool         // cells and slots need a rebuild from the bitset (Add/Remove)
-	next     lane         // arrivals of the round being built
+	count int          // number of robots
+	cells []grid.Point // sorted (Y, X) cell order
+	slots []int32      // slots parallel to cells
+	next  lane         // arrivals of the round being built
 
-	bounds   grid.Rect
-	boundsOK bool
+	bounds grid.Rect // exact enclosing rectangle of cells
 
 	version uint64 // bumped by every write to occupancy or crash marks
 
 	stack []grid.Point // flood scratch
+	vis   []uint64     // flood scratch: one visited bit per slot, allocated on the first flood
 
 	conn *connIncr // incremental connectivity (lazily built on first query)
 
@@ -240,18 +237,28 @@ type Dense struct {
 	crashed []bool // slot → crash-stop mark; nil until EnableCrashes
 }
 
-// NewDense builds the dense world over the swarm's cells (the swarm is
-// not retained; the fresh sorted slice its Cells returns becomes the
-// world's cell order). withClocks enables per-robot logical clock tracking
-// (needed only under a scheduler).
-func NewDense(s *swarm.Swarm, withClocks bool) *Dense {
-	d := newDenseSlots(s.Len(), withClocks)
-	d.cells = s.Cells()
-	d.slots = make([]int32, len(d.cells))
+// NewDense builds the dense world over cells, which must be in canonical
+// (Y, X) order without duplicates, as swarm.Swarm.Cells returns them; it
+// panics otherwise. The slice becomes the world's cell order (no copy), so
+// the caller must not use it afterwards. Slots 0..len(cells)-1 are
+// assigned in that order and are the world's whole slot space. withClocks
+// enables per-robot logical clock tracking (needed only under a
+// scheduler).
+func NewDense(cells []grid.Point, withClocks bool) *Dense {
+	bounds := grid.EmptyRect
+	for i, p := range cells {
+		if i > 0 && !cells[i-1].Less(p) {
+			panic(fmt.Sprintf("world: NewDense cell %v out of canonical order or repeated", p))
+		}
+		bounds = bounds.Include(p)
+	}
+	d := newDenseSlots(len(cells), withClocks)
+	d.cells = cells
+	d.slots = make([]int32, len(cells))
 	for i := range d.slots {
 		d.slots[i] = int32(i)
 	}
-	d.place(s.Bounds())
+	d.place(bounds)
 	return d
 }
 
@@ -265,9 +272,9 @@ func newDenseSlots(n int, withClocks bool) *Dense {
 }
 
 // place builds the occupancy layer from d.cells and d.slots (canonical
-// order) over a chunk table sized to bounds, and sizes the arrival lane
-// once for the population, so the first rounds do not grow it by
-// doubling.
+// order) over a chunk table sized to bounds, their exact enclosing
+// rectangle, and sizes the arrival lane once for the population, so the
+// first rounds do not grow it by doubling.
 func (d *Dense) place(bounds grid.Rect) {
 	d.initTable(bounds)
 	for i, p := range d.cells {
@@ -280,7 +287,6 @@ func (d *Dense) place(bounds grid.Rect) {
 	n := len(d.cells)
 	d.count = n
 	d.bounds = bounds
-	d.boundsOK = true
 	d.next.cells = make([]grid.Point, 0, n)
 	d.next.slots = make([]int32, 0, n)
 }
@@ -347,6 +353,8 @@ func (d *Dense) mark(layer int, t *tile) {
 
 // grow extends the chunk table to cover chunk (cx, cy) with one chunk of
 // fresh margin. Existing tiles keep their identity; only the table moves.
+// Only an arrival past the table's margin gets here: construction sizes
+// the table to its cells.
 func (d *Dense) grow(cx, cy int) {
 	minCX := min(d.minCX, cx-1)
 	minCY := min(d.minCY, cy-1)
@@ -584,23 +592,13 @@ func (d *Dense) ClockAt(p grid.Point) int {
 	return d.clocks[d.slotAt(d.cur, p)]
 }
 
-// Bounds returns the smallest enclosing rectangle. Commit keeps it exact
-// from the round's arrivals; only ad-hoc Remove calls force a rescan.
-func (d *Dense) Bounds() grid.Rect {
-	if !d.boundsOK {
-		d.ensureOcc()
-		r := grid.EmptyRect
-		for _, p := range d.cells {
-			r = r.Include(p)
-		}
-		d.bounds = r
-		d.boundsOK = true
-	}
-	return d.bounds
-}
+// Bounds returns the smallest enclosing rectangle: set at construction,
+// then accumulated by Commit from the round's arrivals, so always exact.
+func (d *Dense) Bounds() grid.Rect { return d.bounds }
 
 // Version counts the writes that can change occupancy or crash marks:
-// Commit, Add, Remove, Crash and EnableCrashes. A verdict computed from
+// Commit, Crash and EnableCrashes. Construction starts it at 0, and the
+// round protocol is the only writer of occupancy. A verdict computed from
 // those — the engine's gathered verdict — stays valid while it is
 // unchanged.
 func (d *Dense) Version() uint64 { return d.version }
@@ -610,118 +608,20 @@ func (d *Dense) Gathered() bool { return d.count > 0 && d.Bounds().FitsIn2x2() }
 
 // Cells returns all occupied cells in sorted (Y, X) order. The slice is
 // the world's own cell order, not a copy: read-only, valid until the next
-// Commit, Add or Remove.
-func (d *Dense) Cells() []grid.Point {
-	d.ensureOcc()
-	return d.cells
-}
+// Commit (the round protocol is the only writer of occupancy, and Commit
+// keeps the order exact).
+func (d *Dense) Cells() []grid.Point { return d.cells }
 
 // Slots returns the slots aligned with Cells(), same ownership rules.
-func (d *Dense) Slots() []int32 {
-	d.ensureOcc()
-	return d.slots
-}
+func (d *Dense) Slots() []int32 { return d.slots }
 
 // SlotCount returns the size of the slot space: every live slot is in
-// [0, SlotCount). Slots are stable for a robot's lifetime and never reused
-// after a merge, so per-slot tables (verdict masks, crash marks) sized by
-// SlotCount stay valid for the whole run.
+// [0, SlotCount). The space is fixed at construction — robots only move
+// and merge, no robot joins — and slots are stable for a robot's lifetime
+// and never reused after a merge, so per-slot tables (verdict masks, crash
+// marks, the flood scratch) sized once by SlotCount stay valid for the
+// whole run.
 func (d *Dense) SlotCount() int { return len(d.runOf) }
-
-// Snapshot returns the occupancy as a fresh swarm (don't call it per round
-// on hot paths).
-func (d *Dense) Snapshot() *swarm.Swarm {
-	d.ensureOcc()
-	s := swarm.NewSized(d.count)
-	for _, p := range d.cells {
-		s.Add(p)
-	}
-	return s
-}
-
-// Add marks cell p occupied, assigning the robot a fresh slot. Outside the
-// engine protocol this is construction/testing API; the engine's round
-// path never calls it.
-func (d *Dense) Add(p grid.Point) {
-	if d.Has(p) {
-		return
-	}
-	t := d.ensureTile(p)
-	d.mark(d.cur, t)
-	ry, rx := p.Y&tileMask, p.X&tileMask
-	t.set(d.cur, rx, ry)
-	t.setSlot(d.cur, rx, ry, int32(len(d.runOf)))
-	d.runOf = append(d.runOf, 0)
-	if d.clocks != nil {
-		d.clocks = append(d.clocks, 0)
-	}
-	if d.qOn {
-		d.qmask = append(d.qmask, 0)
-		d.QuiesceReset()
-	}
-	if d.crashed != nil {
-		d.crashed = append(d.crashed, false)
-	}
-	d.count++
-	if d.boundsOK {
-		d.bounds = d.bounds.Include(p)
-	}
-	if d.conn != nil && d.conn.valid {
-		d.conn.markDirty(t)
-	}
-	d.occDirty = true
-	d.version++
-}
-
-// Remove marks cell p free.
-func (d *Dense) Remove(p grid.Point) {
-	if !d.Has(p) {
-		return
-	}
-	t := d.tileAt(p)
-	t.unset(d.cur, p.X&tileMask, p.Y&tileMask)
-	d.count--
-	if d.boundsOK && (p.X == d.bounds.MinX || p.X == d.bounds.MaxX ||
-		p.Y == d.bounds.MinY || p.Y == d.bounds.MaxY) {
-		d.boundsOK = false
-	}
-	if d.conn != nil && d.conn.valid {
-		d.conn.markDirty(t)
-	}
-	d.QuiesceReset()
-	d.occDirty = true
-	d.version++
-}
-
-// ensureOcc rebuilds the sorted cell order from the bitset after ad-hoc
-// Add/Remove edits. The engine's round path maintains it incrementally
-// and never hits this.
-func (d *Dense) ensureOcc() {
-	if !d.occDirty {
-		return
-	}
-	d.cells, d.slots = d.cells[:0], d.slots[:0]
-	for ty := 0; ty < d.rows; ty++ {
-		for ry := 0; ry < tileSize; ry++ {
-			y := ((d.minCY + ty) << tileShift) | ry
-			for tx := 0; tx < d.cols; tx++ {
-				t := d.tiles[ty*d.cols+tx]
-				if t == nil {
-					continue
-				}
-				w := t.bits[d.cur][ry]
-				for w != 0 {
-					rx := bits.TrailingZeros64(w)
-					w &= w - 1
-					x := ((d.minCX + tx) << tileShift) | rx
-					d.cells = append(d.cells, grid.Pt(x, y))
-					d.slots = append(d.slots, t.slot(d.cur, rx, ry))
-				}
-			}
-		}
-	}
-	d.occDirty = false
-}
 
 // --- round protocol ---
 
@@ -867,8 +767,6 @@ func (d *Dense) Commit() {
 	d.cur = nxt
 	d.count = len(d.cells)
 	d.bounds = d.next.bounds
-	d.boundsOK = true
-	d.occDirty = false
 	d.version++
 }
 
@@ -939,7 +837,6 @@ func (o cellOrder) Swap(i, j int) {
 // so the encoding is deterministic: equal worlds produce equal bytes.
 // Call it only between rounds (never mid-protocol).
 func (d *Dense) AppendState(b []byte) []byte {
-	d.ensureOcc()
 	b = codec.AppendUvarint(b, uint64(len(d.runOf)))
 	b = codec.AppendBool(b, d.clocks != nil)
 	b = codec.AppendUvarint(b, uint64(len(d.cells)))
@@ -1153,22 +1050,6 @@ func (d *Dense) CrashedAt(p grid.Point) bool {
 
 // --- connectivity ---
 
-func (d *Dense) visGet(p grid.Point) bool {
-	return d.tileAt(p).vis[p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
-}
-
-func (d *Dense) visSet(p grid.Point) {
-	d.tileAt(p).vis[p.Y&tileMask] |= 1 << uint(p.X&tileMask)
-}
-
-func (d *Dense) visClear() {
-	// The BFS only ever marks occupied cells, so only the current layer's
-	// live tiles can hold vis bits.
-	for _, t := range d.live[d.cur] {
-		t.vis = [tileSize]uint64{}
-	}
-}
-
 // Connected reports 4-connectivity through the incremental connectivity
 // layer (see connincr.go): per-chunk component labels maintained only for
 // chunks whose occupancy changed, plus a small union-find over the
@@ -1195,11 +1076,11 @@ func (d *Dense) ConnStats() ConnStats {
 // reusing internal scratch so the check allocates nothing in steady state.
 // It is the incremental layer's reference.
 func (d *Dense) ConnectedBFS() bool {
-	d.ensureOcc()
 	if len(d.cells) <= 1 {
 		return true
 	}
-	d.visClear()
+	d.clearVis()
+	d.visit(d.slots[0])
 	n, _ := d.flood(d.cells[0], false)
 	return n == len(d.cells)
 }
@@ -1216,11 +1097,10 @@ func (d *Dense) ConnectedBFS() bool {
 // crashed robot is present; it runs only in degraded rounds, off the
 // fault-free hot path.
 func (d *Dense) LargestLiveComponent() (n int, bounds grid.Rect) {
-	d.ensureOcc()
-	d.visClear()
+	d.clearVis()
 	bounds = grid.EmptyRect
-	for _, p := range d.cells {
-		if d.visGet(p) {
+	for i, p := range d.cells {
+		if !d.visit(d.slots[i]) {
 			continue
 		}
 		if cn, cb := d.flood(p, true); cn > n {
@@ -1230,14 +1110,34 @@ func (d *Dense) LargestLiveComponent() (n int, bounds grid.Rect) {
 	return n, bounds
 }
 
-// flood marks the 4-connected component of start in the vis scratch (the
-// caller clears it first) and returns how many of its cells count —
-// every cell, or only the live ones when liveOnly is set — and their
-// bounding box.
+// clearVis clears the flood scratch, allocating it on the first flood: one
+// bit per slot, sized once because the slot space is fixed.
+func (d *Dense) clearVis() {
+	if d.vis == nil {
+		d.vis = make([]uint64, (len(d.runOf)+63)/64)
+		return
+	}
+	clear(d.vis)
+}
+
+// visit marks slot visited in the flood scratch and reports whether it was
+// unvisited.
+func (d *Dense) visit(slot int32) bool {
+	w, b := &d.vis[slot>>6], uint64(1)<<uint(slot&63)
+	if *w&b != 0 {
+		return false
+	}
+	*w |= b
+	return true
+}
+
+// flood visits the 4-connected component of start, whose slot the caller
+// has already marked visited (after clearing the scratch), and returns how
+// many of its cells count — every cell, or only the live ones when
+// liveOnly is set — and their bounding box.
 func (d *Dense) flood(start grid.Point, liveOnly bool) (n int, bounds grid.Rect) {
 	bounds = grid.EmptyRect
 	stack := append(d.stack[:0], start)
-	d.visSet(start)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -1246,8 +1146,7 @@ func (d *Dense) flood(start grid.Point, liveOnly bool) (n int, bounds grid.Rect)
 			bounds = bounds.Include(p)
 		}
 		for _, q := range grid.Neighbors4(p) {
-			if d.Has(q) && !d.visGet(q) {
-				d.visSet(q)
+			if d.Has(q) && d.visit(d.SlotAt(q)) {
 				stack = append(stack, q)
 			}
 		}

@@ -8,18 +8,19 @@ import (
 	"gridgather/internal/swarm"
 )
 
-// FuzzOccupancy feeds arbitrary Add/Remove streams to Dense and the swarm
-// oracle. Each op is three bytes: a control byte (bit 0 remove, bit 1
-// stretch the coordinates far apart to exercise chunk-table growth) and
-// two signed coordinate bytes. The seed corpus covers the chunk seams at
-// 0/63/64 and the negative quadrants; `go test` replays it on every run.
+// FuzzOccupancy builds Dense from arbitrary cell sets and holds it to the
+// swarm oracle. The set is an add/remove stream applied to the oracle; each
+// op is three bytes: a control byte (bit 0 remove, bit 1 stretch the
+// coordinates far apart, so the chunk table spans a wide, sparse box) and
+// two signed coordinate bytes. The world is built from the oracle's cells
+// once the stream ends. The seed corpus covers the chunk seams at 0/63/64
+// and the negative quadrants; `go test` replays it on every run.
 func FuzzOccupancy(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 63, 63, 0, 64, 64, 1, 63, 63})
 	f.Add([]byte{0, 255, 255, 0, 192, 192, 2, 100, 100, 2, 156, 156})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 0, 0, 3, 0, 2, 80, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := swarm.New()
-		d := NewDense(s, false)
 		var probes []grid.Point
 		for i := 0; i+2 < len(data) && i < 3*200; i += 3 {
 			x, y := int(int8(data[i+1])), int(int8(data[i+2]))
@@ -30,14 +31,12 @@ func FuzzOccupancy(f *testing.F) {
 			p := grid.Pt(x, y)
 			probes = append(probes, p)
 			if data[i]&1 == 0 {
-				d.Add(p)
 				s.Add(p)
 			} else {
-				d.Remove(p)
 				s.Remove(p)
 			}
 		}
-		checkAgainstOracle(t, d, s, probes)
+		checkAgainstOracle(t, NewDense(s.Cells(), false), s, probes)
 	})
 }
 
@@ -84,7 +83,7 @@ func FuzzRoundProtocol(f *testing.F) {
 			s.Add(grid.Pt(56+int(data[0]%16), 56+int(data[1]%16)))
 			data = data[2:]
 		}
-		d := NewDense(s, false)
+		d := NewDense(s.Cells(), false)
 		// The replay: the robot on each cell's slot, assigned in canonical
 		// order at construction like the world's.
 		slotOf := make(map[grid.Point]int32, s.Len())

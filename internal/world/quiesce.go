@@ -22,9 +22,11 @@
 // leaves (its runs end, age or move on) and every merge's cell (its slot,
 // state and crash mark change), SetArrivalState marks kept, adopted and
 // delivered runs, and Crash marks the crashed robot's cell. The engine only
-// asks (QuiesceSkip) and reports verdicts (QuiesceNote). Ad-hoc world
-// edits (Add/Remove/SetState) conservatively reset every cached verdict
-// via QuiesceReset.
+// asks (QuiesceSkip) and reports verdicts (QuiesceNote). The round
+// protocol is the only writer of occupancy, so the tile diff sees every
+// occupancy change; the one edit outside it, SetState (test scaffolding
+// that rewrites a robot's runs), conservatively resets every cached
+// verdict via QuiesceReset.
 //
 //gather:deterministic
 package world
@@ -50,8 +52,11 @@ func (d *Dense) EnableQuiescence(radius int) {
 
 // QuiesceReset drops every cached quiescent verdict: the next activation
 // of every robot recomputes. Dirty bits need no touch-up — an empty mask
-// alone forces recomputation. Called after any out-of-protocol state edit
-// (Add/Remove/SetState, engine test scaffolding).
+// alone forces recomputation. Occupancy changes only through the round
+// protocol, whose writes mark themselves, so the callers are the edits
+// outside it that a view or a phase can observe: SetState (run-state
+// scaffolding for tests) and the engine's round jump. The mask table is
+// sized once, the slot space being fixed.
 func (d *Dense) QuiesceReset() {
 	for i := range d.qmask {
 		d.qmask[i] = 0

@@ -106,12 +106,13 @@ func qCheck(t *testing.T, d *Dense, r int, cached map[int32]uint64) {
 	}
 }
 
-// qRound drives one protocol round in which every robot is activated and
-// stays, except the robot at index mover (-1 for none), which moves by
-// dir. keep gives the mover a run to keep at its landing cell, and recv
-// (-1 for none) is the index of a robot that receives a delivered run
-// after every arrival is counted. Each new run gets a fresh ID from *id.
-func qRound(d *Dense, mover int, dir grid.Point, keep bool, recv int, id *int) {
+// qRound drives one protocol round in which every robot stays, except the
+// robot at index mover (-1 for none), which moves by dir. The stayers are
+// activated, or sleep (their runs frozen) when sleep is set. keep gives
+// the mover a run to keep at its landing cell, and recv (-1 for none) is
+// the index of a robot that receives a delivered run after every arrival
+// is counted. Each new run gets a fresh ID from *id.
+func qRound(d *Dense, mover int, dir grid.Point, keep, sleep bool, recv int, id *int) {
 	run := func() robot.State {
 		*id++
 		return robot.State{Runs: []robot.Run{{ID: *id, Dir: grid.East, Inside: grid.North, Phase: robot.PhaseRoll, Age: *id % 5}}}
@@ -126,9 +127,19 @@ func qRound(d *Dense, mover int, dir grid.Point, keep bool, recv int, id *int) {
 		dst := p
 		if j == mover {
 			dst = p.Add(dir)
+		} else if sleep {
+			continue
 		}
 		if d.Arrive(p, dst) == 1 && j == mover && keep {
 			d.SetArrivalState(dst, run())
+		}
+	}
+	d.BeginSleep()
+	if sleep {
+		for j, p := range cells {
+			if j != mover {
+				d.Sleep(p)
+			}
 		}
 	}
 	if recv >= 0 && d.ArrivalCount(to) == 1 {
@@ -137,14 +148,15 @@ func qRound(d *Dense, mover int, dir grid.Point, keep bool, recv int, id *int) {
 	d.Commit()
 }
 
-// FuzzQuiescenceSoundness drives random protocol rounds and ad-hoc edits
+// FuzzQuiescenceSoundness drives random protocol rounds and crashes
 // through the world, asserting after every operation that the recompute
 // set is a superset of the robots whose views actually changed:
 // QuiesceSkip may clear a robot only if its radius window — occupancy,
 // crash marks and run states — is identical to the window it last
 // recomputed against. Every mark comes from the world's own writes: moves,
 // merges onto stayers, kept and delivered runs, arrivals of robots that
-// carry runs, and crashes. The seed corpus covers chunk seams (the initial
+// carry runs, and crashes; sleepers keep their runs frozen and mark
+// nothing. The seed corpus covers chunk seams (the initial
 // cluster sits at the 0/63/64 boundary), merges and every operation.
 func FuzzQuiescenceSoundness(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 3, 0, 2, 5, 1, 10, 10, 0, 3, 7})
@@ -166,7 +178,7 @@ func FuzzQuiescenceSoundness(f *testing.F) {
 				s.Add(grid.Pt(x, y))
 			}
 		}
-		d := NewDense(s, false)
+		d := NewDense(s.Cells(), false)
 		d.EnableQuiescence(radius)
 		d.EnableCrashes()
 		cached := make(map[int32]uint64)
@@ -176,24 +188,21 @@ func FuzzQuiescenceSoundness(f *testing.F) {
 		for i := 0; i+2 < len(data) && i < 3*120; i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
 			cells := d.Cells()
-			if len(cells) == 0 && op%8 != 1 {
-				return // only an Add can follow removing every robot
-			}
-			pick := int(a) % max(len(cells), 1)
+			pick := int(a) % len(cells)
 			dir := grid.Pt(int(b%3)-1, int(b/3%3)-1)
 			switch op % 8 {
 			case 0: // one robot moves L∞ ≤ 1, everyone else stays
-				qRound(d, pick, dir, false, -1, &id)
-			case 1: // ad-hoc Add near the cluster (resets every verdict)
-				d.Add(grid.Pt(58+int(a)%12, 58+int(b)%12))
-			case 2: // ad-hoc Remove (resets every verdict)
-				d.Remove(cells[pick])
+				qRound(d, pick, dir, false, false, -1, &id)
+			case 1: // one robot moves L∞ ≤ 1, everyone else sleeps
+				qRound(d, pick, dir, false, true, -1, &id)
+			case 2: // the mover keeps a run at its landing cell, everyone else sleeps
+				qRound(d, pick, dir, true, true, -1, &id)
 			case 3: // a crash: no occupancy change
 				d.Crash(cells[pick])
 			case 4: // the mover keeps a run at its landing cell
-				qRound(d, pick, dir, true, -1, &id)
+				qRound(d, pick, dir, true, false, -1, &id)
 			case 5: // everyone stays; one robot receives a delivered run
-				qRound(d, -1, grid.Point{}, false, pick, &id)
+				qRound(d, -1, grid.Point{}, false, false, pick, &id)
 			case 6: // the next robot carrying runs moves (its runs end)
 				mover := -1
 				for k := range cells {
@@ -202,13 +211,13 @@ func FuzzQuiescenceSoundness(f *testing.F) {
 						break
 					}
 				}
-				qRound(d, mover, dir, false, -1, &id)
+				qRound(d, mover, dir, false, false, -1, &id)
 			case 7: // the mover merges onto a stayer in its 8-neighbourhood
 				kings := [8]grid.Point{grid.East, grid.NorthEast, grid.North, grid.NorthWest,
 					grid.West, grid.SouthWest, grid.South, grid.SouthEast}
 				for k := range kings {
 					if step := kings[(int(b)+k)%8]; d.Has(cells[pick].Add(step)) {
-						qRound(d, pick, step, false, -1, &id)
+						qRound(d, pick, step, false, false, -1, &id)
 						break
 					}
 				}

@@ -92,7 +92,7 @@ func TestRunLenMatchesCells(t *testing.T) {
 			s.Remove(grid.Pt(-100, y))
 		}
 	}
-	d := NewDense(s, false)
+	d := NewDense(s.Cells(), false)
 
 	// Spot checks that the fixture holds the cases it is meant to.
 	if got := d.RunLen(grid.Pt(-10, 5), grid.East, probeMax); got != 9 {
@@ -171,7 +171,7 @@ func FuzzRunLen(f *testing.F) {
 			}
 			starts = append(starts, p, p.Sub(step))
 		}
-		d := NewDense(s, false)
+		d := NewDense(s.Cells(), false)
 		checkRunReads(t, d, grid.Pt(int(px), int(py)))
 		for _, p := range starts {
 			checkRunReads(t, d, p)

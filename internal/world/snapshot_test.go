@@ -10,13 +10,12 @@ import (
 	"gridgather/internal/gen"
 	"gridgather/internal/grid"
 	"gridgather/internal/robot"
-	"gridgather/internal/swarm"
 )
 
 // buildWorld makes a dense world with a few planted run states and clocks.
 func buildWorld(t *testing.T, withClocks bool) *Dense {
 	t.Helper()
-	d := NewDense(gen.RandomBlob(80, 7), withClocks)
+	d := NewDense(gen.RandomBlob(80, 7).Cells(), withClocks)
 	cells := d.Cells()
 	for i, p := range cells {
 		if i%5 == 0 {
@@ -301,7 +300,7 @@ func TestRunPoolHoldsOnlyCarriers(t *testing.T) {
 		t.Fatalf("decoded pool holds %d entries for %d carriers", n, carriers)
 	}
 
-	w := NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	w := NewDense([]grid.Point{grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)}, false)
 	run := robot.Run{ID: 1, Dir: grid.East, Inside: grid.North}
 	w.SetState(grid.Pt(0, 0), robot.State{Runs: []robot.Run{run}})
 	w.SetState(grid.Pt(1, 0), robot.State{Runs: []robot.Run{run, run}})

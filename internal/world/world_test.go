@@ -1,8 +1,9 @@
 // Property and differential tests for the dense backend's occupancy
-// semantics: arbitrary Add/Remove sequences — including negative
+// semantics: a world built from any cell set — including negative
 // coordinates, cells straddling chunk boundaries, and far-apart cells that
-// force the chunk table to grow — must leave Dense agreeing with the
-// map-backed swarm oracle on Has/Len/Bounds/Cells/Connected/Gathered.
+// stretch the chunk table — and driven through the round protocol, even
+// past the chunk table's margin, must agree with the map-backed swarm
+// oracle on Has/Len/Bounds/Cells/Connected/Gathered.
 package world
 
 import (
@@ -56,33 +57,47 @@ func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Po
 	}
 }
 
+// stepMoves drives one round of the protocol in which the robot on each
+// key of moves goes to its value (merging if another robot lands there
+// too) and every other robot stays.
+func stepMoves(d *Dense, moves map[grid.Point]grid.Point) {
+	d.BeginRound()
+	for _, p := range d.Cells() {
+		dst, ok := moves[p]
+		if !ok {
+			dst = p
+		}
+		d.Arrive(p, dst)
+	}
+	d.BeginSleep()
+	d.Commit()
+}
+
 // applyOps replays an op stream (coordinate pairs with an add/remove bit)
-// on a fresh Dense and swarm oracle, comparing after every step.
+// on a swarm oracle and, every seventh step and at the end, builds a
+// fresh Dense from the oracle's cell set and compares the two.
 func applyOps(t *testing.T, ops []struct {
 	p   grid.Point
 	add bool
 }, probes []grid.Point) {
 	t.Helper()
 	s := swarm.New()
-	d := NewDense(s, false)
 	for i, op := range ops {
 		if op.add {
-			d.Add(op.p)
 			s.Add(op.p)
 		} else {
-			d.Remove(op.p)
 			s.Remove(op.p)
 		}
 		if i%7 == 0 || i == len(ops)-1 {
-			checkAgainstOracle(t, d, s, probes)
+			checkAgainstOracle(t, NewDense(s.Cells(), false), s, probes)
 		}
 	}
 }
 
-// TestDenseOccupancyProperty drives seeded random Add/Remove sequences
-// over a coordinate range that crosses chunk boundaries in all four
-// quadrants (chunk size 64: the range [-130, 130] spans five chunk columns
-// including the negative-to-positive seam).
+// TestDenseOccupancyProperty builds worlds from the cell sets of seeded
+// random add/remove sequences over a coordinate range that crosses chunk
+// boundaries in all four quadrants (chunk size 64: the range [-130, 130]
+// spans five chunk columns including the negative-to-positive seam).
 func TestDenseOccupancyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -109,10 +124,11 @@ func TestDenseOccupancyProperty(t *testing.T) {
 	}
 }
 
-// TestDenseFarApartGrowth places cells tens of thousands of cells apart —
-// each Add lands outside the chunk table and forces it to grow — and
-// checks the observables still match the oracle, including the
-// the multi-component Connected answer.
+// TestDenseFarApartGrowth builds worlds from cell sets that grow, one
+// cell at a time, to cells tens of thousands of cells apart — each new
+// cell stretches the chunk table the world is built over — and shrink
+// again, and checks the observables match the oracle at every step,
+// including the multi-component Connected answer.
 func TestDenseFarApartGrowth(t *testing.T) {
 	pts := []grid.Point{
 		grid.Pt(0, 0), grid.Pt(1, 0),
@@ -121,19 +137,68 @@ func TestDenseFarApartGrowth(t *testing.T) {
 		grid.Pt(5, 30000), grid.Pt(-3, -25000),
 	}
 	s := swarm.New()
-	d := NewDense(s, false)
 	for _, p := range pts {
-		d.Add(p)
 		s.Add(p)
-		checkAgainstOracle(t, d, s, pts)
+		checkAgainstOracle(t, NewDense(s.Cells(), false), s, pts)
 	}
-	if d.Connected() {
+	if NewDense(s.Cells(), false).Connected() {
 		t.Fatal("far-apart cells reported connected")
 	}
 	for _, p := range pts[:4] {
-		d.Remove(p)
 		s.Remove(p)
-		checkAgainstOracle(t, d, s, pts)
+		checkAgainstOracle(t, NewDense(s.Cells(), false), s, pts)
+	}
+}
+
+// TestArrivalsGrowChunkTable walks a small swarm through the round
+// protocol, one diagonal step per round, north-east past the chunk
+// table's one-chunk margin and then south-west past the opposite margin,
+// so arrivals land outside the table and grow it — the only way the table
+// grows. After every round the observables must match the oracle.
+func TestArrivalsGrowChunkTable(t *testing.T) {
+	start := []grid.Point{grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(1, 1)}
+	d := NewDense(swarm.New(start...).Cells(), false)
+	cols, rows := d.cols, d.rows
+	pos := append([]grid.Point(nil), start...)
+	walk := func(dir grid.Point, rounds int) {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			moves := make(map[grid.Point]grid.Point, len(pos))
+			for i, p := range pos {
+				moves[p] = p.Add(dir)
+				pos[i] = p.Add(dir)
+			}
+			stepMoves(d, moves)
+			checkAgainstOracle(t, d, swarm.New(pos...), append(pos, pos[0].Sub(dir)))
+		}
+	}
+	walk(grid.NorthEast, 2*tileSize+8) // past the east and north margins
+	if d.cols <= cols || d.rows <= rows {
+		t.Fatalf("the chunk table did not grow north-east: %d×%d, was %d×%d", d.cols, d.rows, cols, rows)
+	}
+	cols, rows = d.cols, d.rows
+	walk(grid.SouthWest, 4*tileSize+16) // back, then past the west and south margins
+	if d.cols <= cols || d.rows <= rows {
+		t.Fatalf("the chunk table did not grow south-west: %d×%d, was %d×%d", d.cols, d.rows, cols, rows)
+	}
+}
+
+// TestNewDenseRejectsUnsortedCells pins NewDense's precondition: a cell
+// list out of canonical order, or with a repeated cell, panics.
+func TestNewDenseRejectsUnsortedCells(t *testing.T) {
+	for _, cells := range [][]grid.Point{
+		{grid.Pt(1, 0), grid.Pt(0, 0)},
+		{grid.Pt(0, 1), grid.Pt(5, 0)},
+		{grid.Pt(0, 0), grid.Pt(0, 0)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDense(%v) did not panic", cells)
+				}
+			}()
+			NewDense(cells, false)
+		}()
 	}
 }
 
@@ -144,15 +209,12 @@ func TestDenseConstructionMatchesWorkloads(t *testing.T) {
 	for _, w := range gen.SeededCatalog() {
 		t.Run(w.Name, func(t *testing.T) {
 			s := w.Build(80, 7)
-			d := NewDense(s, false)
+			d := NewDense(s.Cells(), false)
 			checkAgainstOracle(t, d, s, s.Cells())
 			for i, slot := range d.Slots() {
 				if slot != int32(i) {
 					t.Fatalf("initial slot %d = %d, want index order", i, slot)
 				}
-			}
-			if snap := d.Snapshot(); !snap.Equal(s) {
-				t.Fatal("Snapshot differs from source swarm")
 			}
 		})
 	}
@@ -184,7 +246,7 @@ func TestSortNearSortedFallback(t *testing.T) {
 // TestDenseClocksDisabled pins the clocks-off contract: ClockAt is 0 and
 // RaiseClock a no-op.
 func TestDenseClocksDisabled(t *testing.T) {
-	d := NewDense(swarm.New(grid.Pt(0, 0)), false)
+	d := NewDense([]grid.Point{grid.Pt(0, 0)}, false)
 	d.BeginRound()
 	d.Arrive(grid.Pt(0, 0), grid.Pt(0, 0))
 	d.SetArrivalState(grid.Pt(0, 0), robot.State{})
@@ -196,10 +258,10 @@ func TestDenseClocksDisabled(t *testing.T) {
 }
 
 // Crash marks belong to slots: Crash marks a robot, the mark stays with
-// the robot as long as it is the cell's first arrival, dies with its slot
-// when it is merged onto, and Add extends the table.
+// the robot as long as it is the cell's first arrival, and dies with its
+// slot when it is merged onto.
 func TestCrashMarks(t *testing.T) {
-	d := NewDense(swarm.New(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)), false)
+	d := NewDense([]grid.Point{grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)}, false)
 	if d.CrashedAt(grid.Pt(1, 0)) || d.Crashed(d.SlotAt(grid.Pt(1, 0))) {
 		t.Fatal("crash mark reported before EnableCrashes")
 	}
@@ -222,11 +284,6 @@ func TestCrashMarks(t *testing.T) {
 	if d.CrashedAt(grid.Pt(1, 0)) || d.SlotAt(grid.Pt(1, 0)) == crashed {
 		t.Fatal("the crash mark survived its slot's merge")
 	}
-	d.Add(grid.Pt(3, 0))
-	if d.CrashedAt(grid.Pt(3, 0)) {
-		t.Fatal("an added robot starts crashed")
-	}
-	d.Crash(grid.Pt(3, 0))
 	if n, b := d.LargestLiveComponent(); n != 2 || b != (grid.Rect{MinX: 1, MinY: 0, MaxX: 2, MaxY: 0}) {
 		t.Fatalf("LargestLiveComponent = %d, %v", n, b)
 	}
@@ -238,10 +295,10 @@ func TestCrashMarks(t *testing.T) {
 // plane — and later rounds reuse them, while a filled chunk takes all 64
 // distinct blocks of its layer.
 func TestSlotBlocksFollowRobots(t *testing.T) {
-	if got := NewDense(gen.Solid(tileSize, tileSize), false).SlotBlocks(); got != 64 {
+	if got := NewDense(gen.Solid(tileSize, tileSize).Cells(), false).SlotBlocks(); got != 64 {
 		t.Fatalf("filled chunk: %d slot blocks, want 64", got)
 	}
-	d := NewDense(gen.Line(tileSize), false)
+	d := NewDense(gen.Line(tileSize).Cells(), false)
 	if got := d.SlotBlocks(); got != 8 {
 		t.Fatalf("after construction: %d slot blocks, want 8", got)
 	}
