@@ -180,33 +180,20 @@ func TestConnIncrRoundCommit(t *testing.T) {
 	checkConnAllPaths(t, d, true)
 	base := d.ConnStats()
 
-	step := func(move map[grid.Point]grid.Point) {
-		t.Helper()
-		d.BeginRound()
-		for _, p := range d.Cells() {
-			dst, ok := move[p]
-			if !ok {
-				dst = p
-			}
-			d.Arrive(p, dst)
-		}
-		d.Commit()
-	}
-
 	// Round 1: the east end steps away north — diagonal contact only, so
 	// the swarm splits.
-	step(map[grid.Point]grid.Point{grid.Pt(65, 7): grid.Pt(65, 8)})
+	stepMoves(d, map[grid.Point]grid.Point{grid.Pt(65, 7): grid.Pt(65, 8)})
 	if d.Connected() {
 		t.Fatal("Connected after the east end stepped away = true")
 	}
 	// Round 2: it steps back.
-	step(map[grid.Point]grid.Point{grid.Pt(65, 8): grid.Pt(65, 7)})
+	stepMoves(d, map[grid.Point]grid.Point{grid.Pt(65, 8): grid.Pt(65, 7)})
 	if !d.Connected() {
 		t.Fatal("Connected after the east end returned = false")
 	}
 	// Round 3: nobody moves — no chunk is dirtied, no relabel should run.
 	pre := d.ConnStats()
-	step(nil)
+	stepMoves(d, nil)
 	if !d.Connected() {
 		t.Fatal("Connected after a no-move round = false")
 	}
