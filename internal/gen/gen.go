@@ -250,6 +250,11 @@ func RandomWalk(n int, seed int64) *swarm.Swarm {
 	s := swarm.New(grid.Pt(0, 0))
 	cur := grid.Pt(0, 0)
 	stall := 0
+	// cells is s.Cells() as of the last restart; added holds the cells
+	// grown since, merged in at the next restart so it need not re-sort
+	// the whole swarm.
+	cells := []grid.Point{cur}
+	var added []grid.Point
 	for s.Len() < n {
 		d := grid.Axis4[rng.Intn(4)]
 		q := cur.Add(d)
@@ -258,17 +263,38 @@ func RandomWalk(n int, seed int64) *swarm.Swarm {
 			stall++
 			if stall > 64 {
 				// Restart from a random existing cell to avoid dead ends.
-				cells := s.Cells()
+				cells = mergeSorted(cells, added)
+				added = added[:0]
 				cur = cells[rng.Intn(len(cells))]
 				stall = 0
 			}
 			continue
 		}
 		s.Add(q)
+		added = append(added, q)
 		cur = q
 		stall = 0
 	}
 	return s
+}
+
+// mergeSorted sorts add in (Y, X) order and merges it into the sorted,
+// disjoint cells in place from the back, so only the cells after the
+// smallest added one move.
+func mergeSorted(cells, add []grid.Point) []grid.Point {
+	sort.Slice(add, func(i, j int) bool { return add[i].Less(add[j]) })
+	i, j := len(cells)-1, len(add)-1
+	cells = slices.Grow(cells, len(add))[:len(cells)+len(add)]
+	for k := len(cells) - 1; j >= 0; k-- {
+		if i >= 0 && add[j].Less(cells[i]) {
+			cells[k] = cells[i]
+			i--
+		} else {
+			cells[k] = add[j]
+			j--
+		}
+	}
+	return cells
 }
 
 // RandomClusters grows k compact random blobs joined by random monotone

@@ -276,6 +276,34 @@ func refRandomBlob(n int, seed int64) *swarm.Swarm {
 	return s
 }
 
+// refRandomWalk is RandomWalk as first written: every stall restart sorts
+// the whole swarm to pick its cell. It is the reference the merged cell
+// list must match cell for cell.
+func refRandomWalk(n int, seed int64) *swarm.Swarm {
+	rng := rand.New(rand.NewSource(seed))
+	s := swarm.New(grid.Pt(0, 0))
+	cur := grid.Pt(0, 0)
+	stall := 0
+	for s.Len() < n {
+		d := grid.Axis4[rng.Intn(4)]
+		q := cur.Add(d)
+		if s.Has(q) {
+			cur = q
+			stall++
+			if stall > 64 {
+				cells := s.Cells()
+				cur = cells[rng.Intn(len(cells))]
+				stall = 0
+			}
+			continue
+		}
+		s.Add(q)
+		cur = q
+		stall = 0
+	}
+	return s
+}
+
 // refHollow is Hollow as first written, a scan of the whole w×h box.
 func refHollow(w, h int) *swarm.Swarm {
 	s := swarm.New()
@@ -310,6 +338,17 @@ func TestRandomBlobMatchesReference(t *testing.T) {
 		seed int64
 	}{{0, 1}, {1, 2}, {2, 5}, {77, 3}, {300, 11}, {500, -9}, {1200, 7}, {4096, 1}} {
 		sameCells(t, fmt.Sprintf("RandomBlob(%d, %d)", c.n, c.seed), RandomBlob(c.n, c.seed), refRandomBlob(c.n, c.seed))
+	}
+}
+
+// TestRandomWalkMatchesReference holds the merged restart list to the
+// reference generator: the same cells for every (n, seed) pair.
+func TestRandomWalkMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		seed int64
+	}{{0, 1}, {1, 2}, {2, 5}, {77, 3}, {300, 11}, {500, -9}, {1200, 7}, {4096, 1}, {8192, 42}} {
+		sameCells(t, fmt.Sprintf("RandomWalk(%d, %d)", c.n, c.seed), RandomWalk(c.n, c.seed), refRandomWalk(c.n, c.seed))
 	}
 }
 

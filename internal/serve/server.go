@@ -1,8 +1,9 @@
 // Package serve is gatherd's HTTP layer: gathering-as-a-service. It hosts
 // many concurrent Simulation sessions behind a JSON + NDJSON API (stdlib
 // net/http only), with a bounded resident set — least-recently-touched
-// idle sessions spill to disk as Snapshot() bytes and are transparently
-// restored on their next touch, so the snapshot format is at once the
+// idle sessions spill to disk as Snapshot() bytes, written behind the
+// request by the spill store, and are transparently restored on their
+// next touch, so the snapshot format is at once the
 // eviction currency, the migration format, and the client checkpoint.
 //
 // Backpressure follows the tendermint blocksync BlockPool discipline:
@@ -85,9 +86,14 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := pool.New(cfg.Pool)
+	// A queued spill is smaller than the resident session it replaced, so
+	// queueing at most MaxResident of them at most doubles the resident
+	// set's memory (see maxRobots).
+	store.maxPending = p.Config().MaxResident
 	s := &Server{
 		cfg:       cfg,
-		pool:      pool.New(cfg.Pool),
+		pool:      p,
 		store:     store,
 		mux:       http.NewServeMux(),
 		startTime: time.Now(),
@@ -242,6 +248,7 @@ func (s *Server) materializeLocked(e *pool.Entry, sess *session) error {
 		return fmt.Errorf("serve: restore %s: %w", sess.id, err)
 	}
 	sess.sim = sim
+	sess.dirty = false
 	sess.attachRelay()
 	return nil
 }
@@ -263,31 +270,39 @@ func (s *Server) spillVictim(e *pool.Entry) {
 	if sess.deleted || sess.sim == nil || s.pool.Resident(e) {
 		return
 	}
-	// A failed spill (disk trouble) keeps the Simulation in memory; the
-	// pool has it counted out, so the next touch simply re-reserves the
-	// slot — the state is never lost.
+	// A failed spill (a full write queue, then disk trouble) keeps the
+	// Simulation in memory; the pool has it counted out, so the next touch
+	// simply re-reserves the slot — the state is never lost.
 	_ = s.spillLocked(sess)
 }
 
-// spillLocked snapshots the session to the spill store and discards the
-// in-memory Simulation. Callers hold sess.mu with sess.sim non-nil.
+// spillLocked hands the session to the spill store and discards the
+// in-memory Simulation. A dirty session's snapshot is Put, which queues it
+// for the store's writer: the disk write happens off the request path,
+// and the store serves the queued bytes to a restore meanwhile. A clean
+// session (not stepped since it was restored) writes nothing: the store
+// already holds exactly its Snapshot(), and its sidecar fields cannot
+// change without a step. Callers hold sess.mu with sess.sim non-nil.
 func (s *Server) spillLocked(sess *session) error {
-	snap, err := sess.sim.Snapshot()
-	if err != nil {
-		return err
-	}
 	st := sess.sim.Status()
-	meta := SpillMeta{
-		ID:      sess.id,
-		Label:   sess.label,
-		Workers: sess.workers,
-		Round:   st.Round,
-		Robots:  st.Robots,
-		Done:    st.Done,
-		Reason:  st.Reason,
-	}
-	if err := s.store.Put(meta, snap); err != nil {
-		return err
+	if sess.dirty {
+		snap, err := sess.sim.Snapshot()
+		if err != nil {
+			return err
+		}
+		meta := SpillMeta{
+			ID:      sess.id,
+			Label:   sess.label,
+			Workers: sess.workers,
+			Round:   st.Round,
+			Robots:  st.Robots,
+			Done:    st.Done,
+			Reason:  st.Reason,
+		}
+		if err := s.store.Put(meta, snap); err != nil {
+			return err
+		}
+		sess.dirty = false
 	}
 	sess.detachRelay()
 	sess.sim = nil
@@ -317,6 +332,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RejectedFull:         ps.RejectedFull,
 		RejectedBusy:         ps.RejectedBusy,
 		RejectedClient:       ps.RejectedClient,
+		SpillPending:         s.store.Pending(),
+		SpillWriteErrors:     s.store.WriteErrors(),
 		Clients:              ps.Clients,
 		InFlight:             ps.InFlight,
 		BytesOut:             ps.BytesOut,
@@ -434,6 +451,7 @@ func (s *Server) admit(w http.ResponseWriter, sess *session, build func() (*grid
 		return
 	}
 	sess.sim = sim
+	sess.dirty = true
 	info := sess.refreshInfo(true)
 	sess.mu.Unlock()
 	s.pool.Release(e)
@@ -540,6 +558,8 @@ func (s *Server) stepDrain(sess *session, limit int) int {
 			return executed
 		default:
 		}
+		// Before the call: a Step that fails may still change the state.
+		sess.dirty = true
 		if sess.sim.Step() != nil {
 			return executed
 		}
@@ -582,8 +602,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.pool.NoteFlow(n)
 }
 
-// handleEvict spills the session on demand (tests, operators pre-draining
-// a box). Evicting a spilled session is a no-op success.
+// handleEvict spills the session to disk on demand (tests, operators
+// pre-draining a box) and waits for the session's write, unlike a victim
+// spill. Evicting a spilled session only waits for a write still queued.
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	e, err := s.pool.Acquire(r.PathValue("id"))
 	if err != nil {
@@ -604,6 +625,10 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.pool.DropResident(e)
+	}
+	if err := s.store.Sync(sess.id); err != nil {
+		s.httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	writeJSON(w, http.StatusOK, sess.cachedInfo())
 }
@@ -640,13 +665,18 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // ---- shutdown ----
 
 // CloseStreams ends every open event stream and tells in-flight steps to
-// drain: each returns after the round it is executing. Idempotent.
+// drain: each returns after the round it is executing. It then waits until
+// the spill store's writer is idle, so once no request is in flight no
+// spill write outlives the call. Idempotent.
 func (s *Server) CloseStreams() {
 	s.closeOnce.Do(func() { close(s.done) })
+	_ = s.store.Flush() // a write error stays queued; SpillAll reports it
 }
 
-// SpillAll writes every resident session to the spill store — the last
-// act of a graceful shutdown, making restart recovery lossless.
+// SpillAll writes every resident session to the spill store and waits
+// until every queued spill is on disk — the last act of a graceful
+// shutdown, making restart recovery lossless. It returns the first spill
+// or write error.
 func (s *Server) SpillAll() error {
 	var firstErr error
 	for _, e := range s.pool.Entries() {
@@ -667,6 +697,9 @@ func (s *Server) SpillAll() error {
 		}
 		sess.mu.Unlock()
 		s.pool.Release(pinned)
+	}
+	if err := s.store.Flush(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }

@@ -29,7 +29,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
+	// Drain the spill store's writer too, so no write outlives the test's
+	// temporary directory.
+	t.Cleanup(func() {
+		hs.Close()
+		s.CloseStreams()
+	})
 	return s, hs
 }
 

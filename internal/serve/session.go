@@ -18,8 +18,12 @@ import (
 type session struct {
 	id string
 
-	mu  sync.Mutex // guards sim, label, deleted
+	mu  sync.Mutex // guards sim, dirty, label, deleted
 	sim *gridgather.Simulation
+	// dirty marks a sim whose state the spill store does not hold yet:
+	// set at admission and before every Step, cleared by spill and
+	// restore. Spilling a clean session writes nothing.
+	dirty bool
 	// workers is the one execution option preserved across spill/restore
 	// (the snapshot carries only structural state).
 	workers int

@@ -198,6 +198,8 @@ type StatsResponse struct {
 	RejectedFull        uint64 `json:"rejected_full"`
 	RejectedBusy        uint64 `json:"rejected_busy"`
 	RejectedClient      uint64 `json:"rejected_client"`
+	SpillPending        int    `json:"spill_pending"`      // spills queued for the writer now
+	SpillWriteErrors    uint64 `json:"spill_write_errors"` // failed spill writes, cumulative
 	Clients             int    `json:"clients"`
 	InFlight            int    `json:"in_flight"`
 	BytesOut            uint64 `json:"bytes_out"`
@@ -273,8 +275,11 @@ func (req CreateRequest) options() []gridgather.Option {
 // about 200 for a one-cell-wide one (line, ring, staircase), plus 8 bytes
 // per 64×64 chunk of the swarm's bounding box. At the cap that is at most
 // about 210 MB plus the chunk table, which reaches 0.5 GB for the widest
-// connected shape, a diagonal staircase 2^19 cells on a side. A variable
-// only so tests can lower it.
+// connected shape, a diagonal staircase 2^19 cells on a side. An evicted
+// session may keep its snapshot queued in memory until the spill store
+// writes it; at most MaxResident are queued and each is smaller than the
+// engine it replaced, so the daemon holds at most twice the resident cap's
+// worth of this bound. A variable only so tests can lower it.
 var maxRobots = 1 << 20
 
 // cells materializes the requested swarm.
