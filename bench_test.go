@@ -3,7 +3,6 @@ package gridgather_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"gridgather"
@@ -156,49 +155,6 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepWorkers measures the cost of one full FSYNC round on
-// large instances (n ≥ 2000) for the serial pipeline (Workers=1) against
-// sharded Compute (Workers=4 and GOMAXPROCS); Resolve and Commit run
-// serially at every worker count. Outcomes are bit-identical across worker
-// counts (see the internal/fsync parallel and pipeline differential
-// tests); this benchmark quantifies the round cost and the per-round
-// allocations — the sharding shows up as ns/op on multi-core machines.
-// CI's serial-vs-parallel regression guard re-measures via gatherbench
-// -bench-guard.
-func BenchmarkEngineStepWorkers(b *testing.B) {
-	families := []struct {
-		name  string
-		build func() *swarm.Swarm
-	}{
-		{"hollow", func() *swarm.Swarm { return gen.Hollow(513, 513) }},
-		{"solid", func() *swarm.Swarm { return gen.Solid(46, 46) }},
-		{"line", func() *swarm.Swarm { return gen.Line(2048) }},
-		{"blob", func() *swarm.Swarm { return gen.RandomBlob(2000, 42) }},
-	}
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, f := range families {
-		s := f.build()
-		for _, workers := range workerCounts {
-			cfg := fsync.Config{Workers: workers}
-			b.Run(fmt.Sprintf("%s/n=%d/workers=%d", f.name, s.Len(), workers), func(b *testing.B) {
-				eng := fsync.New(s, core.Default(), cfg)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.Step(); err != nil {
-						b.Fatal(err)
-					}
-					if eng.Gathered() {
-						b.StopTimer()
-						eng = fsync.New(s, core.Default(), cfg)
-						b.StartTimer()
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSweep measures the experiment-sweep subsystem end to end: a
 // small grid fanned out across the runner's worker pool. Per-op time is the
 // wall-clock of the whole grid, so it shrinks with available CPUs.
@@ -289,7 +245,7 @@ func BenchmarkSessionObserver(b *testing.B) {
 				b.Fatal(err)
 			}
 			newSim := func() *gridgather.Simulation {
-				sim, err := gridgather.New(cells, gridgather.WithWorkers(1))
+				sim, err := gridgather.New(cells)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,14 +7,11 @@
 //	gatherbench                         # run the full experiment suite
 //	gatherbench -exp e2                 # run one experiment
 //	gatherbench -jobs 4                 # cap concurrent simulations at 4
-//	gatherbench -bench-json BENCH_engine.json -bench-workers 1,2,4,8
-//	                                    # measure Engine.Step per workload
-//	                                    # and worker count, write bench JSON
+//	gatherbench -bench-json BENCH_engine.json
+//	                                    # measure Engine.Step per workload,
+//	                                    # write bench JSON
 //	gatherbench -bench-json out.json -bench-ns 512 -bench-rounds 60 \
-//	            -bench-gather=false -bench-workers 1,4 -bench-guard
-//	                                    # CI smoke: quick measurement plus
-//	                                    # the serial-vs-parallel regression
-//	                                    # guard
+//	            -bench-gather=false     # CI smoke: quick measurement
 //
 // Experiments that batch many independent simulations (E1, E18, E21) fan
 // them out through the sweep runner (internal/sweep); -jobs bounds that
@@ -22,20 +19,16 @@
 // experiment suite, use cmd/gathersweep.
 //
 // -bench-json runs the internal/perf harness over the acceptance
-// workloads (hollow, solid, line, blob) for every -bench-workers count and
-// every -bench-ns size, prints the table, and writes the JSON to the given
+// workloads (hollow, solid, line, blob) at every -bench-ns size, prints the table, and writes the JSON to the given
 // path. -bench-conn adds the connectivity-check microbench (incremental
 // layer vs full scratch BFS on sparse-movement rounds); -bench-quiesce
 // measures every cell under both quiescence modes (the dirty-region fast
 // path vs pinned full recomputation — the on/off ratio is the quiescence
 // layer's headline); -bench-repeats keeps the fastest of several repeats
-// per cell, which is what lets the tight regression guard hold on noisy
-// machines. The committed BENCH_engine.json at the repo root is the
-// performance baseline — regenerate it with `-bench-ns 16384,131072
-// -bench-conn -bench-quiesce -bench-repeats 3 -bench-workers 1,4
-// -bench-gather=false` on a quiet machine. -bench-guard exits non-zero if
-// the parallel pipeline measured slower than the serial path on any
-// (workload, n, quiesce mode) beyond perf.GuardTolerance.
+// per cell, a noise filter. The committed BENCH_engine.json at the repo
+// root is the performance baseline — regenerate it with `-bench-ns
+// 16384,131072 -bench-conn -bench-quiesce -bench-repeats 3
+// -bench-gather=false` on a quiet machine.
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // run (experiments or bench alike) for use with `go tool pprof`.
@@ -79,11 +72,9 @@ func main() {
 	benchWarmup := flag.Int("bench-warmup", 30, "warmup rounds per -bench-json cell before measurement")
 	benchRepeats := flag.Int("bench-repeats", 1, "repeat each -bench-json cell this many times and keep the fastest (noise filter)")
 	benchGather := flag.Bool("bench-gather", true, "also record full-simulation gather rounds per workload in -bench-json")
-	benchWorkers := flag.String("bench-workers", "1", "comma-separated worker counts to measure per -bench-json workload")
 	benchWorkloads := flag.String("bench-workloads", "", "comma-separated workload names for -bench-json (default hollow,solid,line,blob; large-n runs should pick compact shapes — hollow/line tile memory grows with the perimeter)")
 	benchConn := flag.Bool("bench-conn", false, "also measure the connectivity check (incremental vs full BFS) per workload/n")
 	benchQuiesce := flag.Bool("bench-quiesce", false, "measure each -bench-json cell under both quiescence modes (fast path vs full recompute)")
-	benchGuard := flag.Bool("bench-guard", false, "exit non-zero if the parallel pipeline is slower than the serial path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run (experiments or bench) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	flag.Parse()
@@ -120,11 +111,6 @@ func main() {
 
 	w := os.Stdout
 	if *benchJSON != "" {
-		workers, err := parseIntList("-bench-workers", *benchWorkers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		ns, err := parseIntList("-bench-ns", *benchNs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -142,7 +128,6 @@ func main() {
 			MeasureRounds: *benchRounds,
 			WarmupRounds:  *benchWarmup,
 			Repeats:       *benchRepeats,
-			Workers:       workers,
 			Gather:        *benchGather,
 			ConnCheck:     *benchConn,
 			Quiesce:       *benchQuiesce,
@@ -160,13 +145,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(w, "\nwrote %s\n", *benchJSON)
-		if *benchGuard {
-			if err := perf.Guard(rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(w, "regression guard: parallel ≤ serial on every workload")
-		}
 		return
 	}
 	switch *which {

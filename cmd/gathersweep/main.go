@@ -9,7 +9,7 @@
 //	gathersweep -workloads hollow,line -sizes 100,200,400
 //	gathersweep -workloads blob,tree -sizes 200 -seeds 1,2,3,4,5 -format csv
 //	gathersweep -sizes 160 -radius 20,11 -L 22,13 -format json -o sweep.json
-//	gathersweep -workloads hollow -sizes 2000 -engine-workers 0 -v
+//	gathersweep -workloads hollow -sizes 2000 -v
 //	gathersweep -sizes 100 -scheduler fsync,ssync,async:4 -algorithms greedy
 //	gathersweep -sizes 100 -scheduler ssync -algorithms paper,greedy
 //	gathersweep -sizes 100 -faults "off;crash:p=0.001;crash-at:r=50,k=8" -algorithms greedy
@@ -26,13 +26,9 @@
 // gather their surviving robots — degraded runs are reported in the "degr"
 // column, crash counts in the raw outputs.
 //
-// -jobs controls how many simulations run concurrently (default: enough to
-// keep all CPUs busy — when -engine-workers parallelizes inside each
-// simulation too, the job-level default scales down so the product of the
-// two stays at the CPU count); -engine-workers parallelizes the compute
-// phase inside each simulation (0 = all CPUs, useful for a few huge
-// instances). Every simulation is deterministic, so sweep outputs are
-// reproducible.
+// -jobs controls how many simulations run concurrently (0, the default,
+// means one per CPU). Each simulation runs on one goroutine and is
+// deterministic, so sweep outputs are reproducible.
 //
 // Each worker in the sweep's pool drives its jobs as public gridgather
 // sessions (gridgather.New + Run) — the sweep harness consumes the same
@@ -45,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -66,8 +61,7 @@ func main() {
 		schedulers = flag.String("scheduler", "fsync", "comma-separated time models (grammar: "+strings.Join(sched.Specs(), ", ")+")")
 		algorithms = flag.String("algorithms", "paper", "comma-separated robot programs (have: "+strings.Join(gridgather.Algorithms(), ", ")+")")
 		faults     = flag.String("faults", "", "semicolon-separated fault plans, each \"+\"-joined clauses of: "+strings.Join(fault.Specs(), ", ")+" (empty = fault-free)")
-		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = auto: all CPUs divided by engine workers)")
-		engineW    = flag.Int("engine-workers", 1, "compute workers inside each engine (0 = all CPUs)")
+		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		format     = flag.String("format", "table", "output format: table, json, csv")
 		raw        = flag.Bool("raw", false, "emit per-run results instead of aggregates (csv/json)")
 		out        = flag.String("o", "", "write output to file instead of stdout")
@@ -75,24 +69,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *engineW == 0 {
-		// Job.EngineWorkers treats 0 as 1 (job-level concurrency is the
-		// default parallelism axis), so resolve the CLI's "0 = all CPUs"
-		// promise here.
-		*engineW = runtime.GOMAXPROCS(0)
-	}
-	if *jobs == 0 && *engineW > 1 {
-		// Keep jobs × engine workers ≈ GOMAXPROCS: with both defaults at
-		// "all CPUs" the sweep used to oversubscribe quadratically.
-		*jobs = max(1, runtime.GOMAXPROCS(0) / *engineW)
-	}
 	spec := sweep.Spec{
-		Sizes:         parseInts(*sizes),
-		Seeds:         parseInt64s(*seeds),
-		Schedulers:    splitList(*schedulers),
-		Algorithms:    splitList(*algorithms),
-		Faults:        splitSemiList(*faults),
-		EngineWorkers: *engineW,
+		Sizes:      parseInts(*sizes),
+		Seeds:      parseInt64s(*seeds),
+		Schedulers: splitList(*schedulers),
+		Algorithms: splitList(*algorithms),
+		Faults:     splitSemiList(*faults),
 	}
 	spec.Workloads = splitList(*workloads)
 	for _, r := range parseInts(*radii) {

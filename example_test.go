@@ -149,23 +149,6 @@ func ExampleWorkloads() {
 	// antcolony
 }
 
-// WithWorkers shards each round's Look+Compute phase across a goroutine
-// pool; moves and merges are then applied in one serial pass in cell
-// order, so any worker count produces the identical simulation.
-func ExampleWithWorkers() {
-	cells, _ := gridgather.Workload("hollow", 60)
-	run := func(workers int) gridgather.Result {
-		sim, _ := gridgather.New(cells, gridgather.WithWorkers(workers))
-		return sim.Run(context.Background())
-	}
-	serial, parallel := run(1), run(8)
-	fmt.Println("same rounds:", serial.Rounds == parallel.Rounds)
-	fmt.Println("same merges:", serial.Merges == parallel.Merges)
-	// Output:
-	// same rounds: true
-	// same merges: true
-}
-
 // WithScheduler relaxes the time model. The paper's algorithm is proved
 // for FSYNC only, so relaxed schedulers pair with the scheduler-robust
 // "greedy" algorithm; the slowdown reflects the scheduler's fairness bound

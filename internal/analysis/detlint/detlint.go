@@ -3,7 +3,7 @@
 // constructs whose observable order or value varies between runs — ranging
 // over maps, reading the wall clock, math/rand (the seeded splitmix64
 // stream in internal/sched is the only sanctioned RNG), maps.Keys/Values,
-// and goroutine spawns outside the worker pool. A finding is suppressed by
+// and goroutine spawns. A finding is suppressed by
 // a //gather:nondet-ok <reason> escape on the same line or the line above;
 // the reason is mandatory (an escape without one does not suppress).
 //
@@ -40,7 +40,7 @@ func run(pass *analysis.Pass) (any, error) {
 			case *ast.RangeStmt:
 				checkMapRange(pass, dirs, n)
 			case *ast.GoStmt:
-				report(pass, dirs, n.Pos(), "goroutine spawn in deterministic package (use the fsync worker pool)")
+				report(pass, dirs, n.Pos(), "goroutine spawn in deterministic package (run the work on the calling goroutine)")
 			case *ast.SelectorExpr:
 				checkSelector(pass, dirs, n)
 			}

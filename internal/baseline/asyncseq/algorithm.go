@@ -80,8 +80,8 @@ func candidate(v *view.View, base grid.Point) (grid.Point, bool) {
 	return grid.Point{}, false
 }
 
-// Compute implements fsync.Algorithm. It is stateless and safe for
-// concurrent calls (it only reads the view).
+// Compute implements fsync.Algorithm. It is stateless: it only reads the
+// view.
 func (Algorithm) Compute(v *view.View) fsync.Action {
 	move, ok := candidate(v, grid.Zero)
 	if !ok {

@@ -17,7 +17,7 @@ import (
 //     start one or two runs (Fig. 7).
 type Gatherer struct {
 	params Params
-	stats  counters
+	stats  Stats
 }
 
 // NewGatherer builds the algorithm with the given parameters; it panics on
@@ -45,19 +45,17 @@ func (g *Gatherer) RoundPeriod() int { return g.params.L }
 func (g *Gatherer) Params() Params { return g.params }
 
 // Stats returns a snapshot of the event counters.
-func (g *Gatherer) Stats() Stats { return g.stats.snapshot() }
+func (g *Gatherer) Stats() Stats { return g.stats }
 
-// Compute implements fsync.Algorithm: the compute step of one robot. It is
-// safe to call concurrently for different robots of the same round (the
-// engine's worker pool does so): decisions read only the immutable view,
-// and the event counters are atomic.
+// Compute implements fsync.Algorithm: the compute step of one robot.
+// Decisions read only the view; the only write is to the event counters.
 func (g *Gatherer) Compute(v *view.View) fsync.Action {
 	// Step 1: merges take precedence. A merging robot drops its run states
 	// (Table 1.3: "it was part of a merge operation").
 	if d, ok := MergeMove(v, g.params); ok {
-		g.stats.mergeMoves.Add(1)
+		g.stats.MergeMoves++
 		if d.IsDiagonalUnit() {
-			g.stats.diagonalHops.Add(1)
+			g.stats.DiagonalHops++
 		}
 		return fsync.MoveTo(d)
 	}

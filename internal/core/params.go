@@ -108,9 +108,7 @@ func (p Params) Validate() error {
 }
 
 // Stats is a point-in-time snapshot of the algorithm's event counters, for
-// tests, tracing and the experiment harness. The live counters are atomic
-// (the engine's compute phase may run on a worker pool); Gatherer.Stats
-// assembles this plain-int snapshot from them.
+// tests, tracing and the experiment harness.
 type Stats struct {
 	MergeMoves   int // robots that executed a merge hop (Fig. 2)
 	DiagonalHops int // overlap case of Fig. 3b (two perpendicular configs)

@@ -43,7 +43,7 @@ func (g *Gatherer) runnerAction(v *view.View) fsync.Action {
 		// jog while gliding around it — so only a buried runner (outside
 		// occupied both here and ahead) stops.
 		if v.Occ(run.Outside()) && v.Occ(run.Outside().Add(run.Dir)) {
-			g.stats.stopGeometry.Add(1)
+			g.stats.StopGeometry++
 			continue
 		}
 
@@ -51,12 +51,12 @@ func (g *Gatherer) runnerAction(v *view.View) fsync.Action {
 
 		// Table 1, condition 1: sequent run visible in front.
 		if look.SequentAt > 0 && look.SequentAt <= g.params.SeqStop {
-			g.stats.stopSequent.Add(1)
+			g.stats.StopSequent++
 			continue
 		}
 		// Table 1, condition 2: quasi line endpoint visible in front.
 		if look.EndpointAt > 0 && look.EndpointAt <= g.params.EndStop {
-			g.stats.stopEndpoint.Add(1)
+			g.stats.StopEndpoint++
 			continue
 		}
 
@@ -75,7 +75,7 @@ func (g *Gatherer) runnerAction(v *view.View) fsync.Action {
 		if look.OncomingAt > 0 && look.OncomingAt <= g.params.PassDist {
 			run.Phase = robot.PhasePassing
 			run.StepsLeft = g.params.PassGlide
-			g.stats.passEnters.Add(1)
+			g.stats.PassEnters++
 			g.glide(v, run, &act)
 			continue
 		}
@@ -85,11 +85,11 @@ func (g *Gatherer) runnerAction(v *view.View) fsync.Action {
 			hop := run.Dir.Add(run.Inside)
 			act.Move = hop
 			hopped = true
-			g.stats.rolls.Add(1)
+			g.stats.Rolls++
 			if v.Occ(hop) {
 				// Table 1, condition 6: hopped onto an occupied cell; one
 				// of the robots is removed and the run terminates.
-				g.stats.stopOntoOcc.Add(1)
+				g.stats.StopOntoOcc++
 				continue
 			}
 			act.AddTransfer(run.Dir, run)
@@ -125,9 +125,9 @@ func (g *Gatherer) canRoll(v *view.View, run robot.Run) bool {
 func (g *Gatherer) glide(v *view.View, run robot.Run, act *fsync.Action) {
 	next, ok, _ := successor(v, grid.Zero, run.Dir.Neg(), run.Dir, run.Inside)
 	if !ok {
-		g.stats.stopEndpoint.Add(1)
+		g.stats.StopEndpoint++
 		return
 	}
-	g.stats.glides.Add(1)
+	g.stats.Glides++
 	act.AddTransfer(next, run)
 }

@@ -119,14 +119,14 @@ func (g *Gatherer) emitStart(v *view.View, matches []startMatch) fsync.Action {
 	hop := matches[0].dir.Add(matches[0].inside)
 	act := fsync.Action{Move: hop}
 	if len(matches) == 1 {
-		g.stats.startsA.Add(1)
+		g.stats.StartsA++
 	} else {
-		g.stats.startsB.Add(1)
+		g.stats.StartsB++
 	}
 	if v.Occ(hop) {
 		// The start hop lands on an occupied cell: immediate merge
 		// (Table 1.6); no run survives.
-		g.stats.stopOntoOcc.Add(int64(len(matches)))
+		g.stats.StopOntoOcc += len(matches)
 		return act
 	}
 	for _, m := range matches {

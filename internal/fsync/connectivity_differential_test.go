@@ -2,8 +2,10 @@
 // connectivity every round through the incremental layer must answer as
 // the scratch flood does — after every round its world's Connected must
 // equal ConnectedBFS — across the seeded workload corpus, every scheduler
-// family and several worker counts. Wherever the engine aborts with
-// ErrDisconnected, the scratch BFS must find the swarm disconnected too.
+// family. Wherever the engine aborts with ErrDisconnected, the scratch BFS
+// must find the swarm disconnected too. The workers=N subtests set the
+// deprecated Config.Workers, which the engine ignores; they stay until
+// ROADMAP item 13 deletes the field.
 //
 // The planted-disconnection tests drive the complementary direction: a
 // scripted algorithm severs a known bridge robot at a known round, and the
@@ -71,7 +73,7 @@ func stepChecked(t *testing.T, eng *fsync.Engine) error {
 }
 
 // TestConnectivityDifferential is the headline oracle suite: seeded
-// catalog × scheduler families × worker counts, one engine per cell run
+// catalog × scheduler families, one engine per cell run
 // until it gathers, its incremental answers checked every round.
 func TestConnectivityDifferential(t *testing.T) {
 	const n = 56
@@ -170,7 +172,6 @@ func TestPlantedDisconnection(t *testing.T) {
 				MaxRounds:         1000,
 				CheckConnectivity: true,
 				StrictViews:       true,
-				Workers:           4,
 				Scheduler:         sch,
 			})
 			var dis fsync.ErrDisconnected
@@ -203,7 +204,7 @@ func TestPlantedDisconnection(t *testing.T) {
 // rebuilds the incremental state without observable difference.
 func TestConnectivitySnapshotRestore(t *testing.T) {
 	s := gen.SeededCatalog()[0].Build(56, 42)
-	orig, maxRounds := connEngine(t, s, "fsync", 4)
+	orig, maxRounds := connEngine(t, s, "fsync", 0)
 	// The line gathers in 27 rounds at this size: cut well before that.
 	for r := 0; r < 10; r++ {
 		if err := stepChecked(t, orig); err != nil {
@@ -213,7 +214,6 @@ func TestConnectivitySnapshotRestore(t *testing.T) {
 	restored, rest, err := fsync.NewRestored(core.Default(), fsync.Config{
 		MaxRounds:         maxRounds,
 		CheckConnectivity: true,
-		Workers:           4,
 	}, orig.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)

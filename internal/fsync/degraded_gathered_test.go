@@ -89,7 +89,6 @@ func TestDegradedGatheredMatchesFlood(t *testing.T) {
 					}
 					eng := fsync.New(s, core.Default(), fsync.Config{
 						CheckConnectivity: true,
-						Workers:           1,
 						Scheduler:         sch,
 						Faults:            plan,
 					})
@@ -154,7 +153,6 @@ func TestGatheredCacheFollowsWrites(t *testing.T) {
 				}
 				eng := fsync.New(w.Build(60, 42), core.Default(), fsync.Config{
 					CheckConnectivity: true,
-					Workers:           1,
 					Scheduler:         sch,
 					Faults:            plan,
 				})

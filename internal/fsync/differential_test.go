@@ -1,10 +1,11 @@
-// Differential tests for the parallel round pipeline: an engine with
-// sharded Compute must be bit-identical to the serial path round by round
-// — positions, run states (including IDs), logical clocks, slot
-// assignment and merge/run counters — across the seeded workload corpus,
-// every scheduler family, and every worker count. Any dependence of the
-// outcome on how the activation set was sharded shows up here on the
-// first broken round.
+// Differential tests for the round pipeline: two engines built from the
+// same swarm and scheduler spec must be bit-identical round by round —
+// positions, run states (including IDs), logical clocks, slot assignment
+// and merge/run counters — across the seeded workload corpus and every
+// scheduler family, whatever the deprecated Config.Workers says. The
+// engine ignores that field; the workers=N subtests stay until ROADMAP
+// item 13 deletes it. compareEngines is the round-state comparison the
+// fault and snapshot suites share.
 package fsync_test
 
 import (
@@ -26,8 +27,9 @@ func stateEast() robot.State {
 	return robot.State{Runs: []robot.Run{{Dir: grid.East, Inside: grid.North}}}
 }
 
-// pipelineEngines builds one serial (workers=1) reference engine and one
-// parallel engine over the same swarm, scheduler spec and worker count.
+// pipelineEngines builds one workers=1 reference engine and one engine at
+// the given deprecated worker count over the same swarm and scheduler
+// spec.
 // The paper's algorithm drives the FSYNC runs; the scheduler-robust greedy
 // strategy drives the relaxed ones (the paper's algorithm is FSYNC-only,
 // see TestPaperAlgorithmRequiresFSYNC).
@@ -60,8 +62,8 @@ func pipelineEngines(t *testing.T, s *swarm.Swarm, spec string, workers int) (se
 	return build(1), build(workers), maxRounds
 }
 
-// compareEngines fails on the first round-state divergence between the
-// serial reference and the parallel engine.
+// compareEngines fails on the first round-state divergence between two
+// engines.
 func compareEngines(t *testing.T, serial, parallel *fsync.Engine) {
 	t.Helper()
 	oc, dc := serial.World().Cells(), parallel.World().Cells()
@@ -103,8 +105,8 @@ func compareEngines(t *testing.T, serial, parallel *fsync.Engine) {
 }
 
 // TestPipelineDifferential is the tentpole's determinism proof: for every
-// seeded-catalog workload × scheduler family × worker count, the
-// parallel pipeline reproduces the serial engine bit-identically on every
+// seeded-catalog workload × scheduler family × deprecated worker count,
+// the candidate engine reproduces the reference bit-identically on every
 // round until both gather.
 func TestPipelineDifferential(t *testing.T) {
 	const n = 56
@@ -136,7 +138,7 @@ func TestPipelineDifferential(t *testing.T) {
 }
 
 // TestPipelineDifferentialMidRunState seeds planted mid-run scenarios
-// (SetState + SetRound scaffolding) and checks serial and parallel engines
+// (SetState + SetRound scaffolding) and checks two engines
 // still agree — covering the test-scaffolding write paths the corpus runs
 // don't reach.
 func TestPipelineDifferentialMidRunState(t *testing.T) {

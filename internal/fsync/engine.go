@@ -17,20 +17,18 @@
 //
 //	Activate  resolve the round's activation set (everyone under FSYNC; a
 //	          scheduler's activation mask over the cell order otherwise)
-//	Compute   Look+Compute for every activated robot, sharded across
-//	          workers against the immutable pre-round snapshot
+//	Compute   Look+Compute for every activated robot against the
+//	          immutable pre-round snapshot
 //	Resolve   apply all moves in one pass in canonical cell order: merge
 //	          resolution, run-state commits, logical clocks and transfer
 //	          collection, then run adoption and transfer delivery
 //	Commit    the world repairs the near-sorted arrival order into the
 //	          canonical cell order and swaps the round in
 //
-// Only Compute is parallel: every robot runs the same pure function on
-// the same snapshot, and each worker writes its robots' actions to fixed
-// indices, so the outcome is bit-identical for every worker count — the
-// differential tests prove serial ≡ parallel round by round across the
-// workload corpus, every scheduler family and workers ∈ {1..16}. Resolve
-// and Commit are one linear pass over the arrivals and stay serial.
+// Every stage runs on the goroutine that calls Step. Compute writes each
+// robot's action at the robot's index, so Resolve sees every action of the
+// round before it moves anyone; Resolve and Commit are one linear pass over
+// the arrivals.
 //
 // A Config.Scheduler (internal/sched) relaxes the synchrony: each round
 // only the scheduler's activation subset runs a look-compute-move cycle
@@ -48,7 +46,6 @@ package fsync
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"gridgather/internal/fault"
@@ -106,15 +103,11 @@ type Config struct {
 	// pass without a merge (0 disables). Gathering must merge at least
 	// every O(L + n) rounds, so tests set a generous linear budget.
 	NoMergeLimit int
-	// Workers is the number of goroutines sharding the Compute stage of
-	// each round. 0 means runtime.GOMAXPROCS(0); 1 keeps the fully serial
-	// path. Compute shards the activation set (every robot runs the same
-	// pure function on the same immutable pre-round snapshot) and writes
-	// each action at the robot's index, so the outcome is bit-identical for
-	// every worker count; Resolve and Commit always run serially. The
-	// Algorithm's Compute must be safe for concurrent calls when Workers !=
-	// 1 (core.Gatherer is: it only reads the view and bumps atomic
-	// counters).
+	// Workers is accepted and ignored: every round runs on the goroutine
+	// that calls Step.
+	//
+	// Deprecated: kept only because perfbench sets it; ROADMAP item 13
+	// deletes it.
 	Workers int
 	// Scheduler yields each round's activation set, generalizing the time
 	// model to SSYNC/ASYNC (see internal/sched). nil means FSYNC — every
@@ -162,7 +155,6 @@ type Engine struct {
 	cfg Config
 	alg Algorithm
 	w   *world.Dense
-	wp  *pool // persistent worker pool (lazily created on the first parallel round)
 
 	round      int
 	merges     int
@@ -190,8 +182,8 @@ type Engine struct {
 	gathered gatheredVerdict
 
 	// Quiescence state (quiesce.go; all zero when the fast path is off).
-	// qFlags parallels acts/order: compute workers write one byte per
-	// robot at disjoint indices, the serial post-pass reads them all.
+	// qFlags parallels acts/order: Compute writes one byte per robot, the
+	// post-pass reads them all.
 	qOn       bool
 	qPeriod   int
 	qFlags    []uint8
@@ -205,43 +197,20 @@ type Engine struct {
 	sleep        []grid.Point      // robots outside the activation set
 	mask         []bool            // scheduler activation mask over the cell order
 	acts         []actionAt        // actions indexed like order
-	runActs      [][]Action        // per compute worker: the actions that carry runs
+	runActs      []Action          // the actions that carry runs, in compute order
 	freshKeeps   []grid.Point      // cells of brand-new kept runs, collection order
 	transferList []pendingTransfer // pending hand-offs, collection order
 	deliver      deliverSlice
 	runScratch   [robot.MaxRuns + 2]robot.Run
-	computeErrs  []error
 	runnersBuf   []grid.Point
-
-	// The persistent Compute closure handed to the pool every round, built
-	// once in ensureComputeFn: dispatching a fresh capture per round would
-	// allocate on the hot path (hotalloc enforces this). The fields below
-	// carry the per-round values the closure reads.
-	computeFn    func(int)
-	computeVC    view.Config
-	computeChunk int
-}
-
-// ensureComputeFn builds the persistent Compute closure. Idempotent and
-// cheap after the first call; Step invokes it so restored engines are
-// covered without every construction path having to remember to.
-func (e *Engine) ensureComputeFn() {
-	if e.computeFn != nil {
-		return
-	}
-	e.computeFn = func(w int) {
-		lo := w * e.computeChunk
-		e.computeErrs[w] = e.computeRange(e.computeVC, w, lo, min(lo+e.computeChunk, len(e.acts)))
-	}
 }
 
 // actionAt is a robot's computed action in 8 bytes; the robot is the one
 // at the same index of e.order. The move is an L∞ ≤ 1 step, stored as an
 // int8 pair. An Action with its inline run arrays is about 300 bytes and
 // few robots hold runs, so an action that keeps or transfers any is
-// stored out of line in the computing worker's runActs list: ext is 1 +
-// its index there, and 0 for an action without runs. The worker is not
-// stored: robot i was computed by worker i / e.computeChunk.
+// stored out of line in e.runActs: ext is 1 + its index there, and 0 for
+// an action without runs.
 type actionAt struct {
 	dx, dy int8
 	ext    int32
@@ -263,7 +232,7 @@ func (e *Engine) runsOf(i int) *Action {
 	if c.ext == 0 {
 		return nil
 	}
-	return &e.runActs[i/e.computeChunk][c.ext-1]
+	return &e.runActs[c.ext-1]
 }
 
 // pendingTransfer is a run hand-off collected during the Resolve stage. It
@@ -346,21 +315,6 @@ func (e *Engine) initFaults() {
 	}
 	e.crashTrack = true
 	e.w.EnableCrashes()
-}
-
-// workers resolves the configured worker count for a round over n robots.
-func (e *Engine) workers(n int) int {
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Swarm exposes the current occupancy as a freshly built swarm, so avoid
@@ -530,27 +484,25 @@ func (e *Engine) viewConfig() view.Config {
 	}
 }
 
-// computeRange runs Look+Compute for the robots e.order[lo:hi) as compute
-// worker w, writing each action to e.acts at the robot's index and the
-// actions that carry runs to e.runActs[w]. One reusable view per call
-// keeps the phase allocation-free; disjoint index ranges keep concurrent
-// calls race-free and the combined result independent of the sharding.
+// computeRange runs Look+Compute for the robots e.order[lo:hi), writing
+// each action to e.acts at the robot's index and appending the actions
+// that carry runs to e.runActs. One reusable view per call keeps the phase
+// allocation-free.
 //
 // With quiescence on, robots whose cell is clean and whose cached verdict
 // for this round phase is "quiescent" replay Stay without building a view
-// (QuiesceSkip reads only immutable pre-round state, so the check is safe
-// from concurrent workers); noise-flipped activations never skip — the
-// perturbed view is not the cached one. Each robot's skip/noisy
-// disposition lands in e.qFlags for the serial post-pass.
+// (QuiesceSkip reads only pre-round state); noise-flipped activations never
+// skip — the perturbed view is not the cached one. Each robot's skip/noisy
+// disposition lands in e.qFlags for the post-pass.
 //
 // The robot's slot comes from e.orderSlots, so the skip test, the view's
 // Self and the post-pass's QuiesceNote read it without looking the robot's
 // cell up again.
 //
 //gather:hotpath
-func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
+func (e *Engine) computeRange(vc view.Config, lo, hi int) error {
 	v := view.New(vc, grid.Zero, e.round)
-	ra := e.runActs[w][:0]
+	ra := e.runActs
 	flips := e.flips
 	q := e.qOn
 	for i := lo; i < hi; i++ {
@@ -587,7 +539,7 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 			e.qFlags[i] = f
 		}
 	}
-	e.runActs[w] = ra
+	e.runActs = ra
 	return nil
 }
 
@@ -596,13 +548,12 @@ func (e *Engine) computeRange(vc view.Config, w, lo, hi int) error {
 //
 //gather:hotpath
 func (e *Engine) Step() error {
-	e.ensureComputeFn()
 	scheduled := e.cfg.Scheduler != nil
 	e.roundCrash = 0
 	e.stageActivate(scheduled)
 	e.drawNoise()
 	prevPop := len(e.order) + len(e.sleep)
-	if err := e.stageCompute(e.workers(len(e.order))); err != nil {
+	if err := e.stageCompute(); err != nil {
 		return err
 	}
 	moved := e.stageResolve(scheduled)
@@ -725,22 +676,18 @@ func (e *Engine) drawNoise() {
 	}
 }
 
-// stageCompute runs Look+Compute for every activated robot simultaneously,
-// from the same snapshot. The pre-round state is immutable during this
-// stage, so no cloning is required — the stage shards freely across
-// workers, each writing its robots' actions to fixed indices of e.acts.
+// stageCompute runs Look+Compute for every activated robot, all from the
+// same snapshot. The pre-round state is immutable during this stage, so no
+// cloning is required: each action lands at its robot's index of e.acts.
 //
 //gather:hotpath
-func (e *Engine) stageCompute(workers int) error {
-	vc := e.viewConfig()
+func (e *Engine) stageCompute() error {
 	n := len(e.order)
 	if cap(e.acts) < n {
 		e.acts = make([]actionAt, n)
 	}
 	e.acts = e.acts[:n]
-	for len(e.runActs) < max(workers, 1) {
-		e.runActs = append(e.runActs, nil) //gather:alloc-ok worker-count growth, settles after the first round
-	}
+	e.runActs = e.runActs[:0]
 	if e.qOn {
 		// One disposition byte per activation; computeRange writes every
 		// index (skip and compute alike), so no clearing is needed.
@@ -749,27 +696,8 @@ func (e *Engine) stageCompute(workers int) error {
 		}
 		e.qFlags = e.qFlags[:n]
 	}
-	if workers == 1 {
-		e.computeChunk = n
-		if err := e.computeRange(vc, 0, 0, n); err != nil {
-			return err
-		}
-		e.quiescePost()
-		return nil
-	}
-	if cap(e.computeErrs) < workers {
-		e.computeErrs = make([]error, workers)
-	}
-	errs := e.computeErrs[:workers]
-	e.computeVC = vc
-	e.computeChunk = (n + workers - 1) / workers
-	e.getPool().run(workers, e.computeFn)
-	for w := range errs {
-		// The lowest shard's error wins, matching what the serial loop
-		// would have reported first.
-		if errs[w] != nil {
-			return errs[w]
-		}
+	if err := e.computeRange(e.viewConfig(), 0, n); err != nil {
+		return err
 	}
 	e.quiescePost()
 	return nil

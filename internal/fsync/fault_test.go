@@ -3,12 +3,15 @@
 // ("crash:p=0+noise:p=0" — the crash-aware activation path, the noise draw
 // and the fault-aware Gathered all engaged) must be bit-identical round by
 // round to the fault-free engine, across the seeded workload corpus, every
-// scheduler family and several worker counts. The planted tests drive the
+// scheduler family. The planted tests drive the
 // complementary direction: known crashes at known rounds, after which the
 // survivors must still gather under every scheduler family; a planted
 // disconnection must latch graceful degradation at exactly the round the
 // fault-free run aborts; and a mid-run snapshot must carry the crash marks
 // and the fault-RNG cursor so the restored run resumes bit-identically.
+//
+// The workers=N subtests set the deprecated Config.Workers, which the
+// engine ignores; they stay until ROADMAP item 13 deletes the field.
 package fsync_test
 
 import (
@@ -227,7 +230,6 @@ func TestFaultDegradationVsAbort(t *testing.T) {
 			MaxRounds:         1000,
 			CheckConnectivity: true,
 			StrictViews:       true,
-			Workers:           4,
 			Faults:            plan,
 		})
 	}

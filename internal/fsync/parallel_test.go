@@ -1,7 +1,8 @@
-// Determinism regression tests for the parallel compute phase: the engine
-// promises bit-identical outcomes for every worker count, because all
-// actions are computed from the same immutable pre-round snapshot and
-// combined in deterministic cell order. The tests live in an external test
+// Determinism regression tests: two engines built from the same swarm
+// reach identical outcomes, whatever the deprecated Config.Workers says.
+// The engine ignores that field (every round runs on the goroutine calling
+// Step); these tests and the workers=N subtests of the other suites stay
+// until ROADMAP item 13 deletes it. The tests live in an external test
 // package so they can drive the real algorithm (internal/core imports
 // fsync, so the internal test package cannot).
 package fsync_test
@@ -17,8 +18,8 @@ import (
 	"gridgather/internal/swarm"
 )
 
-// runWithWorkers gathers the swarm with the given worker count and returns
-// the result plus the final cell set.
+// runWithWorkers gathers the swarm with the given deprecated worker count
+// and returns the result plus the final cell set.
 func runWithWorkers(t *testing.T, s *swarm.Swarm, workers int) (fsync.Result, []grid.Point) {
 	t.Helper()
 	eng := fsync.New(s, core.Default(), fsync.Config{
@@ -30,9 +31,9 @@ func runWithWorkers(t *testing.T, s *swarm.Swarm, workers int) (fsync.Result, []
 	return res, eng.Swarm().Cells()
 }
 
-// TestParallelDeterminism runs the same workloads serially and with an
-// oversubscribed worker pool and requires identical Results and identical
-// final cell sets. With -race this also proves the pool is data-race-free.
+// TestParallelDeterminism runs the same workloads at several deprecated
+// worker counts and requires identical Results and identical final cell
+// sets.
 func TestParallelDeterminism(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -75,8 +76,8 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestParallelRoundByRound locks the equivalence down to every intermediate
 // round, not just the end state: two engines stepped in lockstep with
-// different worker counts must agree on the full occupancy after each
-// round.
+// different deprecated worker counts must agree on the full occupancy and
+// run states after each round.
 func TestParallelRoundByRound(t *testing.T) {
 	build := func() *swarm.Swarm { return gen.Hollow(15, 15) }
 	a := fsync.New(build(), core.Default(), fsync.Config{Workers: 1})

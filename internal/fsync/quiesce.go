@@ -9,9 +9,9 @@
 //
 //	activate   Dense.Crash marks each newly crashed cell (the crash is
 //	           visible to this round's views)
-//	compute    workers consult Dense.QuiesceSkip per activation and record
-//	           each robot's disposition in qFlags (skip / noisy)
-//	post-pass  quiescePost (serial) records clean verdicts via QuiesceNote
+//	compute    computeRange consults Dense.QuiesceSkip per activation and
+//	           records each robot's disposition in qFlags (skip / noisy)
+//	post-pass  quiescePost records clean verdicts via QuiesceNote
 //	resolve    the world's round protocol marks the writes the occupancy
 //	           diff can't see: cells left by run carriers, merges, and
 //	           kept, adopted or delivered runs
@@ -22,14 +22,14 @@
 // quiescent engine in lockstep with one running the same algorithm
 // without its Periodic declaration (so every robot recomputes) and
 // demands bit identity (cells, slots, run states + IDs, clocks, counters,
-// final Result) across the workload corpus × scheduler families × worker
-// counts × fault plans.
+// final Result) across the workload corpus × scheduler families × fault
+// plans.
 //
 //gather:deterministic
 package fsync
 
-// qFlags disposition bits, written per activation index by the compute
-// workers (disjoint indices — race-free) and drained by quiescePost.
+// qFlags disposition bits, written per activation index by computeRange
+// and drained by quiescePost.
 const (
 	qfSkip  = 1 << iota // replayed the cached quiescent Stay
 	qfNoisy             // view was noise-perturbed; verdict not cacheable

@@ -4,10 +4,12 @@
 // IDs, logical clocks, counters, and the final Result — to an engine
 // running the same algorithm inside recomputeAll, which hides its Periodic
 // declaration so that every robot recomputes every round, across the
-// seeded workload corpus, every scheduler family, several worker counts,
-// fault plans (crashes and sensor noise), and a mid-run snapshot/restore. The
+// seeded workload corpus, every scheduler family, fault plans (crashes and sensor noise), and a mid-run snapshot/restore. The
 // comparison is the engines' own canonical snapshot encoding, so any state
 // the codec can see diverging fails the round it diverges.
+//
+// The workers=N subtests set the deprecated Config.Workers, which the
+// engine ignores; they stay until ROADMAP item 13 deletes the field.
 package fsync_test
 
 import (
@@ -30,7 +32,7 @@ import (
 type recomputeAll struct{ fsync.Algorithm }
 
 // qEngines builds two engines over the same swarm, scheduler spec, fault
-// spec and worker count: one on the quiescence fast path, one running the
+// spec and deprecated worker count: one on the quiescence fast path, one running the
 // same algorithm inside recomputeAll. Each engine gets its own freshly
 // parsed scheduler and fault plan (both carry consumable RNG cursors).
 func qEngines(t *testing.T, s *swarm.Swarm, spec, faults string, workers int) (quick, oracle *fsync.Engine, maxRounds int) {
@@ -175,7 +177,7 @@ func TestQuiescenceDifferentialFaults(t *testing.T) {
 // converge bit-identically from a cold cache.
 func TestQuiescenceSnapshotRestore(t *testing.T) {
 	s := gen.SeededCatalog()[0].Build(56, 42)
-	quick, _, maxRounds := qEngines(t, s, "fsync", "", 4)
+	quick, _, maxRounds := qEngines(t, s, "fsync", "", 0)
 	// The line gathers in 27 rounds at this size: cut well before that.
 	for r := 0; r < 10; r++ {
 		if err := quick.Step(); err != nil {
@@ -189,7 +191,6 @@ func TestQuiescenceSnapshotRestore(t *testing.T) {
 		eng, rest, err := fsync.NewRestored(alg, fsync.Config{
 			MaxRounds:         maxRounds,
 			CheckConnectivity: true,
-			Workers:           4,
 		}, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +225,7 @@ func TestQuiescenceSnapshotRestore(t *testing.T) {
 // full-recompute engine mutated identically.
 func TestQuiescenceScaffoldingReset(t *testing.T) {
 	s := gen.SeededCatalog()[0].Build(120, 42)
-	quick, oracle, maxRounds := qEngines(t, s, "fsync", "", 4)
+	quick, oracle, maxRounds := qEngines(t, s, "fsync", "", 0)
 	for r := 0; r < 10; r++ {
 		if qStepBoth(t, quick, oracle) {
 			t.Fatal("run ended before the scaffolding edit")
@@ -244,25 +245,24 @@ func TestQuiescenceScaffoldingReset(t *testing.T) {
 	}
 }
 
-// FuzzQuiescenceDifferential fuzzes the workload/scheduler/fault/worker
-// axes jointly: whatever combination the bytes pick, the quiescent and
+// FuzzQuiescenceDifferential fuzzes the workload/scheduler/fault axes
+// jointly: whatever combination the bytes pick, the quiescent and
 // full-recompute engines must agree round by round on the canonical state
 // encoding for a bounded prefix of the run.
 func FuzzQuiescenceDifferential(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(40), uint16(42))
-	f.Add(uint8(3), uint8(2), uint8(4), uint8(60), uint16(7))
-	f.Add(uint8(5), uint8(4), uint8(16), uint8(80), uint16(99))
-	f.Add(uint8(1), uint8(1), uint8(3), uint8(50), uint16(1000))
+	f.Add(uint8(0), uint8(0), uint8(40), uint16(42))
+	f.Add(uint8(3), uint8(2), uint8(60), uint16(7))
+	f.Add(uint8(5), uint8(4), uint8(80), uint16(99))
+	f.Add(uint8(1), uint8(1), uint8(50), uint16(1000))
 	catalog := gen.SeededCatalog()
 	specs := []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:8"}
 	faults := []string{"", "", "noise:p=0.05", "crash:p=0.004", "crash-at:r=9,k=4+noise:p=0.02"}
-	f.Fuzz(func(t *testing.T, wi, si, workers, rounds uint8, seed uint16) {
+	f.Fuzz(func(t *testing.T, wi, si, rounds uint8, seed uint16) {
 		w := catalog[int(wi)%len(catalog)]
 		spec := specs[int(si)%len(specs)]
 		fspec := faults[int(seed)%len(faults)]
-		wk := 1 + int(workers)%16
 		s := w.Build(48, int64(seed))
-		quick, oracle, maxRounds := qEngines(t, s, spec, fspec, wk)
+		quick, oracle, maxRounds := qEngines(t, s, spec, fspec, 0)
 		budget := int(rounds)
 		if budget > maxRounds {
 			budget = maxRounds

@@ -1,9 +1,11 @@
 // Scheduler integration tests: the FSYNC scheduler must be bit-identical
 // to the engine's nil-scheduler fast path (which is the pre-refactor FSYNC
-// engine) round by round for every worker count, and the relaxed SSYNC and
-// ASYNC schedulers must gather the whole workload corpus without ever
-// violating swarm connectivity. Like parallel_test.go this lives in an
-// external test package so it can drive the real algorithm.
+// engine) round by round, and the relaxed SSYNC and ASYNC schedulers must
+// gather the whole workload corpus without ever violating swarm
+// connectivity. Like parallel_test.go this lives in an external test
+// package so it can drive the real algorithm. The workers=N subtests set
+// the deprecated Config.Workers, which the engine ignores; they stay until
+// ROADMAP item 13 deletes the field.
 package fsync_test
 
 import (
@@ -64,8 +66,7 @@ func stepCompare(t *testing.T, a, b *fsync.Engine, maxRounds int) {
 // TestFSYNCSchedulerBitIdentical proves the tentpole's refactor invariant:
 // the engine with an explicit FSYNC scheduler (general activation-set path,
 // logical clocks and all) reproduces the nil-scheduler fast path — i.e. the
-// pre-refactor engine — bit-identically round by round, for every worker
-// count on either side.
+// pre-refactor engine — bit-identically round by round.
 func TestFSYNCSchedulerBitIdentical(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -81,7 +82,7 @@ func TestFSYNCSchedulerBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(t *testing.T) {
 				s := w.build()
 				budget := fsync.DefaultBudget(s.Len())
-				ref := fsync.New(s, core.Default(), fsync.Config{Workers: 1})
+				ref := fsync.New(s, core.Default(), fsync.Config{})
 				cand := fsync.New(w.build(), core.Default(), fsync.Config{
 					Workers:   workers,
 					Scheduler: sched.FSYNC(),

@@ -3,11 +3,10 @@
 // x=64 chunk border — a simultaneous merge onto a border cell, transfer
 // sender/receiver pairs straddling the border (one surviving, one whose
 // sender merges), and a merged robot's brand-new kept run — and asserting
-// both the exact Table-1 outcomes and bit-identical state at workers 1 vs
-// 16, on the nil-scheduler path and the explicit-scheduler path alike.
-// Every target cell here is within L∞ 1 of the chunk border, while the
-// filler robots (spread over four other chunks, including negative chunk
-// coordinates) keep the parallel Compute shards busy.
+// the exact Table-1 outcomes on the nil-scheduler path and the
+// explicit-scheduler path alike. Every target cell here is within L∞ 1 of
+// the chunk border, while the filler robots are spread over four other
+// chunks, including negative chunk coordinates.
 package fsync
 
 import (
@@ -30,7 +29,7 @@ func seamIdentity() robot.Run {
 // identity runs planted in deterministic order (IDs 1..n in plant order),
 // so the scripted action table keys line up for every engine built from
 // it.
-func seamScenario(t *testing.T, workers int, scheduled bool) *Engine {
+func seamScenario(t *testing.T, scheduled bool) *Engine {
 	t.Helper()
 	// Cast, all adjacent to the border between chunk x-range [0,63] and
 	// [64,127]. Plant order = action IDs 1..10.
@@ -49,9 +48,8 @@ func seamScenario(t *testing.T, workers int, scheduled bool) *Engine {
 	cast := []grid.Point{mergeA, mergeB, sender, receiver, keeper, attacker, deadTx, deadAtk, victim, freshTx}
 	// freshRx at (63,20) receives freshTx's run; it needs no identity (its
 	// scripted action is the default Stay). Fillers spread the rest of the
-	// population over four more chunks — including negative chunk
-	// coordinates — so every Compute shard of the parallel engines has
-	// interior work next to the border conflicts.
+	// population over four more chunks, including negative chunk
+	// coordinates.
 	freshRx := grid.Pt(63, 20)
 	fillers := []grid.Point{
 		freshRx,
@@ -72,7 +70,7 @@ func seamScenario(t *testing.T, workers int, scheduled bool) *Engine {
 		return a
 	}
 
-	cfg := Config{MaxRounds: 4, StrictViews: true, Workers: workers}
+	cfg := Config{MaxRounds: 4, StrictViews: true}
 	if scheduled {
 		cfg.Scheduler = sched.FSYNC()
 	}
@@ -101,97 +99,56 @@ func seamScenario(t *testing.T, workers int, scheduled bool) *Engine {
 	return eng
 }
 
-// seamCompare fails on any observable state difference between the two
-// engines (the workers=1 reference and a parallel candidate).
-func seamCompare(t *testing.T, ref, cand *Engine) {
-	t.Helper()
-	rc, cc := ref.World().Cells(), cand.World().Cells()
-	if len(rc) != len(cc) {
-		t.Fatalf("population diverged: %d vs %d", len(rc), len(cc))
-	}
-	rs, cs := ref.World().Slots(), cand.World().Slots()
-	for i := range rc {
-		if rc[i] != cc[i] || rs[i] != cs[i] {
-			t.Fatalf("cell/slot order diverged at %d: %v/%d vs %v/%d", i, rc[i], rs[i], cc[i], cs[i])
-		}
-		sa, sb := ref.StateAt(rc[i]), cand.StateAt(rc[i])
-		if len(sa.Runs) != len(sb.Runs) {
-			t.Fatalf("run count at %v diverged: %d vs %d", rc[i], len(sa.Runs), len(sb.Runs))
-		}
-		for j := range sa.Runs {
-			if sa.Runs[j] != sb.Runs[j] {
-				t.Fatalf("run at %v diverged: %v vs %v", rc[i], sa.Runs[j], sb.Runs[j])
-			}
-		}
-		if la, lb := ref.LocalRound(rc[i]), cand.LocalRound(rc[i]); la != lb {
-			t.Fatalf("clock at %v diverged: %d vs %d", rc[i], la, lb)
-		}
-	}
-	if ref.Merges() != cand.Merges() || ref.RunsStarted() != cand.RunsStarted() {
-		t.Fatalf("counters diverged: merges %d/%d runs %d/%d",
-			ref.Merges(), cand.Merges(), ref.RunsStarted(), cand.RunsStarted())
-	}
-}
-
-// TestSeamPassConflicts steps the border scenario once and asserts both
-// the exact semantics and workers-1-vs-16 identity, on both scheduler
-// paths.
+// TestSeamPassConflicts steps the border scenario once and asserts the
+// exact semantics on both scheduler paths.
 func TestSeamPassConflicts(t *testing.T) {
 	for _, scheduled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("scheduled=%v", scheduled), func(t *testing.T) {
-			ref := seamScenario(t, 1, scheduled)
-			cand := seamScenario(t, 16, scheduled)
-			popBefore := ref.World().Len()
-			if err := ref.Step(); err != nil {
-				t.Fatalf("serial step: %v", err)
+			eng := seamScenario(t, scheduled)
+			w := eng.World()
+			popBefore := w.Len()
+			if err := eng.Step(); err != nil {
+				t.Fatalf("step: %v", err)
 			}
-			if err := cand.Step(); err != nil {
-				t.Fatalf("parallel step: %v", err)
+			// Three merges: A+B on the border, attacker onto keeper,
+			// deadAtk onto deadTx.
+			if got := popBefore - w.Len(); got != 3 {
+				t.Fatalf("removed %d robots, want 3", got)
 			}
-			seamCompare(t, ref, cand)
-
-			for _, eng := range []*Engine{ref, cand} {
-				w := eng.World()
-				// Three merges: A+B on the border, attacker onto keeper,
-				// deadAtk onto deadTx.
-				if got := popBefore - w.Len(); got != 3 {
-					t.Fatalf("removed %d robots, want 3", got)
-				}
-				if eng.Merges() != 3 {
-					t.Fatalf("Merges = %d, want 3", eng.Merges())
-				}
-				// The border-cell merge leaves one runless robot at (64,10).
-				if st := eng.StateAt(grid.Pt(64, 10)); !w.Has(grid.Pt(64, 10)) || st.HasRuns() {
-					t.Fatalf("border merge cell: occupied=%v runs=%v", w.Has(grid.Pt(64, 10)), st.Runs)
-				}
-				// The cross-border hand-off delivered: receiver holds its own
-				// identity plus the sender's run, in that order; the sender
-				// survives runless.
-				if st := eng.StateAt(grid.Pt(64, 12)); len(st.Runs) != 2 {
-					t.Fatalf("receiver runs = %v, want identity + transferred", st.Runs)
-				}
-				if st := eng.StateAt(grid.Pt(63, 12)); st.HasRuns() {
-					t.Fatalf("sender kept runs %v, want none", st.Runs)
-				}
-				// The merged keeper's state (identity AND the brand-new kept
-				// run) died with the merge.
-				if st := eng.StateAt(grid.Pt(63, 16)); !w.Has(grid.Pt(63, 16)) || st.HasRuns() {
-					t.Fatalf("merged keeper cell: occupied=%v runs=%v", w.Has(grid.Pt(63, 16)), st.Runs)
-				}
-				// The merged sender's hand-off died: the victim holds only its
-				// identity.
-				if st := eng.StateAt(grid.Pt(63, 18)); len(st.Runs) != 1 {
-					t.Fatalf("victim runs = %v, want only its identity", st.Runs)
-				}
-				// The surviving fresh hand-off was adopted and delivered:
-				// exactly one run started engine-wide (the keeper's fresh keep
-				// and the dead sender's fresh hand-off were interrupted).
-				if eng.RunsStarted() != 1 {
-					t.Fatalf("RunsStarted = %d, want 1", eng.RunsStarted())
-				}
-				if st := eng.StateAt(grid.Pt(63, 20)); len(st.Runs) != 1 || st.Runs[0].ID == 0 {
-					t.Fatalf("fresh receiver runs = %v, want one adopted run", st.Runs)
-				}
+			if eng.Merges() != 3 {
+				t.Fatalf("Merges = %d, want 3", eng.Merges())
+			}
+			// The border-cell merge leaves one runless robot at (64,10).
+			if st := eng.StateAt(grid.Pt(64, 10)); !w.Has(grid.Pt(64, 10)) || st.HasRuns() {
+				t.Fatalf("border merge cell: occupied=%v runs=%v", w.Has(grid.Pt(64, 10)), st.Runs)
+			}
+			// The cross-border hand-off delivered: receiver holds its own
+			// identity plus the sender's run, in that order; the sender
+			// survives runless.
+			if st := eng.StateAt(grid.Pt(64, 12)); len(st.Runs) != 2 {
+				t.Fatalf("receiver runs = %v, want identity + transferred", st.Runs)
+			}
+			if st := eng.StateAt(grid.Pt(63, 12)); st.HasRuns() {
+				t.Fatalf("sender kept runs %v, want none", st.Runs)
+			}
+			// The merged keeper's state (identity AND the brand-new kept
+			// run) died with the merge.
+			if st := eng.StateAt(grid.Pt(63, 16)); !w.Has(grid.Pt(63, 16)) || st.HasRuns() {
+				t.Fatalf("merged keeper cell: occupied=%v runs=%v", w.Has(grid.Pt(63, 16)), st.Runs)
+			}
+			// The merged sender's hand-off died: the victim holds only its
+			// identity.
+			if st := eng.StateAt(grid.Pt(63, 18)); len(st.Runs) != 1 {
+				t.Fatalf("victim runs = %v, want only its identity", st.Runs)
+			}
+			// The surviving fresh hand-off was adopted and delivered:
+			// exactly one run started engine-wide (the keeper's fresh keep
+			// and the dead sender's fresh hand-off were interrupted).
+			if eng.RunsStarted() != 1 {
+				t.Fatalf("RunsStarted = %d, want 1", eng.RunsStarted())
+			}
+			if st := eng.StateAt(grid.Pt(63, 20)); len(st.Runs) != 1 || st.Runs[0].ID == 0 {
+				t.Fatalf("fresh receiver runs = %v, want one adopted run", st.Runs)
 			}
 		})
 	}

@@ -6,8 +6,7 @@ package fsync
 // scratch that every Step rebuilds, so it is not state and is not encoded —
 // which keeps the encoding deterministic (equal engine states produce equal
 // bytes) and the restored engine bit-identical to the original on every
-// future round, for any worker count (the differential tests prove worker
-// count never influences outcomes).
+// future round.
 
 import (
 	"fmt"
@@ -18,7 +17,7 @@ import (
 
 // AppendState appends the engine's complete resumable state. Call it only
 // between rounds (i.e. never from inside a Step). The configuration
-// (algorithm, scheduler construction, budgets, worker count) is NOT
+// (algorithm, scheduler construction, budgets) is NOT
 // encoded — the caller must restore into an engine built with an
 // equivalent Config via NewRestored.
 func (e *Engine) AppendState(b []byte) []byte {
@@ -140,7 +139,7 @@ func SlotSpace(b []byte) (uint64, error) {
 // written by AppendState, returning the unread remainder of b. cfg and alg
 // must be equivalent to the snapshotted engine's (same algorithm and
 // parameters, a scheduler freshly built from the same spec and seed);
-// worker count and hooks may differ freely. The scheduler's cursor is
+// hooks may differ freely. The scheduler's cursor is
 // restored into cfg.Scheduler in place.
 func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
 	if cfg.MaxRounds < 0 {

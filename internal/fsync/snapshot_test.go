@@ -14,29 +14,9 @@ import (
 // engineFor builds an engine over a hollow ring under the given spec (the
 // paper's algorithm for fsync, greedy otherwise — see
 // TestPaperAlgorithmRequiresFSYNC) with the canonical budget.
-func engineFor(t *testing.T, spec string, workers int) *fsync.Engine {
+func engineFor(t *testing.T, spec string) *fsync.Engine {
 	t.Helper()
-	s := gen.Hollow(11, 11)
-	var alg fsync.Algorithm = core.Default()
-	var sch sched.Scheduler
-	if spec != "fsync" {
-		alg = asyncseq.Algorithm{}
-		var err error
-		if sch, err = sched.Parse(spec, 42); err != nil {
-			t.Fatal(err)
-		}
-	}
-	budget := fsync.DefaultBudget(s.Len())
-	if sch != nil {
-		budget = budget.Scale(sch.Fairness(s.Len()))
-	}
-	return fsync.New(s, alg, fsync.Config{
-		MaxRounds:    budget.MaxRounds,
-		NoMergeLimit: budget.NoMergeLimit,
-		StrictViews:  true,
-		Workers:      workers,
-		Scheduler:    sch,
-	})
+	return fsync.New(gen.Hollow(11, 11), algOf(spec), configOf(t, spec))
 }
 
 // TestEngineSnapshotResumes checkpoints an engine mid-run, restores it into
@@ -45,7 +25,7 @@ func engineFor(t *testing.T, spec string, workers int) *fsync.Engine {
 func TestEngineSnapshotResumes(t *testing.T) {
 	for _, spec := range []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:8"} {
 		t.Run(spec, func(t *testing.T) {
-			orig := engineFor(t, spec, 1)
+			orig := engineFor(t, spec)
 			for r := 0; r < 7 && !orig.Gathered(); r++ {
 				if err := orig.Step(); err != nil {
 					t.Fatal(err)
@@ -59,9 +39,9 @@ func TestEngineSnapshotResumes(t *testing.T) {
 				t.Fatal("snapshot bytes not deterministic")
 			}
 
-			// Restore into a fresh scheduler instance and a different
-			// worker count: neither may influence the resumed rounds.
-			restored, rest, err := fsync.NewRestored(algOf(spec), configOf(t, spec, 4), state)
+			// Restore into a fresh scheduler instance: it may not influence
+			// the resumed rounds.
+			restored, rest, err := fsync.NewRestored(algOf(spec), configOf(t, spec), state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,8 +65,8 @@ func TestEngineSnapshotResumes(t *testing.T) {
 	}
 }
 
-// algOf/configOf rebuild the construction inputs NewRestored needs,
-// mirroring engineFor.
+// algOf/configOf are the construction inputs of engineFor, which
+// NewRestored needs again.
 func algOf(spec string) fsync.Algorithm {
 	if spec == "fsync" {
 		return core.Default()
@@ -94,7 +74,7 @@ func algOf(spec string) fsync.Algorithm {
 	return asyncseq.Algorithm{}
 }
 
-func configOf(t *testing.T, spec string, workers int) fsync.Config {
+func configOf(t *testing.T, spec string) fsync.Config {
 	t.Helper()
 	var sch sched.Scheduler
 	if spec != "fsync" {
@@ -112,7 +92,6 @@ func configOf(t *testing.T, spec string, workers int) fsync.Config {
 		MaxRounds:    budget.MaxRounds,
 		NoMergeLimit: budget.NoMergeLimit,
 		StrictViews:  true,
-		Workers:      workers,
 		Scheduler:    sch,
 	}
 }
@@ -121,7 +100,7 @@ func TestNewRestoredRejectsGarbage(t *testing.T) {
 	if _, _, err := fsync.NewRestored(core.Default(), fsync.Config{}, nil); err == nil {
 		t.Error("expected error for empty snapshot")
 	}
-	e := engineFor(t, "fsync", 1)
+	e := engineFor(t, "fsync")
 	state := e.AppendState(nil)
 	for _, cut := range []int{1, len(state) / 2, len(state) - 1} {
 		if _, _, err := fsync.NewRestored(core.Default(), fsync.Config{}, state[:cut]); err == nil {
@@ -130,11 +109,11 @@ func TestNewRestoredRejectsGarbage(t *testing.T) {
 	}
 	// A scheduler-run snapshot cannot restore into a schedulerless config
 	// (clock planes mismatch) and vice versa.
-	es := engineFor(t, "async:8", 1)
+	es := engineFor(t, "async:8")
 	if _, _, err := fsync.NewRestored(core.Default(), fsync.Config{}, es.AppendState(nil)); err == nil {
 		t.Error("expected clock mismatch error")
 	}
-	if _, _, err := fsync.NewRestored(core.Default(), configOf(t, "async:8", 1), state); err == nil {
+	if _, _, err := fsync.NewRestored(core.Default(), configOf(t, "async:8"), state); err == nil {
 		t.Error("expected clock mismatch error (other direction)")
 	}
 }

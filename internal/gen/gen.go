@@ -7,7 +7,6 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -545,14 +544,30 @@ func isqrt(n int) int {
 	return r
 }
 
-// spiralSize finds a spiral parameter yielding roughly n robots.
+// spiralSize finds the smallest spiral parameter yielding at least n
+// robots; the smallest spiral, size 4, holds 5.
 func spiralSize(n int) int {
-	for size := 4; size < 4*n; size++ {
-		if Spiral(size).Len() >= n {
-			return size
+	size := 4
+	for spiralLen(size) < n {
+		size++
+	}
+	return size
+}
+
+// spiralLen returns Spiral(size).Len() without building the spiral: the
+// start cell plus every arm, walking the same arm lengths. Arms never
+// touch, so no cell is counted twice.
+func spiralLen(size int) int {
+	n := 1
+	dir := grid.East
+	for length := size; length > 2; {
+		n += length
+		dir = dir.PerpCW()
+		if dir == grid.North || dir == grid.South {
+			length -= 3
 		}
 	}
-	panic(fmt.Sprintf("gen: no spiral size for n=%d", n))
+	return n
 }
 
 // ThickRing returns a w×h rectangle ring with the given wall thickness —

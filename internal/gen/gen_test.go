@@ -359,3 +359,44 @@ func TestHollowMatchesReference(t *testing.T) {
 		sameCells(t, fmt.Sprintf("Hollow(%d, %d)", c[0], c[1]), Hollow(c[0], c[1]), refHollow(c[0], c[1]))
 	}
 }
+
+// refSpiralSize is spiralSize as first written: it builds the whole
+// spiral for every candidate size. lens caches Spiral(size).Len() across
+// calls so the test can sweep every n.
+func refSpiralSize(n int, lens map[int]int) int {
+	for size := 4; size < 4*n; size++ {
+		l, ok := lens[size]
+		if !ok {
+			l = Spiral(size).Len()
+			lens[size] = l
+		}
+		if l >= n {
+			return size
+		}
+	}
+	panic(fmt.Sprintf("no spiral size for n=%d", n))
+}
+
+// TestSpiralSizeMatchesReference holds the counted spiral size to the one
+// found by building spirals, for every n from 2 to 2^12 and a few larger
+// n, and the spiral family's cells to the spiral built at the reference
+// size. The reference finds no size for n = 1 and panics; the family now
+// builds the smallest spiral there.
+func TestSpiralSizeMatchesReference(t *testing.T) {
+	lens := map[int]int{}
+	ns := []int{5000, 12345, 1 << 14}
+	for n := 2; n <= 1<<12; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		got, want := spiralSize(n), refSpiralSize(n, lens)
+		if got != want {
+			t.Fatalf("spiralSize(%d) = %d, reference %d", n, got, want)
+		}
+	}
+	w, _ := Lookup("spiral")
+	for _, n := range []int{2, 100, 1000, 4096, 1 << 14} {
+		sameCells(t, fmt.Sprintf("spiral(%d)", n), w.Build(n, 1), Spiral(refSpiralSize(n, lens)))
+	}
+	sameCells(t, "spiral(1)", w.Build(1, 1), Spiral(4))
+}

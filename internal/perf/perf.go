@@ -1,8 +1,7 @@
-// Package perf measures the engine's per-round cost per workload and
-// worker count, and serializes the results as the repository's benchmark
-// JSON (BENCH_engine.json at the repo root is the committed baseline;
-// cmd/gatherbench -bench-json regenerates it, and CI's -bench-guard step
-// fails if the parallel pipeline falls behind the serial path).
+// Package perf measures the engine's per-round cost per workload and size,
+// and serializes the results as the repository's benchmark JSON
+// (BENCH_engine.json at the repo root is the committed baseline;
+// cmd/gatherbench -bench-json regenerates it).
 //
 // The harness times Engine.Step directly — warmed-up, fixed round counts,
 // allocation deltas from runtime.MemStats — instead of going through `go
@@ -27,24 +26,21 @@ import (
 	"gridgather/internal/world"
 )
 
-// Entry is one measured (workload, n, workers) cell.
+// Entry is one measured (workload, n) cell.
 type Entry struct {
 	Workload string `json:"workload"`
 	N        int    `json:"n"`
-	Workers  int    `json:"workers"`
 	// Conn marks connectivity-check microbench entries ("incr" or "bfs"):
 	// NsPerRound is then the cost of the query on one sparse-movement
 	// round — a single robot hop through the round protocol (untimed),
 	// then one Connected ("incr") or ConnectedBFS ("bfs") query — with no
-	// engine attached. Empty for engine Step entries. The regression guard
-	// ignores conn entries.
+	// engine attached. Empty for engine Step entries.
 	Conn string `json:"conn,omitempty"`
 	// Quiesce tags engine Step entries measured under an explicit
 	// quiescence mode ("on" = the dirty-region fast path, "off" = every
 	// robot recomputes every round). Empty when the run did not sweep the
 	// quiesce axis (entries then measure the engine default, which is
-	// "on"). The regression guard compares worker counts within one mode
-	// only.
+	// "on").
 	Quiesce string `json:"quiesce,omitempty"`
 	// NsPerRound is the mean wall-clock cost of one Engine.Step.
 	NsPerRound float64 `json:"ns_per_round"`
@@ -59,9 +55,7 @@ type Entry struct {
 	// entries.
 	HeapBytesPerRobot float64 `json:"heap_bytes_per_robot,omitempty"`
 	// GatherRounds is the number of rounds a full simulation of this
-	// workload takes at this n (worker-independent — the pipeline is
-	// proven bit-identical across worker counts). 0 when the gather pass
-	// was skipped.
+	// workload takes at this n. 0 when the gather pass was skipped.
 	GatherRounds int `json:"gather_rounds,omitempty"`
 }
 
@@ -80,16 +74,13 @@ type Config struct {
 	// Workloads are seeded-catalog family names (default hollow, solid,
 	// line, blob — the acceptance workloads).
 	Workloads []string
-	// Workers values to measure (default 1 — the serial round cost).
-	Workers []int
 	// WarmupRounds and MeasureRounds bound the per-cell cost (defaults
 	// 30 and 150).
 	WarmupRounds, MeasureRounds int
 	// Repeats measures every cell this many times and keeps the fastest
 	// (default 1). The minimum is the standard noise filter for wall-clock
 	// benches: interference only ever slows a run down, so the fastest
-	// repeat is the closest estimate of the true cost — and what lets the
-	// regression guard hold a tight tolerance on shared machines.
+	// repeat is the closest estimate of the true cost.
 	Repeats int
 	// Gather also runs one full simulation per workload to record
 	// GatherRounds (skipped in quick CI runs).
@@ -116,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Workloads) == 0 {
 		c.Workloads = []string{"hollow", "solid", "line", "blob"}
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1}
 	}
 	if c.WarmupRounds <= 0 {
 		c.WarmupRounds = 30
@@ -210,7 +198,6 @@ func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
 	}
 	return Entry{
 		N:              s.Len(),
-		Workers:        1,
 		Conn:           mode,
 		NsPerRound:     float64(queryTime.Nanoseconds()) / float64(rounds),
 		BytesPerRound:  float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds),
@@ -226,14 +213,13 @@ type recomputeAll struct{ fsync.Algorithm }
 // measure times MeasureRounds engine steps after warmup, restarting the
 // simulation if it gathers mid-measurement (it does not at bench sizes).
 // fullRecompute runs the algorithm in recomputeAll.
-func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (Entry, error) {
-	cfg := fsync.Config{Workers: workers}
+func measure(s *swarm.Swarm, warmup, rounds int, fullRecompute bool) (Entry, error) {
 	newEngine := func() *fsync.Engine {
 		var alg fsync.Algorithm = core.Default()
 		if fullRecompute {
 			alg = recomputeAll{alg}
 		}
-		return fsync.New(s, alg, cfg)
+		return fsync.New(s, alg, fsync.Config{})
 	}
 	var base, warm runtime.MemStats
 	runtime.GC()
@@ -264,7 +250,6 @@ func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (E
 	runtime.ReadMemStats(&after)
 	return Entry{
 		N:                 s.Len(),
-		Workers:           workers,
 		NsPerRound:        float64(elapsed.Nanoseconds()) / float64(rounds),
 		BytesPerRound:     float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds),
 		AllocsPerRound:    float64(after.Mallocs-before.Mallocs) / float64(rounds),
@@ -272,7 +257,7 @@ func measure(s *swarm.Swarm, workers, warmup, rounds int, fullRecompute bool) (E
 	}, nil
 }
 
-// Run measures every (workload, n, workers) cell of the config, plus the
+// Run measures every (workload, n) cell of the config, plus the
 // connectivity microbench pair per (workload, n) when ConnCheck is set.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
@@ -296,27 +281,25 @@ func Run(cfg Config) (Report, error) {
 				}
 				gatherRounds = res.Rounds
 			}
-			// Without the quiesce axis, one untagged entry per worker count
-			// measures the engine default (the quiescence fast path); with
+			// Without the quiesce axis, one untagged entry measures the
+			// engine default (the quiescence fast path); with
 			// it, a tagged on/off pair measures the fast path against
 			// pinned full recomputation.
 			modes := []string{""}
 			if cfg.Quiesce {
 				modes = []string{"on", "off"}
 			}
-			for _, workers := range cfg.Workers {
-				for _, mode := range modes {
-					e, err := measureBest(cfg.Repeats, func() (Entry, error) {
-						return measure(s, workers, cfg.WarmupRounds, cfg.MeasureRounds, mode == "off")
-					})
-					if err != nil {
-						return Report{}, fmt.Errorf("perf: %s/n=%d/workers=%d: %w", name, n, workers, err)
-					}
-					e.Workload = name
-					e.Quiesce = mode
-					e.GatherRounds = gatherRounds
-					rep.Entries = append(rep.Entries, e)
+			for _, mode := range modes {
+				e, err := measureBest(cfg.Repeats, func() (Entry, error) {
+					return measure(s, cfg.WarmupRounds, cfg.MeasureRounds, mode == "off")
+				})
+				if err != nil {
+					return Report{}, fmt.Errorf("perf: %s/n=%d: %w", name, n, err)
 				}
+				e.Workload = name
+				e.Quiesce = mode
+				e.GatherRounds = gatherRounds
+				rep.Entries = append(rep.Entries, e)
 			}
 			if cfg.ConnCheck {
 				for _, bfs := range []bool{false, true} {
@@ -347,7 +330,7 @@ func WriteJSON(rep Report, path string) error {
 // WriteTable renders the report for terminals.
 func WriteTable(w io.Writer, rep Report) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tn\tworkers\tconn\tquiesce\tms/round\tKB/round\tallocs/round\theap B/robot\tgather rounds")
+	fmt.Fprintln(tw, "workload\tn\tconn\tquiesce\tms/round\tKB/round\tallocs/round\theap B/robot\tgather rounds")
 	for _, e := range rep.Entries {
 		gather := ""
 		if e.GatherRounds > 0 {
@@ -357,67 +340,9 @@ func WriteTable(w io.Writer, rep Report) error {
 		if e.Conn == "" {
 			heap = fmt.Sprintf("%.1f", e.HeapBytesPerRobot)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.4f\t%.1f\t%.1f\t%s\t%s\n",
-			e.Workload, e.N, e.Workers, e.Conn, e.Quiesce,
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%.4f\t%.1f\t%.1f\t%s\t%s\n",
+			e.Workload, e.N, e.Conn, e.Quiesce,
 			e.NsPerRound/1e6, e.BytesPerRound/1024, e.AllocsPerRound, heap, gather)
 	}
 	return tw.Flush()
-}
-
-// GuardTolerance is the noise margin of Guard: a parallel run fails the
-// bar only when it measures slower than the serial path by more than this
-// factor. The persistent worker pool caps the genuine overhead of
-// workers>1 on a single-CPU box at a few percent, and best-of-Repeats
-// measurement (see Config.Repeats) filters the scheduling noise, so the
-// bar can sit tight: anything past 5% is a real regression (a pipeline
-// that re-spawns goroutines shows up well past it).
-const GuardTolerance = 1.05
-
-// Guard enforces the CI regression bar: for every (workload, n, quiesce
-// mode) measured at several worker counts, the parallel pipeline must not
-// be slower than the serial path beyond GuardTolerance. Cells are keyed on
-// the quiesce tag too, so a quiesce-axis run guards both modes without
-// ever comparing the fast path against full recomputation.
-//
-// The bar is relative for full-cost cells and ABSOLUTE for quiesce-on
-// cells measured alongside their "off" twin: quiescence shrinks the round
-// several-fold but the sharding overhead it tolerates — the Compute
-// fan-out and join still cost the same per round — does not shrink with
-// it, so a quiesce-on parallel cell is allowed the same
-// absolute overhead budget its full-recompute twin gets
-// ((GuardTolerance−1) × the off-mode serial cost), not 5% of its own much
-// smaller round. Connectivity microbench entries are not guarded — they
-// compare modes, not worker counts.
-func Guard(rep Report) error {
-	type cell struct {
-		workload string
-		n        int
-		quiesce  string
-	}
-	serialNs := map[cell]float64{}
-	for _, e := range rep.Entries {
-		if e.Workers == 1 && e.Conn == "" {
-			serialNs[cell{e.Workload, e.N, e.Quiesce}] = e.NsPerRound
-		}
-	}
-	for _, e := range rep.Entries {
-		if e.Workers == 1 || e.Conn != "" {
-			continue
-		}
-		ref, ok := serialNs[cell{e.Workload, e.N, e.Quiesce}]
-		if !ok {
-			continue
-		}
-		allowed := ref * GuardTolerance
-		if e.Quiesce == "on" {
-			if full, ok := serialNs[cell{e.Workload, e.N, "off"}]; ok {
-				allowed = ref + (GuardTolerance-1)*full
-			}
-		}
-		if e.NsPerRound > allowed {
-			return fmt.Errorf("perf: parallel pipeline slower than serial on %s (n=%d, workers=%d, quiesce=%q): %.0fns vs %.0fns per round (allowed %.0fns)",
-				e.Workload, e.N, e.Workers, e.Quiesce, e.NsPerRound, ref, allowed)
-		}
-	}
-	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,10 +115,9 @@ func (s *Server) recover() error {
 	var maxID uint64
 	for _, meta := range metas {
 		sess := &session{
-			id:      meta.ID,
-			label:   meta.Label,
-			workers: meta.Workers,
-			srv:     s,
+			id:    meta.ID,
+			label: meta.Label,
+			srv:   s,
 		}
 		sess.setInfo(SessionInfo{
 			ID:     meta.ID,
@@ -242,7 +240,7 @@ func (s *Server) materializeLocked(e *pool.Entry, sess *session) error {
 		s.pool.DropResident(e)
 		return err
 	}
-	sim, err := gridgather.Restore(snap, gridgather.WithWorkers(sess.workers))
+	sim, err := gridgather.Restore(snap)
 	if err != nil {
 		s.pool.DropResident(e)
 		return fmt.Errorf("serve: restore %s: %w", sess.id, err)
@@ -291,13 +289,12 @@ func (s *Server) spillLocked(sess *session) error {
 			return err
 		}
 		meta := SpillMeta{
-			ID:      sess.id,
-			Label:   sess.label,
-			Workers: sess.workers,
-			Round:   st.Round,
-			Robots:  st.Robots,
-			Done:    st.Done,
-			Reason:  st.Reason,
+			ID:     sess.id,
+			Label:  sess.label,
+			Round:  st.Round,
+			Robots: st.Robots,
+			Done:   st.Done,
+			Reason: st.Reason,
 		}
 		if err := s.store.Put(meta, snap); err != nil {
 			return err
@@ -352,18 +349,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells, err := req.cells()
-	if err == nil {
-		err = checkWorkers(req.Workers)
-	}
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sess := &session{
-		id:      s.newID(),
-		label:   req.Label,
-		workers: req.Workers,
-		srv:     s,
+		id:    s.newID(),
+		label: req.Label,
+		srv:   s,
 	}
 	s.admit(w, sess, func() (*gridgather.Simulation, error) {
 		return gridgather.New(cells, req.options()...)
@@ -372,27 +365,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleRestoreUpload creates a session from client-supplied snapshot
 // bytes — the upload half of the snapshot round-trip (download, carry to
-// another box or another day, restore). The label and the workers
-// execution option ride in query parameters because the snapshot
-// intentionally does not contain them; a malformed or out-of-range
-// workers value, an unreadable header, or an initial population above the
-// create limit is rejected before any session is admitted.
+// another box or another day, restore). The label rides in a query
+// parameter because the snapshot intentionally does not contain it; an
+// unreadable header or an initial population above the create limit is
+// rejected before any session is admitted.
 func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 	snap, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "serve: bad snapshot body: "+err.Error())
-		return
-	}
-	q := r.URL.Query()
-	var workers int
-	if v := q.Get("workers"); v != "" {
-		if workers, err = strconv.Atoi(v); err != nil {
-			s.httpError(w, http.StatusBadRequest, "serve: bad workers parameter: "+err.Error())
-			return
-		}
-	}
-	if err := checkWorkers(workers); err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Restore's memory grows with the declared initial population, so the
@@ -406,25 +386,13 @@ func (s *Server) handleRestoreUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &session{
-		id:      s.newID(),
-		label:   q.Get("label"),
-		workers: workers,
-		srv:     s,
+		id:    s.newID(),
+		label: r.URL.Query().Get("label"),
+		srv:   s,
 	}
 	s.admit(w, sess, func() (*gridgather.Simulation, error) {
-		return gridgather.Restore(snap, gridgather.WithWorkers(sess.workers))
+		return gridgather.Restore(snap)
 	})
-}
-
-// checkWorkers bounds the workers execution option a request may ask for.
-// Each worker past the first is a parked pool goroutine held for the
-// session's lifetime, so an unbounded value buys unbounded goroutines and
-// stack; more workers than GOMAXPROCS never run at once anyway.
-func checkWorkers(n int) error {
-	if limit := runtime.GOMAXPROCS(0); n < 0 || n > limit {
-		return fmt.Errorf("serve: workers %d outside [0, %d] (0 selects all CPUs)", n, limit)
-	}
-	return nil
 }
 
 // admit runs the shared create path: pool admission, spill-victims-first,
@@ -535,7 +503,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		limit = max(req.Rounds, 1)
 	}
 	s.withSession(w, r.PathValue("id"), func(e *pool.Entry, sess *session) error {
-		executed := s.stepDrain(sess, limit)
+		executed := s.stepDrain(r.Context(), sess, limit)
 		writeJSON(w, http.StatusOK, StepResponse{
 			Executed: executed,
 			Status:   sess.refreshInfo(true),
@@ -549,12 +517,17 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 // an abort are simulation outcomes that Status carries, not transport
 // errors — and, so that a large step cannot hold Shutdown's drain, when
 // CloseStreams was called: the session then spills at the round it
-// reached and resumes there after a restart.
-func (s *Server) stepDrain(sess *session, limit int) int {
+// reached and resumes there after a restart. It also stops when ctx is
+// done, so a step whose client left runs no further round; a round is
+// atomic, so the session stays consistent and steps on from there.
+func (s *Server) stepDrain(ctx context.Context, sess *session, limit int) int {
 	executed := 0
+	left := ctx.Done()
 	for limit <= 0 || executed < limit {
 		select {
 		case <-s.done:
+			return executed
+		case <-left:
 			return executed
 		default:
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -178,16 +179,6 @@ func TestCreateValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
 	var errResp ErrorResponse
-	// Out-of-range worker counts are refused before the pool admits
-	// anything: every worker past the first is a goroutine parked for the
-	// session's lifetime.
-	for _, workers := range []int{runtime.GOMAXPROCS(0) + 1, 1 << 20, -1} {
-		errResp = ErrorResponse{}
-		code := doJSON(t, "POST", base+"/v1/sessions", CreateRequest{Workload: "hollow", N: 10, Workers: workers}, &errResp)
-		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "workers") {
-			t.Fatalf("workers=%d: %d %q, want 400 naming workers", workers, code, errResp.Error)
-		}
-	}
 	// Oversized swarms are refused before any cell is built.
 	for _, req := range []CreateRequest{
 		{Workload: "solid", N: 1<<20 + 1},
@@ -229,6 +220,20 @@ func TestCreateValidation(t *testing.T) {
 	doJSON(t, "GET", base+"/v1/sessions", nil, &list)
 	if len(list.Sessions) != 0 {
 		t.Fatalf("failed creates left sessions: %+v", list)
+	}
+
+	// The deprecated workers field is accepted at any value and changes
+	// nothing: each session steps exactly like one created without it.
+	ref := createSession(t, base, CreateRequest{Workload: "hollow", N: 10})
+	want := stepSession(t, base, ref.ID, StepRequest{Rounds: 15})
+	want.Status.ID = ""
+	for _, workers := range []int{runtime.GOMAXPROCS(0) + 1, 1 << 20, -1} {
+		sess := createSession(t, base, CreateRequest{Workload: "hollow", N: 10, Workers: workers})
+		got := stepSession(t, base, sess.ID, StepRequest{Rounds: 15})
+		got.Status.ID = ""
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: stepped to %+v, want %+v", workers, got, want)
+		}
 	}
 }
 
@@ -328,9 +333,9 @@ func TestEvictionDifferential(t *testing.T) {
 }
 
 // TestRestoreUpload round-trips a snapshot through the client: download,
-// upload as a new session, and check both sessions march in lockstep. A
-// malformed or out-of-range workers parameter is refused before any
-// session is admitted.
+// upload as a new session, and check both sessions march in lockstep. The
+// deprecated workers parameter is ignored at any value, even a malformed
+// one.
 func TestRestoreUpload(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	base := hs.URL
@@ -363,29 +368,30 @@ func TestRestoreUpload(t *testing.T) {
 		t.Fatalf("uploaded clone diverged:\n  orig:  %+v\n  clone: %+v", so, sc)
 	}
 
-	for _, workers := range []string{"abc", fmt.Sprint(runtime.GOMAXPROCS(0) + 1), "1048576", "-1"} {
-		resp, err = http.Post(base+"/v1/sessions/restore?workers="+workers, "application/octet-stream", bytes.NewReader(snap))
+	workers := []string{"abc", fmt.Sprint(runtime.GOMAXPROCS(0) + 1), "1048576", "-1"}
+	for _, v := range workers {
+		resp, err = http.Post(base+"/v1/sessions/restore?workers="+v, "application/octet-stream", bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bad ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
+		var c SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, "workers") {
-			t.Fatalf("restore upload with workers=%s: %d %q, want 400 naming workers", workers, resp.StatusCode, bad.Error)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("restore upload with workers=%s: %d", v, resp.StatusCode)
+		}
+		got := stepSession(t, base, c.ID, StepRequest{Rounds: 20})
+		got.Status.ID, got.Status.Label = "", ""
+		if fmt.Sprint(got) != fmt.Sprint(so) {
+			t.Fatalf("clone uploaded with workers=%s diverged:\n  orig:  %+v\n  clone: %+v", v, so, got)
 		}
 	}
 	var stats StatsResponse
 	doJSON(t, "GET", base+"/v1/stats", nil, &stats)
-	if stats.Created != 2 {
-		t.Fatalf("rejected uploads reached the pool: created=%d, want 2", stats.Created)
-	}
-	var list ListResponse
-	doJSON(t, "GET", base+"/v1/sessions", nil, &list)
-	if len(list.Sessions) != 2 {
-		t.Fatalf("rejected upload left sessions behind: %+v", list.Sessions)
+	if want := uint64(2 + len(workers)); stats.Created != want {
+		t.Fatalf("created=%d, want %d", stats.Created, want)
 	}
 }
 
@@ -637,6 +643,101 @@ func TestLargeStepDrainsOnShutdown(t *testing.T) {
 	}
 	if next := stepSession(t, hs2.URL, info.ID, StepRequest{Rounds: 2}); next.Executed != 2 || next.Status.Round != step.Executed+2 {
 		t.Fatalf("resumed step = executed %d, round %d; want 2, %d", next.Executed, next.Status.Round, step.Executed+2)
+	}
+}
+
+// TestStepStopsWhenClientLeaves cancels a to_completion step's client on
+// a large hollow ring once the step has run a round. The step must stop
+// long before the ring gathers (status, which waits for the step's lock,
+// answers at the round it stopped), and the session must then step on
+// to the same snapshot bytes as a twin that was never interrupted.
+func TestStepStopsWhenClientLeaves(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	base := hs.URL
+	create := CreateRequest{Workload: "hollow", N: 4000}
+	info := createSession(t, base, create)
+	twin := createSession(t, base, create)
+
+	events, err := http.Get(base + "/v1/sessions/" + info.ID + "/events?mask=round")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
+	sc := bufio.NewScanner(events.Body)
+	if !sc.Scan() {
+		t.Fatalf("event stream ended before its opening record: %v", sc.Err())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/sessions/"+info.ID+"/step",
+		strings.NewReader(`{"to_completion":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		replies <- err
+	}()
+	var rec EventRecord
+	if !sc.Scan() {
+		t.Fatalf("event stream ended before the step ran a round: %v", sc.Err())
+	}
+	if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Kind != "round" {
+		t.Fatalf("record %q (%v), want a round", sc.Text(), err)
+	}
+	cancel()
+	if err := <-replies; err == nil {
+		t.Fatal("the cancelled step still got a reply")
+	}
+
+	var st SessionInfo
+	if code := doJSON(t, "GET", base+"/v1/sessions/"+info.ID, nil, &st); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	// The ring needs about 11 000 rounds. The stop may trail the streamed
+	// round only by the few rounds run while the server noticed the
+	// client had gone (one, on a 2-CPU box).
+	if st.Done || st.Round < rec.Round || st.Round > rec.Round+50 {
+		t.Fatalf("step stopped at round %d (done %v) after round %d was streamed", st.Round, st.Done, rec.Round)
+	}
+
+	stepSession(t, base, info.ID, StepRequest{Rounds: 25})
+	stepSession(t, base, twin.ID, StepRequest{Rounds: st.Round + 25})
+	if a, b := fetchSnapshot(t, base, info.ID), fetchSnapshot(t, base, twin.ID); !bytes.Equal(a, b) {
+		t.Fatalf("interrupted session's snapshot at round %d differs from its twin's", st.Round+25)
+	}
+}
+
+// TestStepDrainStopsAtRoundBoundary cancels the step's context from inside
+// round k: the step completes that round and runs no other.
+func TestStepDrainStopsAtRoundBoundary(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	info := createSession(t, hs.URL, CreateRequest{Workload: "hollow", N: 400})
+	e, err := s.pool.Acquire(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.Release(e)
+	sess := e.Payload().(*session)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+
+	const k = 7
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	unsub := sess.sim.Subscribe(gridgather.RoundEvents, func(ev gridgather.Event) {
+		if ev.Round == k {
+			cancel()
+		}
+	})
+	defer unsub()
+	if got := s.stepDrain(ctx, sess, 0); got != k || sess.sim.Status().Round != k {
+		t.Fatalf("stepDrain ran %d rounds to round %d, want %d", got, sess.sim.Status().Round, k)
 	}
 }
 

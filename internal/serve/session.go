@@ -23,10 +23,7 @@ type session struct {
 	// dirty marks a sim whose state the spill store does not hold yet:
 	// set at admission and before every Step, cleared by spill and
 	// restore. Spilling a clean session writes nothing.
-	dirty bool
-	// workers is the one execution option preserved across spill/restore
-	// (the snapshot carries only structural state).
-	workers int
+	dirty   bool
 	label   string
 	deleted bool
 

@@ -16,16 +16,13 @@ import (
 var ErrNoSnapshot = errors.New("serve: no spilled snapshot for session")
 
 // SpillMeta is the sidecar record written next to a spilled snapshot: the
-// worker count a Simulation.Restore cannot recover from the snapshot
-// itself (an execution option, not structural state), plus informational
-// fields for listings after a daemon restart. Decoding ignores unknown
-// keys, so sidecars written by older daemons still recover.
+// label the snapshot itself does not carry, plus informational fields for
+// listings after a daemon restart. Decoding ignores unknown keys, so
+// sidecars written by older daemons (which also recorded a worker count)
+// still recover.
 type SpillMeta struct {
 	ID    string `json:"id"`
 	Label string `json:"label,omitempty"`
-	// Workers is the execution option re-applied on restore (the snapshot
-	// carries only structural configuration and the resumable state).
-	Workers int `json:"workers,omitempty"`
 	// Round, Robots, Done and Reason describe the session at spill time
 	// (informational: listings read them without restoring the session).
 	Round  int    `json:"round"`

@@ -32,8 +32,12 @@ type CreateRequest struct {
 	Algorithm     string `json:"algorithm,omitempty"`
 	Faults        string `json:"faults,omitempty"`
 
-	MaxRounds         int  `json:"max_rounds,omitempty"`
-	NoMergeLimit      int  `json:"no_merge_limit,omitempty"`
+	MaxRounds    int `json:"max_rounds,omitempty"`
+	NoMergeLimit int `json:"no_merge_limit,omitempty"`
+	// Workers is accepted and ignored.
+	//
+	// Deprecated: kept only because perfbench sets it; ROADMAP item 13
+	// deletes it.
 	Workers           int  `json:"workers,omitempty"`
 	ConnectivityCheck bool `json:"connectivity_check,omitempty"`
 	StrictLocality    bool `json:"strict_locality,omitempty"`
@@ -262,7 +266,6 @@ func (req CreateRequest) options() []gridgather.Option {
 		gridgather.WithFaults(req.Faults),
 		gridgather.WithMaxRounds(req.MaxRounds),
 		gridgather.WithNoMergeLimit(req.NoMergeLimit),
-		gridgather.WithWorkers(req.Workers),
 		gridgather.WithConnectivityCheck(req.ConnectivityCheck),
 		gridgather.WithStrictLocality(req.StrictLocality),
 	}

@@ -13,13 +13,9 @@
 // failures), "greedy" is the scheduler-robust strategy of
 // internal/baseline/asyncseq that stays safe under every scheduler.
 //
-// Two levels of parallelism compose: Runner.Concurrency controls how many
-// simulations run at once, and Job.EngineWorkers controls the worker pool
-// inside each simulation's FSYNC engine (fsync.Config.Workers). For large
-// sweeps of small instances, job-level concurrency alone saturates the
-// machine; for few huge instances, engine workers help. Either way every
-// individual simulation is fully deterministic, so sweep outputs are
-// reproducible run to run.
+// Runner.Concurrency controls how many simulations run at once; each one
+// runs on its own goroutine. Every individual simulation is fully
+// deterministic, so sweep outputs are reproducible run to run.
 package sweep
 
 import (
@@ -66,10 +62,6 @@ type Job struct {
 	// NoMergeLimit is the stuck-watchdog window; 0 means the canonical
 	// budget (scaled like MaxRounds), negative disables the watchdog.
 	NoMergeLimit int `json:"no_merge_limit,omitempty"`
-	// EngineWorkers is the FSYNC engine's compute worker count for this
-	// run (fsync.Config.Workers); 0 here means 1, keeping job-level
-	// concurrency as the default parallelism axis.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 }
 
 // Result is the outcome of one job, flattened for serialization.
@@ -143,7 +135,6 @@ func RunOne(job Job) Result {
 		gridgather.WithFaults(job.Faults),
 		gridgather.WithMaxRounds(job.MaxRounds),
 		gridgather.WithNoMergeLimit(job.NoMergeLimit),
-		gridgather.WithWorkers(max(job.EngineWorkers, 1)),
 	)
 	if err != nil {
 		out.Err = err.Error()
@@ -284,8 +275,6 @@ type Spec struct {
 	// {""} (fault-free). Specs whose clauses lack an explicit "@seed" draw
 	// their fault schedule from each job's seed.
 	Faults []string
-	// EngineWorkers is copied to every job (see Job.EngineWorkers).
-	EngineWorkers int
 }
 
 // Jobs expands the spec into concrete jobs in deterministic order
@@ -373,14 +362,13 @@ func (s Spec) Jobs() ([]Job, error) {
 						for _, algorithm := range algorithms {
 							for _, seed := range jobSeeds {
 								jobs = append(jobs, Job{
-									Workload:      name,
-									N:             n,
-									Seed:          seed,
-									Params:        p,
-									Scheduler:     scheduler,
-									Algorithm:     algorithm,
-									Faults:        faultSpec,
-									EngineWorkers: s.EngineWorkers,
+									Workload:  name,
+									N:         n,
+									Seed:      seed,
+									Params:    p,
+									Scheduler: scheduler,
+									Algorithm: algorithm,
+									Faults:    faultSpec,
 								})
 							}
 						}

@@ -67,8 +67,7 @@ func (v *View) refresh() {
 
 // Reposition retargets the view at a new observing robot and round,
 // reusing the allocation. The engine's compute loop calls it once per robot
-// so a full round costs O(1) view allocations per worker instead of one per
-// robot. The accessors and radius are unchanged; only the origin and round
+// so a full round costs O(1) view allocations instead of one per robot. The accessors and radius are unchanged; only the origin and round
 // move.
 func (v *View) Reposition(origin grid.Point, round int) {
 	v.RepositionSlot(origin, -1, round)

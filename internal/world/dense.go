@@ -28,8 +28,8 @@
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
-// round by round and the oracle is gone. The engine's determinism bar is
-// now serial-vs-parallel: see the differential tests in internal/fsync.)
+// round by round and the oracle is gone. The engine's differential
+// suites live in internal/fsync.)
 //
 // # Round protocol
 //
@@ -381,8 +381,7 @@ func (d *Dense) Has(p grid.Point) bool {
 // Block3 returns the occupancy of the 3×3 block of cells centred on p, in
 // grid.Block3's bit layout. Away from a chunk edge it is three shifted row
 // words of one tile; when the block crosses a chunk seam it reads the nine
-// cells one by one. Read-only, so Compute workers may call it
-// concurrently.
+// cells one by one. Read-only.
 //
 //gather:hotpath
 func (d *Dense) Block3(p grid.Point) grid.Block3 {
@@ -436,8 +435,7 @@ func lineBit(p, step grid.Point) uint {
 // in [0, max], and 0 when max ≤ 0. step must be a unit axis vector. It
 // answers exactly what a Has loop over the same cells would, but counts a
 // whole tile line per chunk with one bit scan: a row word along x, a
-// column word along y. Read-only, so Compute workers may call it
-// concurrently.
+// column word along y. Read-only.
 //
 //gather:hotpath
 func (d *Dense) RunLen(p, step grid.Point, max int) int {
@@ -475,8 +473,7 @@ func (d *Dense) RunLen(p, step grid.Point, max int) int {
 // p+(count-1)·step is occupied (false when count ≤ 0). step must be a unit
 // axis vector. It tests the segment with one masked tile line per chunk it
 // spans — row words along x, column words along y — and skips chunks that
-// were never allocated. Read-only, so Compute workers may call it
-// concurrently.
+// were never allocated. Read-only.
 //
 //gather:hotpath
 func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
@@ -1042,8 +1039,7 @@ func (d *Dense) Crash(p grid.Point) {
 func (d *Dense) Crashed(slot int32) bool { return d.crashed != nil && d.crashed[slot] }
 
 // CrashedAt reports whether cell p holds a crash-stopped robot: the
-// failure detector views expose to algorithms. Read-only and safe to call
-// from concurrent compute workers.
+// failure detector views expose to algorithms. Read-only.
 func (d *Dense) CrashedAt(p grid.Point) bool {
 	return d.crashed != nil && d.Has(p) && d.crashed[d.SlotAt(p)]
 }

@@ -64,8 +64,7 @@ func (d *Dense) QuiesceReset() {
 }
 
 // HasRuns reports whether the robot in slot carries any active runs: one
-// 4-byte handle read. Read-only and safe to call from concurrent compute
-// workers.
+// 4-byte handle read. Read-only.
 func (d *Dense) HasRuns(slot int32) bool { return d.runOf[slot] != 0 }
 
 // QuiesceSkip reports whether the robot in slot, standing at p, may skip
@@ -73,8 +72,8 @@ func (d *Dense) HasRuns(slot int32) bool { return d.runOf[slot] != 0 }
 // landed within the view radius since its last recompute), its cached
 // verdict for this round phase is "quiescent", and it still carries no
 // runs. The caller passes the slot it already holds, so the test reads
-// the cell's dirty bit and the slot's tables and no slot plane. Read-only
-// and safe to call from concurrent compute workers.
+// the cell's dirty bit and the slot's tables and no slot plane.
+// Read-only.
 //
 //gather:hotpath
 func (d *Dense) QuiesceSkip(p grid.Point, slot int32, phase int) bool {

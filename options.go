@@ -13,13 +13,13 @@ import (
 
 // An Option configures a Simulation at construction. The zero
 // configuration (no options) is the paper's setting: radius 20, L = 22,
-// FSYNC, the paper's algorithm, the canonical simulation budget, and all
-// available CPUs.
+// FSYNC, the paper's algorithm and the canonical simulation budget. Every
+// round runs on the goroutine that calls Step or Run.
 //
 // Options divide into two classes. Structural options (WithRadius, WithL,
 // WithScheduler, WithSchedulerSeed, WithAlgorithm, WithFaults) define what
 // is being simulated; they are baked into snapshots and rejected by Restore.
-// Execution options (WithMaxRounds, WithNoMergeLimit, WithWorkers,
+// Execution options (WithMaxRounds, WithNoMergeLimit,
 // WithConnectivityCheck, WithStrictLocality) only control how the
 // simulation is driven and may be changed freely on Restore.
 type Option func(*settings) error
@@ -38,7 +38,6 @@ type settings struct {
 	noMergeLimit  int
 	checkConn     bool
 	strict        bool
-	workers       int
 
 	// structural lists the structural options that were applied, so
 	// Restore can reject attempts to reshape a checkpointed simulation.
@@ -161,19 +160,13 @@ func WithStrictLocality(on bool) Option {
 	}
 }
 
-// WithWorkers sets the number of goroutines the engine shards each round's
-// Look+Compute phase across; applying the moves and merges is always one
-// serial pass. 0 uses all available CPUs; 1 forces the serial path;
-// negative values are rejected with ErrNegativeWorkers. Results are
-// bit-identical for every worker count.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return ErrNegativeWorkers
-		}
-		s.workers = n
-		return nil
-	}
+// WithWorkers does nothing and never fails: every round runs on the
+// goroutine that calls Step or Run.
+//
+// Deprecated: kept only because perfbench calls it; ROADMAP item 13
+// deletes it.
+func WithWorkers(int) Option {
+	return func(*settings) error { return nil }
 }
 
 // rejectStructural reports an error if any structural option was applied —
@@ -249,7 +242,6 @@ func (c *settings) engineConfig(sc scenario) fsync.Config {
 		NoMergeLimit:      c.noMergeLimit,
 		CheckConnectivity: c.checkConn,
 		StrictViews:       c.strict,
-		Workers:           c.workers,
 		Scheduler:         sc.scheduler,
 		Faults:            sc.faults,
 	}

@@ -139,7 +139,7 @@ func TestColdStartAllocation(t *testing.T) {
 		t.Skip("builds a 2^14-robot session")
 	}
 	cells := fromSwarm(gen.RandomBlob(1<<14, 7))
-	sim := mustNew(t, cells, WithWorkers(1), WithConnectivityCheck(true))
+	sim := mustNew(t, cells, WithConnectivityCheck(true))
 	if _, err := sim.StepN(44); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestColdStartAllocation(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r, err := Restore(snap, WithWorkers(1))
+	r, err := Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSparseSwarmAllocation(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			sim := mustNew(t, cells, WithWorkers(1))
+			sim := mustNew(t, cells)
 			if err := sim.Step(); err != nil {
 				t.Fatal(err)
 			}

@@ -20,8 +20,8 @@ var ErrDone = errors.New("gridgather: simulation has finished")
 // bit-identically. Create one with New or Restore.
 //
 // A Simulation is deterministic: the same input and structural options
-// produce the identical round sequence, for any worker count and across
-// any number of checkpoint/restore cycles. It is not safe for concurrent
+// produce the identical round sequence across any number of
+// checkpoint/restore cycles. It is not safe for concurrent
 // use; drive it from one goroutine at a time.
 type Simulation struct {
 	eng *fsync.Engine

@@ -287,7 +287,7 @@ func TestSubscribeCancel(t *testing.T) {
 func TestObserverPathAllocationFree(t *testing.T) {
 	measure := func(observe func(Event)) float64 {
 		cells := mustWorkload(t, "hollow", 400)
-		sim := mustNew(t, cells, WithWorkers(1))
+		sim := mustNew(t, cells)
 		if observe != nil {
 			sim.Subscribe(AllEvents, observe)
 		}

@@ -77,11 +77,11 @@ func compareSessions(t *testing.T, a, b *Simulation) {
 }
 
 // TestSnapshotRestoreDifferential is the acceptance proof for the
-// checkpoint codec: for every seeded-catalog workload × scheduler family ×
-// worker count, a session checkpointed at a random mid-run round and
-// restored — into a different worker count, even — continues bit-
-// identically to the uninterrupted session, round by round to the final
-// Result.
+// checkpoint codec: for every seeded-catalog workload × scheduler family,
+// a session checkpointed at a random mid-run round and restored continues
+// bit-identically to the uninterrupted session, round by round to the
+// final Result. The workers=a->b subtests pass the deprecated WithWorkers,
+// which does nothing; they stay until ROADMAP item 13 deletes it.
 func TestSnapshotRestoreDifferential(t *testing.T) {
 	const n = 48
 	specs := []string{"fsync", "ssync-rr:3", "ssync-rand:3", "ssync-lazy:5", "async:8"}
@@ -90,8 +90,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	for _, w := range gen.SeededCatalog() {
 		for _, spec := range specs {
 			for wi, workers := range workerCounts {
-				// Restore into a rotated worker count: worker count must
-				// not influence the resumed rounds either.
+				// Restore into a rotated deprecated worker count.
 				restoreWorkers := workerCounts[(wi+1)%len(workerCounts)]
 				t.Run(fmt.Sprintf("%s/%s/workers=%d->%d", w.Name, spec, workers, restoreWorkers), func(t *testing.T) {
 					cells := fromSwarm(w.Build(n, 42))
@@ -217,13 +216,13 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		}
 	}
 	// Execution options are fine.
-	if _, err := Restore(snap, WithWorkers(4), WithConnectivityCheck(true),
+	if _, err := Restore(snap, WithConnectivityCheck(true),
 		WithStrictLocality(true), WithMaxRounds(50), WithNoMergeLimit(-1)); err != nil {
 		t.Errorf("execution options rejected: %v", err)
 	}
-	// …but validated like New: a negative worker count is not "all CPUs".
-	if _, err := Restore(snap, WithWorkers(-1)); err != ErrNegativeWorkers {
-		t.Errorf("negative workers: %v, want ErrNegativeWorkers", err)
+	// …but validated like New: a negative round limit is not "unlimited".
+	if _, err := Restore(snap, WithMaxRounds(-1)); err != ErrNegativeMaxRounds {
+		t.Errorf("negative MaxRounds: %v, want ErrNegativeMaxRounds", err)
 	}
 }
 
