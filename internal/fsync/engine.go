@@ -25,10 +25,11 @@
 //	Commit    the world repairs the near-sorted arrival order into the
 //	          canonical cell order and swaps the round in
 //
-// Every stage runs on the goroutine that calls Step. Compute writes each
-// robot's action at the robot's index, so Resolve sees every action of the
-// round before it moves anyone; Resolve and Commit are one linear pass over
-// the arrivals.
+// Every stage runs on the goroutine that calls Step. Compute is one loop
+// over the activated robots: it draws each activation's sensor noise,
+// replays or records its quiescent verdict, and writes its action at the
+// robot's index, so Resolve sees every action of the round before it moves
+// anyone. Resolve and Commit are one linear pass over the arrivals.
 //
 // A Config.Scheduler (internal/sched) relaxes the synchrony: each round
 // only the scheduler's activation subset runs a look-compute-move cycle
@@ -166,14 +167,13 @@ type Engine struct {
 
 	// Fault state (all zero without Config.Faults). The crash marks
 	// themselves live in the world, on the robots' stable slots.
-	crashTrack    bool         // the plan has crash clauses
-	crashesTotal  int          // robots ever crashed
-	crashedLive   int          // crashed robots still occupying a cell
-	roundCrash    int          // crashes in the most recent round
-	degraded      bool         // a fault disconnected the swarm; latched
-	degradedRound int          // round the degradation latched
-	flips         []grid.Point // per-activation noise offsets, indexed like order
-	aliveBuf      []bool       // scratch: liveness over the cell order
+	crashTrack    bool   // the plan has crash clauses
+	crashesTotal  int    // robots ever crashed
+	crashedLive   int    // crashed robots still occupying a cell
+	roundCrash    int    // crashes in the most recent round
+	degraded      bool   // a fault disconnected the swarm; latched
+	degradedRound int    // round the degradation latched
+	aliveBuf      []bool // scratch: liveness over the cell order
 
 	// The gathered verdict, cached per world version and degradation
 	// latch: under faults it is a walk over all cells or, once degraded,
@@ -182,11 +182,8 @@ type Engine struct {
 	gathered gatheredVerdict
 
 	// Quiescence state (quiesce.go; all zero when the fast path is off).
-	// qFlags parallels acts/order: Compute writes one byte per robot, the
-	// post-pass reads them all.
 	qOn       bool
 	qPeriod   int
-	qFlags    []uint8
 	qComputed int // activations that ran Look+Compute
 	qSkipped  int // activations replayed from the quiescent cache
 
@@ -474,75 +471,6 @@ func (e *Engine) liveGathered() bool {
 	return live > 0
 }
 
-// viewConfig builds the view accessor bundle against current state: views
-// read the tiled bitset directly (no closures, no hashing).
-func (e *Engine) viewConfig() view.Config {
-	return view.Config{
-		Radius:  e.alg.Radius(),
-		Checked: e.cfg.StrictViews,
-		Dense:   e.w,
-	}
-}
-
-// computeRange runs Look+Compute for the robots e.order[lo:hi), writing
-// each action to e.acts at the robot's index and appending the actions
-// that carry runs to e.runActs. One reusable view per call keeps the phase
-// allocation-free.
-//
-// With quiescence on, robots whose cell is clean and whose cached verdict
-// for this round phase is "quiescent" replay Stay without building a view
-// (QuiesceSkip reads only pre-round state); noise-flipped activations never
-// skip — the perturbed view is not the cached one. Each robot's skip/noisy
-// disposition lands in e.qFlags for the post-pass.
-//
-// The robot's slot comes from e.orderSlots, so the skip test, the view's
-// Self and the post-pass's QuiesceNote read it without looking the robot's
-// cell up again.
-//
-//gather:hotpath
-func (e *Engine) computeRange(vc view.Config, lo, hi int) error {
-	v := view.New(vc, grid.Zero, e.round)
-	ra := e.runActs
-	flips := e.flips
-	q := e.qOn
-	for i := lo; i < hi; i++ {
-		p, slot := e.order[i], e.orderSlots[i]
-		lr := e.localRound(p)
-		var off grid.Point
-		if len(flips) != 0 {
-			off = flips[i]
-		}
-		if q && off == (grid.Point{}) && e.w.QuiesceSkip(p, slot, lr%e.qPeriod) {
-			e.acts[i] = actionAt{} // the cached quiescent action: Stay
-			e.qFlags[i] = qfSkip
-			continue
-		}
-		v.RepositionSlot(p, slot, lr)
-		if off != (grid.Point{}) {
-			v.SetNoise(off)
-		}
-		a := e.alg.Compute(v)
-		if a.Move.Linf() > 1 {
-			return fmt.Errorf("fsync: robot at %v attempted move %v exceeding one cell", p, a.Move) //gather:alloc-ok abort path, the round is already lost
-		}
-		c := actionAt{dx: int8(a.Move.X), dy: int8(a.Move.Y)}
-		if a.nKeep > 0 || a.nTransfers > 0 {
-			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
-			c.ext = int32(len(ra))
-		}
-		e.acts[i] = c
-		if q {
-			f := uint8(0)
-			if off != (grid.Point{}) {
-				f = qfNoisy
-			}
-			e.qFlags[i] = f
-		}
-	}
-	e.runActs = ra
-	return nil
-}
-
 // Step executes one round through the staged pipeline: Activate → Compute
 // → Resolve → Commit. It returns an error if an invariant broke.
 //
@@ -551,7 +479,6 @@ func (e *Engine) Step() error {
 	scheduled := e.cfg.Scheduler != nil
 	e.roundCrash = 0
 	e.stageActivate(scheduled)
-	e.drawNoise()
 	prevPop := len(e.order) + len(e.sleep)
 	if err := e.stageCompute(); err != nil {
 		return err
@@ -654,31 +581,23 @@ func (e *Engine) stageActivate(scheduled bool) {
 	}
 }
 
-// drawNoise draws one view-noise flip per activated robot, in activation
-// order. e.flips parallels e.order; a zero offset means "no flip this
-// activation". Without noise clauses the flip list stays empty and the
-// compute stage skips the lookup entirely.
+// stageCompute runs Look+Compute for every activated robot in activation
+// order, all against the same pre-round snapshot: nothing a view reads
+// changes before Resolve, so each action lands at its robot's index of
+// e.acts and the actions that carry runs are appended to e.runActs. One
+// reusable view keeps the stage allocation-free; the robot's slot comes
+// from e.orderSlots, so the skip test, the view's Self and QuiesceNote read
+// it without looking the robot's cell up again.
 //
-//gather:hotpath
-func (e *Engine) drawNoise() {
-	if !e.cfg.Faults.HasNoise() {
-		e.flips = e.flips[:0]
-		return
-	}
-	n := len(e.order)
-	if cap(e.flips) < n {
-		e.flips = make([]grid.Point, n)
-	}
-	e.flips = e.flips[:n]
-	r := e.alg.Radius()
-	for i := range e.flips {
-		e.flips[i], _ = e.cfg.Faults.NoiseFlip(r)
-	}
-}
-
-// stageCompute runs Look+Compute for every activated robot, all from the
-// same snapshot. The pre-round state is immutable during this stage, so no
-// cloning is required: each action lands at its robot's index of e.acts.
+// Under noise clauses each activation draws its flip from the fault plan
+// here, one draw per activation in activation order. With quiescence on, a
+// robot whose cell is clean and whose cached verdict for this round phase
+// is "quiescent" replays Stay without building a view. A noise-flipped
+// activation never skips and records no verdict: the perturbed view is not
+// the cached one. Every other computed robot records its verdict at once:
+// QuiesceNote consumes only the robot's own cell's dirty bit and its own
+// slot's mask, which no other robot's skip test reads. A robot carrying
+// runs is never quiescent: its runs age, glide or hand off this round.
 //
 //gather:hotpath
 func (e *Engine) stageCompute() error {
@@ -687,19 +606,44 @@ func (e *Engine) stageCompute() error {
 		e.acts = make([]actionAt, n)
 	}
 	e.acts = e.acts[:n]
-	e.runActs = e.runActs[:0]
-	if e.qOn {
-		// One disposition byte per activation; computeRange writes every
-		// index (skip and compute alike), so no clearing is needed.
-		if cap(e.qFlags) < n {
-			e.qFlags = make([]uint8, n)
+	r := e.alg.Radius()
+	v := view.New(view.Config{Radius: r, Checked: e.cfg.StrictViews, Dense: e.w}, grid.Zero, e.round)
+	noisy := e.cfg.Faults.HasNoise()
+	ra := e.runActs[:0]
+	for i, p := range e.order {
+		slot, lr := e.orderSlots[i], e.localRound(p)
+		var off grid.Point
+		if noisy {
+			off, _ = e.cfg.Faults.NoiseFlip(r)
 		}
-		e.qFlags = e.qFlags[:n]
+		clean := off == (grid.Point{})
+		if e.qOn && clean && e.w.QuiesceSkip(p, slot, lr%e.qPeriod) {
+			e.acts[i] = actionAt{} // the cached quiescent action: Stay
+			e.qSkipped++
+			continue
+		}
+		v.RepositionSlot(p, slot, lr)
+		if !clean {
+			v.SetNoise(off)
+		}
+		a := e.alg.Compute(v)
+		if a.Move.Linf() > 1 {
+			return fmt.Errorf("fsync: robot at %v attempted move %v exceeding one cell", p, a.Move) //gather:alloc-ok abort path, the round is already lost
+		}
+		c := actionAt{dx: int8(a.Move.X), dy: int8(a.Move.Y)}
+		if a.nKeep > 0 || a.nTransfers > 0 {
+			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
+			c.ext = int32(len(ra))
+		}
+		e.acts[i] = c
+		if e.qOn {
+			e.qComputed++
+			if clean {
+				e.w.QuiesceNote(p, slot, lr%e.qPeriod, !e.w.HasRuns(slot) && c.quiescent())
+			}
+		}
 	}
-	if err := e.computeRange(e.viewConfig(), 0, n); err != nil {
-		return err
-	}
-	e.quiescePost()
+	e.runActs = ra
 	return nil
 }
 

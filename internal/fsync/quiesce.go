@@ -7,16 +7,16 @@
 // Division of labor: the world marks every write a view can observe
 // (internal/world/quiesce.go), and the engine marks nothing. Per round:
 //
-//	activate   Dense.Crash marks each newly crashed cell (the crash is
-//	           visible to this round's views)
-//	compute    computeRange consults Dense.QuiesceSkip per activation and
-//	           records each robot's disposition in qFlags (skip / noisy)
-//	post-pass  quiescePost records clean verdicts via QuiesceNote
-//	resolve    the world's round protocol marks the writes the occupancy
-//	           diff can't see: cells left by run carriers, merges, and
-//	           kept, adopted or delivered runs
-//	commit     Dense.noteRoundDiff dilates every occupancy change by the
-//	           view radius into the dirty planes for the next round
+//	activate  Dense.Crash marks each newly crashed cell (the crash is
+//	          visible to this round's views)
+//	compute   per activation, stageCompute asks Dense.QuiesceSkip and
+//	          either replays Stay or computes; a computed robot with a
+//	          noise-free view records its verdict via Dense.QuiesceNote
+//	resolve   the world's round protocol marks the writes the occupancy
+//	          diff can't see: cells left by run carriers, merges, and
+//	          kept, adopted or delivered runs
+//	commit    Dense.noteRoundDiff dilates every occupancy change by the
+//	          view radius into the dirty planes for the next round
 //
 // The skip is exact, not approximate: the differential suite steps a
 // quiescent engine in lockstep with one running the same algorithm
@@ -27,13 +27,6 @@
 //
 //gather:deterministic
 package fsync
-
-// qFlags disposition bits, written per activation index by computeRange
-// and drained by quiescePost.
-const (
-	qfSkip  = 1 << iota // replayed the cached quiescent Stay
-	qfNoisy             // view was noise-perturbed; verdict not cacheable
-)
 
 // QuiesceStats reports the quiescence layer's lifetime counters.
 type QuiesceStats struct {
@@ -83,31 +76,5 @@ func (e *Engine) initQuiesce() {
 		e.qOn = true
 		e.qPeriod = period
 		e.w.EnableQuiescence(r)
-	}
-}
-
-// quiescePost is the serial post-compute pass: one sweep over the round's
-// disposition bytes. Skipped robots cost a counter bump; each computed
-// robot with a clean (noise-free) view records its verdict, consuming its
-// cell's dirty bit. A robot carrying runs is never quiescent: its runs
-// age, glide or hand off this round. Runs are unchanged until Resolve, so
-// the world still answers HasRuns for the round's start.
-//
-//gather:hotpath
-func (e *Engine) quiescePost() {
-	if !e.qOn {
-		return
-	}
-	for i := range e.acts {
-		f := e.qFlags[i]
-		if f&qfSkip != 0 {
-			e.qSkipped++
-			continue
-		}
-		e.qComputed++
-		if f&qfNoisy == 0 {
-			from, slot := e.order[i], e.orderSlots[i]
-			e.w.QuiesceNote(from, slot, e.localRound(from)%e.qPeriod, !e.w.HasRuns(slot) && e.acts[i].quiescent())
-		}
 	}
 }

@@ -12,8 +12,9 @@
 //   - qmask caches, per slot and per round phase (round mod the
 //     algorithm's period), whether the robot's last clean recompute
 //     returned the quiescent action (stay, keep nothing, transfer
-//     nothing). The engine consults QuiesceSkip on the compute hot path
-//     and records verdicts through QuiesceNote on its serial post-pass.
+//     nothing). The engine consults QuiesceSkip for each activation and,
+//     when it computed on a noise-free view, records the verdict through
+//     QuiesceNote in the same step.
 //
 // Division of labor: the world marks every write a view can observe, and
 // the engine marks nothing. Occupancy is not everything a view can see, so
@@ -88,10 +89,12 @@ func (d *Dense) QuiesceSkip(p grid.Point, slot int32, phase int) bool {
 // slot, standing at p: the cell's dirty bit is consumed (test-and-clear),
 // a consumed dirty bit invalidates every phase's cached verdict (the view
 // changed — the other phases were judged against the old view), and the
-// current phase's bit is set or cleared per the fresh verdict. Serial-phase
-// only. The engine must NOT call this for activations whose view was
-// perturbed by sensor noise — the verdict would describe the flipped view,
-// not the real one.
+// current phase's bit is set or cleared per the fresh verdict. It writes
+// only p's dirty bit and slot's mask, which no other robot's QuiesceSkip
+// reads, so the engine may record each verdict as soon as the robot has
+// computed, before the round's remaining robots are asked. The engine must
+// NOT call this for activations whose view was perturbed by sensor noise —
+// the verdict would describe the flipped view, not the real one.
 func (d *Dense) QuiesceNote(p grid.Point, slot int32, phase int, quiescent bool) {
 	t := d.tileAt(p)
 	ry := p.Y & tileMask
@@ -113,7 +116,7 @@ func (d *Dense) QuiesceNote(p grid.Point, slot int32, phase int, quiescent bool)
 // round-protocol marks land in Resolve, after the round's verdicts were
 // recorded, so no QuiesceNote consumes one before the next round's skip
 // test reads it; a crash lands before Compute, so this round's skip tests
-// already see it. Serial-phase only.
+// already see it.
 func (d *Dense) markViewDirty(p grid.Point) {
 	if !d.qOn {
 		return
