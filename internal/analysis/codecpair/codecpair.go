@@ -13,9 +13,10 @@
 //     input into garbage state. Escape: //gather:codec-ok <reason>.
 //   - Versioning: a package carrying
 //     //gather:snapshot-format version=<const> hash=<16 hex digits>
-//     has its format fingerprint — an FNV-1a hash over the printed bodies
-//     of all format-bearing declarations — checked against the recorded
-//     hash. Changing any encoder or decoder changes the fingerprint, and
+//     has its format fingerprint — an FNV-1a hash over the printed code
+//     of all format-bearing declarations, comments left out — checked
+//     against the recorded hash. Changing any encoder or decoder changes
+//     the fingerprint (rewording a comment does not), and
 //     the resulting diagnostic (which prints the new hash) forces the
 //     author to restate the marker and, per its instructions, decide
 //     whether <const> must be bumped.
@@ -284,27 +285,36 @@ func parseKeyValues(args string) map[string]string {
 
 // fingerprint hashes the printed form of every format-bearing declaration:
 // encoders and decoders (append/decode/restore prefixes), Snapshot,
-// NewRestored, and the version constant's declaration. Declarations are
-// hashed in name order so moving code between files does not churn the
-// fingerprint.
+// NewRestored, and the version constant's declaration. Only code is
+// hashed: each declaration is printed from a copy with its doc and line
+// comments cleared, go/printer leaves out the comments inside a body (it
+// has no file to take them from), and printing against an empty file set
+// gives every node the canonical layout, so the blank line a removed
+// comment leaves behind does not count either. Declarations are hashed in
+// name order so moving code between files does not churn the fingerprint.
 func fingerprint(pass *analysis.Pass, versionConst string, decls []*ast.FuncDecl) string {
 	var parts []*printable
 	for _, fn := range decls {
 		if pass.IsTestFile(fn.Pos()) || !formatBearing(fn.Name.Name) {
 			continue
 		}
-		parts = append(parts, &printable{key: declKey(fn), node: fn})
+		code := *fn
+		code.Doc = nil
+		parts = append(parts, &printable{key: declKey(fn), node: &code})
 	}
 	if spec := findConstSpec(pass, versionConst); spec != nil {
-		parts = append(parts, &printable{key: "const " + versionConst, node: spec})
+		code := *spec
+		code.Doc, code.Comment = nil, nil
+		parts = append(parts, &printable{key: "const " + versionConst, node: &code})
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].key < parts[j].key })
 
 	h := fnv.New64a()
 	var buf bytes.Buffer
+	noLines := token.NewFileSet()
 	for _, p := range parts {
 		buf.Reset()
-		printer.Fprint(&buf, pass.Fset, p.node)
+		printer.Fprint(&buf, noLines, p.node)
 		h.Write([]byte(p.key))
 		h.Write([]byte{0})
 		h.Write(buf.Bytes())

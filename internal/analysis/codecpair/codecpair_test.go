@@ -20,6 +20,13 @@ func TestFingerprintFresh(t *testing.T) {
 	analyzertest.Run(t, "testdata/src", "fmtver", codecpair.Analyzer)
 }
 
+// TestFingerprintIgnoresComments expects no diagnostics: fmtdoc is fmtver
+// with doc, line and body comments added, and its marker records fmtver's
+// hash.
+func TestFingerprintIgnoresComments(t *testing.T) {
+	analyzertest.Run(t, "testdata/src", "fmtdoc", codecpair.Analyzer)
+}
+
 // TestFingerprintStale expects the format-changed diagnostic.
 func TestFingerprintStale(t *testing.T) {
 	analyzertest.Run(t, "testdata/src", "fmtstale", codecpair.Analyzer)

@@ -4,7 +4,7 @@
 // fingerprint on each run; if the format changed without a snapshotVersion
 // bump, it reports the stale hash and the new one to paste in after bumping.
 //
-//gather:snapshot-format version=snapshotVersion hash=572772e3c62d7e3f
+//gather:snapshot-format version=snapshotVersion hash=45c0598533cb94fc
 
 package gridgather
 
@@ -134,7 +134,7 @@ func decodeAbortState(r *codec.Reader) (error, bool) {
 // Restore rebuilds a session from a Snapshot. The structural configuration
 // (radius, L, scheduler, seed, algorithm, faults) comes from the snapshot
 // and cannot be overridden — passing a structural Option is an error.
-// Execution options apply on top of the checkpointed ones: WithWorkers,
+// Execution options apply on top of the checkpointed ones:
 // WithConnectivityCheck, WithStrictLocality, and budget overrides
 // (WithMaxRounds / WithNoMergeLimit replace the checkpointed limits, e.g.
 // to grant an exhausted run more budget; 0 keeps them) may all differ from
