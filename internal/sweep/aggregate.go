@@ -98,17 +98,17 @@ func canonicalScheduler(spec string) string {
 	return s.String()
 }
 
-// schedCanonicalizer returns a memoizing canonicalScheduler for row-wise
-// use: sweeps reuse a handful of distinct specs across thousands of rows,
-// and each canonicalization otherwise parses (allocating a scheduler
+// memo returns f memoized, for row-wise canonicalization: sweeps reuse a
+// handful of distinct specs across thousands of rows, and each
+// canonicalization otherwise parses (allocating a scheduler or plan
 // instance) per row.
-func schedCanonicalizer() func(string) string {
-	memo := make(map[string]string)
+func memo(f func(string) string) func(string) string {
+	seen := make(map[string]string)
 	return func(spec string) string {
-		c, ok := memo[spec]
+		c, ok := seen[spec]
 		if !ok {
-			c = canonicalScheduler(spec)
-			memo[spec] = c
+			c = f(spec)
+			seen[spec] = c
 		}
 		return c
 	}
@@ -133,20 +133,6 @@ func canonicalFaults(spec string) string {
 	return p.String()
 }
 
-// faultCanonicalizer returns a memoizing canonicalFaults, mirroring
-// schedCanonicalizer for the same per-row cost reason.
-func faultCanonicalizer() func(string) string {
-	memo := make(map[string]string)
-	return func(spec string) string {
-		c, ok := memo[spec]
-		if !ok {
-			c = canonicalFaults(spec)
-			memo[spec] = c
-		}
-		return c
-	}
-}
-
 // Aggregated groups results by (workload, n, radius, L, scheduler,
 // algorithm, faults) and summarizes each group's metric distributions.
 // Groups appear in first-occurrence order of the input, so job-ordered
@@ -154,8 +140,7 @@ func faultCanonicalizer() func(string) string {
 func Aggregated(results []Result) []Aggregate {
 	var order []groupKey
 	groups := make(map[groupKey][]Result)
-	canon := schedCanonicalizer()
-	canonF := faultCanonicalizer()
+	canon, canonF := memo(canonicalScheduler), memo(canonicalFaults)
 	for _, r := range results {
 		k := groupKey{
 			r.Job.Workload, r.Job.N, r.Job.Params.Radius, r.Job.Params.L,

@@ -39,8 +39,7 @@ func WriteResultsCSV(w io.Writer, results []Result) error {
 	}); err != nil {
 		return err
 	}
-	canon := schedCanonicalizer()
-	canonF := faultCanonicalizer()
+	canon, canonF := memo(canonicalScheduler), memo(canonicalFaults)
 	for _, r := range results {
 		rec := []string{
 			r.Job.Workload,
