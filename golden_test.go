@@ -1,7 +1,6 @@
 package gridgather_test
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -24,22 +23,30 @@ import (
 //
 // and says in CHANGES.md which decision changed and why.
 func TestGoldenExperiments(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden/exp_all.txt")
+	const file = "testdata/golden/exp_all.txt"
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
+	var got strings.Builder
 	exp.All(&got)
-	if bytes.Equal(got.Bytes(), want) {
+	diffGolden(t, file, got.String(), string(want))
+}
+
+// diffGolden fails t at the first line where got differs from want, the
+// contents of the golden file.
+func diffGolden(t *testing.T, file, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := range min(len(g), len(w)) {
 		if g[i] != w[i] {
-			t.Fatalf("experiment output differs from the golden file at line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", file, i+1, g[i], w[i])
 		}
 	}
-	t.Fatalf("experiment output has %d lines, the golden file %d", len(g), len(w))
+	t.Fatalf("output has %d lines, %s %d", len(g), file, len(w))
 }
 
 // goldenSnapshotsFile holds one line per case of TestGoldenSnapshots.
@@ -80,15 +87,7 @@ func TestGoldenSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(g), len(wl)) {
-		if g[i] != wl[i] {
-			t.Fatalf("session state differs from %s at line %d:\n got: %s\nwant: %s", goldenSnapshotsFile, i+1, g[i], wl[i])
-		}
-	}
-	if len(g) != len(wl) {
-		t.Fatalf("%d cases, the golden file holds %d lines", len(g), len(wl))
-	}
+	diffGolden(t, goldenSnapshotsFile, got.String(), string(want))
 }
 
 // goldenSnapshotCase runs one case to the end and returns its digests and
