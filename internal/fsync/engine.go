@@ -19,17 +19,23 @@
 //	          scheduler's activation mask over the cell order otherwise)
 //	Compute   Look+Compute for every activated robot against the
 //	          immutable pre-round snapshot
-//	Resolve   apply all moves in one pass in canonical cell order: merge
-//	          resolution, run-state commits, logical clocks and transfer
-//	          collection, then run adoption and transfer delivery
-//	Commit    the world repairs the near-sorted arrival order into the
-//	          canonical cell order and swaps the round in
+//	Resolve   apply the round's moves and run changes in canonical cell
+//	          order: departures, landings and merge resolution, kept runs
+//	          and transfer collection, then run adoption and transfer
+//	          delivery
+//	Commit    the world patches the canonical cell order with the round's
+//	          vacated, merged and newly occupied cells and diffs the rows
+//	          it wrote
 //
 // Every stage runs on the goroutine that calls Step. Compute is one loop
 // over the activated robots: it draws each activation's sensor noise,
-// replays or records its quiescent verdict, and writes its action at the
-// robot's index, so Resolve sees every action of the round before it moves
-// anyone. Resolve and Commit are one linear pass over the arrivals.
+// replays or records its quiescent verdict, ticks the robot's logical
+// clock under a scheduler, and records the action of every robot that
+// moves or holds, keeps or transfers runs, so Resolve sees every action of
+// the round before it moves anyone. In the paper's strategy only boundary
+// robots move; every other robot stays with its state unchanged, and such
+// a stayer, activated or asleep, costs Resolve and Commit nothing: they
+// walk only the recorded robots and the cells they leave and land on.
 //
 // A Config.Scheduler (internal/sched) relaxes the synchrony: each round
 // only the scheduler's activation subset runs a look-compute-move cycle
@@ -191,9 +197,9 @@ type Engine struct {
 	// scratch; nothing outside Step may retain references to them.
 	order        []grid.Point      // this round's activation set
 	orderSlots   []int32           // the world slots of order's robots, indexed like order
-	sleep        []grid.Point      // robots outside the activation set
 	mask         []bool            // scheduler activation mask over the cell order
-	acts         []actionAt        // actions indexed like order
+	busy         []int32           // indexes into order of the robots that move or hold, keep or transfer runs
+	acts         []actionAt        // the actions of the busy robots, indexed like busy
 	runActs      []Action          // the actions that carry runs, in compute order
 	freshKeeps   []grid.Point      // cells of brand-new kept runs, collection order
 	transferList []pendingTransfer // pending hand-offs, collection order
@@ -203,7 +209,7 @@ type Engine struct {
 }
 
 // actionAt is a robot's computed action in 8 bytes; the robot is the one
-// at the same index of e.order. The move is an L∞ ≤ 1 step, stored as an
+// e.busy names at the same index. The move is an L∞ ≤ 1 step, stored as an
 // int8 pair. An Action with its inline run arrays is about 300 bytes and
 // few robots hold runs, so an action that keeps or transfers any is
 // stored out of line in e.runActs: ext is 1 + its index there, and 0 for
@@ -222,10 +228,10 @@ func (c *actionAt) move() grid.Point { return grid.Pt(int(c.dx), int(c.dy)) }
 // robot must recompute every round regardless.
 func (c *actionAt) quiescent() bool { return c.dx == 0 && c.dy == 0 && c.ext == 0 }
 
-// runsOf returns the full action behind the action of robot i, or nil if
+// runsOf returns the full action behind the k-th busy action, or nil if
 // it carries no runs.
-func (e *Engine) runsOf(i int) *Action {
-	c := &e.acts[i]
+func (e *Engine) runsOf(k int) *Action {
+	c := &e.acts[k]
 	if c.ext == 0 {
 		return nil
 	}
@@ -300,7 +306,17 @@ func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
 	}
 	e.initFaults()
 	e.initQuiesce()
+	e.initScratch()
 	return e
+}
+
+// initScratch sizes the busy lists for a round of up to 256 busy robots,
+// so the first rounds of a small swarm do not grow them by doubling.
+// Shared by New and NewRestored.
+func (e *Engine) initScratch() {
+	k := min(e.w.Len(), 256)
+	e.busy = make([]int32, 0, k)
+	e.acts = make([]actionAt, 0, k)
 }
 
 // initFaults sets up crash-stop tracking when the configuration carries a
@@ -342,11 +358,7 @@ func (e *Engine) StateAt(p grid.Point) robot.State { return e.w.StateAt(p) }
 // LocalRound returns the logical clock of the robot at p: the number of
 // look-compute-move cycles it has completed. Under FSYNC (nil scheduler)
 // every robot's clock equals Round().
-func (e *Engine) LocalRound(p grid.Point) int { return e.localRound(p) }
-
-// localRound resolves the round number a robot's view reports: the global
-// round under FSYNC, the robot's own logical clock under a scheduler.
-func (e *Engine) localRound(p grid.Point) int {
+func (e *Engine) LocalRound(p grid.Point) int {
 	if e.cfg.Scheduler == nil {
 		return e.round
 	}
@@ -478,9 +490,9 @@ func (e *Engine) liveGathered() bool {
 func (e *Engine) Step() error {
 	scheduled := e.cfg.Scheduler != nil
 	e.roundCrash = 0
+	prevPop := e.w.Len()
 	e.stageActivate(scheduled)
-	prevPop := len(e.order) + len(e.sleep)
-	if err := e.stageCompute(); err != nil {
+	if err := e.stageCompute(scheduled); err != nil {
 		return err
 	}
 	moved := e.stageResolve(scheduled)
@@ -516,8 +528,8 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// stageActivate fills e.order (this round's activation set) and e.sleep
-// (everyone else), both in canonical cell order. Under FSYNC every robot
+// stageActivate fills e.order with this round's activation set, in
+// canonical cell order; everyone else sleeps. Under FSYNC every robot
 // runs a full look-compute-move cycle every round. Under faults the stage
 // first draws this round's crash decisions over the live population (in
 // canonical cell order, so the coin stream is position-stable); a crashed
@@ -527,13 +539,12 @@ func (e *Engine) Step() error {
 //gather:hotpath
 func (e *Engine) stageActivate(scheduled bool) {
 	cells := e.w.Cells()
-	e.sleep = e.sleep[:0]
 	if !scheduled && !e.crashTrack {
 		// Everyone activates in cell order: alias the world's cell and
 		// slot views, which stay valid until Commit, after Resolve's last
-		// read. The
-		// scheduler and the crash plan are fixed for an engine's lifetime,
-		// so the appending path below never sees the alias.
+		// read. The scheduler and the crash plan are fixed for an
+		// engine's lifetime, so the appending path below never sees the
+		// alias.
 		e.order, e.orderSlots = cells, e.w.Slots()
 		return
 	}
@@ -575,19 +586,23 @@ func (e *Engine) stageActivate(scheduled bool) {
 		if (mask == nil || mask[i]) && (alive == nil || alive[i]) {
 			e.order = append(e.order, p)
 			e.orderSlots = append(e.orderSlots, slots[i])
-		} else {
-			e.sleep = append(e.sleep, p)
 		}
 	}
 }
 
 // stageCompute runs Look+Compute for every activated robot in activation
 // order, all against the same pre-round snapshot: nothing a view reads
-// changes before Resolve, so each action lands at its robot's index of
-// e.acts and the actions that carry runs are appended to e.runActs. One
-// reusable view keeps the stage allocation-free; the robot's slot comes
-// from e.orderSlots, so the skip test, the view's Self and QuiesceNote read
-// it without looking the robot's cell up again.
+// changes before Resolve. The robots whose action moves, keeps or
+// transfers runs, or who hold runs now (which their cycle ends), are
+// recorded in e.busy with their actions in e.acts; the actions that carry
+// runs are appended to e.runActs. Every other robot stays with nothing to
+// write, and Resolve never visits it. One reusable view keeps the stage
+// allocation-free; the robot's slot comes from e.orderSlots, so the skip
+// test, the view's Self, the clock tick and QuiesceNote read it without
+// looking the robot's cell up again.
+//
+// Under a scheduler the robot's view reports its logical clock, which
+// then ticks: the cycle completes this round whatever the robot does.
 //
 // Under noise clauses each activation draws its flip from the fault plan
 // here, one draw per activation in activation order. With quiescence on, a
@@ -600,26 +615,31 @@ func (e *Engine) stageActivate(scheduled bool) {
 // runs is never quiescent: its runs age, glide or hand off this round.
 //
 //gather:hotpath
-func (e *Engine) stageCompute() error {
-	n := len(e.order)
-	if cap(e.acts) < n {
-		e.acts = make([]actionAt, n)
-	}
-	e.acts = e.acts[:n]
+func (e *Engine) stageCompute(scheduled bool) error {
 	r := e.alg.Radius()
 	v := view.New(view.Config{Radius: r, Checked: e.cfg.StrictViews, Dense: e.w}, grid.Zero, e.round)
 	noisy := e.cfg.Faults.HasNoise()
-	ra := e.runActs[:0]
+	busy, acts, ra := e.busy[:0], e.acts[:0], e.runActs[:0]
+	phase := 0 // the round phase the verdict masks are keyed by
+	if e.qOn {
+		phase = e.round % e.qPeriod
+	}
 	for i, p := range e.order {
-		slot, lr := e.orderSlots[i], e.localRound(p)
+		slot, lr := e.orderSlots[i], e.round
+		if scheduled {
+			lr = e.w.Clock(slot)
+			e.w.TickClock(slot)
+			if e.qOn {
+				phase = lr % e.qPeriod
+			}
+		}
 		var off grid.Point
 		if noisy {
 			off, _ = e.cfg.Faults.NoiseFlip(r)
 		}
 		clean := off == (grid.Point{})
-		if e.qOn && clean && e.w.QuiesceSkip(p, slot, lr%e.qPeriod) {
-			e.acts[i] = actionAt{} // the cached quiescent action: Stay
-			e.qSkipped++
+		if e.qOn && clean && e.w.QuiesceSkip(p, slot, phase) {
+			e.qSkipped++ // the cached quiescent action: Stay
 			continue
 		}
 		v.RepositionSlot(p, slot, lr)
@@ -635,40 +655,42 @@ func (e *Engine) stageCompute() error {
 			ra = append(ra, a) //gather:alloc-ok length-reset per round, steady-state reuse
 			c.ext = int32(len(ra))
 		}
-		e.acts[i] = c
+		holds := e.w.HasRuns(slot)
+		if holds || !c.quiescent() {
+			// Both lists are length-reset per round and reach the busiest
+			// round's size within the first rounds.
+			busy = append(busy, int32(i)) //gather:alloc-ok length-reset per round, steady-state reuse
+			acts = append(acts, c)        //gather:alloc-ok length-reset per round, steady-state reuse
+		}
 		if e.qOn {
 			e.qComputed++
 			if clean {
-				e.w.QuiesceNote(p, slot, lr%e.qPeriod, !e.w.HasRuns(slot) && c.quiescent())
+				e.w.QuiesceNote(p, slot, phase, !holds && c.quiescent())
 			}
 		}
 	}
-	e.runActs = ra
+	e.busy, e.acts, e.runActs = busy, acts, ra
 	return nil
 }
 
-// stageResolve applies all moves through the world's arrival protocol and
-// returns the number of robots that hopped. The first arrival at a cell is
-// the provisional survivor and keeps its runs; any later arrival is a
-// merge — run states of merged robots stop (Table 1, condition 3/6).
-// Sleeping robots stand still, keeping their run states (frozen, not aged)
-// and logical clocks; they still merge if an activated robot lands on
-// their cell. Once every arrival is counted, the stage adopts the
+// stageResolve applies the round's moves and run changes through the
+// world's round protocol and returns the number of robots that hopped.
+// The first arrival at a cell in canonical activation order survives and
+// any later one merges — run states of merged robots stop (Table 1,
+// condition 3/6). A sole survivor keeps the runs its action keeps.
+// Sleeping robots stand still, keeping their run states (frozen, not
+// aged) and logical clocks; they still merge if an activated robot lands
+// on their cell. Once every arrival is counted, the stage adopts the
 // surviving kept runs and delivers the surviving transfers.
 //
 //gather:hotpath
 func (e *Engine) stageResolve(scheduled bool) int {
-	e.w.BeginRound()
 	moved := e.resolveArrivals(scheduled)
 
-	// Adopt brand-new kept runs now that every robot's fate is known: a
-	// robot that kept a fresh run but was merged onto this round never
-	// started it (Table 1, condition 3 — the merge clears its pending
-	// state), so only surviving keepers get IDs and RunsStarted credit.
+	// Adopt brand-new kept runs now that every robot's fate is known: only
+	// sole survivors kept runs (a merge clears the pending state, Table 1,
+	// condition 3), so only they get IDs and RunsStarted credit.
 	for _, dst := range e.freshKeeps {
-		if e.w.ArrivalCount(dst) != 1 {
-			continue
-		}
 		st := e.w.ArrivalState(dst)
 		rb := e.runScratch[:0]
 		for _, r := range st.Runs {
@@ -716,82 +738,63 @@ func (e *Engine) stageResolve(scheduled bool) int {
 	return moved
 }
 
-// resolveArrivals replays the arrival protocol for every robot — the
-// activated ones in canonical cell order, then the sleepers — collecting
-// brand-new kept runs and pending transfers in that order, and returns the
-// number of robots that hopped.
+// resolveArrivals runs the round protocol for the busy robots: Arrive for
+// each in canonical cell order (their runs end, movers leave), Land for
+// the movers, then the sole survivors' kept runs and every pending
+// transfer, collected in that order. It returns the number of robots that
+// hopped.
 //
 //gather:hotpath
 func (e *Engine) resolveArrivals(scheduled bool) int {
 	moved := 0
-	e.freshKeeps = e.freshKeeps[:0]
-	e.transferList = e.transferList[:0]
-	for i := range e.acts {
+	for k, i := range e.busy {
 		from := e.order[i]
-		dst := from.Add(e.acts[i].move())
-		a := e.runsOf(i)
+		dst := from.Add(e.acts[k].move())
 		if dst != from {
 			moved++
 		}
-		var cl int
-		if scheduled {
-			// The cycle completes: the robot's logical clock ticks. A
-			// merged cell keeps the largest arriving clock (deterministic
-			// regardless of arrival order).
-			cl = e.w.ClockAt(from) + 1
+		e.w.Arrive(from, dst)
+	}
+	var awake []grid.Point
+	if scheduled || e.crashTrack {
+		awake = e.order
+	}
+	// A merge onto a crashed sleeper removes it: the crash mark dies with
+	// its slot (slots are never reused), and the cell now holds the live
+	// mover.
+	e.crashedLive -= e.w.Land(awake)
+
+	e.freshKeeps = e.freshKeeps[:0]
+	e.transferList = e.transferList[:0]
+	for k, i := range e.busy {
+		a := e.runsOf(k)
+		if a == nil {
+			continue
 		}
-		if e.w.Arrive(from, dst) == 1 {
-			// Arrive dropped the robot's runs; only a robot that keeps
-			// some writes a state.
-			var keep []robot.Run
-			if a != nil && a.nKeep > 0 {
-				keep = a.Keep()
-				e.w.SetArrivalState(dst, robot.State{Runs: keep})
-			}
+		from := e.order[i]
+		dst := from.Add(e.acts[k].move())
+		if a.nKeep > 0 && e.w.ArrivalCount(dst) == 1 {
+			keep := a.Keep()
+			e.w.SetArrivalState(dst, robot.State{Runs: keep})
 			for _, r := range keep {
 				if r.ID == 0 {
-					// Brand-new kept run: adoption (ID, RunsStarted) waits
-					// until the keeper's merge fate is known, like the
-					// transfer hand-offs below.
+					// Brand-new kept run: adoption (ID, RunsStarted) runs
+					// after this loop, every keeper in cell order before any
+					// transfer, which fixes the order run IDs are handed out.
 					e.freshKeeps = append(e.freshKeeps, dst)
 					break
 				}
 			}
 		}
-		if scheduled {
-			e.w.RaiseClock(dst, cl)
-		}
-		if a == nil {
-			continue
-		}
 		for _, tr := range a.Transfers() {
 			// Collected, not yet delivered: whether the hand-off succeeds
-			// depends on the sender not merging this round, which is known
-			// only after all arrivals are counted.
+			// depends on the sender not merging this round, which Land
+			// has settled, and run IDs are adopted in collection order.
 			e.transferList = append(e.transferList, pendingTransfer{
 				senderDst: dst,
 				to:        from.Add(tr.To),
 				run:       tr.Run,
 			})
-		}
-	}
-	e.w.BeginSleep()
-	for _, p := range e.sleep {
-		var cl int
-		if scheduled {
-			cl = e.w.ClockAt(p)
-		}
-		cnt := e.w.Sleep(p)
-		if e.crashTrack && cnt > 1 && e.w.Crashed(e.w.SlotAt(p)) {
-			// A live robot merged onto a crashed sleeper: the crash mark
-			// dies with the sleeper's slot (slots are never reused), and
-			// the cell now holds the live first-arriver. Activated arrivals
-			// run before sleepers, so the count here is the cell's final
-			// verdict.
-			e.crashedLive--
-		}
-		if scheduled {
-			e.w.RaiseClock(p, cl)
 		}
 	}
 	return moved

@@ -82,8 +82,9 @@ func TestEngineCollisionMerges(t *testing.T) {
 }
 
 // TestActionRecordSize pins the per-robot action record at 8 bytes: the
-// engine holds one for every activated robot each round, so its size is a
-// share of every session's memory per robot.
+// engine holds one for every robot that moves or holds, keeps or
+// transfers runs each round, so its size is a share of every session's
+// round scratch.
 func TestActionRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(actionAt{}); got != 8 {
 		t.Fatalf("actionAt is %d bytes, want 8", got)

@@ -15,8 +15,9 @@
 //	resolve   the world's round protocol marks the writes the occupancy
 //	          diff can't see: cells left by run carriers, merges, and
 //	          kept, adopted or delivered runs
-//	commit    Dense.noteRoundDiff dilates every occupancy change by the
-//	          view radius into the dirty planes for the next round
+//	commit    Dense.noteEdits dilates every occupancy change among the
+//	          rows the round wrote by the view radius into the dirty
+//	          planes for the next round
 //
 // The skip is exact, not approximate: the differential suite steps a
 // quiescent engine in lockstep with one running the same algorithm

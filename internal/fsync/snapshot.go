@@ -173,5 +173,6 @@ func NewRestored(alg Algorithm, cfg Config, b []byte) (*Engine, []byte, error) {
 	// Quiescence carries no snapshot state: a restored engine starts with
 	// empty verdict masks and recomputes everything until they refill.
 	e.initQuiesce()
+	e.initScratch()
 	return e, rest, nil
 }

@@ -7,6 +7,7 @@
 package gen
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -249,11 +250,10 @@ func RandomWalk(n int, seed int64) *swarm.Swarm {
 	s := swarm.New(grid.Pt(0, 0))
 	cur := grid.Pt(0, 0)
 	stall := 0
-	// cells is s.Cells() as of the last restart; added holds the cells
-	// grown since, merged in at the next restart so it need not re-sort
-	// the whole swarm.
-	cells := []grid.Point{cur}
-	var added []grid.Point
+	// cells indexes every cell in (Y, X) order, so a restart picks the
+	// k-th cell of the sorted swarm without sorting it.
+	var cells rowOrder
+	cells.add(cur)
 	for s.Len() < n {
 		d := grid.Axis4[rng.Intn(4)]
 		q := cur.Add(d)
@@ -262,38 +262,80 @@ func RandomWalk(n int, seed int64) *swarm.Swarm {
 			stall++
 			if stall > 64 {
 				// Restart from a random existing cell to avoid dead ends.
-				cells = mergeSorted(cells, added)
-				added = added[:0]
-				cur = cells[rng.Intn(len(cells))]
+				cur = cells.at(rng.Intn(s.Len()))
 				stall = 0
 			}
 			continue
 		}
 		s.Add(q)
-		added = append(added, q)
+		cells.add(q)
 		cur = q
 		stall = 0
 	}
 	return s
 }
 
-// mergeSorted sorts add in (Y, X) order and merges it into the sorted,
-// disjoint cells in place from the back, so only the cells after the
-// smallest added one move.
-func mergeSorted(cells, add []grid.Point) []grid.Point {
-	sort.Slice(add, func(i, j int) bool { return add[i].Less(add[j]) })
-	i, j := len(cells)-1, len(add)-1
-	cells = slices.Grow(cells, len(add))[:len(cells)+len(add)]
-	for k := len(cells) - 1; j >= 0; k-- {
-		if i >= 0 && add[j].Less(cells[i]) {
-			cells[k] = cells[i]
-			i--
-		} else {
-			cells[k] = add[j]
-			j--
+// rowOrder is an order-statistic index over a growing set of cells in
+// (Y, X) order: each row's X coordinates in a sorted slice, and a Fenwick
+// tree over the rows' populations. An insert is a binary search and a
+// shift within its row plus O(log rows) tree updates; the k-th cell is a
+// descent of the tree and one row read. The row span grows by doubling.
+type rowOrder struct {
+	minY int
+	rows [][]int // rows[y-minY]: the row's X coordinates, ascending
+	tree []int   // Fenwick tree over the row populations, 1-based
+}
+
+// add inserts p, which must not be in the set yet.
+func (o *rowOrder) add(p grid.Point) {
+	o.cover(p.Y)
+	i := p.Y - o.minY
+	r := o.rows[i]
+	j := sort.SearchInts(r, p.X)
+	o.rows[i] = slices.Insert(r, j, p.X)
+	for k := i + 1; k < len(o.tree); k += k & -k {
+		o.tree[k]++
+	}
+}
+
+// cover grows the row span, doubling it, until it holds row y, and
+// rebuilds the tree over the new span.
+func (o *rowOrder) cover(y int) {
+	if len(o.rows) == 0 {
+		o.minY, o.rows, o.tree = y, make([][]int, 1), make([]int, 2)
+		return
+	}
+	if y >= o.minY && y < o.minY+len(o.rows) {
+		return
+	}
+	lo, hi := min(o.minY, y), max(o.minY+len(o.rows), y+1)
+	span := max(hi-lo, 2*len(o.rows))
+	if y < o.minY {
+		lo = hi - span
+	}
+	rows := make([][]int, span)
+	copy(rows[o.minY-lo:], o.rows)
+	o.minY, o.rows = lo, rows
+	o.tree = make([]int, span+1)
+	for i, r := range rows {
+		k := i + 1
+		o.tree[k] += len(r)
+		if up := k + k&-k; up <= span {
+			o.tree[up] += o.tree[k]
 		}
 	}
-	return cells
+}
+
+// at returns the k-th cell (0-based) in (Y, X) order.
+func (o *rowOrder) at(k int) grid.Point {
+	i := 0 // tree position: rows [0, i) hold at most k cells
+	for step := 1 << bits.Len(uint(len(o.rows))); step > 0; step >>= 1 {
+		if j := i + step; j < len(o.tree) && o.tree[j] <= k {
+			i = j
+			k -= o.tree[j]
+		}
+	}
+	return grid.Pt(o.rows[i][k], o.minY+i)
 }
 
 // RandomClusters grows k compact random blobs joined by random monotone

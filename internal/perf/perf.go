@@ -148,9 +148,9 @@ func measureBest(repeats int, one func() (Entry, error)) (Entry, error) {
 // measureConn times sparse-movement connectivity rounds over the swarm's
 // world without an engine: each round moves the canonical-order corner
 // robot one cell south, out of the swarm, or back, through the round
-// protocol with every other robot staying (a hop that dirties one or two
-// chunks), then runs one query: Connected, or the scratch ConnectedBFS
-// when bfs is set. Only the query is timed. This isolates what the
+// protocol, which names only that mover while every other robot stays (a
+// hop that dirties one or two chunks), then runs one query: Connected, or
+// the scratch ConnectedBFS when bfs is set. Only the query is timed. This isolates what the
 // incremental layer replaces: the per-round connectivity check cost on
 // rounds where almost nothing moved.
 func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
@@ -168,15 +168,8 @@ func measureConn(s *swarm.Swarm, bfs bool, warmup, rounds int) (Entry, error) {
 		if i++; i%2 == 0 {
 			from, to = out, corner
 		}
-		d.BeginRound()
-		for _, p := range d.Cells() {
-			dst := p
-			if p == from {
-				dst = to
-			}
-			d.Arrive(p, dst)
-		}
-		d.BeginSleep()
+		d.Arrive(from, to)
+		d.Land(nil)
 		d.Commit()
 		start := time.Now()
 		query()

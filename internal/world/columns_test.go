@@ -15,10 +15,11 @@ import (
 // swarm, shifted so it straddles chunk seams, and checks after every
 // Commit that each tile's column words are the transpose of its row
 // words and that every slot of the cell order is the one the tile plane
-// holds at its cell: the engine's arrivals, merges and layer clears keep
-// the column copy in step, and the lane repair and sleeper merge move
-// each slot with its cell. It runs under FSYNC and under a round-robin
-// scheduler, whose sleepers take the merge path.
+// holds at its cell: the engine's departures, landings and merges keep
+// the column copy, the occupied-column masks and the live tiles in step,
+// and Commit's patch of the cell order moves each slot with its cell. It
+// runs under FSYNC and under a round-robin scheduler, whose sleepers are
+// merged onto without being named to the protocol.
 func TestColumnsFollowEngineRounds(t *testing.T) {
 	// FSYNC subtests are named by workload alone, the scheduler's by
 	// "ssync-rr:3/" and the workload.

@@ -15,8 +15,9 @@ package world
 //
 //   - a local component label per occupied cell (labels are dense ids
 //     0..ncomps-1, recomputed by a word-parallel row-run pass whenever the
-//     chunk's occupancy words changed — Commit detects that with one
-//     512-byte compare per live chunk);
+//     chunk's occupancy words changed — Commit detects that from the
+//     rows the round wrote, so a chunk no robot entered or left costs
+//     nothing);
 //   - cached seam links for the two borders the chunk owns (east and
 //     north; every chunk pair is covered exactly once, and 4-connectivity
 //     has no diagonal cross-chunk adjacency): the pairs of local component
@@ -117,10 +118,9 @@ func (c *connIncr) markDirty(t *tile) {
 	}
 }
 
-// Commit-time change detection lives in Dense.noteRoundDiff (quiesce.go):
-// one tile diff per round queues changed chunks here via markDirty and
-// feeds the quiescence dirty planes — no double word-compare when both
-// consumers are on.
+// Commit-time change detection lives in Dense.noteEdits (quiesce.go): one
+// diff of the rows the round wrote queues changed chunks here via
+// markDirty and feeds the quiescence dirty planes.
 
 // connReady counts a query and brings the incremental structure up to
 // date with the current occupancy: a cold structure is rebuilt, a warm one
@@ -160,7 +160,7 @@ func (c *connIncr) rebuild(d *Dense) {
 		t.connDirty = false
 	}
 	c.dirty = c.dirty[:0]
-	for _, t := range d.live[d.cur] {
+	for _, t := range d.live {
 		c.refresh(d, t)
 	}
 	c.valid = true
@@ -170,15 +170,8 @@ func (c *connIncr) rebuild(d *Dense) {
 // layer: relabel its components (or evict it if it emptied) and
 // invalidate every border cache involving it.
 func (c *connIncr) refresh(d *Dense, t *tile) {
-	pop := false
-	for _, w := range t.bits[d.cur] {
-		if w != 0 {
-			pop = true
-			break
-		}
-	}
 	cc := c.chunks[t]
-	if !pop {
+	if t.occCols == 0 {
 		if cc != nil {
 			// Chunk eviction: the last robot left. Its components (and
 			// owned border caches) die with it.
@@ -199,7 +192,7 @@ func (c *connIncr) refresh(d *Dense, t *tile) {
 		cc.t, cc.cx, cc.cy = t, t.cx, t.cy
 		c.chunks[t] = cc
 	}
-	c.relabel(cc, t, d.cur)
+	c.relabel(cc, t)
 	cc.eastOK, cc.northOK = false, false
 	c.invalidateNeighbors(d, cc.cx, cc.cy)
 }
@@ -225,7 +218,7 @@ func (c *connIncr) invalidateNeighbors(d *Dense, cx, cy int) {
 // provisional component, runs of vertically adjacent rows whose masks
 // intersect are unioned, and the run roots are flattened to dense ids.
 // Cost is O(rows + runs·α), word-parallel in the occupancy bits.
-func (c *connIncr) relabel(cc *chunkConn, t *tile, layer int) {
+func (c *connIncr) relabel(cc *chunkConn, t *tile) {
 	c.stats.Relabels++
 	runs := c.runs[:0]
 	uf := c.runUF[:0]
@@ -233,7 +226,7 @@ func (c *connIncr) relabel(cc *chunkConn, t *tile, layer int) {
 	prevLo := 0 // index into runs of the previous non-empty row's runs
 	prevRow := -2
 	for y := 0; y < tileSize; y++ {
-		w := t.bits[layer][y]
+		w := t.bits[y]
 		if w == 0 {
 			continue
 		}
@@ -310,15 +303,14 @@ func unionRuns(uf []int32, a, b int32) {
 // remains. Border caches invalidated by this round's dirty chunks are
 // recomputed here, after every relabel is done, so links always pair
 // fresh labels on both sides.
-// Both loops below walk d.live[d.cur] — the deduplicated, insertion-ordered
-// list of tiles that may hold current-layer bits — rather than the chunks
-// map: every occupied tile is on the live list (mark runs on every arrival),
-// so skipping live tiles without a chunkConn visits exactly the map's
-// entries, in deterministic order. Label bases, and therefore the union-find
-// trace, come out identical on every run.
+// Both loops below walk d.live — the list of tiles holding robots — rather
+// than the chunks map: after the dirty chunks are refreshed, every live
+// tile has a chunkConn and every chunkConn a live tile, so the walk visits
+// exactly the map's entries, in deterministic order. Label bases, and
+// therefore the union-find trace, come out identical on every run.
 func (c *connIncr) query(d *Dense) bool {
 	var n int32
-	for _, t := range d.live[d.cur] {
+	for _, t := range d.live {
 		cc := c.chunks[t]
 		if cc == nil {
 			continue
@@ -338,19 +330,19 @@ func (c *connIncr) query(d *Dense) bool {
 		c.parent[i] = int32(i)
 	}
 	roots := n
-	for _, t := range d.live[d.cur] {
+	for _, t := range d.live {
 		cc := c.chunks[t]
 		if cc == nil {
 			continue
 		}
 		if !cc.eastOK {
 			cc.eastNbr = c.neighborConn(d, cc.cx+1, cc.cy)
-			cc.east = appendEastLinks(cc.east[:0], t, cc, d.cur)
+			cc.east = appendEastLinks(cc.east[:0], t, cc)
 			cc.eastOK = true
 		}
 		if !cc.northOK {
 			cc.northNbr = c.neighborConn(d, cc.cx, cc.cy+1)
-			cc.north = appendNorthLinks(cc.north[:0], t, cc, d.cur)
+			cc.north = appendNorthLinks(cc.north[:0], t, cc)
 			cc.northOK = true
 		}
 		for _, l := range cc.east {
@@ -379,12 +371,12 @@ func (c *connIncr) neighborConn(d *Dense, cx, cy int) *chunkConn {
 // Consecutive duplicate pairs are skipped (vertical
 // runs touch along many rows); remaining duplicates are harmless — union
 // is idempotent.
-func appendEastLinks(links []connLink, t *tile, cc *chunkConn, layer int) []connLink {
+func appendEastLinks(links []connLink, t *tile, cc *chunkConn) []connLink {
 	nbr := cc.eastNbr
 	if nbr == nil {
 		return links
 	}
-	w := t.cols[layer][tileMask] & nbr.t.cols[layer][0]
+	w := t.cols[tileMask] & nbr.t.cols[0]
 	for ; w != 0; w &= w - 1 {
 		y := bits.TrailingZeros64(w)
 		l := connLink{cc.labels[y<<tileShift|tileMask], nbr.labels[y<<tileShift]}
@@ -398,13 +390,13 @@ func appendEastLinks(links []connLink, t *tile, cc *chunkConn, layer int) []conn
 // appendNorthLinks collects the seam links across the chunk's north
 // border: cells in its row 63 adjacent to occupied cells in the north
 // neighbor's row 0.
-func appendNorthLinks(links []connLink, t *tile, cc *chunkConn, layer int) []connLink {
+func appendNorthLinks(links []connLink, t *tile, cc *chunkConn) []connLink {
 	nbr := cc.northNbr
 	if nbr == nil {
 		return links
 	}
 	nt := nbr.t
-	w := t.bits[layer][tileMask] & nt.bits[layer][0]
+	w := t.bits[tileMask] & nt.bits[0]
 	for ; w != 0; w &= w - 1 {
 		x := bits.TrailingZeros64(w)
 		l := connLink{cc.labels[tileMask<<tileShift|x], nbr.labels[x]}

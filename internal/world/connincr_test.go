@@ -169,8 +169,8 @@ func TestConnIncrColdStart(t *testing.T) {
 	}
 }
 
-// TestConnIncrRoundCommit drives the real round protocol — BeginRound,
-// Arrive, Commit — across a seam and checks the commit-time dirty detection
+// TestConnIncrRoundCommit drives the real round protocol — Arrive, Land,
+// Commit — across a seam and checks the commit-time dirty detection
 // keeps the incremental answers exact, including a disconnect caused by a
 // single departing robot.
 func TestConnIncrRoundCommit(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package world provides the engine's global state: occupancy, per-robot
 // run states and logical clocks, the canonical sorted cell order, and the
-// per-round apply protocol (arrivals, merges, state hand-offs).
+// per-round apply protocol (moves, merges, state hand-offs).
 //
 // The single implementation is Dense, a tiled bitset occupancy index —
 // 64-bit row words, with a column-major copy, over fixed 64×64-cell
@@ -14,17 +14,15 @@
 // the slot space is fixed for the world's lifetime and every per-slot
 // table is sized once. A point→slot index lives in the chunk tiles and is
 // maintained incrementally. The index is stored in 8×8-cell blocks, each
-// allocated the first time a layer writes a slot into it and never freed,
-// so a thin swarm (a line, a ring, a staircase) pays for the blocks its
-// robots have touched, not for whole 64×64 planes, and a slot read costs
-// one load more than a dense plane would.
+// allocated the first time a robot's slot is written into it and never
+// freed, so a thin swarm (a line, a ring, a staircase) pays for the blocks
+// its robots have touched, not for whole 64×64 planes, and a slot read
+// costs one load more than a dense plane would.
 // The sorted cell order is stored once, as a cell array and a parallel
 // slot array that Cells and Slots return without copying (valid until the
-// next Commit). It is repaired incrementally each round (robots move
-// L∞ ≤ 1, so a near-sorted insertion pass replaces a full re-sort, each
-// slot moving with its cell), and the enclosing bounds for the Gathered()
-// check are accumulated from the round's arrivals instead of rescanned;
-// both are exact after every Commit.
+// next Commit). Commit patches it with the round's vacated, merged and
+// newly occupied cells, and the enclosing bounds for the Gathered() check
+// follow the same edits; both are exact after every Commit.
 //
 // (The original map-backed representation lived here for one PR as a
 // differential oracle; the dense backend was proven bit-identical to it
@@ -34,20 +32,29 @@
 // # Round protocol
 //
 // The engine owns the round semantics (merge rules, transfer death rules,
-// clock maxing); the world stores, and marks every write a view could
-// observe for the quiescence layer (quiesce.go). Reads refer to the
-// current (pre-round) occupancy; the round protocol builds the next
-// round's occupancy, which Commit swaps in:
+// clock ticks); the world stores, and marks every write a view could
+// observe for the quiescence layer (quiesce.go). There is one occupancy
+// layer. A robot that stays put, holds no runs and keeps none takes no
+// part in the protocol: only the robots that move or hold, keep or
+// transfer runs are named, and only the cells they leave and land on are
+// written. The layer is written in place, so reads see the pre-round
+// state only until the first Arrive, and the next round's from Land on.
 //
-//	BeginRound
-//	  Arrive(from, dst) for every activated robot, in canonical cell
-//	  order of from; SetArrivalState after each sole-so-far arrival;
-//	  RaiseClock after each arrival (when clocks are on)
-//	BeginSleep
-//	  Sleep(p) for every sleeping robot, in canonical cell order;
-//	  RaiseClock after each (when clocks are on)
-//	ArrivalCount / ArrivalState / SetArrivalState for transfer resolution
+//	Arrive(from, dst) for every activated robot that moves (dst ≠ from)
+//	  or holds runs, in canonical cell order of from: its runs end and a
+//	  mover leaves its cell
+//	Land(awake) lands the movers in the same order and resolves merges
+//	ArrivalCount / ArrivalState / SetArrivalState for kept runs and
+//	  transfer resolution
 //	Commit
+//
+// The survivor of a cell is its first arrival in canonical activation
+// order: the activated robots in cell order, then the sleepers. A stayer
+// counts as arriving at its own cell, so a mover landing on a stayer
+// survives if it comes first (its cell precedes the stayer's, or the
+// stayer sleeps), and a later mover always merges into whoever is there.
+// Under a scheduler each activated robot's logical clock ticks once
+// (TickClock), and a merge keeps the largest clock of the robots it joins.
 //
 //gather:deterministic
 package world
@@ -73,57 +80,61 @@ const (
 	blockSize  = 1 << blockShift // 8×8 cells per slot block
 	blockMask  = blockSize - 1
 	tileBlocks = tileSize >> blockShift // slot blocks per chunk side
+
+	// roundScratch is the initial capacity of the per-round lists (movers,
+	// landings, written rows): only boundary robots move, so a round's
+	// lists are far shorter than the population.
+	roundScratch = 256
 )
 
 // slotBlock holds the slots of one 8×8 block of a chunk, row-major.
 type slotBlock [blockSize * blockSize]int32
 
 // tile is one 64×64-cell chunk. Occupancy is one uint64 word per row
-// (bit x&63 of word y&63), double-buffered across the two round layers,
-// with a column-major copy (bit y&63 of word x&63) so that reads along y
-// scan one word the way reads along x do; multi marks cells that received
-// more than one arrival in the round being built. Only construction and
-// the round protocol write the occupancy and slot planes.
+// (bit x&63 of word y&63), with a column-major copy (bit y&63 of word
+// x&63) so that reads along y scan one word the way reads along x do.
+// Only construction and the round protocol write the occupancy and slot
+// planes.
 //
-// The point→slot index is split into 8×8 blocks: slots holds, per layer,
-// a row-major table of tileBlocks×tileBlocks block pointers, and a block
-// is allocated the first time its layer writes a slot into it (setSlot).
-// Blocks are never freed: a slot entry is only meaningful under a set
-// occupancy bit, so entries are never cleared and stale ones stay
-// unreachable, and a tile never costs more than two dense 64×64 planes
-// plus its pointer tables.
+// land and multi are round scratch, zero between rounds: land marks the
+// cells a mover landed on, multi the cells where robots merged. touched
+// marks the rows whose pre-round word the round saved in Dense.edits;
+// Commit diffs and clears exactly those rows.
+//
+// The point→slot index is split into 8×8 blocks: slots is a row-major
+// table of tileBlocks×tileBlocks block pointers, and a block is allocated
+// the first time a slot is written into it (setSlot). Blocks are never
+// freed: a slot entry is only meaningful under a set occupancy bit, so
+// entries are never cleared and stale ones stay unreachable, and a tile
+// never costs more than one dense 64×64 plane plus its pointer table.
 type tile struct {
-	bits      [2][tileSize]uint64
-	cols      [2][tileSize]uint64 // the transpose of bits, kept in step by set and clearLayers
-	multi     [tileSize]uint64
+	bits      [tileSize]uint64
+	cols      [tileSize]uint64 // the transpose of bits, kept in step by set and clear
 	qdirty    [tileSize]uint64 // quiescence: cells whose view may have changed since the robot there last recomputed (cumulative; cleared per cell by QuiesceNote)
-	marked    [2]bool          // on Dense.live[layer]: this tile may hold bits in that layer
-	connDirty bool             // queued on connIncr.dirty (occupancy changed since the last relabel)
-	cx, cy    int              // absolute chunk coordinates (set once at allocation)
-	slots     [2][tileBlocks * tileBlocks]*slotBlock
+	land      [tileSize]uint64
+	multi     [tileSize]uint64
+	touched   uint64
+	occCols   uint64 // bit x set iff column x holds a robot; zero iff the tile is empty
+	live      int32  // 1 + the tile's index in Dense.live, 0 while empty
+	connDirty bool   // queued on connIncr.dirty (occupancy changed since the last relabel)
+	cx, cy    int    // absolute chunk coordinates (set once at allocation)
+	slots     [tileBlocks * tileBlocks]*slotBlock
 }
 
-// slot returns the slot stored at (rx, ry) in layer. The occupancy bit
-// must be set, which guarantees the block exists.
-func (t *tile) slot(layer, rx, ry int) int32 {
-	return t.slots[layer][(ry>>blockShift)*tileBlocks+rx>>blockShift][(ry&blockMask)<<blockShift|rx&blockMask]
+// slot returns the slot stored at (rx, ry). The occupancy bit must be set,
+// which guarantees the block exists.
+func (t *tile) slot(rx, ry int) int32 {
+	return t.slots[(ry>>blockShift)*tileBlocks+rx>>blockShift][(ry&blockMask)<<blockShift|rx&blockMask]
 }
 
-// setSlot stores slot at (rx, ry) in layer, allocating the cell's block on
-// the layer's first write into it.
-func (t *tile) setSlot(layer, rx, ry int, slot int32) {
-	bp := &t.slots[layer][(ry>>blockShift)*tileBlocks+rx>>blockShift]
+// setSlot stores slot at (rx, ry), allocating the cell's block on the
+// first write into it.
+func (t *tile) setSlot(rx, ry int, slot int32) {
+	bp := &t.slots[(ry>>blockShift)*tileBlocks+rx>>blockShift]
 	if *bp == nil {
 		*bp = new(slotBlock)
 	}
 	(*bp)[(ry&blockMask)<<blockShift|rx&blockMask] = slot
-}
-
-// set marks the cell at in-chunk coordinates (rx, ry) occupied in layer,
-// in the row and the column words.
-func (t *tile) set(layer, rx, ry int) {
-	t.bits[layer][ry] |= 1 << uint(rx)
-	t.cols[layer][rx] |= 1 << uint(ry)
 }
 
 // runState is the run state of one robot that carries runs. MaxRuns is
@@ -135,58 +146,17 @@ type runState struct {
 	runs [robot.MaxRuns]robot.Run
 }
 
-// lane is the arrival buffer of the round being built: the arrivals' cells
-// and slots as two parallel arrays, split into an activated prefix
-// (near-sorted) and a sleeper suffix (sorted), plus their exact bounds.
-// bufCells and bufSlots are the merge scratch.
-type lane struct {
-	cells      []grid.Point
-	slots      []int32
-	bufCells   []grid.Point
-	bufSlots   []int32
-	sleepStart int
-	bounds     grid.Rect
+// move is one robot hop recorded by Arrive for Land.
+type move struct {
+	from, dst grid.Point
+	slot      int32
 }
 
-// reset prepares the lane for a new round.
-func (l *lane) reset() {
-	l.cells = l.cells[:0]
-	l.slots = l.slots[:0]
-	l.sleepStart = -1
-	l.bounds = grid.EmptyRect
-}
-
-// repair sorts the lane: the activated prefix is repaired with a
-// near-sorted insertion pass (robots move L∞ ≤ 1) and merged with the
-// already-sorted sleeper suffix, leaving the lane fully sorted. Every
-// slot moves with its cell.
-func (l *lane) repair() {
-	n := len(l.cells)
-	ss := l.sleepStart
-	if ss < 0 || ss > n {
-		ss = n
-	}
-	sortNearSorted(l.cells[:ss], l.slots[:ss])
-	if ss == n {
-		return
-	}
-	outC, outS := l.bufCells[:0], l.bufSlots[:0]
-	ac, as := l.cells[:ss], l.slots[:ss]
-	bc, bs := l.cells[ss:], l.slots[ss:]
-	i, j := 0, 0
-	for i < len(ac) && j < len(bc) {
-		if ac[i].Less(bc[j]) {
-			outC, outS = append(outC, ac[i]), append(outS, as[i])
-			i++
-		} else {
-			outC, outS = append(outC, bc[j]), append(outS, bs[j])
-			j++
-		}
-	}
-	outC = append(append(outC, ac[i:]...), bc[j:]...)
-	outS = append(append(outS, as[i:]...), bs[j:]...)
-	l.bufCells, l.bufSlots = l.cells[:0], l.slots[:0]
-	l.cells, l.slots = outC, outS
+// rowEdit is one occupancy row the round wrote, with its pre-round word.
+type rowEdit struct {
+	t   *tile
+	ry  int
+	old uint64
 }
 
 // Dense is the tiled bitset world. Chunks are addressed through a dense
@@ -196,9 +166,8 @@ func (l *lane) repair() {
 type Dense struct {
 	minCX, minCY int // chunk coordinate of table entry (0, 0)
 	cols, rows   int
-	tiles        []*tile    // nil = chunk never occupied
-	live         [2][]*tile // tiles that may hold bits per layer — Commit and the BFS scratch clear only these, so the per-round cost tracks the live population, not the initial bounds
-	cur          int        // active occupancy/slot layer (0 or 1)
+	tiles        []*tile // nil = chunk never occupied
+	live         []*tile // the tiles holding robots, in no particular order
 
 	// Run states: runOf maps a slot to a handle into runPool, 0 meaning
 	// "no runs", so the per-slot cost is 4 bytes and only run carriers
@@ -211,11 +180,22 @@ type Dense struct {
 
 	// The canonical cell order, stored once: cells in sorted (Y, X) order
 	// and, at the same index, the slot of the robot on each. Cells and
-	// Slots hand these arrays out as they are.
-	count int          // number of robots
-	cells []grid.Point // sorted (Y, X) cell order
-	slots []int32      // slots parallel to cells
-	next  lane         // arrivals of the round being built
+	// Slots hand these arrays out as they are; Commit writes the patched
+	// order into spareCells/spareSlots and swaps.
+	count      int          // number of robots
+	cells      []grid.Point // sorted (Y, X) cell order
+	slots      []int32      // slots parallel to cells
+	spareCells []grid.Point
+	spareSlots []int32
+
+	// Round scratch, empty between rounds: the movers in canonical order
+	// of their cells, the cells where a mover survives (and its slot), and
+	// the rows written with their pre-round words.
+	moves     []move
+	landCells []grid.Point
+	landSlots []int32
+	edits     []rowEdit
+	xStale    bool // a mover left the bounds' west or east column
 
 	bounds grid.Rect // exact enclosing rectangle of cells
 
@@ -226,10 +206,10 @@ type Dense struct {
 
 	conn *connIncr // incremental connectivity (lazily built on first query)
 
-	// Quiescence layer (quiesce.go): Commit's tile diff dilates every
-	// occupancy change by the view radius into the per-tile qdirty planes,
-	// and qmask caches, per slot and per round phase, whether the robot's
-	// last clean recompute returned the quiescent Stay.
+	// Quiescence layer (quiesce.go): Commit dilates every occupancy change
+	// by the view radius into the per-tile qdirty planes, and qmask
+	// caches, per slot and per round phase, whether the robot's last clean
+	// recompute returned the quiescent Stay.
 	qOn     bool
 	qRadius int
 	qmask   []uint32 // slot → per-phase quiescent-verdict bits
@@ -273,22 +253,27 @@ func newDenseSlots(n int, withClocks bool) *Dense {
 
 // place builds the occupancy layer from d.cells and d.slots (canonical
 // order) over a chunk table sized to bounds, their exact enclosing
-// rectangle, and sizes the arrival lane once for the population, so the
-// first rounds do not grow it by doubling.
+// rectangle. It sizes Commit's spare order arrays once for the population
+// (which only shrinks) and the round scratch for roundScratch movers, so
+// the first rounds of a small swarm do not grow it by doubling.
 func (d *Dense) place(bounds grid.Rect) {
 	d.initTable(bounds)
 	for i, p := range d.cells {
 		t := d.ensureTile(p)
-		d.mark(d.cur, t)
 		ry, rx := p.Y&tileMask, p.X&tileMask
-		t.set(d.cur, rx, ry)
-		t.setSlot(d.cur, rx, ry, d.slots[i])
+		d.set(t, rx, ry)
+		t.setSlot(rx, ry, d.slots[i])
 	}
 	n := len(d.cells)
 	d.count = n
 	d.bounds = bounds
-	d.next.cells = make([]grid.Point, 0, n)
-	d.next.slots = make([]int32, 0, n)
+	d.spareCells = make([]grid.Point, 0, n)
+	d.spareSlots = make([]int32, 0, n)
+	k := min(n, roundScratch)
+	d.moves = make([]move, 0, k)
+	d.landCells = make([]grid.Point, 0, k)
+	d.landSlots = make([]int32, 0, k)
+	d.edits = make([]rowEdit, 0, k)
 }
 
 // initTable sizes the chunk table to the bounds plus one chunk of margin
@@ -342,18 +327,51 @@ func (d *Dense) tileAtChunk(cx, cy int) *tile {
 	return d.tiles[iy*d.cols+ix]
 }
 
-// mark puts t on the layer's live list the first time the layer writes
-// into it.
-func (d *Dense) mark(layer int, t *tile) {
-	if !t.marked[layer] {
-		t.marked[layer] = true
-		d.live[layer] = append(d.live[layer], t)
+// set marks the cell at in-chunk coordinates (rx, ry) occupied, in the row
+// and the column words, putting t on the live list if it was empty.
+func (d *Dense) set(t *tile, rx, ry int) {
+	if t.occCols == 0 {
+		d.live = append(d.live, t)
+		t.live = int32(len(d.live))
+	}
+	t.bits[ry] |= 1 << uint(rx)
+	t.cols[rx] |= 1 << uint(ry)
+	t.occCols |= 1 << uint(rx)
+}
+
+// clear frees the cell at (rx, ry), taking t off the live list (swapping
+// the last live tile into its place) when its last robot leaves.
+func (d *Dense) clear(t *tile, rx, ry int) {
+	t.bits[ry] &^= 1 << uint(rx)
+	t.cols[rx] &^= 1 << uint(ry)
+	if t.cols[rx] != 0 {
+		return
+	}
+	t.occCols &^= 1 << uint(rx)
+	if t.occCols != 0 {
+		return
+	}
+	i, last := t.live-1, len(d.live)-1
+	d.live[i] = d.live[last]
+	d.live[i].live = i + 1
+	d.live = d.live[:last]
+	t.live = 0
+}
+
+// touch saves row ry of t with its pre-round word the first time the round
+// writes it, so Commit can diff and clear exactly the rows written.
+func (d *Dense) touch(t *tile, ry int) {
+	if b := uint64(1) << uint(ry); t.touched&b == 0 {
+		t.touched |= b
+		// The edit list is length-reset by every Commit and reaches the
+		// busiest round's size within the first rounds.
+		d.edits = append(d.edits, rowEdit{t: t, ry: ry, old: t.bits[ry]}) //gather:alloc-ok length-reset per Commit, steady-state reuse
 	}
 }
 
 // grow extends the chunk table to cover chunk (cx, cy) with one chunk of
 // fresh margin. Existing tiles keep their identity; only the table moves.
-// Only an arrival past the table's margin gets here: construction sizes
+// Only a landing past the table's margin gets here: construction sizes
 // the table to its cells.
 func (d *Dense) grow(cx, cy int) {
 	minCX := min(d.minCX, cx-1)
@@ -375,7 +393,7 @@ func (d *Dense) Len() int { return d.count }
 // bounds check, one table index, one bit test — no hashing, no closures.
 func (d *Dense) Has(p grid.Point) bool {
 	t := d.tileAt(p)
-	return t != nil && t.bits[d.cur][p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
+	return t != nil && t.bits[p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
 }
 
 // Block3 returns the occupancy of the 3×3 block of cells centred on p, in
@@ -393,7 +411,7 @@ func (d *Dense) Block3(p grid.Point) grid.Block3 {
 	if t == nil {
 		return 0
 	}
-	rows, s := &t.bits[d.cur], uint(rx-1)
+	rows, s := &t.bits, uint(rx-1)
 	return grid.Block3(rows[ry-1]>>s&7 | (rows[ry]>>s&7)<<3 | (rows[ry+1]>>s&7)<<6)
 }
 
@@ -414,11 +432,11 @@ func (d *Dense) block3Seam(p grid.Point) grid.Block3 {
 // lineWord returns t's occupancy word for the tile line through p along
 // step's axis: the row word for a horizontal step, the column word for a
 // vertical one. Bit lineBit(p, step) of it is p.
-func (d *Dense) lineWord(t *tile, p, step grid.Point) uint64 {
+func lineWord(t *tile, p, step grid.Point) uint64 {
 	if step.Y == 0 {
-		return t.bits[d.cur][p.Y&tileMask]
+		return t.bits[p.Y&tileMask]
 	}
-	return t.cols[d.cur][p.X&tileMask]
+	return t.cols[p.X&tileMask]
 }
 
 // lineBit returns p's in-chunk coordinate along step's axis, its bit in
@@ -450,7 +468,7 @@ func (d *Dense) RunLen(p, step grid.Point, max int) int {
 		if t == nil {
 			break
 		}
-		w, s := d.lineWord(t, q, step), lineBit(q, step)
+		w, s := lineWord(t, q, step), lineBit(q, step)
 		var ones, avail int
 		if fwd {
 			// Bits s.. of the word, shifted down to bit 0; the zeros
@@ -487,7 +505,7 @@ func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
 	for count > 0 {
 		s := lineBit(p, step)
 		k := min(count, tileSize-int(s))
-		if t := d.tileAt(p); t != nil && d.lineWord(t, p, step)&((uint64(1)<<uint(k)-1)<<s) != 0 {
+		if t := d.tileAt(p); t != nil && lineWord(t, p, step)&((uint64(1)<<uint(k)-1)<<s) != 0 {
 			return true
 		}
 		p = p.Add(step.Scale(k))
@@ -496,19 +514,20 @@ func (d *Dense) AnyIn(p, step grid.Point, count int) bool {
 	return false
 }
 
-// slotAt returns the slot stored for p in the given layer. The occupancy
-// bit must be set, so p's chunk is in the table and the lookup skips
+// slotAt returns the slot stored for p. The occupancy bit must be set —
+// or, for a mover's own cell during the round, have been set when the
+// round began — so p's chunk is in the table and the lookup skips
 // tileAt's range check (which keeps slotAt inlinable with the block load).
-func (d *Dense) slotAt(layer int, p grid.Point) int32 {
+func (d *Dense) slotAt(p grid.Point) int32 {
 	t := d.tiles[(p.Y>>tileShift-d.minCY)*d.cols+p.X>>tileShift-d.minCX]
-	return t.slot(layer, p.X&tileMask, p.Y&tileMask)
+	return t.slot(p.X&tileMask, p.Y&tileMask)
 }
 
 // SlotAt returns the stable slot of the robot at p. Slots are assigned
 // 0..n-1 in sorted cell order at construction, move with their robot, and
 // are never reused after a merge, so they identify a robot across rounds.
 // Calling it on a free cell is undefined.
-func (d *Dense) SlotAt(p grid.Point) int32 { return d.slotAt(d.cur, p) }
+func (d *Dense) SlotAt(p grid.Point) int32 { return d.slotAt(p) }
 
 // StateAt returns the run state of the robot at p (zero if free). The Runs
 // slice aliases the run pool — read-only, valid until the state is
@@ -516,10 +535,10 @@ func (d *Dense) SlotAt(p grid.Point) int32 { return d.slotAt(d.cur, p) }
 func (d *Dense) StateAt(p grid.Point) robot.State {
 	t := d.tileAt(p)
 	ry, rx := p.Y&tileMask, p.X&tileMask
-	if t == nil || t.bits[d.cur][ry]&(1<<uint(rx)) == 0 {
+	if t == nil || t.bits[ry]&(1<<uint(rx)) == 0 {
 		return robot.State{}
 	}
-	return d.StateOf(t.slot(d.cur, rx, ry))
+	return d.StateOf(t.slot(rx, ry))
 }
 
 // StateOf returns the run state of the robot in slot, aliasing the run
@@ -576,7 +595,7 @@ func (d *Dense) dropRuns(slot int32) {
 // SetState overwrites the state of the robot at p in the current round
 // (test scaffolding; p must be occupied). The runs are copied.
 func (d *Dense) SetState(p grid.Point, st robot.State) {
-	d.packState(d.slotAt(d.cur, p), st)
+	d.packState(d.slotAt(p), st)
 	d.QuiesceReset()
 }
 
@@ -586,11 +605,30 @@ func (d *Dense) ClockAt(p grid.Point) int {
 	if d.clocks == nil || !d.Has(p) {
 		return 0
 	}
-	return d.clocks[d.slotAt(d.cur, p)]
+	return d.clocks[d.slotAt(p)]
+}
+
+// Clock returns the logical clock of the robot in slot (0 when clocks are
+// disabled).
+func (d *Dense) Clock(slot int32) int {
+	if d.clocks == nil {
+		return 0
+	}
+	return d.clocks[slot]
+}
+
+// TickClock counts one more completed cycle on the logical clock of the
+// robot in slot; a no-op when clocks are disabled. The engine ticks every
+// activated robot once per round, before Land, so a merge's maximum sees
+// every partner's final clock.
+func (d *Dense) TickClock(slot int32) {
+	if d.clocks != nil {
+		d.clocks[slot]++
+	}
 }
 
 // Bounds returns the smallest enclosing rectangle: set at construction,
-// then accumulated by Commit from the round's arrivals, so always exact.
+// then kept exact by Commit from the round's edits.
 func (d *Dense) Bounds() grid.Rect { return d.bounds }
 
 // Version counts the writes that can change occupancy or crash marks:
@@ -622,94 +660,143 @@ func (d *Dense) SlotCount() int { return len(d.runOf) }
 
 // --- round protocol ---
 
-// BeginRound resets the next-round arrival buffer.
-func (d *Dense) BeginRound() { d.next.reset() }
-
-// Arrive records the activated robot at from landing on dst (from == dst
-// for a stay) and returns 1 if it is the sole arrival at dst so far, or 2
-// if it merged with earlier arrivals. The robot's runs are dropped: an
-// activated robot leaves the round with only the runs it keeps, which the
-// engine sets through SetArrivalState, so a robot without runs that keeps
-// none costs no state write. The first arrival's slot survives at dst; a
-// merge clears any pending state at dst.
+// Arrive records the activated robot at from ending its cycle on dst. Its
+// runs end: an activated robot leaves the round with only the runs it
+// keeps, which the engine sets through SetArrivalState once Land has
+// settled the cell. A mover (dst ≠ from) leaves its cell now and lands in
+// Land. Call it in canonical cell order of from for every activated robot
+// that moves or holds runs; for a robot that stays and holds none the
+// call writes nothing, so the engine skips it.
 //
-// Two of these writes are invisible to Commit's occupancy diff, so Arrive
-// marks them view-dirty itself: a robot that carried runs changes the
-// states its neighbours see at from even if another robot takes its cell,
-// and a merge can leave dst occupied while its slot, state and crash mark
-// change.
+// The end of a robot's runs is invisible to the occupancy diff, so Arrive
+// marks from view-dirty when the robot carried any: its neighbours saw
+// them there, even if another robot takes the cell.
 //
 //gather:hotpath
-func (d *Dense) Arrive(from, dst grid.Point) int { return d.arrive(from, dst, true) }
-
-// arrive is Arrive and Sleep: drop says whether the arriving robot's runs
-// end with this round (activated) or stay frozen (sleeping).
-//
-//gather:hotpath
-func (d *Dense) arrive(from, dst grid.Point, drop bool) int {
-	slot := d.slotAt(d.cur, from)
-	if drop && d.runOf[slot] != 0 {
+func (d *Dense) Arrive(from, dst grid.Point) {
+	slot := d.slotAt(from)
+	if d.runOf[slot] != 0 {
 		d.markViewDirty(from)
+		d.dropRuns(slot)
 	}
-	nxt := d.cur ^ 1
-	t := d.tileAt(dst)
-	if t == nil || !t.marked[nxt] {
-		t = d.ensureTile(dst)
-		d.mark(nxt, t)
+	if dst == from {
+		return
 	}
-	ry, rx := dst.Y&tileMask, dst.X&tileMask
-	b := uint64(1) << uint(rx)
-	if t.bits[nxt][ry]&b == 0 {
-		t.set(nxt, rx, ry)
-		t.setSlot(nxt, rx, ry, slot)
-		l := &d.next
-		// The arrival buffer was length-reset by lane.reset at round start
-		// and reaches swarm-size capacity within the first rounds; growth
-		// after that is a cold path the hint analysis cannot see from here.
-		l.cells = append(l.cells, dst)  //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
-		l.slots = append(l.slots, slot) //gather:alloc-ok capacity reset in lane.reset, steady-state reuse
-		l.bounds = l.bounds.Include(dst)
-		if drop {
-			d.dropRuns(slot)
+	if from.X == d.bounds.MinX || from.X == d.bounds.MaxX {
+		d.xStale = true
+	}
+	t := d.tileAt(from)
+	rx, ry := from.X&tileMask, from.Y&tileMask
+	d.touch(t, ry)
+	d.clear(t, rx, ry)
+	d.count--
+	// The move list is length-reset by every Commit and reaches the
+	// busiest round's size within the first rounds.
+	d.moves = append(d.moves, move{from: from, dst: dst, slot: slot}) //gather:alloc-ok length-reset per Commit, steady-state reuse
+}
+
+// Land lands the movers Arrive recorded, in the order recorded, and
+// returns how many crash-stopped robots merges removed. awake lists the
+// pre-round cells of the round's activated robots in canonical order, or
+// is nil when every robot is activated; Land reads it only when a mover
+// from an earlier cell lands on a stayer.
+//
+// A mover landing on a free cell takes it, and one landing where an
+// earlier mover landed merges into that mover. A mover landing on a
+// stayer merges with it and survives if it arrives first in canonical
+// activation order: its cell precedes the stayer's, or the stayer sleeps.
+// A merge stops the survivor's runs (Table 1), the merged robot's slot
+// dies with its runs and crash mark, and the survivor keeps the larger
+// logical clock. The cell stays occupied while its slot, state and crash
+// mark change, which the occupancy diff cannot see, so a merge marks the
+// cell view-dirty.
+//
+//gather:hotpath
+func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
+	for _, m := range d.moves {
+		t := d.ensureTile(m.dst)
+		rx, ry := m.dst.X&tileMask, m.dst.Y&tileMask
+		b := uint64(1) << uint(rx)
+		d.touch(t, ry)
+		if t.bits[ry]&b == 0 {
+			d.set(t, rx, ry)
+			t.setSlot(rx, ry, m.slot)
+			t.land[ry] |= b
+			d.count++
+			d.landed(m.dst, m.slot)
+			continue
 		}
-		return 1
+		d.markViewDirty(m.dst)
+		t.multi[ry] |= b
+		win, lose := t.slot(rx, ry), m.slot
+		if t.land[ry]&b == 0 {
+			// The first mover onto a stayer; any later one merges into
+			// whichever of the two survives.
+			t.land[ry] |= b
+			d.dropRuns(win)
+			if m.from.Less(m.dst) || (awake != nil && !containsCell(awake, m.dst)) {
+				if d.crashed != nil && d.crashed[win] {
+					crashedLost++
+				}
+				win, lose = lose, win
+				t.setSlot(rx, ry, win)
+				d.landed(m.dst, win)
+			}
+		}
+		if d.clocks != nil && d.clocks[lose] > d.clocks[win] {
+			d.clocks[win] = d.clocks[lose]
+		}
 	}
-	// A merge: the survivor's pending runs stop (Table 1) and the arriving
-	// robot's slot dies with its runs.
-	d.markViewDirty(dst)
-	t.multi[ry] |= b
-	d.dropRuns(t.slot(nxt, rx, ry))
-	d.dropRuns(slot)
-	return 2
+	return crashedLost
 }
 
-// BeginSleep marks the boundary between the activated arrivals (a
-// near-sorted prefix) and the sleeper arrivals (an exactly sorted suffix),
-// so Commit can repair the prefix and merge the suffix.
-func (d *Dense) BeginSleep() { d.next.sleepStart = len(d.next.cells) }
+// landed records that the mover in slot now holds dst, for Commit's patch
+// of the cell order.
+func (d *Dense) landed(dst grid.Point, slot int32) {
+	// Length-reset by every Commit; bounded by the busiest round's movers.
+	d.landCells = append(d.landCells, dst)  //gather:alloc-ok length-reset per Commit, steady-state reuse
+	d.landSlots = append(d.landSlots, slot) //gather:alloc-ok length-reset per Commit, steady-state reuse
+}
 
-// Sleep records the robot at p staying put. Its runs are not touched —
-// frozen for free. Merge handling is as in Arrive.
-func (d *Dense) Sleep(p grid.Point) int { return d.arrive(p, p, false) }
+// containsCell reports whether the sorted cells hold c.
+func containsCell(cells []grid.Point, c grid.Point) bool {
+	i := searchCells(cells, c)
+	return i < len(cells) && cells[i] == c
+}
 
-// SetArrivalState sets the pending next-round state of the sole robot at
-// dst. The runs are copied; an empty state clears. Arrive already cleared
-// an activated robot's runs, so only robots that keep or receive runs need
-// this call. The new state is marked view-dirty at dst: a robot that keeps,
-// adopts or receives runs may not have moved at all.
+// searchCells returns the index of the first of the sorted cells not less
+// than c.
+func searchCells(cells []grid.Point, c grid.Point) int {
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cells[m].Less(c) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// SetArrivalState sets the next-round state of the sole robot at dst. The
+// runs are copied; an empty state clears. Call it after Land. Arrive
+// already ended an activated robot's runs, so only robots that keep or
+// receive runs need this call. The new state is marked view-dirty at dst:
+// a robot that keeps, adopts or receives runs may not have moved at all.
 func (d *Dense) SetArrivalState(dst grid.Point, st robot.State) {
-	d.packState(d.slotAt(d.cur^1, dst), st)
+	d.packState(d.slotAt(dst), st)
 	d.markViewDirty(dst)
 }
 
-// ArrivalState returns the pending next-round state at dst.
+// ArrivalState returns the next-round state at dst (after Land).
 func (d *Dense) ArrivalState(dst grid.Point) robot.State {
-	return d.StateOf(d.slotAt(d.cur^1, dst))
+	return d.StateOf(d.slotAt(dst))
 }
 
-// ArrivalCount returns how many robots arrived at dst this round: 0
-// (none), 1 (sole survivor), or 2 (a merge happened; the exact count
-// beyond two is not tracked).
+// ArrivalCount returns how many robots ended the round at dst, counting a
+// stayer: 0 (none), 1 (a sole robot), or 2 (a merge happened; the exact
+// count beyond two is not tracked). Call it after Land.
 func (d *Dense) ArrivalCount(dst grid.Point) int {
 	t := d.tileAt(dst)
 	if t == nil {
@@ -718,7 +805,7 @@ func (d *Dense) ArrivalCount(dst grid.Point) int {
 	ry := dst.Y & tileMask
 	b := uint64(1) << uint(dst.X&tileMask)
 	switch {
-	case t.bits[d.cur^1][ry]&b == 0:
+	case t.bits[ry]&b == 0:
 		return 0
 	case t.multi[ry]&b != 0:
 		return 2
@@ -727,69 +814,95 @@ func (d *Dense) ArrivalCount(dst grid.Point) int {
 	}
 }
 
-// RaiseClock raises the pending logical clock of the survivor at dst to at
-// least cl. No-op when clocks are disabled. In-place maxing is sound: the
-// survivor's own arrival always raises its slot past the stale pre-round
-// value before merge partners contribute.
-func (d *Dense) RaiseClock(dst grid.Point, cl int) {
-	if d.clocks == nil {
-		return
-	}
-	slot := d.slotAt(d.cur^1, dst)
-	if cl > d.clocks[slot] {
-		d.clocks[slot] = cl
-	}
-}
-
-// Commit swaps the pending round in: occupancy, states, clocks and the
-// sorted cell order all advance to the next round. The arrival lane is
-// repaired into the canonical sorted order and its cell and slot arrays
-// swapped with the world's, so the outgoing arrays become next round's
-// arrival lane — no copy happens in the common no-sleeper round. The
-// bounds come from the round's arrivals, and the outgoing layer's
-// occupancy words are cleared to become the next round's scratch. Slot
-// planes are never cleared (stale entries are unreachable) and the chunk
-// table never rebases.
+// Commit ends the round. In a round where robots moved, the canonical
+// cell order is patched with the round's edits and the bounds follow
+// them; a round without movers leaves both untouched. Every row the round
+// wrote is diffed against its pre-round word for the incremental
+// connectivity layer and the quiescence dirty planes, and its round
+// scratch is cleared (noteEdits). Slot planes are never cleared (stale
+// entries are unreachable) and the chunk table never rebases.
 func (d *Dense) Commit() {
-	d.next.repair()
-	d.cells, d.next.cells = d.next.cells, d.cells[:0]
-	d.slots, d.next.slots = d.next.slots, d.slots[:0]
-	old := d.cur
-	nxt := old ^ 1
-	// One tile diff feeds both the incremental connectivity layer and the
-	// quiescence dirty planes; it must run before the outgoing layer is
-	// cleared (the comparison needs both layers intact).
-	d.noteRoundDiff(old, nxt)
-	d.clearLayers(old, nxt)
-	d.cur = nxt
-	d.count = len(d.cells)
-	d.bounds = d.next.bounds
+	if len(d.moves) > 0 {
+		d.patchOrder()
+		d.moves = d.moves[:0]
+		d.landCells, d.landSlots = d.landCells[:0], d.landSlots[:0]
+		d.xStale = false
+	}
+	d.noteEdits()
 	d.version++
 }
 
-// clearLayers clears the outgoing layer (it becomes the next round's
-// scratch) and the round's multi plane, touching only the tiles each layer
-// actually wrote — as the swarm contracts, this tracks the live tiles, not
-// the initial bounds.
-//
-//gather:hotpath
-func (d *Dense) clearLayers(old, nxt int) {
-	for _, t := range d.live[old] {
-		t.bits[old] = [tileSize]uint64{}
-		t.cols[old] = [tileSize]uint64{}
-		t.marked[old] = false
+// patchOrder writes the next cell order into the spare arrays and swaps
+// them in: the movers' old cells leave, the cells where a mover survives
+// enter (replacing a stayer's entry there), and the runs of cells in
+// between are copied as blocks. The bounds follow: rows from the ends of
+// the order, columns from the landings, or from the live tiles when a
+// mover left the west or east edge.
+func (d *Dense) patchOrder() {
+	sortNearSorted(d.landCells, d.landSlots)
+	old, oldS := d.cells, d.slots
+	outC, outS := d.spareCells[:0], d.spareSlots[:0]
+	mv, in := d.moves, d.landCells
+	pos, i, j := 0, 0, 0
+	for i < len(mv) || j < len(in) {
+		ins := j < len(in) && (i == len(mv) || !mv[i].from.Less(in[j]))
+		c := grid.Point{}
+		if ins {
+			c = in[j]
+		} else {
+			c = mv[i].from
+		}
+		k := pos + searchCells(old[pos:], c)
+		outC = append(outC, old[pos:k]...)
+		outS = append(outS, oldS[pos:k]...)
+		pos = k
+		if pos < len(old) && old[pos] == c {
+			pos++ // a vacated cell, or a stayer's cell a mover took
+		}
+		if i < len(mv) && mv[i].from == c {
+			i++
+		}
+		if ins {
+			outC = append(outC, c)
+			outS = append(outS, d.landSlots[j])
+			j++
+		}
 	}
-	for _, t := range d.live[nxt] {
-		t.multi = [tileSize]uint64{}
+	outC = append(outC, old[pos:]...)
+	outS = append(outS, oldS[pos:]...)
+	d.cells, d.slots = outC, outS
+	d.spareCells, d.spareSlots = old[:0], oldS[:0]
+
+	b := d.bounds
+	b.MinY, b.MaxY = outC[0].Y, outC[len(outC)-1].Y
+	if d.xStale {
+		b.MinX, b.MaxX = d.liveColumns()
+	} else {
+		for _, p := range in {
+			b.MinX, b.MaxX = min(b.MinX, p.X), max(b.MaxX, p.X)
+		}
 	}
-	d.live[old] = d.live[old][:0]
+	d.bounds = b
+}
+
+// liveColumns returns the westmost and eastmost occupied columns, one
+// word per live tile.
+func (d *Dense) liveColumns() (lo, hi int) {
+	lo, hi = math.MaxInt, math.MinInt
+	for _, t := range d.live {
+		base := t.cx << tileShift
+		lo = min(lo, base+bits.TrailingZeros64(t.occCols))
+		hi = max(hi, base+tileMask-bits.LeadingZeros64(t.occCols))
+	}
+	return lo, hi
 }
 
 // sortNearSorted sorts cells by (Y, X), moving each slot with its cell,
 // with an insertion pass that is O(n + inversions) — linear on the
-// engine's near-sorted arrival streams. A shift budget bounds pathological
-// rounds: past it, the remainder is handed to the standard sort (keys are
-// unique, so the result is deterministic either way).
+// engine's near-sorted landing lists (movers come in cell order and hop
+// L∞ ≤ 1). A shift budget bounds pathological rounds: past it, the
+// remainder is handed to the standard sort (keys are unique, so the result
+// is deterministic either way).
 func sortNearSorted(cells []grid.Point, slots []int32) {
 	budget := 8*len(cells) + 64
 	for i := 1; i < len(cells); i++ {

@@ -3,6 +3,8 @@ package world
 import (
 	"fmt"
 	"math/bits"
+
+	"gridgather/internal/grid"
 )
 
 // SlotsMismatch returns an error naming the first index of the cell order
@@ -29,44 +31,75 @@ func (d *Dense) SlotsMismatch() error {
 	return nil
 }
 
-// ColumnsMismatch returns an error naming the first allocated tile layer
-// whose column words are not exactly the transpose of its row words, or
-// nil when every layer of every allocated tile agrees.
+// ColumnsMismatch returns an error naming the first allocated tile whose
+// column words are not exactly the transpose of its row words, or whose
+// occupied-column mask or live-list entry disagrees with them, or nil when
+// every allocated tile agrees.
 func (d *Dense) ColumnsMismatch() error {
+	live := 0
 	for _, t := range d.tiles {
 		if t == nil {
 			continue
 		}
-		for layer := range t.bits {
-			var want [tileSize]uint64
-			for y, w := range t.bits[layer] {
-				for ; w != 0; w &= w - 1 {
-					want[bits.TrailingZeros64(w)] |= 1 << uint(y)
-				}
-			}
-			if want != t.cols[layer] {
-				return fmt.Errorf("world: chunk (%d, %d) layer %d: column words are not the transpose of the row words", t.cx, t.cy, layer)
+		var want [tileSize]uint64
+		for y, w := range t.bits {
+			for ; w != 0; w &= w - 1 {
+				want[bits.TrailingZeros64(w)] |= 1 << uint(y)
 			}
 		}
+		if want != t.cols {
+			return fmt.Errorf("world: chunk (%d, %d): column words are not the transpose of the row words", t.cx, t.cy)
+		}
+		var occ uint64
+		for x, w := range t.cols {
+			if w != 0 {
+				occ |= 1 << uint(x)
+			}
+		}
+		if occ != t.occCols {
+			return fmt.Errorf("world: chunk (%d, %d): occupied-column mask %#x, columns say %#x", t.cx, t.cy, t.occCols, occ)
+		}
+		if (occ != 0) != (t.live != 0) || t.live != 0 && d.live[t.live-1] != t {
+			return fmt.Errorf("world: chunk (%d, %d): live entry %d does not match its occupancy", t.cx, t.cy, t.live)
+		}
+		if occ != 0 {
+			live++
+		}
+	}
+	if live != len(d.live) {
+		return fmt.Errorf("world: %d live tiles listed, %d occupied", len(d.live), live)
 	}
 	return nil
 }
 
 // SlotBlocks returns the number of 8×8 slot blocks allocated over every
-// tile and both layers.
+// tile.
 func (d *Dense) SlotBlocks() int {
 	n := 0
 	for _, t := range d.tiles {
 		if t == nil {
 			continue
 		}
-		for _, layer := range t.slots {
-			for _, b := range layer {
-				if b != nil {
-					n++
-				}
+		for _, b := range t.slots {
+			if b != nil {
+				n++
 			}
 		}
 	}
 	return n
+}
+
+// dirty reports whether p's quiescence dirty bit is set (p's chunk must be
+// allocated).
+func (d *Dense) dirty(p grid.Point) bool {
+	return d.tileAt(p).qdirty[p.Y&tileMask]&(1<<uint(p.X&tileMask)) != 0
+}
+
+// clearDirty clears every quiescence dirty bit.
+func (d *Dense) clearDirty() {
+	for _, t := range d.tiles {
+		if t != nil {
+			t.qdirty = [tileSize]uint64{}
+		}
+	}
 }

@@ -41,25 +41,38 @@ func FuzzOccupancy(f *testing.F) {
 }
 
 // FuzzRoundProtocol drives random rounds through the round protocol —
-// BeginRound, Arrive for the activated robots, BeginSleep, Sleep for the
-// rest, Commit — and holds the world to a map replay in which the first
-// arrival at a cell keeps its slot. The first byte sizes the swarm (up to
-// 48 robots), the next two per robot place it in a 16×16 box straddling
-// the chunk corner at (64, 64); every later byte decides one robot's
-// round, robots taken in canonical order: bits 0–1 zero means it sleeps,
-// otherwise bits 2–3 and 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, so
-// rounds mix sleepers, moves and merges. After every Commit the world's
-// Cells, Slots, Len and Bounds must match the replay, the column words and
-// slot blocks must agree with the row words and the cell order, and every
-// occupancy observable must match a swarm oracle (checkAgainstOracle).
+// Arrive for the activated robots that move (and for some that stay),
+// Land, Commit — and holds the world to a map replay in which the first
+// arrival at a cell in canonical activation order keeps its slot: the
+// activated robots in cell order, then the sleepers, every stayer arriving
+// at its own cell. The first byte sizes the swarm (up to 48 robots), the
+// next two per robot place it in a 16×16 box straddling the chunk corner
+// at (64, 64); every later byte decides one robot's round, robots taken in
+// canonical order: bits 0–1 zero means it sleeps, otherwise bits 2–3 and
+// 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, and bit 6 names an activated
+// stayer to Arrive, which must change nothing. Logical clocks are on: each
+// activated robot ticks once, and a merge keeps the largest clock.
 //
-// A move byte is 1 | (dx+1)<<2 | (dy+1)<<4: 21 stays, 25 is +x, 17 −x,
-// 37 +y, 5 −y, 41 +x+y and 1 −x−y. The last three seeds walk robots
-// across slot-block and chunk seams: a row over x = 71↔72 and a column
-// over y = 71↔72 (in-chunk 7↔8, the seam between the first two 8×8
-// blocks), then a swap and a merge on the seam; and three robots around
-// (63, 63) over the chunk seams x = 63↔64 and y = 63↔64 (in-chunk 63↔0)
-// on both axes at once, ending in a merge.
+// Before Commit each destination's ArrivalCount and surviving slot must
+// match the replay, and every vacated cell must count 0. After every
+// Commit the world's Cells, Slots, Len, Bounds and clocks must match the
+// replay, the column words, live tiles and slot blocks must agree with the
+// row words and the cell order, and every occupancy observable must match
+// a swarm oracle (checkAgainstOracle). Quiescence runs at radius 2: every
+// cell of an allocated chunk within L∞ 2 of a cell whose occupancy changed
+// must be dirty after Commit (the dirty planes are cleared after each
+// check, so every round is held to its own marks).
+//
+// A move byte is 1 | (dx+1)<<2 | (dy+1)<<4: 21 stays, 85 a named stay,
+// 25 is +x, 17 −x, 37 +y, 5 −y, 41 +x+y and 1 −x−y. The seeds walk robots
+// across slot-block and chunk seams (a row over x = 71↔72 and a column over
+// y = 71↔72, in-chunk 7↔8; three robots around the chunk corner at
+// (63, 63)), and then each pins one survivor rule: a mover landing on a
+// stayer later in canonical order (the mover survives, along a row and
+// across rows), on a named stayer, on a stayer earlier in canonical order
+// (the stayer survives), and on a sleeper (the mover survives); a swap; an
+// A→B→C chain; and three-way merges onto an activated and onto a sleeping
+// middle robot.
 func FuzzRoundProtocol(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 0, 2, 0, 3, 0, 5, 5, 5, 5, 0, 21, 9, 37})
 	f.Add([]byte{6, 7, 7, 8, 7, 9, 7, 7, 8, 8, 8, 9, 8, 1, 2, 3, 0, 4, 5, 0, 42, 42, 42, 1, 1, 1, 1, 1, 1})
@@ -72,10 +85,21 @@ func FuzzRoundProtocol(f *testing.F) {
 		21, 0, 37, 37, 21, 21, 37, 5, 21, 21, 37, 21})
 	f.Add([]byte{3, 7, 6, 6, 7, 7, 7,
 		41, 41, 41, 1, 1, 1, 25, 37, 41, 17, 5, 1, 37, 21, 21})
+	f.Add([]byte{2, 0, 0, 1, 0, 25, 21})           // onto a later stayer along a row
+	f.Add([]byte{2, 0, 0, 0, 1, 37, 21})           // onto a later stayer in the next row
+	f.Add([]byte{2, 0, 0, 1, 0, 25, 85})           // onto a later named stayer
+	f.Add([]byte{2, 0, 0, 1, 0, 21, 17})           // onto an earlier stayer
+	f.Add([]byte{2, 0, 0, 1, 0, 25, 0})            // onto a sleeper
+	f.Add([]byte{2, 1, 0, 0, 1, 0, 9})             // a sleeper landed on from a later cell
+	f.Add([]byte{2, 0, 0, 1, 0, 25, 17})           // a swap
+	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 25, 25}) // an A→B→C chain
+	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 21, 17}) // a three-way merge onto a stayer
+	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 0, 17})  // a three-way merge onto a sleeper
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
+		const radius = 2
 		n := int(data[0]) % 49
 		data = data[1:]
 		s := swarm.New()
@@ -83,23 +107,30 @@ func FuzzRoundProtocol(f *testing.F) {
 			s.Add(grid.Pt(56+int(data[0]%16), 56+int(data[1]%16)))
 			data = data[2:]
 		}
-		d := NewDense(s.Cells(), false)
+		d := NewDense(s.Cells(), true)
+		d.EnableQuiescence(radius)
 		// The replay: the robot on each cell's slot, assigned in canonical
-		// order at construction like the world's.
+		// order at construction like the world's, and each slot's clock.
 		slotOf := make(map[grid.Point]int32, s.Len())
 		for i, p := range s.Cells() {
 			slotOf[p] = int32(i)
 		}
+		clock := make(map[int32]int, s.Len())
 		for round := 0; round < 64 && len(data) > 0; round++ {
 			cells := append([]grid.Point(nil), d.Cells()...)
-			var sleepers []grid.Point
+			var awake, sleepers []grid.Point
 			next := make(map[grid.Point]int32, len(cells))
+			count := make(map[grid.Point]int, len(cells))
 			arrive := func(from, dst grid.Point) {
-				if _, ok := next[dst]; !ok {
-					next[dst] = slotOf[from]
+				slot := slotOf[from]
+				if w, ok := next[dst]; !ok {
+					next[dst] = slot
+				} else if clock[slot] > clock[w] {
+					clock[w] = clock[slot]
 				}
+				count[dst]++
 			}
-			d.BeginRound()
+			var vacated []grid.Point
 			for _, p := range cells {
 				var b byte
 				if len(data) > 0 {
@@ -109,14 +140,38 @@ func FuzzRoundProtocol(f *testing.F) {
 					sleepers = append(sleepers, p)
 					continue
 				}
+				awake = append(awake, p)
+				slot := d.SlotAt(p)
+				d.TickClock(slot)
+				clock[slot]++
 				dst := p.Add(grid.Pt(int(b>>2&3)%3-1, int(b>>4&3)%3-1))
-				d.Arrive(p, dst)
+				if dst != p || b&64 != 0 {
+					d.Arrive(p, dst)
+				}
+				if dst != p {
+					vacated = append(vacated, p)
+				}
 				arrive(p, dst)
 			}
-			d.BeginSleep()
 			for _, p := range sleepers {
-				d.Sleep(p)
 				arrive(p, p)
+			}
+			if len(sleepers) == 0 {
+				awake = nil
+			}
+			d.Land(awake)
+			for p, slot := range next {
+				if got, want := d.ArrivalCount(p), min(count[p], 2); got != want {
+					t.Fatalf("round %d: ArrivalCount(%v) = %d, replay %d", round, p, got, want)
+				}
+				if got := d.SlotAt(p); got != slot {
+					t.Fatalf("round %d: %v holds slot %d before Commit, replay %d", round, p, got, slot)
+				}
+			}
+			for _, p := range vacated {
+				if _, ok := next[p]; !ok && d.ArrivalCount(p) != 0 {
+					t.Fatalf("round %d: vacated %v counts %d arrivals", round, p, d.ArrivalCount(p))
+				}
 			}
 			d.Commit()
 			slotOf = next
@@ -136,6 +191,9 @@ func FuzzRoundProtocol(f *testing.F) {
 				if got[i] != p || gotSlots[i] != next[p] {
 					t.Fatalf("round %d: index %d holds %v slot %d, replay %v slot %d", round, i, got[i], gotSlots[i], p, next[p])
 				}
+				if c := d.ClockAt(p); c != clock[next[p]] {
+					t.Fatalf("round %d: clock at %v = %d, replay %d", round, p, c, clock[next[p]])
+				}
 			}
 			if b := d.Bounds(); b != bounds {
 				t.Fatalf("round %d: Bounds %v, replay %v", round, b, bounds)
@@ -145,6 +203,36 @@ func FuzzRoundProtocol(f *testing.F) {
 				oracle.Add(p)
 			}
 			checkAgainstOracle(t, d, oracle, append(cells, want...))
+
+			// Every occupancy change dirties its radius window.
+			before := make(map[grid.Point]bool, len(cells))
+			for _, p := range cells {
+				before[p] = true
+			}
+			for p := range before {
+				if _, ok := next[p]; !ok {
+					checkDirtyWindow(t, d, p, radius)
+				}
+			}
+			for p := range next {
+				if !before[p] {
+					checkDirtyWindow(t, d, p, radius)
+				}
+			}
+			d.clearDirty()
 		}
 	})
+}
+
+// checkDirtyWindow fails unless every cell of an allocated chunk within
+// L∞ r of p is marked view-dirty.
+func checkDirtyWindow(t *testing.T, d *Dense, p grid.Point, r int) {
+	t.Helper()
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			if q := p.Add(grid.Pt(dx, dy)); d.tileAt(q) != nil && !d.dirty(q) {
+				t.Fatalf("%v changed occupancy but %v is not dirty", p, q)
+			}
+		}
+	}
 }

@@ -4,11 +4,12 @@
 // recomputes "stay put" every round. This layer lets the engine skip those
 // recomputations soundly:
 //
-//   - Commit's tile diff (noteRoundDiff, shared with incremental
-//     connectivity) finds every cell whose occupancy changed and dilates it
-//     by the view radius into per-tile qdirty planes — a cumulative "your
-//     view may have changed" mark per cell, cleared only when the robot on
-//     the cell actually recomputes.
+//   - Commit's occupancy diff (noteEdits, shared with incremental
+//     connectivity) compares every row the round wrote with its pre-round
+//     word and dilates each changed cell by the view radius into per-tile
+//     qdirty planes — a cumulative "your view may have changed" mark per
+//     cell, cleared only when the robot on the cell actually recomputes.
+//     Stayers are never written, so the diff costs nothing for them.
 //   - qmask caches, per slot and per round phase (round mod the
 //     algorithm's period), whether the robot's last clean recompute
 //     returned the quiescent action (stay, keep nothing, transfer
@@ -20,21 +21,21 @@
 // the engine marks nothing. Occupancy is not everything a view can see, so
 // the world's own writes that leave occupancy unchanged mark themselves
 // (markViewDirty): Arrive marks the cell an activated robot carrying runs
-// leaves (its runs end, age or move on) and every merge's cell (its slot,
-// state and crash mark change), SetArrivalState marks kept, adopted and
-// delivered runs, and Crash marks the crashed robot's cell. The engine only
-// asks (QuiesceSkip) and reports verdicts (QuiesceNote). The round
-// protocol is the only writer of occupancy, so the tile diff sees every
-// occupancy change; the one edit outside it, SetState (test scaffolding
-// that rewrites a robot's runs), conservatively resets every cached
-// verdict via QuiesceReset.
+// leaves (its runs end, age or move on), Land marks every merge's cell
+// (its slot, state and crash mark change), SetArrivalState marks kept,
+// adopted and delivered runs, and Crash marks the crashed robot's cell.
+// The engine only asks (QuiesceSkip) and reports verdicts (QuiesceNote).
+// The round protocol is the only writer of occupancy, so the diff sees
+// every occupancy change; the one edit outside it, SetState (test
+// scaffolding that rewrites a robot's runs), conservatively resets every
+// cached verdict via QuiesceReset.
 //
 //gather:deterministic
 package world
 
 import "gridgather/internal/grid"
 
-// EnableQuiescence switches the commit-time tile diff into view-dilation
+// EnableQuiescence switches the commit-time row diff into view-dilation
 // mode with the given view radius (L∞, 1..63) and allocates the per-slot
 // verdict masks. All masks start empty, so every robot recomputes until
 // its first clean verdict is recorded — a restore or a fresh world is
@@ -125,60 +126,33 @@ func (d *Dense) markViewDirty(p grid.Point) {
 	d.qdilateRow(p.X>>tileShift, p.Y, lo, mid, hi)
 }
 
-// noteRoundDiff is Commit's tile diff, run once per round before the
-// outgoing layer is cleared, feeding both consumers: chunks whose
-// occupancy words changed are queued for the incremental connectivity
-// relabel, and (when quiescence is on) each changed word is dilated by the
-// view radius into the qdirty planes.
-func (d *Dense) noteRoundDiff(old, nxt int) {
-	conn := d.conn != nil && d.conn.valid
-	if !conn && !d.qOn {
-		return
-	}
-	for _, t := range d.live[nxt] {
-		d.diffTile(t, old, nxt, conn)
-	}
-	for _, t := range d.live[old] {
-		if !t.marked[nxt] {
-			// The chunk emptied this round: no arrivals landed in it.
-			d.diffTile(t, old, nxt, conn)
-		}
-	}
-}
-
-// diffTile compares one tile's two occupancy layers. The unmarked layer of
-// a tile is all zero (clearOldLayer's invariant), so a plain word compare
-// sees every change including tiles entered or emptied this round. The
-// common steady-state case — an interior tile where nothing moved — costs
-// one 512-byte array compare, exactly what the connectivity-only diff
-// cost before quiescence existed.
+// noteEdits is Commit's occupancy diff, fed by the rows the round wrote
+// rather than by every live tile: each written row is compared with its
+// pre-round word, a changed row queues its chunk for the incremental
+// connectivity relabel and (when quiescence is on) is dilated by the view
+// radius into the qdirty planes, and the row's round scratch is cleared.
+// A row that was written and restored — a swap, a robot stepping out of a
+// cell another steps into — changed nothing and marks nothing.
 //
 //gather:hotpath
-func (d *Dense) diffTile(t *tile, old, nxt int, conn bool) {
-	if t.bits[old] == t.bits[nxt] {
-		if conn && !t.marked[old] && t.marked[nxt] {
-			// Pre-marked but unchanged (both layers all zero, or a tile
-			// whose arrivals exactly recreated its occupancy): preserve the
-			// connectivity layer's historical conservative marking.
-			d.conn.markDirty(t)
-		}
-		return
-	}
-	if conn {
-		d.conn.markDirty(t)
-	}
-	if !d.qOn {
-		return
-	}
-	base := t.cy << tileShift
-	for ry := 0; ry < tileSize; ry++ {
-		w := t.bits[old][ry] ^ t.bits[nxt][ry]
+func (d *Dense) noteEdits() {
+	conn := d.conn != nil && d.conn.valid
+	for _, e := range d.edits {
+		t := e.t
+		t.touched, t.land[e.ry], t.multi[e.ry] = 0, 0, 0
+		w := e.old ^ t.bits[e.ry]
 		if w == 0 {
 			continue
 		}
-		lo, mid, hi := qsmear(0, w, 0, d.qRadius)
-		d.qdilateRow(t.cx, base|ry, lo, mid, hi)
+		if conn {
+			d.conn.markDirty(t)
+		}
+		if d.qOn {
+			lo, mid, hi := qsmear(0, w, 0, d.qRadius)
+			d.qdilateRow(t.cx, t.cy<<tileShift|e.ry, lo, mid, hi)
+		}
 	}
+	d.edits = d.edits[:0]
 }
 
 // qsmear dilates the set bits of the 192-bit window (lo, mid, hi) by r

@@ -122,25 +122,24 @@ func qRound(d *Dense, mover int, dir grid.Point, keep, sleep bool, recv int, id 
 	if recv >= 0 {
 		to = cells[recv]
 	}
-	d.BeginRound()
+	var mdst grid.Point
 	for j, p := range cells {
 		dst := p
 		if j == mover {
 			dst = p.Add(dir)
+			mdst = dst
 		} else if sleep {
 			continue
 		}
-		if d.Arrive(p, dst) == 1 && j == mover && keep {
-			d.SetArrivalState(dst, run())
-		}
+		d.Arrive(p, dst)
 	}
-	d.BeginSleep()
-	if sleep {
-		for j, p := range cells {
-			if j != mover {
-				d.Sleep(p)
-			}
-		}
+	var awake []grid.Point
+	if sleep && mover >= 0 {
+		awake = cells[mover : mover+1]
+	}
+	d.Land(awake)
+	if mover >= 0 && keep && d.ArrivalCount(mdst) == 1 {
+		d.SetArrivalState(mdst, run())
 	}
 	if recv >= 0 && d.ArrivalCount(to) == 1 {
 		d.SetArrivalState(to, run())

@@ -25,12 +25,13 @@ func buildWorld(t *testing.T, withClocks bool) *Dense {
 		}
 	}
 	if withClocks {
-		// Raise some clocks through the round protocol (Sleep keeps cells).
-		d.BeginRound()
-		for i, p := range cells {
-			d.Sleep(p)
-			d.RaiseClock(p, i%7)
+		// Tick some clocks through a round in which every robot stays.
+		for i := range cells {
+			for k := 0; k < i%7; k++ {
+				d.TickClock(int32(i))
+			}
 		}
+		d.Land(nil)
 		d.Commit()
 	}
 	return d
@@ -98,10 +99,10 @@ func TestDecodedWorldAdvances(t *testing.T) {
 	}
 	step := func(w *Dense) {
 		cells := append([]grid.Point(nil), w.Cells()...)
-		w.BeginRound()
 		for _, p := range cells {
 			w.Arrive(p, p.Add(grid.Pt(1, 0))) // shift east: some merges occur
 		}
+		w.Land(nil)
 		w.Commit()
 	}
 	step(d)
@@ -304,10 +305,9 @@ func TestRunPoolHoldsOnlyCarriers(t *testing.T) {
 	run := robot.Run{ID: 1, Dir: grid.East, Inside: grid.North}
 	w.SetState(grid.Pt(0, 0), robot.State{Runs: []robot.Run{run}})
 	w.SetState(grid.Pt(1, 0), robot.State{Runs: []robot.Run{run, run}})
-	w.BeginRound()
-	w.Arrive(grid.Pt(1, 0), grid.Pt(1, 0))
 	w.Arrive(grid.Pt(0, 0), grid.Pt(1, 0)) // merges onto the stayer
-	w.Arrive(grid.Pt(2, 0), grid.Pt(2, 0))
+	w.Arrive(grid.Pt(1, 0), grid.Pt(1, 0))
+	w.Land(nil)
 	w.Commit()
 	if w.Len() != 2 || len(w.runFree) != 2 || w.StateAt(grid.Pt(1, 0)).HasRuns() {
 		t.Fatalf("after the merge: %d robots, %d free entries, survivor state %+v",

@@ -59,17 +59,14 @@ func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Po
 
 // stepMoves drives one round of the protocol in which the robot on each
 // key of moves goes to its value (merging if another robot lands there
-// too) and every other robot stays.
+// too) and every other robot stays, all of them activated.
 func stepMoves(d *Dense, moves map[grid.Point]grid.Point) {
-	d.BeginRound()
 	for _, p := range d.Cells() {
-		dst, ok := moves[p]
-		if !ok {
-			dst = p
+		if dst, ok := moves[p]; ok {
+			d.Arrive(p, dst)
 		}
-		d.Arrive(p, dst)
 	}
-	d.BeginSleep()
+	d.Land(nil)
 	d.Commit()
 }
 
@@ -243,23 +240,27 @@ func TestSortNearSortedFallback(t *testing.T) {
 	}
 }
 
-// TestDenseClocksDisabled pins the clocks-off contract: ClockAt is 0 and
-// RaiseClock a no-op.
+// TestDenseClocksDisabled pins the clocks-off contract: ClockAt and Clock
+// are 0 and TickClock a no-op.
 func TestDenseClocksDisabled(t *testing.T) {
 	d := NewDense([]grid.Point{grid.Pt(0, 0)}, false)
-	d.BeginRound()
+	d.TickClock(0)
 	d.Arrive(grid.Pt(0, 0), grid.Pt(0, 0))
+	d.Land(nil)
 	d.SetArrivalState(grid.Pt(0, 0), robot.State{})
-	d.RaiseClock(grid.Pt(0, 0), 9)
 	d.Commit()
 	if got := d.ClockAt(grid.Pt(0, 0)); got != 0 {
 		t.Fatalf("ClockAt with clocks disabled = %d", got)
+	}
+	if got := d.Clock(0); got != 0 {
+		t.Fatalf("Clock with clocks disabled = %d", got)
 	}
 }
 
 // Crash marks belong to slots: Crash marks a robot, the mark stays with
 // the robot as long as it is the cell's first arrival, and dies with its
-// slot when it is merged onto.
+// slot when it is merged onto. A crashed robot sleeps, so a mover landing
+// on it survives whichever cell it comes from.
 func TestCrashMarks(t *testing.T) {
 	d := NewDense([]grid.Point{grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)}, false)
 	if d.CrashedAt(grid.Pt(1, 0)) || d.Crashed(d.SlotAt(grid.Pt(1, 0))) {
@@ -271,29 +272,29 @@ func TestCrashMarks(t *testing.T) {
 	if !d.CrashedAt(grid.Pt(1, 0)) || !d.Crashed(crashed) || d.CrashedAt(grid.Pt(0, 0)) || d.CrashedAt(grid.Pt(5, 5)) {
 		t.Fatal("CrashedAt does not match the single crash")
 	}
-	// The robot at (0,0) moves onto the crashed sleeper: it arrives first,
-	// so the cell now holds a live robot.
-	d.BeginRound()
-	d.Arrive(grid.Pt(0, 0), grid.Pt(1, 0))
-	d.Arrive(grid.Pt(2, 0), grid.Pt(2, 0))
-	d.BeginSleep()
-	if d.Sleep(grid.Pt(1, 0)) != 2 {
+	// The robot at (2,0) moves onto the crashed sleeper: activated robots
+	// arrive before sleepers, so the cell now holds a live robot.
+	d.Arrive(grid.Pt(2, 0), grid.Pt(1, 0))
+	if lost := d.Land([]grid.Point{grid.Pt(0, 0), grid.Pt(2, 0)}); lost != 1 {
+		t.Fatalf("Land removed %d crashed robots, want 1", lost)
+	}
+	if d.ArrivalCount(grid.Pt(1, 0)) != 2 {
 		t.Fatal("the sleeper was not merged onto")
 	}
 	d.Commit()
 	if d.CrashedAt(grid.Pt(1, 0)) || d.SlotAt(grid.Pt(1, 0)) == crashed {
 		t.Fatal("the crash mark survived its slot's merge")
 	}
-	if n, b := d.LargestLiveComponent(); n != 2 || b != (grid.Rect{MinX: 1, MinY: 0, MaxX: 2, MaxY: 0}) {
+	if n, b := d.LargestLiveComponent(); n != 2 || b != (grid.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 0}) {
 		t.Fatalf("LargestLiveComponent = %d, %v", n, b)
 	}
 }
 
 // TestSlotBlocksFollowRobots pins the slot index's allocation unit: a row
 // of 64 robots across one chunk allocates one 8×8 slot block per eight
-// robots in each layer it writes — 8, not the 64 blocks of a full chunk
-// plane — and later rounds reuse them, while a filled chunk takes all 64
-// distinct blocks of its layer.
+// robots — 8, not the 64 blocks of a full chunk plane — and rounds in
+// which neighbouring robots swap cells reuse them, while a filled chunk
+// takes all 64 distinct blocks.
 func TestSlotBlocksFollowRobots(t *testing.T) {
 	if got := NewDense(gen.Solid(tileSize, tileSize).Cells(), false).SlotBlocks(); got != 64 {
 		t.Fatalf("filled chunk: %d slot blocks, want 64", got)
@@ -303,14 +304,17 @@ func TestSlotBlocksFollowRobots(t *testing.T) {
 		t.Fatalf("after construction: %d slot blocks, want 8", got)
 	}
 	for round := 1; round <= 3; round++ {
-		d.BeginRound()
 		for _, p := range append([]grid.Point(nil), d.Cells()...) {
-			d.Arrive(p, p)
+			step := grid.East
+			if p.X%2 == 1 {
+				step = grid.West
+			}
+			d.Arrive(p, p.Add(step))
 		}
-		d.BeginSleep()
+		d.Land(nil)
 		d.Commit()
-		if got := d.SlotBlocks(); got != 16 {
-			t.Fatalf("after round %d: %d slot blocks, want 8 in each layer", round, got)
+		if got := d.SlotBlocks(); got != 8 {
+			t.Fatalf("after round %d: %d slot blocks, want 8", round, got)
 		}
 		if err := d.SlotsMismatch(); err != nil {
 			t.Fatalf("after round %d: %v", round, err)

@@ -159,13 +159,14 @@ func TestColdStartAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cells))
-	// Measured 85.2 bytes per robot (linux/amd64, Go 1.24): the canonical
-	// cell order and the arrival lane (each a cell array and a slot
-	// array), the 8-byte actions, chunk tiles and per-slot handles and
-	// verdict masks. The bound leaves about 25 % headroom; it was 160
-	// while the cell order was also kept as cell-slot pairs and copied
-	// into cell and slot views, and 489 before run states moved out of
-	// line.
+	// Measured 61.5 bytes per robot (linux/amd64, Go 1.24): the canonical
+	// cell order and the spare pair Commit patches it into (each a cell
+	// array and a slot array), chunk tiles and per-slot handles and
+	// verdict masks. It was 73.4 while the world kept a second occupancy
+	// and slot layer and the engine an 8-byte action per activated robot.
+	// The bound leaves ample headroom; it was 160 while the cell order was
+	// also kept as cell-slot pairs and copied into cell and slot views,
+	// and 489 before run states moved out of line.
 	const bound = 106
 	if per > bound {
 		t.Fatalf("Restore + first Step allocated %.1f bytes per robot, bound %d", per, bound)
@@ -197,12 +198,13 @@ func TestSparseSwarmAllocation(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cells))
-			// Measured 304.8 (line), 307.7 (hollow) and 312.8 (staircase)
+			// Measured 239.0 (line), 241.9 (hollow) and 247.1 (staircase)
 			// bytes per robot (linux/amd64, Go 1.24): the compact-swarm
 			// allocations TestColdStartAllocation lists, plus per chunk
-			// its fixed occupancy planes, its block tables and the slot
-			// blocks both layers write. The bound leaves about 25 %
-			// headroom over the largest.
+			// its fixed occupancy planes, its block table and the slot
+			// blocks its robots write. They were about 305–312 while
+			// every tile kept two occupancy and slot layers. The bound
+			// leaves ample headroom over the largest.
 			const bound = 390
 			if per > bound {
 				t.Fatalf("New + first Step of a %d-robot %s allocated %.1f bytes per robot, bound %d", len(cells), name, per, bound)
