@@ -2,7 +2,7 @@
 // opted in with a //gather:deterministic package directive, it forbids the
 // constructs whose observable order or value varies between runs — ranging
 // over maps, reading the wall clock, math/rand (the seeded splitmix64
-// stream in internal/sched is the only sanctioned RNG), maps.Keys/Values,
+// stream in internal/splitmix is the only sanctioned RNG), maps.Keys/Values,
 // and goroutine spawns. A finding is suppressed by
 // a //gather:nondet-ok <reason> escape on the same line or the line above;
 // the reason is mandatory (an escape without one does not suppress).
@@ -91,7 +91,7 @@ func checkSelector(pass *analysis.Pass, dirs *analysis.Directives, sel *ast.Sele
 			report(pass, dirs, sel.Pos(), "wall-clock reads are nondeterministic; thread logical time through the round counter")
 		}
 	case "math/rand", "math/rand/v2":
-		report(pass, dirs, sel.Pos(), "math/rand is unseeded or globally shared; use the scheduler's splitmix64 stream")
+		report(pass, dirs, sel.Pos(), "math/rand is unseeded or globally shared; use an internal/splitmix stream")
 	case "maps":
 		if sel.Sel.Name == "Keys" || sel.Sel.Name == "Values" {
 			report(pass, dirs, sel.Pos(), "maps.%s yields map order; iterate a sorted or insertion-ordered slice instead", sel.Sel.Name)

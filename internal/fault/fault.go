@@ -29,6 +29,7 @@ import (
 
 	"gridgather/internal/codec"
 	"gridgather/internal/grid"
+	"gridgather/internal/splitmix"
 )
 
 // ErrBadSpec is wrapped by every Parse failure; match with errors.Is.
@@ -51,7 +52,7 @@ type clause struct {
 	k      int     // crash-at count
 	seeded bool    // explicit @seed in the spec
 	seed   int64   // the explicit seed (only meaningful when seeded)
-	rng    splitmix
+	rng    splitmix.Stream
 	fired  bool // crash-at already executed
 }
 
@@ -80,10 +81,10 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			return nil, err
 		}
 		if c.seeded {
-			c.rng = splitmix{state: uint64(c.seed)}
+			c.rng = splitmix.Stream(c.seed)
 		} else {
 			// Golden-ratio stride keeps same-seed clause streams apart.
-			c.rng = splitmix{state: uint64(seed) + 0x9e3779b97f4a7c15*uint64(i+1)}
+			c.rng = splitmix.Stream(uint64(seed) + 0x9e3779b97f4a7c15*uint64(i+1))
 		}
 		p.clauses = append(p.clauses, c)
 	}
@@ -228,7 +229,7 @@ func (p *Plan) DrawCrashes(round int, alive []bool) int {
 				continue
 			}
 			for i := range alive {
-				if alive[i] && c.rng.float64() < c.p {
+				if alive[i] && c.rng.Float64() < c.p {
 					alive[i] = false
 					crashed++
 				}
@@ -254,7 +255,7 @@ func (p *Plan) DrawCrashes(round int, alive []bool) int {
 				if !alive[i] {
 					continue
 				}
-				if c.rng.next()%uint64(remaining) < uint64(need) {
+				if c.rng.Next()%uint64(remaining) < uint64(need) {
 					alive[i] = false
 					crashed++
 					need--
@@ -283,7 +284,7 @@ func (p *Plan) NoiseFlip(radius int) (grid.Point, bool) {
 		if c.kind != kindNoise || c.p == 0 {
 			continue
 		}
-		if c.rng.float64() >= c.p {
+		if c.rng.Float64() >= c.p {
 			continue
 		}
 		// Rejection-sample a non-center offset inside the L1 ball (views
@@ -291,8 +292,8 @@ func (p *Plan) NoiseFlip(radius int) (grid.Point, bool) {
 		// of the square, so the loop terminates fast in practice.
 		for {
 			span := uint64(2*radius + 1)
-			dx := int(c.rng.next()%span) - radius
-			dy := int(c.rng.next()%span) - radius
+			dx := int(c.rng.Next()%span) - radius
+			dy := int(c.rng.Next()%span) - radius
 			if d := abs(dx) + abs(dy); d >= 1 && d <= radius {
 				off, fired = grid.Point{X: dx, Y: dy}, true
 				break
@@ -339,7 +340,7 @@ func (p *Plan) String() string {
 func (p *Plan) AppendCursor(b []byte) []byte {
 	for i := range p.clauses {
 		c := &p.clauses[i]
-		b = codec.AppendUvarint(b, c.rng.state)
+		b = codec.AppendUvarint(b, uint64(c.rng))
 		if c.kind == kindCrashAt {
 			b = codec.AppendBool(b, c.fired)
 		}
@@ -353,7 +354,7 @@ func (p *Plan) RestoreCursor(b []byte) ([]byte, error) {
 	r := codec.NewReader(b)
 	for i := range p.clauses {
 		c := &p.clauses[i]
-		c.rng.state = r.Uvarint()
+		c.rng = splitmix.Stream(r.Uvarint())
 		if c.kind == kindCrashAt {
 			c.fired = r.Bool()
 		}
@@ -363,25 +364,6 @@ func (p *Plan) RestoreCursor(b []byte) ([]byte, error) {
 	}
 	return r.Rest(), nil
 }
-
-// splitmix is the fault coin-flip stream: the same one-word splitmix64
-// generator sched's random scheduler runs on, chosen for the same reason —
-// its entire state is one uvarint, so fault cursors stay checkpointable.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// float64 returns a uniform value in [0, 1) with 53 random bits.
-func (r *splitmix) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 func abs(v int) int {
 	if v < 0 {

@@ -20,8 +20,9 @@
 //	Compute   Look+Compute for every activated robot against the
 //	          immutable pre-round snapshot
 //	Resolve   apply the round's moves and run changes in canonical cell
-//	          order: departures, landings and merge resolution, kept runs
-//	          and transfer collection, then run adoption and transfer
+//	          order: departures, landings and merge resolution, then one
+//	          pass in which each sole survivor adopts its kept runs and
+//	          its transfers are collected, then transfer adoption and
 //	          delivery
 //	Commit    the world patches the canonical cell order with the round's
 //	          vacated, merged and newly occupied cells and diffs the rows
@@ -52,8 +53,9 @@
 package fsync
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gridgather/internal/fault"
 	"gridgather/internal/grid"
@@ -195,17 +197,16 @@ type Engine struct {
 
 	// Scratch structures reused across rounds. Each Step fills them from
 	// scratch; nothing outside Step may retain references to them.
-	order        []grid.Point      // this round's activation set
-	orderSlots   []int32           // the world slots of order's robots, indexed like order
-	mask         []bool            // scheduler activation mask over the cell order
-	busy         []int32           // indexes into order of the robots that move or hold, keep or transfer runs
-	acts         []actionAt        // the actions of the busy robots, indexed like busy
-	runActs      []Action          // the actions that carry runs, in compute order
-	freshKeeps   []grid.Point      // cells of brand-new kept runs, collection order
-	transferList []pendingTransfer // pending hand-offs, collection order
-	deliver      deliverSlice
-	runScratch   [robot.MaxRuns + 2]robot.Run
-	runnersBuf   []grid.Point
+	view       *view.View     // the one view, repositioned at each computed robot
+	order      []grid.Point   // this round's activation set
+	orderSlots []int32        // the world slots of order's robots, indexed like order
+	mask       []bool         // scheduler activation mask over the cell order
+	busy       []int32        // indexes into order of the robots that move or hold, keep or transfer runs
+	acts       []actionAt     // the actions of the busy robots, indexed like busy
+	runActs    []Action       // the actions that carry runs, in compute order
+	deliver    []deliveredRun // the surviving senders' hand-offs, collection order until sorted
+	runScratch [robot.MaxRuns + 2]robot.Run
+	runnersBuf []grid.Point
 }
 
 // actionAt is a robot's computed action in 8 bytes; the robot is the one
@@ -238,37 +239,22 @@ func (e *Engine) runsOf(k int) *Action {
 	return &e.runActs[c.ext-1]
 }
 
-// pendingTransfer is a run hand-off collected during the Resolve stage. It
-// is delivered only if the sender survives the round without merging: run
-// states of merged robots stop (Table 1, condition 3), including states
-// the robot was handing off in the very round it merged.
-type pendingTransfer struct {
-	senderDst grid.Point // the sender's post-move cell; its occupancy decides the sender's fate
-	to        grid.Point // the recipient cell (pre-round coordinates)
-	run       robot.Run
-}
-
-// deliveredRun is a surviving, adopted hand-off awaiting delivery.
+// deliveredRun is a run hand-off whose sender survived the round without
+// merging, awaiting delivery: run states of merged robots stop (Table 1,
+// condition 3), including states the robot was handing off in the very
+// round it merged.
 type deliveredRun struct {
-	to  grid.Point
+	to  grid.Point // the recipient cell (pre-round coordinates)
 	run robot.Run
 }
 
-// deliverSlice sorts surviving hand-offs by recipient cell, then run ID —
-// grouping per-recipient deliveries in deterministic ID order. Pointer
-// receivers keep the sort.Sort call allocation-free.
-type deliverSlice []deliveredRun
-
-func (d *deliverSlice) Len() int { return len(*d) }
-
-func (d *deliverSlice) Swap(i, j int) { s := *d; s[i], s[j] = s[j], s[i] }
-
-func (d *deliverSlice) Less(i, j int) bool {
-	s := *d
-	if s[i].to != s[j].to {
-		return s[i].to.Less(s[j].to)
+// byRecipient orders hand-offs by recipient cell, then run ID, grouping
+// per-recipient deliveries in deterministic ID order.
+func byRecipient(a, b deliveredRun) int {
+	if c := a.to.Compare(b.to); c != 0 {
+		return c
 	}
-	return s[i].run.ID < s[j].run.ID
+	return cmp.Compare(a.run.ID, b.run.ID)
 }
 
 // ErrDisconnected is returned when a round broke swarm connectivity.
@@ -310,10 +296,11 @@ func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
 	return e
 }
 
-// initScratch sizes the busy lists for a round of up to 256 busy robots,
-// so the first rounds of a small swarm do not grow them by doubling.
-// Shared by New and NewRestored.
+// initScratch builds the engine's one view and sizes the busy lists for a
+// round of up to 256 busy robots, so the first rounds of a small swarm do
+// not grow them by doubling. Shared by New and NewRestored.
 func (e *Engine) initScratch() {
+	e.view = view.New(view.Config{Radius: e.alg.Radius(), Checked: e.cfg.StrictViews, Dense: e.w}, grid.Zero, e.round)
 	k := min(e.w.Len(), 256)
 	e.busy = make([]int32, 0, k)
 	e.acts = make([]actionAt, 0, k)
@@ -596,10 +583,11 @@ func (e *Engine) stageActivate(scheduled bool) {
 // transfers runs, or who hold runs now (which their cycle ends), are
 // recorded in e.busy with their actions in e.acts; the actions that carry
 // runs are appended to e.runActs. Every other robot stays with nothing to
-// write, and Resolve never visits it. One reusable view keeps the stage
-// allocation-free; the robot's slot comes from e.orderSlots, so the skip
-// test, the view's Self, the clock tick and QuiesceNote read it without
-// looking the robot's cell up again.
+// write, and Resolve never visits it. The engine's one view, repositioned
+// at each computed robot, keeps the stage allocation-free; the robot's
+// slot comes from e.orderSlots, so the skip test, the view's Self, the
+// clock tick and QuiesceNote read it without looking the robot's cell up
+// again.
 //
 // Under a scheduler the robot's view reports its logical clock, which
 // then ticks: the cycle completes this round whatever the robot does.
@@ -616,8 +604,7 @@ func (e *Engine) stageActivate(scheduled bool) {
 //
 //gather:hotpath
 func (e *Engine) stageCompute(scheduled bool) error {
-	r := e.alg.Radius()
-	v := view.New(view.Config{Radius: r, Checked: e.cfg.StrictViews, Dense: e.w}, grid.Zero, e.round)
+	r, v := e.alg.Radius(), e.view
 	noisy := e.cfg.Faults.HasNoise()
 	busy, acts, ra := e.busy[:0], e.acts[:0], e.runActs[:0]
 	phase := 0 // the round phase the verdict masks are keyed by
@@ -680,42 +667,18 @@ func (e *Engine) stageCompute(scheduled bool) error {
 // condition 3/6). A sole survivor keeps the runs its action keeps.
 // Sleeping robots stand still, keeping their run states (frozen, not
 // aged) and logical clocks; they still merge if an activated robot lands
-// on their cell. Once every arrival is counted, the stage adopts the
-// surviving kept runs and delivers the surviving transfers.
+// on their cell. Once every arrival is counted, the stage delivers the
+// surviving transfers.
 //
 //gather:hotpath
 func (e *Engine) stageResolve(scheduled bool) int {
 	moved := e.resolveArrivals(scheduled)
 
-	// Adopt brand-new kept runs now that every robot's fate is known: only
-	// sole survivors kept runs (a merge clears the pending state, Table 1,
-	// condition 3), so only they get IDs and RunsStarted credit.
-	for _, dst := range e.freshKeeps {
-		st := e.w.ArrivalState(dst)
-		rb := e.runScratch[:0]
-		for _, r := range st.Runs {
-			rb = append(rb, e.adoptRun(r))
-		}
-		e.w.SetArrivalState(dst, robot.State{Runs: rb})
-	}
-
-	// Resolve the collected hand-offs now that every robot's fate is known:
-	// a sender that merged this round loses all its runs (Table 1,
-	// condition 3), so its hand-offs die with it. Surviving transfers are
-	// adopted in collection order, keeping run IDs deterministic.
-	e.deliver = e.deliver[:0]
-	for _, t := range e.transferList {
-		if e.w.ArrivalCount(t.senderDst) != 1 {
-			continue
-		}
-		e.deliver = append(e.deliver, deliveredRun{to: t.to, run: e.adoptRun(t.run)})
-	}
-
 	// Deliver transfers to robots occupying the target cells after moves.
 	// Targets that merged this round do not accept states (the run was
 	// interrupted by the merge); targets that are empty drop the state.
 	// Per-target delivery runs in ascending run-ID order.
-	sort.Sort(&e.deliver)
+	slices.SortFunc(e.deliver, byRecipient)
 	for i := 0; i < len(e.deliver); {
 		to := e.deliver[i].to
 		j := i
@@ -740,9 +703,13 @@ func (e *Engine) stageResolve(scheduled bool) int {
 
 // resolveArrivals runs the round protocol for the busy robots: Arrive for
 // each in canonical cell order (their runs end, movers leave), Land for
-// the movers, then the sole survivors' kept runs and every pending
-// transfer, collected in that order. It returns the number of robots that
-// hopped.
+// the movers, then one pass over the run-carrying actions in the same
+// order. Land has settled every robot's fate, so a sole survivor adopts
+// the runs it keeps on the spot and its hand-offs are collected, while a
+// robot that merged loses both (Table 1, condition 3). The collected
+// hand-offs are adopted after the pass, so every keeper gets its run IDs,
+// in cell order, before any transfer does. It returns the number of
+// robots that hopped.
 //
 //gather:hotpath
 func (e *Engine) resolveArrivals(scheduled bool) int {
@@ -764,8 +731,7 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 	// mover.
 	e.crashedLive -= e.w.Land(awake)
 
-	e.freshKeeps = e.freshKeeps[:0]
-	e.transferList = e.transferList[:0]
+	e.deliver = e.deliver[:0]
 	for k, i := range e.busy {
 		a := e.runsOf(k)
 		if a == nil {
@@ -773,29 +739,22 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 		}
 		from := e.order[i]
 		dst := from.Add(e.acts[k].move())
-		if a.nKeep > 0 && e.w.ArrivalCount(dst) == 1 {
-			keep := a.Keep()
-			e.w.SetArrivalState(dst, robot.State{Runs: keep})
-			for _, r := range keep {
-				if r.ID == 0 {
-					// Brand-new kept run: adoption (ID, RunsStarted) runs
-					// after this loop, every keeper in cell order before any
-					// transfer, which fixes the order run IDs are handed out.
-					e.freshKeeps = append(e.freshKeeps, dst)
-					break
-				}
+		if e.w.ArrivalCount(dst) != 1 {
+			continue
+		}
+		if a.nKeep > 0 {
+			rb := e.runScratch[:0]
+			for _, r := range a.Keep() {
+				rb = append(rb, e.adoptRun(r))
 			}
+			e.w.SetArrivalState(dst, robot.State{Runs: rb})
 		}
 		for _, tr := range a.Transfers() {
-			// Collected, not yet delivered: whether the hand-off succeeds
-			// depends on the sender not merging this round, which Land
-			// has settled, and run IDs are adopted in collection order.
-			e.transferList = append(e.transferList, pendingTransfer{
-				senderDst: dst,
-				to:        from.Add(tr.To),
-				run:       tr.Run,
-			})
+			e.deliver = append(e.deliver, deliveredRun{to: from.Add(tr.To), run: tr.Run})
 		}
+	}
+	for i := range e.deliver {
+		e.deliver[i].run = e.adoptRun(e.deliver[i].run)
 	}
 	return moved
 }

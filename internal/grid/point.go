@@ -7,7 +7,10 @@
 // All of those notions are defined here.
 package grid
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Point is a cell of the two-dimensional grid Z².
 type Point struct {
@@ -74,6 +77,15 @@ func (p Point) Less(q Point) bool {
 		return p.Y < q.Y
 	}
 	return p.X < q.X
+}
+
+// Compare orders points like Less, returning -1, 0 or +1, the form
+// slices.SortFunc takes.
+func (p Point) Compare(q Point) int {
+	if c := cmp.Compare(p.Y, q.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.X, q.X)
 }
 
 func abs(v int) int {

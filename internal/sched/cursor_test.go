@@ -79,33 +79,3 @@ func TestCursorCodecFraming(t *testing.T) {
 		}
 	}
 }
-
-// The splitmix coin stream is deterministic per seed, uniform enough for
-// activation flips, and its single-word state round-trips through the
-// cursor.
-func TestSplitmixStream(t *testing.T) {
-	a, b := splitmix{state: 42}, splitmix{state: 42}
-	for i := 0; i < 1000; i++ {
-		if a.next() != b.next() {
-			t.Fatal("same-seed streams diverged")
-		}
-	}
-	c := splitmix{state: 43}
-	if a.next() == c.next() {
-		t.Error("different seeds produced the same draw")
-	}
-	heads, n := 0, 10000
-	r := splitmix{state: 7}
-	for i := 0; i < n; i++ {
-		v := r.float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("float64 out of range: %v", v)
-		}
-		if v < 0.5 {
-			heads++
-		}
-	}
-	if heads < n*45/100 || heads > n*55/100 {
-		t.Errorf("coin heavily biased: %d/%d below 0.5", heads, n)
-	}
-}

@@ -51,6 +51,7 @@ import (
 
 	"gridgather/internal/codec"
 	"gridgather/internal/grid"
+	"gridgather/internal/splitmix"
 )
 
 // Scheduler decides which robots are activated — i.e. perform a full
@@ -234,27 +235,6 @@ func phaseHash(p grid.Point, seed int64) uint64 {
 	return x
 }
 
-// splitmix is the scheduler coin-flip stream: a splitmix64 generator whose
-// entire state is one word, so scheduler cursors stay checkpointable
-// (math/rand.Rand hides its state, which is why it is not used here). The
-// stream is deterministic per seed and statistically adequate for
-// activation coin flips.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// float64 returns a uniform value in [0, 1) with 53 random bits.
-func (r *splitmix) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // Random returns the SSYNC random scheduler: each robot is activated
 // independently with probability p each round, from a stream seeded by
 // seed, with a hard fairness window k — any robot the coin has left asleep
@@ -268,20 +248,20 @@ func Random(p float64, k int, seed int64) Scheduler {
 	}
 	return &random{
 		p:   p,
-		rng: splitmix{state: uint64(seed)},
+		rng: splitmix.Stream(seed),
 		dl:  newDeadlines(k, seed),
 	}
 }
 
 type random struct {
 	p   float64
-	rng splitmix
+	rng splitmix.Stream
 	dl  deadlines
 }
 
 func (s *random) Activate(round int, cells []grid.Point, slots []int32, active []bool) {
 	for i, c := range cells {
-		on := s.rng.float64() < s.p || round >= s.dl.deadline(round, c, slots[i])
+		on := s.rng.Float64() < s.p || round >= s.dl.deadline(round, c, slots[i])
 		active[i] = on
 		s.dl.commit(round, c, slots[i], on)
 	}
@@ -292,7 +272,7 @@ func (s *random) String() string   { return fmt.Sprintf("ssync-rand:%d", s.dl.wi
 
 // AppendCursor encodes the RNG stream position and the fairness deadlines.
 func (s *random) AppendCursor(b []byte) []byte {
-	b = codec.AppendUvarint(b, s.rng.state)
+	b = codec.AppendUvarint(b, uint64(s.rng))
 	return s.dl.appendCursor(b)
 }
 
@@ -306,7 +286,7 @@ func (s *random) RestoreCursor(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rng.state = state
+	s.rng = splitmix.Stream(state)
 	return rest, nil
 }
 

@@ -11,7 +11,9 @@ package world
 // between a dirtied chunk and its four chunk neighbors. Everything else is
 // provably unchanged and is reused from the previous round.
 //
-// The layer keeps, per occupied 64×64 chunk:
+// The state hangs off the tiles: every occupied 64×64 chunk's tile carries
+// a chunkConn (tile.conn), and a chunk that empties hands its chunkConn to
+// a free list. It keeps:
 //
 //   - a local component label per occupied cell (labels are dense ids
 //     0..ncomps-1, recomputed by a word-parallel row-run pass whenever the
@@ -35,14 +37,14 @@ package world
 // chunk-level structure instead of the robot count.
 //
 // The scratch flood of the bitset survives as the reference:
-// ConnectedBFS answers from scratch. The incremental structure is cold
-// on the first query of a world, including the first after a snapshot
-// restore; a cold query rebuilds it — one relabel per occupied chunk, no
-// BFS — and answers from the rebuilt structure like any other query. The
-// suites in this package and internal/fsync hold the incremental answer
-// to the reference round by round, cold queries included. Degraded-mode
-// gathering does not use this layer: Dense.LargestLiveComponent answers
-// it with one scratch flood.
+// ConnectedBFS answers from scratch. The layer does not exist before the
+// first query of a world, including the first after a snapshot restore:
+// that query builds it from the live tiles — one relabel per occupied
+// chunk, no BFS — and answers from it like any other query; until then
+// Commit queues nothing. The suites in this package and internal/fsync
+// hold the incremental answer to the reference round by round, first
+// queries included. Degraded-mode gathering does not use this layer:
+// Dense.LargestLiveComponent answers it with one scratch flood.
 
 import "math/bits"
 
@@ -52,20 +54,18 @@ type connLink struct {
 	a, b uint16
 }
 
-// chunkConn is the per-chunk connectivity state: local component labels
-// under the chunk's occupied cells, and the cached seam links of the two
-// borders the chunk owns (east: towards chunk (cx+1, cy); north: towards
-// chunk (cx, cy+1)).
+// chunkConn is the connectivity state of one occupied chunk, hung off its
+// tile: local component labels under the chunk's occupied cells, and the
+// cached seam links of the two borders the chunk owns (east: towards chunk
+// (cx+1, cy); north: towards chunk (cx, cy+1)) with the neighbour tiles
+// they were read against.
 type chunkConn struct {
-	t      *tile
-	cx, cy int
 	ncomps int
 	labels [tileSize * tileSize]uint16
 
-	east, north     []connLink
-	eastNbr         *chunkConn
-	northNbr        *chunkConn
-	eastOK, northOK bool
+	east, north       []connLink
+	eastNbr, northNbr *tile
+	eastOK, northOK   bool
 
 	base int32 // per-query scratch: first global union-find node of this chunk
 }
@@ -82,12 +82,12 @@ type rowRun struct {
 // and benchmarks.
 type ConnStats struct {
 	// Queries counts Connected calls answered by the incremental layer;
-	// Fallbacks counts the subset that found the structure cold (first
-	// query, snapshot restore) and rebuilt it before answering from it.
+	// Fallbacks counts the subset that found no structure (the first query
+	// of a world, restored worlds included) and built it before answering
+	// from it.
 	Queries, Fallbacks int
-	// Rebuilds counts full from-scratch structure rebuilds; Relabels
-	// counts dirty-chunk component recomputations.
-	Rebuilds, Relabels int
+	// Relabels counts chunk component recomputations.
+	Relabels int
 	// Chunks and Comps are the current chunk-graph size: occupied chunks
 	// and total local components (union-find nodes) at the last query.
 	Chunks, Comps int
@@ -95,9 +95,7 @@ type ConnStats struct {
 
 // connIncr is the world-level incremental connectivity state.
 type connIncr struct {
-	chunks map[*tile]*chunkConn
-	valid  bool
-	dirty  []*tile
+	dirty []*tile
 
 	stats ConnStats
 
@@ -106,7 +104,7 @@ type connIncr struct {
 	runUF   []int32
 	runRows []int8 // run id → row (for the label fill pass)
 	runs    []rowRun
-	free    []*chunkConn // chunkConn free list (evicted chunks)
+	free    []*chunkConn // chunkConn free list (emptied chunks)
 }
 
 // markDirty queues t for relabeling at the next query. Idempotent per
@@ -123,20 +121,21 @@ func (c *connIncr) markDirty(t *tile) {
 // markDirty and feeds the quiescence dirty planes.
 
 // connReady counts a query and brings the incremental structure up to
-// date with the current occupancy: a cold structure is rebuilt, a warm one
-// relabels the chunks queued since the last query.
+// date with the current occupancy: the first query builds it from the live
+// tiles, a later one relabels the chunks queued since the last query.
 func (d *Dense) connReady() *connIncr {
 	c := d.conn
 	if c == nil {
-		c = &connIncr{chunks: make(map[*tile]*chunkConn)}
+		// The first query: Commit queues nothing before the layer
+		// exists, so building from the live tiles is the whole work.
+		c = &connIncr{}
 		d.conn = c
+		c.stats.Fallbacks++
+		for _, t := range d.live {
+			c.refresh(d, t)
+		}
 	}
 	c.stats.Queries++
-	if !c.valid {
-		c.stats.Fallbacks++
-		c.rebuild(d)
-		return c
-	}
 	for _, t := range c.dirty {
 		t.connDirty = false
 		c.refresh(d, t)
@@ -145,39 +144,18 @@ func (d *Dense) connReady() *connIncr {
 	return c
 }
 
-// rebuild recomputes the whole structure from the current occupancy
-// layer.
-func (c *connIncr) rebuild(d *Dense) {
-	c.stats.Rebuilds++
-	// Map order decides only which recycled chunkConn object a tile gets;
-	// refresh fully resets every field on reuse, so no outcome depends on it.
-	//gather:nondet-ok free-list recycling order never reaches engine outcomes
-	for t, cc := range c.chunks {
-		c.free = append(c.free, cc)
-		delete(c.chunks, t)
-	}
-	for _, t := range c.dirty {
-		t.connDirty = false
-	}
-	c.dirty = c.dirty[:0]
-	for _, t := range d.live {
-		c.refresh(d, t)
-	}
-	c.valid = true
-}
-
 // refresh brings one chunk's state in line with the current occupancy
-// layer: relabel its components (or evict it if it emptied) and
+// layer: relabel its components (or detach its state if it emptied) and
 // invalidate every border cache involving it.
 func (c *connIncr) refresh(d *Dense, t *tile) {
-	cc := c.chunks[t]
+	cc := t.conn
 	if t.occCols == 0 {
 		if cc != nil {
-			// Chunk eviction: the last robot left. Its components (and
-			// owned border caches) die with it.
-			delete(c.chunks, t)
+			// The last robot left: the chunk's components and owned
+			// border caches die with it.
+			t.conn = nil
 			c.free = append(c.free, cc)
-			c.invalidateNeighbors(d, cc.cx, cc.cy)
+			c.invalidateNeighbors(d, t)
 		}
 		return
 	}
@@ -189,27 +167,23 @@ func (c *connIncr) refresh(d *Dense, t *tile) {
 		} else {
 			cc = &chunkConn{}
 		}
-		cc.t, cc.cx, cc.cy = t, t.cx, t.cy
-		c.chunks[t] = cc
+		t.conn = cc
 	}
 	c.relabel(cc, t)
 	cc.eastOK, cc.northOK = false, false
-	c.invalidateNeighbors(d, cc.cx, cc.cy)
+	c.invalidateNeighbors(d, t)
 }
 
-// invalidateNeighbors drops the border caches facing chunk (cx, cy): the
-// west neighbor's east border and the south neighbor's north border. The
-// chunk's own east/north caches are handled by its refresh (or eviction).
-func (c *connIncr) invalidateNeighbors(d *Dense, cx, cy int) {
-	if t := d.tileAtChunk(cx-1, cy); t != nil {
-		if cc := c.chunks[t]; cc != nil {
-			cc.eastOK = false
-		}
+// invalidateNeighbors drops the border caches facing t: the west
+// neighbor's east border and the south neighbor's north border. The
+// chunk's own east/north caches are handled by its refresh (or its
+// emptying).
+func (c *connIncr) invalidateNeighbors(d *Dense, t *tile) {
+	if w := d.tileAtChunk(t.cx-1, t.cy); w != nil && w.conn != nil {
+		w.conn.eastOK = false
 	}
-	if t := d.tileAtChunk(cx, cy-1); t != nil {
-		if cc := c.chunks[t]; cc != nil {
-			cc.northOK = false
-		}
+	if s := d.tileAtChunk(t.cx, t.cy-1); s != nil && s.conn != nil {
+		s.conn.northOK = false
 	}
 }
 
@@ -302,23 +276,17 @@ func unionRuns(uf []int32, a, b int32) {
 // one union per cached seam link — and reports whether at most one root
 // remains. Border caches invalidated by this round's dirty chunks are
 // recomputed here, after every relabel is done, so links always pair
-// fresh labels on both sides.
-// Both loops below walk d.live — the list of tiles holding robots — rather
-// than the chunks map: after the dirty chunks are refreshed, every live
-// tile has a chunkConn and every chunkConn a live tile, so the walk visits
-// exactly the map's entries, in deterministic order. Label bases, and
-// therefore the union-find trace, come out identical on every run.
+// fresh labels on both sides. Once the dirty chunks are refreshed every
+// live tile carries a chunkConn and no other tile does, so both loops walk
+// d.live in its deterministic order: label bases, and therefore the
+// union-find trace, come out identical on every run.
 func (c *connIncr) query(d *Dense) bool {
 	var n int32
 	for _, t := range d.live {
-		cc := c.chunks[t]
-		if cc == nil {
-			continue
-		}
-		cc.base = n
-		n += int32(cc.ncomps)
+		t.conn.base = n
+		n += int32(t.conn.ncomps)
 	}
-	c.stats.Chunks, c.stats.Comps = len(c.chunks), int(n)
+	c.stats.Chunks, c.stats.Comps = len(d.live), int(n)
 	if n <= 1 {
 		return true
 	}
@@ -331,55 +299,41 @@ func (c *connIncr) query(d *Dense) bool {
 	}
 	roots := n
 	for _, t := range d.live {
-		cc := c.chunks[t]
-		if cc == nil {
-			continue
-		}
+		cc := t.conn
 		if !cc.eastOK {
-			cc.eastNbr = c.neighborConn(d, cc.cx+1, cc.cy)
-			cc.east = appendEastLinks(cc.east[:0], t, cc)
+			cc.eastNbr = d.tileAtChunk(t.cx+1, t.cy)
+			cc.east = appendEastLinks(cc.east[:0], t, cc.eastNbr)
 			cc.eastOK = true
 		}
 		if !cc.northOK {
-			cc.northNbr = c.neighborConn(d, cc.cx, cc.cy+1)
-			cc.north = appendNorthLinks(cc.north[:0], t, cc)
+			cc.northNbr = d.tileAtChunk(t.cx, t.cy+1)
+			cc.north = appendNorthLinks(cc.north[:0], t, cc.northNbr)
 			cc.northOK = true
 		}
 		for _, l := range cc.east {
-			roots -= c.union(cc.base+int32(l.a), cc.eastNbr.base+int32(l.b))
+			roots -= c.union(cc.base+int32(l.a), cc.eastNbr.conn.base+int32(l.b))
 		}
 		for _, l := range cc.north {
-			roots -= c.union(cc.base+int32(l.a), cc.northNbr.base+int32(l.b))
+			roots -= c.union(cc.base+int32(l.a), cc.northNbr.conn.base+int32(l.b))
 		}
 	}
 	return roots == 1
 }
 
-// neighborConn resolves the chunkConn at chunk coordinates (cx, cy), nil
-// if that chunk is unoccupied.
-func (c *connIncr) neighborConn(d *Dense, cx, cy int) *chunkConn {
-	t := d.tileAtChunk(cx, cy)
-	if t == nil {
-		return nil
-	}
-	return c.chunks[t]
-}
-
-// appendEastLinks collects the seam links across the chunk's east border:
-// cells in its column 63 that are 4-adjacent to occupied cells in the east
-// neighbor's column 0, found with one AND of the two column words.
-// Consecutive duplicate pairs are skipped (vertical
+// appendEastLinks collects the seam links across t's east border with its
+// neighbor nbr (nil if never allocated): cells in t's column 63 that are
+// 4-adjacent to occupied cells in nbr's column 0, found with one AND of
+// the two column words. Consecutive duplicate pairs are skipped (vertical
 // runs touch along many rows); remaining duplicates are harmless — union
 // is idempotent.
-func appendEastLinks(links []connLink, t *tile, cc *chunkConn) []connLink {
-	nbr := cc.eastNbr
+func appendEastLinks(links []connLink, t, nbr *tile) []connLink {
 	if nbr == nil {
 		return links
 	}
-	w := t.cols[tileMask] & nbr.t.cols[0]
+	w := t.cols[tileMask] & nbr.cols[0]
 	for ; w != 0; w &= w - 1 {
 		y := bits.TrailingZeros64(w)
-		l := connLink{cc.labels[y<<tileShift|tileMask], nbr.labels[y<<tileShift]}
+		l := connLink{t.conn.labels[y<<tileShift|tileMask], nbr.conn.labels[y<<tileShift]}
 		if n := len(links); n == 0 || links[n-1] != l {
 			links = append(links, l)
 		}
@@ -387,19 +341,16 @@ func appendEastLinks(links []connLink, t *tile, cc *chunkConn) []connLink {
 	return links
 }
 
-// appendNorthLinks collects the seam links across the chunk's north
-// border: cells in its row 63 adjacent to occupied cells in the north
-// neighbor's row 0.
-func appendNorthLinks(links []connLink, t *tile, cc *chunkConn) []connLink {
-	nbr := cc.northNbr
+// appendNorthLinks collects the seam links across t's north border: cells
+// in its row 63 adjacent to occupied cells in nbr's row 0.
+func appendNorthLinks(links []connLink, t, nbr *tile) []connLink {
 	if nbr == nil {
 		return links
 	}
-	nt := nbr.t
-	w := t.bits[tileMask] & nt.bits[0]
+	w := t.bits[tileMask] & nbr.bits[0]
 	for ; w != 0; w &= w - 1 {
 		x := bits.TrailingZeros64(w)
-		l := connLink{cc.labels[tileMask<<tileShift|x], nbr.labels[x]}
+		l := connLink{t.conn.labels[tileMask<<tileShift|x], nbr.conn.labels[x]}
 		if n := len(links); n == 0 || links[n-1] != l {
 			links = append(links, l)
 		}

@@ -48,6 +48,13 @@
 //	  transfer resolution
 //	Commit
 //
+// The round's scratch is one record per occupancy row the round writes:
+// the row's pre-round word, the cells a mover landed on and the cells
+// where robots merged, reached through a row→record index on the tile.
+// ArrivalCount reads the merge marks there, and Commit diffs each record's
+// row against its pre-round word, clears its index entry and drops the
+// list, so nothing of a round outlives its Commit.
+//
 // The survivor of a cell is its first arrival in canonical activation
 // order: the activated robots in cell order, then the sleepers. A stayer
 // counts as arriving at its own cell, so a mover landing on a stayer
@@ -64,7 +71,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gridgather/internal/codec"
 	"gridgather/internal/grid"
@@ -96,10 +103,10 @@ type slotBlock [blockSize * blockSize]int32
 // Only construction and the round protocol write the occupancy and slot
 // planes.
 //
-// land and multi are round scratch, zero between rounds: land marks the
-// cells a mover landed on, multi the cells where robots merged. touched
-// marks the rows whose pre-round word the round saved in Dense.edits;
-// Commit diffs and clears exactly those rows.
+// The round's scratch lives in Dense.edits, one record per row the round
+// wrote: edit maps a row to 1 + its record's index, 0 while the round has
+// not written the row, and Commit diffs exactly those rows and clears
+// their entries.
 //
 // The point→slot index is split into 8×8 blocks: slots is a row-major
 // table of tileBlocks×tileBlocks block pointers, and a block is allocated
@@ -111,13 +118,12 @@ type tile struct {
 	bits      [tileSize]uint64
 	cols      [tileSize]uint64 // the transpose of bits, kept in step by set and clear
 	qdirty    [tileSize]uint64 // quiescence: cells whose view may have changed since the robot there last recomputed (cumulative; cleared per cell by QuiesceNote)
-	land      [tileSize]uint64
-	multi     [tileSize]uint64
-	touched   uint64
-	occCols   uint64 // bit x set iff column x holds a robot; zero iff the tile is empty
-	live      int32  // 1 + the tile's index in Dense.live, 0 while empty
-	connDirty bool   // queued on connIncr.dirty (occupancy changed since the last relabel)
-	cx, cy    int    // absolute chunk coordinates (set once at allocation)
+	edit      [tileSize]int32  // row → 1 + its index in Dense.edits, 0 while the round has not written it
+	occCols   uint64           // bit x set iff column x holds a robot; zero iff the tile is empty
+	live      int32            // 1 + the tile's index in Dense.live, 0 while empty
+	connDirty bool             // queued on connIncr.dirty (occupancy changed since the last relabel)
+	conn      *chunkConn       // connectivity state (connincr.go); set exactly while the tile is live, once a query built the layer
+	cx, cy    int              // absolute chunk coordinates (set once at allocation)
 	slots     [tileBlocks * tileBlocks]*slotBlock
 }
 
@@ -152,11 +158,19 @@ type move struct {
 	slot      int32
 }
 
-// rowEdit is one occupancy row the round wrote, with its pre-round word.
+// rowEdit is one occupancy row the round wrote: its pre-round word, and
+// the round's scratch for the row — land marks the cells a mover landed
+// on, multi the cells where robots merged.
 type rowEdit struct {
-	t   *tile
-	ry  int
-	old uint64
+	t                *tile
+	ry               int
+	old, land, multi uint64
+}
+
+// landing is a cell where a mover survives, with its slot.
+type landing struct {
+	cell grid.Point
+	slot int32
 }
 
 // Dense is the tiled bitset world. Chunks are addressed through a dense
@@ -182,20 +196,18 @@ type Dense struct {
 	// and, at the same index, the slot of the robot on each. Cells and
 	// Slots hand these arrays out as they are; Commit writes the patched
 	// order into spareCells/spareSlots and swaps.
-	count      int          // number of robots
 	cells      []grid.Point // sorted (Y, X) cell order
 	slots      []int32      // slots parallel to cells
 	spareCells []grid.Point
 	spareSlots []int32
 
 	// Round scratch, empty between rounds: the movers in canonical order
-	// of their cells, the cells where a mover survives (and its slot), and
-	// the rows written with their pre-round words.
-	moves     []move
-	landCells []grid.Point
-	landSlots []int32
-	edits     []rowEdit
-	xStale    bool // a mover left the bounds' west or east column
+	// of their cells, the cells where a mover survives, and the rows
+	// written with their pre-round words and landing marks.
+	moves  []move
+	lands  []landing
+	edits  []rowEdit
+	xStale bool // a mover left the bounds' west or east column
 
 	bounds grid.Rect // exact enclosing rectangle of cells
 
@@ -265,14 +277,12 @@ func (d *Dense) place(bounds grid.Rect) {
 		t.setSlot(rx, ry, d.slots[i])
 	}
 	n := len(d.cells)
-	d.count = n
 	d.bounds = bounds
 	d.spareCells = make([]grid.Point, 0, n)
 	d.spareSlots = make([]int32, 0, n)
 	k := min(n, roundScratch)
 	d.moves = make([]move, 0, k)
-	d.landCells = make([]grid.Point, 0, k)
-	d.landSlots = make([]int32, 0, k)
+	d.lands = make([]landing, 0, k)
 	d.edits = make([]rowEdit, 0, k)
 }
 
@@ -358,15 +368,19 @@ func (d *Dense) clear(t *tile, rx, ry int) {
 	t.live = 0
 }
 
-// touch saves row ry of t with its pre-round word the first time the round
-// writes it, so Commit can diff and clear exactly the rows written.
-func (d *Dense) touch(t *tile, ry int) {
-	if b := uint64(1) << uint(ry); t.touched&b == 0 {
-		t.touched |= b
-		// The edit list is length-reset by every Commit and reaches the
-		// busiest round's size within the first rounds.
-		d.edits = append(d.edits, rowEdit{t: t, ry: ry, old: t.bits[ry]}) //gather:alloc-ok length-reset per Commit, steady-state reuse
+// touch returns the round's record of row ry of t, saving the row with its
+// pre-round word the first time the round writes it, so Commit can diff
+// and clear exactly the rows written. The record is valid until the next
+// touch.
+func (d *Dense) touch(t *tile, ry int) *rowEdit {
+	if i := t.edit[ry]; i != 0 {
+		return &d.edits[i-1]
 	}
+	// The edit list is length-reset by every Commit and reaches the
+	// busiest round's size within the first rounds.
+	d.edits = append(d.edits, rowEdit{t: t, ry: ry, old: t.bits[ry]}) //gather:alloc-ok length-reset per Commit, steady-state reuse
+	t.edit[ry] = int32(len(d.edits))
+	return &d.edits[len(d.edits)-1]
 }
 
 // grow extends the chunk table to cover chunk (cx, cy) with one chunk of
@@ -387,7 +401,7 @@ func (d *Dense) grow(cx, cy int) {
 }
 
 // Len returns the number of robots.
-func (d *Dense) Len() int { return d.count }
+func (d *Dense) Len() int { return len(d.cells) }
 
 // Has reports whether cell p is occupied. This is the view fast path: one
 // bounds check, one table index, one bit test — no hashing, no closures.
@@ -639,7 +653,7 @@ func (d *Dense) Bounds() grid.Rect { return d.bounds }
 func (d *Dense) Version() uint64 { return d.version }
 
 // Gathered reports whether the swarm fits in a 2×2 square.
-func (d *Dense) Gathered() bool { return d.count > 0 && d.Bounds().FitsIn2x2() }
+func (d *Dense) Gathered() bool { return len(d.cells) > 0 && d.Bounds().FitsIn2x2() }
 
 // Cells returns all occupied cells in sorted (Y, X) order. The slice is
 // the world's own cell order, not a copy: read-only, valid until the next
@@ -689,7 +703,6 @@ func (d *Dense) Arrive(from, dst grid.Point) {
 	rx, ry := from.X&tileMask, from.Y&tileMask
 	d.touch(t, ry)
 	d.clear(t, rx, ry)
-	d.count--
 	// The move list is length-reset by every Commit and reaches the
 	// busiest round's size within the first rounds.
 	d.moves = append(d.moves, move{from: from, dst: dst, slot: slot}) //gather:alloc-ok length-reset per Commit, steady-state reuse
@@ -717,22 +730,21 @@ func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
 		t := d.ensureTile(m.dst)
 		rx, ry := m.dst.X&tileMask, m.dst.Y&tileMask
 		b := uint64(1) << uint(rx)
-		d.touch(t, ry)
+		e := d.touch(t, ry)
 		if t.bits[ry]&b == 0 {
 			d.set(t, rx, ry)
 			t.setSlot(rx, ry, m.slot)
-			t.land[ry] |= b
-			d.count++
+			e.land |= b
 			d.landed(m.dst, m.slot)
 			continue
 		}
 		d.markViewDirty(m.dst)
-		t.multi[ry] |= b
+		e.multi |= b
 		win, lose := t.slot(rx, ry), m.slot
-		if t.land[ry]&b == 0 {
+		if e.land&b == 0 {
 			// The first mover onto a stayer; any later one merges into
 			// whichever of the two survives.
-			t.land[ry] |= b
+			e.land |= b
 			d.dropRuns(win)
 			if m.from.Less(m.dst) || (awake != nil && !containsCell(awake, m.dst)) {
 				if d.crashed != nil && d.crashed[win] {
@@ -754,8 +766,7 @@ func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
 // of the cell order.
 func (d *Dense) landed(dst grid.Point, slot int32) {
 	// Length-reset by every Commit; bounded by the busiest round's movers.
-	d.landCells = append(d.landCells, dst)  //gather:alloc-ok length-reset per Commit, steady-state reuse
-	d.landSlots = append(d.landSlots, slot) //gather:alloc-ok length-reset per Commit, steady-state reuse
+	d.lands = append(d.lands, landing{dst, slot}) //gather:alloc-ok length-reset per Commit, steady-state reuse
 }
 
 // containsCell reports whether the sorted cells hold c.
@@ -807,7 +818,7 @@ func (d *Dense) ArrivalCount(dst grid.Point) int {
 	switch {
 	case t.bits[ry]&b == 0:
 		return 0
-	case t.multi[ry]&b != 0:
+	case t.edit[ry] != 0 && d.edits[t.edit[ry]-1].multi&b != 0:
 		return 2
 	default:
 		return 1
@@ -825,7 +836,7 @@ func (d *Dense) Commit() {
 	if len(d.moves) > 0 {
 		d.patchOrder()
 		d.moves = d.moves[:0]
-		d.landCells, d.landSlots = d.landCells[:0], d.landSlots[:0]
+		d.lands = d.lands[:0]
 		d.xStale = false
 	}
 	d.noteEdits()
@@ -839,16 +850,16 @@ func (d *Dense) Commit() {
 // the order, columns from the landings, or from the live tiles when a
 // mover left the west or east edge.
 func (d *Dense) patchOrder() {
-	sortNearSorted(d.landCells, d.landSlots)
+	sortNearSorted(d.lands)
 	old, oldS := d.cells, d.slots
 	outC, outS := d.spareCells[:0], d.spareSlots[:0]
-	mv, in := d.moves, d.landCells
+	mv, in := d.moves, d.lands
 	pos, i, j := 0, 0, 0
 	for i < len(mv) || j < len(in) {
-		ins := j < len(in) && (i == len(mv) || !mv[i].from.Less(in[j]))
+		ins := j < len(in) && (i == len(mv) || !mv[i].from.Less(in[j].cell))
 		c := grid.Point{}
 		if ins {
-			c = in[j]
+			c = in[j].cell
 		} else {
 			c = mv[i].from
 		}
@@ -864,7 +875,7 @@ func (d *Dense) patchOrder() {
 		}
 		if ins {
 			outC = append(outC, c)
-			outS = append(outS, d.landSlots[j])
+			outS = append(outS, in[j].slot)
 			j++
 		}
 	}
@@ -878,8 +889,8 @@ func (d *Dense) patchOrder() {
 	if d.xStale {
 		b.MinX, b.MaxX = d.liveColumns()
 	} else {
-		for _, p := range in {
-			b.MinX, b.MaxX = min(b.MinX, p.X), max(b.MaxX, p.X)
+		for _, l := range in {
+			b.MinX, b.MaxX = min(b.MinX, l.cell.X), max(b.MaxX, l.cell.X)
 		}
 	}
 	d.bounds = b
@@ -897,45 +908,28 @@ func (d *Dense) liveColumns() (lo, hi int) {
 	return lo, hi
 }
 
-// sortNearSorted sorts cells by (Y, X), moving each slot with its cell,
-// with an insertion pass that is O(n + inversions) — linear on the
-// engine's near-sorted landing lists (movers come in cell order and hop
-// L∞ ≤ 1). A shift budget bounds pathological rounds: past it, the
-// remainder is handed to the standard sort (keys are unique, so the result
-// is deterministic either way).
-func sortNearSorted(cells []grid.Point, slots []int32) {
-	budget := 8*len(cells) + 64
-	for i := 1; i < len(cells); i++ {
-		p, s := cells[i], slots[i]
+// sortNearSorted sorts the landings by cell, with an insertion pass that
+// is O(n + inversions) — linear on the engine's near-sorted landing lists
+// (movers come in cell order and hop L∞ ≤ 1). A shift budget bounds
+// pathological rounds: past it, the remainder is handed to the standard
+// sort (cells are unique, so the result is deterministic either way).
+func sortNearSorted(lands []landing) {
+	budget := 8*len(lands) + 64
+	for i := 1; i < len(lands); i++ {
+		l := lands[i]
 		j := i - 1
-		if !p.Less(cells[j]) {
-			continue
-		}
-		for j >= 0 && p.Less(cells[j]) {
-			cells[j+1], slots[j+1] = cells[j], slots[j]
+		for j >= 0 && l.cell.Less(lands[j].cell) {
+			lands[j+1] = lands[j]
 			j--
 			budget--
 			if budget < 0 {
-				cells[j+1], slots[j+1] = p, s
-				sort.Sort(cellOrder{cells, slots})
+				lands[j+1] = l
+				slices.SortFunc(lands, func(a, b landing) int { return a.cell.Compare(b.cell) })
 				return
 			}
 		}
-		cells[j+1], slots[j+1] = p, s
+		lands[j+1] = l
 	}
-}
-
-// cellOrder sorts parallel cell and slot arrays by cell.
-type cellOrder struct {
-	cells []grid.Point
-	slots []int32
-}
-
-func (o cellOrder) Len() int           { return len(o.cells) }
-func (o cellOrder) Less(i, j int) bool { return o.cells[i].Less(o.cells[j]) }
-func (o cellOrder) Swap(i, j int) {
-	o.cells[i], o.cells[j] = o.cells[j], o.cells[i]
-	o.slots[i], o.slots[j] = o.slots[j], o.slots[i]
 }
 
 // --- snapshot codec ---
@@ -1166,7 +1160,7 @@ func (d *Dense) CrashedAt(p grid.Point) bool {
 // less than a full scan. ConnectedBFS is its reference; the suites here
 // and in internal/fsync hold the two equal answer for answer.
 func (d *Dense) Connected() bool {
-	if d.count <= 1 {
+	if len(d.cells) <= 1 {
 		return true
 	}
 	return d.connReady().query(d)

@@ -103,3 +103,42 @@ func (d *Dense) clearDirty() {
 		}
 	}
 }
+
+// RoundScratchMismatch returns an error naming the first place the round
+// scratch outlived Commit — a non-empty edit or landing list, or an
+// allocated tile whose row-edit index still names a row — or nil when
+// every row-edit record and index entry was dropped.
+func (d *Dense) RoundScratchMismatch() error {
+	if len(d.edits) != 0 || len(d.moves) != 0 || len(d.lands) != 0 {
+		return fmt.Errorf("world: %d edits, %d moves, %d landings left after Commit", len(d.edits), len(d.moves), len(d.lands))
+	}
+	for _, t := range d.tiles {
+		if t == nil {
+			continue
+		}
+		for ry, i := range t.edit {
+			if i != 0 {
+				return fmt.Errorf("world: chunk (%d, %d) row %d still indexes edit %d after Commit", t.cx, t.cy, ry, i)
+			}
+		}
+	}
+	return nil
+}
+
+// ConnMismatch returns an error naming the first allocated tile that
+// carries connectivity state while empty, or lacks it while live, or nil
+// when exactly the live tiles carry a chunkConn (no tile does before the
+// first query). A tile still queued for the next query's relabel is
+// skipped: Connected answers a world of at most one robot without
+// draining the queue.
+func (d *Dense) ConnMismatch() error {
+	for _, t := range d.tiles {
+		if t == nil || t.connDirty {
+			continue
+		}
+		if want := d.conn != nil && t.live != 0; (t.conn != nil) != want {
+			return fmt.Errorf("world: chunk (%d, %d) live=%v carries connectivity state %v", t.cx, t.cy, t.live != 0, t.conn != nil)
+		}
+	}
+	return nil
+}

@@ -55,10 +55,11 @@ func FuzzOccupancy(f *testing.F) {
 //
 // Before Commit each destination's ArrivalCount and surviving slot must
 // match the replay, and every vacated cell must count 0. After every
-// Commit the world's Cells, Slots, Len, Bounds and clocks must match the
-// replay, the column words, live tiles and slot blocks must agree with the
-// row words and the cell order, and every occupancy observable must match
-// a swarm oracle (checkAgainstOracle). Quiescence runs at radius 2: every
+// Commit the round scratch must be gone (an empty edit list, every row-edit
+// index entry zero), the world's Cells, Slots, Len, Bounds and clocks must
+// match the replay, the column words, live tiles and slot blocks must
+// agree with the row words and the cell order, and every occupancy
+// observable must match a swarm oracle (checkAgainstOracle). Quiescence runs at radius 2: every
 // cell of an allocated chunk within L∞ 2 of a cell whose occupancy changed
 // must be dirty after Commit (the dirty planes are cleared after each
 // check, so every round is held to its own marks).
@@ -174,6 +175,9 @@ func FuzzRoundProtocol(f *testing.F) {
 				}
 			}
 			d.Commit()
+			if err := d.RoundScratchMismatch(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 			slotOf = next
 
 			want := make([]grid.Point, 0, len(next))

@@ -129,22 +129,23 @@ func (d *Dense) markViewDirty(p grid.Point) {
 // noteEdits is Commit's occupancy diff, fed by the rows the round wrote
 // rather than by every live tile: each written row is compared with its
 // pre-round word, a changed row queues its chunk for the incremental
-// connectivity relabel and (when quiescence is on) is dilated by the view
-// radius into the qdirty planes, and the row's round scratch is cleared.
-// A row that was written and restored — a swap, a robot stepping out of a
-// cell another steps into — changed nothing and marks nothing.
+// connectivity relabel (once a query has built that layer) and, when
+// quiescence is on, is dilated by the view radius into the qdirty planes.
+// The row's index entry is cleared and the edit list emptied, which drops
+// the round's scratch with it. A row that was written and restored — a
+// swap, a robot stepping out of a cell another steps into — changed
+// nothing and marks nothing.
 //
 //gather:hotpath
 func (d *Dense) noteEdits() {
-	conn := d.conn != nil && d.conn.valid
 	for _, e := range d.edits {
 		t := e.t
-		t.touched, t.land[e.ry], t.multi[e.ry] = 0, 0, 0
+		t.edit[e.ry] = 0
 		w := e.old ^ t.bits[e.ry]
 		if w == 0 {
 			continue
 		}
-		if conn {
+		if d.conn != nil {
 			d.conn.markDirty(t)
 		}
 		if d.qOn {

@@ -19,7 +19,8 @@ import (
 // checkAgainstOracle compares every occupancy observable of d against the
 // swarm oracle, and checks that the column words are the transpose of the
 // row words and that every slot of the cell order is the one the tile
-// plane holds at its cell, with no slot repeated.
+// plane holds at its cell, with no slot repeated, and that after the
+// Connected query exactly the live tiles carry connectivity state.
 func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Point) {
 	t.Helper()
 	if err := d.ColumnsMismatch(); err != nil {
@@ -51,6 +52,9 @@ func checkAgainstOracle(t *testing.T, d *Dense, s *swarm.Swarm, probes []grid.Po
 	}
 	if got, want := d.Connected(), s.Connected(); got != want {
 		t.Fatalf("Connected: dense %v, oracle %v", got, want)
+	}
+	if err := d.ConnMismatch(); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := d.Gathered(), s.Gathered(); got != want {
 		t.Fatalf("Gathered: dense %v, oracle %v", got, want)
@@ -222,20 +226,19 @@ func TestDenseConstructionMatchesWorkloads(t *testing.T) {
 // sorts correctly and moves every slot with its cell.
 func TestSortNearSortedFallback(t *testing.T) {
 	const n = 4096
-	cells := make([]grid.Point, n)
-	slots := make([]int32, n)
-	for i := range cells {
-		cells[i], slots[i] = grid.Pt(n-i, 0), int32(i)
+	lands := make([]landing, n)
+	for i := range lands {
+		lands[i] = landing{grid.Pt(n-i, 0), int32(i)}
 	}
-	sortNearSorted(cells, slots)
+	sortNearSorted(lands)
 	for i := 1; i < n; i++ {
-		if !cells[i-1].Less(cells[i]) {
-			t.Fatalf("not sorted at %d: %v then %v", i, cells[i-1], cells[i])
+		if !lands[i-1].cell.Less(lands[i].cell) {
+			t.Fatalf("not sorted at %d: %v then %v", i, lands[i-1].cell, lands[i].cell)
 		}
 	}
-	for i, p := range cells {
-		if want := int32(n - p.X); slots[i] != want {
-			t.Fatalf("cell %v carries slot %d, want %d", p, slots[i], want)
+	for _, l := range lands {
+		if want := int32(n - l.cell.X); l.slot != want {
+			t.Fatalf("cell %v carries slot %d, want %d", l.cell, l.slot, want)
 		}
 	}
 }

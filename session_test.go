@@ -282,6 +282,23 @@ func TestSubscribeCancel(t *testing.T) {
 	}
 }
 
+// A bare Step allocates nothing once the scratch is warm: the engine keeps
+// one view for its lifetime and every per-round list is length-reset.
+func TestStepAllocationFree(t *testing.T) {
+	sim := mustNew(t, mustWorkload(t, "hollow", 400))
+	if _, err := sim.StepN(3); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm Step allocates %.2f times per round, want 0", allocs)
+	}
+}
+
 // The observer path adds zero allocations on top of a bare Step: the event
 // payload reuses session-owned scratch refilled from engine-owned state.
 func TestObserverPathAllocationFree(t *testing.T) {
