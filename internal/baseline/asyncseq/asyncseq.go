@@ -63,6 +63,8 @@ var ring8 = [8]grid.Point{
 // scenery the swarm may strand (the engine then degrades gracefully
 // instead of aborting), so they neither anchor a merge nor count toward
 // the ring components.
+//
+//gather:hotpath
 func deletable(occupied, crashed func(grid.Point) bool, p grid.Point) (grid.Point, bool) {
 	occ := [8]bool{}
 	cnt := 0
@@ -114,14 +116,18 @@ func deletable(occupied, crashed func(grid.Point) bool, p grid.Point) (grid.Poin
 // either way, so live connectivity is preserved, and landing on a frozen
 // robot consumes it — strict progress, which is what breaks a live ring
 // locked around a crashed center.
+//
+//gather:hotpath
 func cuttable(occupied, crashed func(grid.Point) bool, p grid.Point) (grid.Point, bool) {
-	var axes []grid.Point
+	var axes [len(grid.Axis4)]grid.Point
+	n := 0
 	for _, d := range grid.Axis4 {
 		if q := p.Add(d); occupied(q) && (crashed == nil || !crashed(q)) {
-			axes = append(axes, d)
+			axes[n] = d
+			n++
 		}
 	}
-	if len(axes) != 2 {
+	if n != 2 {
 		return grid.Point{}, false
 	}
 	diag := axes[0].Add(axes[1])
@@ -145,6 +151,8 @@ func cuttable(occupied, crashed func(grid.Point) bool, p grid.Point) (grid.Point
 // neighbors: deletable refuses (no live axis to merge onto) and cuttable
 // refuses (no two live axes), but walking onto the frozen robot both
 // makes progress and reclaims the cell.
+//
+//gather:hotpath
 func reclaimable(occupied, crashed func(grid.Point) bool, p grid.Point) (grid.Point, bool) {
 	if crashed == nil {
 		return grid.Point{}, false

@@ -15,8 +15,10 @@
 //
 // Step executes each round in four explicit stages:
 //
-//	Activate  resolve the round's activation set (everyone under FSYNC; a
-//	          scheduler's activation mask over the cell order otherwise)
+//	Activate  draw the round's crashes into the world's crash marks and
+//	          take the scheduler's activation mask over the canonical cell
+//	          order (none under FSYNC): the mask and the crash marks are
+//	          the only record of who runs
 //	Compute   Look+Compute for every activated robot against the
 //	          immutable pre-round snapshot
 //	Resolve   apply the round's moves and run changes in canonical cell
@@ -29,7 +31,8 @@
 //	          it wrote
 //
 // Every stage runs on the goroutine that calls Step. Compute is one loop
-// over the activated robots: it draws each activation's sensor noise,
+// over the world's cell order that passes over the sleepers; for each
+// activated robot it draws the activation's sensor noise,
 // replays or records its quiescent verdict, ticks the robot's logical
 // clock under a scheduler, and records the action of every robot that
 // moves or holds, keeps or transfers runs, so Resolve sees every action of
@@ -46,8 +49,9 @@
 // the global round counter, so local-clock-driven rules like the every-L-th
 // round run-start schedule remain meaningful without global synchrony.
 // Under the default FSYNC model the logical clocks coincide with the global
-// round counter, and a nil Scheduler takes a fast path that is bit-identical
-// to the explicit FSYNC scheduler (proved by the determinism tests).
+// round counter, and a nil Scheduler keeps no mask and no clocks, which is
+// bit-identical to the explicit FSYNC scheduler (proved by the determinism
+// tests).
 //
 //gather:deterministic
 package fsync
@@ -118,11 +122,12 @@ type Config struct {
 	// Deprecated: kept only because perfbench sets it; ROADMAP item 13
 	// deletes it.
 	Workers int
-	// Scheduler yields each round's activation set, generalizing the time
-	// model to SSYNC/ASYNC (see internal/sched). nil means FSYNC — every
-	// robot every round — via a fast path that skips the activation and
-	// logical-clock bookkeeping entirely and is bit-identical to the
-	// explicit sched.FSYNC() scheduler. Robots outside the activation set
+	// Scheduler yields each round's activation mask over the canonical
+	// cell order, generalizing the time model to SSYNC/ASYNC (see
+	// internal/sched); the stages read the world's cell order in place and
+	// pass over the robots the mask leaves out. nil means FSYNC — every
+	// robot every round — with no mask and no logical clocks, bit-identical
+	// to the explicit sched.FSYNC() scheduler. Robots outside the mask
 	// sleep: they keep their position and run states unchanged (their runs
 	// neither age nor glide) and can still receive transferred runs and be
 	// merged onto. Budgets (MaxRounds, NoMergeLimit) should be scaled by
@@ -130,13 +135,14 @@ type Config struct {
 	Scheduler sched.Scheduler
 	// Faults, when non-nil, injects deterministic crash-stop and
 	// sensor-noise faults (see internal/fault). A crashed robot freezes
-	// forever: it stays an occupied, mergeable-onto cell, excluded from
-	// every activation set, its runs frozen. Faults also switch the engine
-	// to graceful degradation: a disconnection no longer aborts the run —
-	// it latches degraded mode, where Gathered() means "the live robots of
-	// the largest surviving component gathered". A freshly parsed Plan is
-	// consumed by exactly one simulation (its RNG streams advance with the
-	// rounds); its cursor is carried by snapshots like a scheduler's.
+	// forever: it stays an occupied, mergeable-onto cell, asleep whatever
+	// the scheduler's mask says, its runs frozen. Faults also switch the
+	// engine to graceful degradation: a disconnection no longer aborts the
+	// run — it latches degraded mode, where Gathered() means "the live
+	// robots of the largest surviving component gathered". A freshly parsed
+	// Plan is consumed by exactly one simulation (its RNG streams advance
+	// with the rounds); its cursor is carried by snapshots like a
+	// scheduler's.
 	Faults *fault.Plan
 }
 
@@ -198,10 +204,8 @@ type Engine struct {
 	// Scratch structures reused across rounds. Each Step fills them from
 	// scratch; nothing outside Step may retain references to them.
 	view       *view.View     // the one view, repositioned at each computed robot
-	order      []grid.Point   // this round's activation set
-	orderSlots []int32        // the world slots of order's robots, indexed like order
-	mask       []bool         // scheduler activation mask over the cell order
-	busy       []int32        // indexes into order of the robots that move or hold, keep or transfer runs
+	active     []bool         // the scheduler's activation mask over the cell order; nil under FSYNC
+	busy       []int32        // cell-order indexes of the robots that move or hold, keep or transfer runs
 	acts       []actionAt     // the actions of the busy robots, indexed like busy
 	runActs    []Action       // the actions that carry runs, in compute order
 	deliver    []deliveredRun // the surviving senders' hand-offs, collection order until sorted
@@ -360,8 +364,9 @@ func (e *Engine) LocalRound(p grid.Point) int {
 //gather:hotpath
 func (e *Engine) Runners() []grid.Point {
 	e.runnersBuf = e.runnersBuf[:0]
-	for _, p := range e.w.Cells() {
-		if e.w.StateAt(p).HasRuns() {
+	slots := e.w.Slots()
+	for i, p := range e.w.Cells() {
+		if e.w.HasRuns(slots[i]) {
 			e.runnersBuf = append(e.runnersBuf, p)
 		}
 	}
@@ -475,14 +480,13 @@ func (e *Engine) liveGathered() bool {
 //
 //gather:hotpath
 func (e *Engine) Step() error {
-	scheduled := e.cfg.Scheduler != nil
 	e.roundCrash = 0
 	prevPop := e.w.Len()
-	e.stageActivate(scheduled)
-	if err := e.stageCompute(scheduled); err != nil {
+	e.stageActivate()
+	if err := e.stageCompute(); err != nil {
 		return err
 	}
-	moved := e.stageResolve(scheduled)
+	moved := e.stageResolve()
 	e.w.Commit()
 
 	removed := prevPop - e.w.Len()
@@ -515,36 +519,24 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// stageActivate fills e.order with this round's activation set, in
-// canonical cell order; everyone else sleeps. Under FSYNC every robot
-// runs a full look-compute-move cycle every round. Under faults the stage
-// first draws this round's crash decisions over the live population (in
-// canonical cell order, so the coin stream is position-stable); a crashed
+// stageActivate decides who runs this round; everyone else sleeps. Under
+// faults the stage first draws this round's crash decisions over the live
+// population (in canonical cell order, so the coin stream is
+// position-stable) and marks the crashed robots in the world: a crashed
 // robot sleeps forever. A Scheduler then marks the robots it activates in
-// a mask over the cell order, and only robots both marked and alive run.
+// e.active, a mask over the canonical cell order; under FSYNC e.active
+// stays nil and every robot runs. A robot runs when the mask admits it and
+// it carries no crash mark.
 //
 //gather:hotpath
-func (e *Engine) stageActivate(scheduled bool) {
-	cells := e.w.Cells()
-	if !scheduled && !e.crashTrack {
-		// Everyone activates in cell order: alias the world's cell and
-		// slot views, which stay valid until Commit, after Resolve's last
-		// read. The scheduler and the crash plan are fixed for an
-		// engine's lifetime, so the appending path below never sees the
-		// alias.
-		e.order, e.orderSlots = cells, e.w.Slots()
-		return
-	}
-	e.order = e.order[:0]
-	e.orderSlots = e.orderSlots[:0]
-	slots := e.w.Slots()
+func (e *Engine) stageActivate() {
+	cells, slots := e.w.Cells(), e.w.Slots()
 	n := len(cells)
-	var alive, mask []bool
 	if e.crashTrack {
 		if cap(e.aliveBuf) < n {
 			e.aliveBuf = make([]bool, n)
 		}
-		alive = e.aliveBuf[:n]
+		alive := e.aliveBuf[:n]
 		for i, s := range slots {
 			alive[i] = !e.w.Crashed(s)
 		}
@@ -561,36 +553,33 @@ func (e *Engine) stageActivate(scheduled bool) {
 			e.roundCrash = c
 		}
 	}
-	if scheduled {
-		if cap(e.mask) < n {
-			e.mask = make([]bool, n)
+	if e.cfg.Scheduler != nil {
+		if cap(e.active) < n {
+			e.active = make([]bool, n)
 		}
-		mask = e.mask[:n]
-		clear(mask)
-		e.cfg.Scheduler.Activate(e.round, cells, slots, mask)
-	}
-	for i, p := range cells {
-		if (mask == nil || mask[i]) && (alive == nil || alive[i]) {
-			e.order = append(e.order, p)
-			e.orderSlots = append(e.orderSlots, slots[i])
-		}
+		e.active = e.active[:n]
+		clear(e.active)
+		e.cfg.Scheduler.Activate(e.round, cells, slots, e.active)
 	}
 }
 
-// stageCompute runs Look+Compute for every activated robot in activation
-// order, all against the same pre-round snapshot: nothing a view reads
-// changes before Resolve. The robots whose action moves, keeps or
-// transfers runs, or who hold runs now (which their cycle ends), are
-// recorded in e.busy with their actions in e.acts; the actions that carry
-// runs are appended to e.runActs. Every other robot stays with nothing to
-// write, and Resolve never visits it. The engine's one view, repositioned
-// at each computed robot, keeps the stage allocation-free; the robot's
-// slot comes from e.orderSlots, so the skip test, the view's Self, the
-// clock tick and QuiesceNote read it without looking the robot's cell up
-// again.
+// stageCompute runs Look+Compute for every activated robot in canonical
+// cell order, all against the same pre-round snapshot: nothing a view
+// reads changes before Resolve. It walks the world's cell and slot arrays
+// in place and passes over a robot that e.active leaves out or that
+// carries a crash mark; such a sleeper draws no noise and ticks no clock.
+// The robots whose action moves, keeps or transfers runs, or who hold runs
+// now (which their cycle ends), are recorded in e.busy by cell-order index
+// with their actions in e.acts; the actions that carry runs are appended
+// to e.runActs. Every other robot stays with nothing to write, and Resolve
+// never visits it. The engine's one view, repositioned at each computed
+// robot, keeps the stage allocation-free; the robot's slot comes from the
+// slot array, so the skip test, the view's Self, the clock tick and
+// QuiesceNote read it without looking the robot's cell up again.
 //
-// Under a scheduler the robot's view reports its logical clock, which
-// then ticks: the cycle completes this round whatever the robot does.
+// Under a scheduler (e.active non-nil) the robot's view reports its
+// logical clock, which then ticks: the cycle completes this round whatever
+// the robot does.
 //
 // Under noise clauses each activation draws its flip from the fault plan
 // here, one draw per activation in activation order. With quiescence on, a
@@ -603,17 +592,23 @@ func (e *Engine) stageActivate(scheduled bool) {
 // runs is never quiescent: its runs age, glide or hand off this round.
 //
 //gather:hotpath
-func (e *Engine) stageCompute(scheduled bool) error {
+func (e *Engine) stageCompute() error {
 	r, v := e.alg.Radius(), e.view
 	noisy := e.cfg.Faults.HasNoise()
+	// Locals, not fields or calls: the skip test runs once per robot.
+	active, crashed := e.active, e.w.CrashMarks()
+	slots := e.w.Slots()
 	busy, acts, ra := e.busy[:0], e.acts[:0], e.runActs[:0]
 	phase := 0 // the round phase the verdict masks are keyed by
 	if e.qOn {
 		phase = e.round % e.qPeriod
 	}
-	for i, p := range e.order {
-		slot, lr := e.orderSlots[i], e.round
-		if scheduled {
+	for i, p := range e.w.Cells() {
+		slot, lr := slots[i], e.round
+		if (active != nil && !active[i]) || (crashed != nil && crashed[slot]) {
+			continue // asleep
+		}
+		if active != nil {
 			lr = e.w.Clock(slot)
 			e.w.TickClock(slot)
 			if e.qOn {
@@ -671,8 +666,8 @@ func (e *Engine) stageCompute(scheduled bool) error {
 // surviving transfers.
 //
 //gather:hotpath
-func (e *Engine) stageResolve(scheduled bool) int {
-	moved := e.resolveArrivals(scheduled)
+func (e *Engine) stageResolve() int {
+	moved := e.resolveArrivals()
 
 	// Deliver transfers to robots occupying the target cells after moves.
 	// Targets that merged this round do not accept states (the run was
@@ -712,24 +707,22 @@ func (e *Engine) stageResolve(scheduled bool) int {
 // robots that hopped.
 //
 //gather:hotpath
-func (e *Engine) resolveArrivals(scheduled bool) int {
+func (e *Engine) resolveArrivals() int {
+	// The pre-round cell order: Commit is the first to change it.
+	cells := e.w.Cells()
 	moved := 0
 	for k, i := range e.busy {
-		from := e.order[i]
+		from := cells[i]
 		dst := from.Add(e.acts[k].move())
 		if dst != from {
 			moved++
 		}
 		e.w.Arrive(from, dst)
 	}
-	var awake []grid.Point
-	if scheduled || e.crashTrack {
-		awake = e.order
-	}
 	// A merge onto a crashed sleeper removes it: the crash mark dies with
 	// its slot (slots are never reused), and the cell now holds the live
 	// mover.
-	e.crashedLive -= e.w.Land(awake)
+	e.crashedLive -= e.w.Land(e.active)
 
 	e.deliver = e.deliver[:0]
 	for k, i := range e.busy {
@@ -737,7 +730,7 @@ func (e *Engine) resolveArrivals(scheduled bool) int {
 		if a == nil {
 			continue
 		}
-		from := e.order[i]
+		from := cells[i]
 		dst := from.Add(e.acts[k].move())
 		if e.w.ArrivalCount(dst) != 1 {
 			continue

@@ -312,8 +312,9 @@ func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
 // over a block planted on a four-chunk corner and checks the incremental
 // Connected against the scratch BFS and the swarm after every round, and
 // that exactly the live tiles then carry connectivity state. The
-// seed corpus aims at the seams: border oscillation, corner bridges, and a
-// planted disconnect-and-return.
+// seed corpus aims at the seams: border oscillation, corner bridges, a
+// planted disconnect-and-return, and a chunk that empties and is entered
+// again, so its connectivity state is detached and rebuilt.
 func FuzzIncrementalConnectivity(f *testing.F) {
 	// Each op is two bytes: robot selector, then direction/op code.
 	// Codes 0..8 move robot (selector % len) by the L∞ unit vector
@@ -325,6 +326,9 @@ func FuzzIncrementalConnectivity(f *testing.F) {
 	f.Add([]byte{3, 9, 3, 10, 5, 9, 9, 9, 11, 12, 250, 200}) // merges + corner steps
 	f.Add([]byte{0, 0, 1, 2, 2, 6, 3, 8, 4, 4, 5, 0, 6, 2})  // diagonal drifts
 	f.Add([]byte{35, 5, 35, 5, 35, 5, 35, 5, 35, 3, 35, 3})  // walk a corner robot away and back
+	// Merge chunk (0,0)'s nine robots east, row by row, into chunk (1,0);
+	// then (64,62) steps back in to (63,61) and out again.
+	f.Add([]byte{0, 9, 0, 9, 0, 9, 3, 9, 3, 9, 3, 9, 6, 9, 6, 9, 6, 9, 3, 0, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := swarm.New()
 		// 6×6 block spanning the four-chunk corner at (64, 64).

@@ -43,7 +43,10 @@
 //	Arrive(from, dst) for every activated robot that moves (dst ≠ from)
 //	  or holds runs, in canonical cell order of from: its runs end and a
 //	  mover leaves its cell
-//	Land(awake) lands the movers in the same order and resolves merges
+//	Land(active) lands the movers in the same order and resolves merges;
+//	  active is the scheduler's activation mask over the pre-round cell
+//	  order (nil when every robot runs), and a robot with a crash mark
+//	  sleeps whatever the mask says
 //	ArrivalCount / ArrivalState / SetArrivalState for kept runs and
 //	  transfer resolution
 //	Commit
@@ -709,10 +712,11 @@ func (d *Dense) Arrive(from, dst grid.Point) {
 }
 
 // Land lands the movers Arrive recorded, in the order recorded, and
-// returns how many crash-stopped robots merges removed. awake lists the
-// pre-round cells of the round's activated robots in canonical order, or
-// is nil when every robot is activated; Land reads it only when a mover
-// from an earlier cell lands on a stayer.
+// returns how many crash-stopped robots merges removed. active is the
+// round's activation mask over the pre-round cell order (Cells(), which
+// Commit is the first to change), or nil when the scheduler activates
+// every robot; a robot with a crash mark sleeps either way. Land consults
+// them only when a mover is the first to land on a stayer.
 //
 // A mover landing on a free cell takes it, and one landing where an
 // earlier mover landed merges into that mover. A mover landing on a
@@ -725,7 +729,7 @@ func (d *Dense) Arrive(from, dst grid.Point) {
 // cell view-dirty.
 //
 //gather:hotpath
-func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
+func (d *Dense) Land(active []bool) (crashedLost int) {
 	for _, m := range d.moves {
 		t := d.ensureTile(m.dst)
 		rx, ry := m.dst.X&tileMask, m.dst.Y&tileMask
@@ -746,8 +750,9 @@ func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
 			// whichever of the two survives.
 			e.land |= b
 			d.dropRuns(win)
-			if m.from.Less(m.dst) || (awake != nil && !containsCell(awake, m.dst)) {
-				if d.crashed != nil && d.crashed[win] {
+			crashed := d.crashed != nil && d.crashed[win]
+			if m.from.Less(m.dst) || crashed || (active != nil && !active[searchCells(d.cells, m.dst)]) {
+				if crashed {
 					crashedLost++
 				}
 				win, lose = lose, win
@@ -767,12 +772,6 @@ func (d *Dense) Land(awake []grid.Point) (crashedLost int) {
 func (d *Dense) landed(dst grid.Point, slot int32) {
 	// Length-reset by every Commit; bounded by the busiest round's movers.
 	d.lands = append(d.lands, landing{dst, slot}) //gather:alloc-ok length-reset per Commit, steady-state reuse
-}
-
-// containsCell reports whether the sorted cells hold c.
-func containsCell(cells []grid.Point, c grid.Point) bool {
-	i := searchCells(cells, c)
-	return i < len(cells) && cells[i] == c
 }
 
 // searchCells returns the index of the first of the sorted cells not less
@@ -850,7 +849,7 @@ func (d *Dense) Commit() {
 // the order, columns from the landings, or from the live tiles when a
 // mover left the west or east edge.
 func (d *Dense) patchOrder() {
-	sortNearSorted(d.lands)
+	slices.SortFunc(d.lands, func(a, b landing) int { return a.cell.Compare(b.cell) })
 	old, oldS := d.cells, d.slots
 	outC, outS := d.spareCells[:0], d.spareSlots[:0]
 	mv, in := d.moves, d.lands
@@ -906,30 +905,6 @@ func (d *Dense) liveColumns() (lo, hi int) {
 		hi = max(hi, base+tileMask-bits.LeadingZeros64(t.occCols))
 	}
 	return lo, hi
-}
-
-// sortNearSorted sorts the landings by cell, with an insertion pass that
-// is O(n + inversions) — linear on the engine's near-sorted landing lists
-// (movers come in cell order and hop L∞ ≤ 1). A shift budget bounds
-// pathological rounds: past it, the remainder is handed to the standard
-// sort (cells are unique, so the result is deterministic either way).
-func sortNearSorted(lands []landing) {
-	budget := 8*len(lands) + 64
-	for i := 1; i < len(lands); i++ {
-		l := lands[i]
-		j := i - 1
-		for j >= 0 && l.cell.Less(lands[j].cell) {
-			lands[j+1] = lands[j]
-			j--
-			budget--
-			if budget < 0 {
-				lands[j+1] = l
-				slices.SortFunc(lands, func(a, b landing) int { return a.cell.Compare(b.cell) })
-				return
-			}
-		}
-		lands[j+1] = l
-	}
 }
 
 // --- snapshot codec ---
@@ -1141,6 +1116,10 @@ func (d *Dense) Crash(p grid.Point) {
 	d.markViewDirty(p)
 	d.version++
 }
+
+// CrashMarks returns the crash marks indexed by slot, nil while crashes
+// are disabled: the world's own array, read-only.
+func (d *Dense) CrashMarks() []bool { return d.crashed }
 
 // Crashed reports whether the robot in slot has crash-stopped.
 func (d *Dense) Crashed(slot int32) bool { return d.crashed != nil && d.crashed[slot] }

@@ -48,16 +48,22 @@ func FuzzOccupancy(f *testing.F) {
 // at its own cell. The first byte sizes the swarm (up to 48 robots), the
 // next two per robot place it in a 16×16 box straddling the chunk corner
 // at (64, 64); every later byte decides one robot's round, robots taken in
-// canonical order: bits 0–1 zero means it sleeps, otherwise bits 2–3 and
-// 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, and bit 6 names an activated
-// stayer to Arrive, which must change nothing. Logical clocks are on: each
-// activated robot ticks once, and a merge keeps the largest clock.
+// canonical order: bits 0–1 zero means the activation mask leaves it out,
+// otherwise bits 2–3 and 4–5 (mod 3, minus 1) give its L∞ ≤ 1 move, and
+// bit 6 names an activated stayer to Arrive, which must change nothing.
+// Bit 7 crashes a live robot before the round. A crashed robot sleeps from
+// then on whatever the mask says: it never Arrives, and the replay orders
+// it with the sleepers. Land gets the mask, or nil when every live robot
+// is activated, so that only the crash mark can make a crashed stayer lose
+// to a later mover. Logical clocks are on: each activated robot ticks
+// once, and a merge keeps the largest clock.
 //
 // Before Commit each destination's ArrivalCount and surviving slot must
-// match the replay, and every vacated cell must count 0. After every
+// match the replay, every vacated cell must count 0, and Land must report
+// as many merged crashed robots as the replay. After every
 // Commit the round scratch must be gone (an empty edit list, every row-edit
-// index entry zero), the world's Cells, Slots, Len, Bounds and clocks must
-// match the replay, the column words, live tiles and slot blocks must
+// index entry zero), the world's Cells, Slots, Len, Bounds, clocks and
+// crash marks must match the replay, the column words, live tiles and slot blocks must
 // agree with the row words and the cell order, and every occupancy
 // observable must match a swarm oracle (checkAgainstOracle). Quiescence runs at radius 2: every
 // cell of an allocated chunk within L∞ 2 of a cell whose occupancy changed
@@ -72,8 +78,10 @@ func FuzzOccupancy(f *testing.F) {
 // stayer later in canonical order (the mover survives, along a row and
 // across rows), on a named stayer, on a stayer earlier in canonical order
 // (the stayer survives), and on a sleeper (the mover survives); a swap; an
-// A→B→C chain; and three-way merges onto an activated and onto a sleeping
-// middle robot.
+// A→B→C chain; three-way merges onto an activated and onto a sleeping
+// middle robot; and a mover landing on a crashed stayer that the mask
+// activates, from an earlier and from a later cell (the mover survives
+// both).
 func FuzzRoundProtocol(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 0, 2, 0, 3, 0, 5, 5, 5, 5, 0, 21, 9, 37})
 	f.Add([]byte{6, 7, 7, 8, 7, 9, 7, 7, 8, 8, 8, 9, 8, 1, 2, 3, 0, 4, 5, 0, 42, 42, 42, 1, 1, 1, 1, 1, 1})
@@ -96,6 +104,8 @@ func FuzzRoundProtocol(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 25, 25}) // an A→B→C chain
 	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 21, 17}) // a three-way merge onto a stayer
 	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 25, 0, 17})  // a three-way merge onto a sleeper
+	f.Add([]byte{2, 0, 0, 1, 0, 25, 149})          // an earlier mover onto a crashed stayer
+	f.Add([]byte{2, 0, 0, 1, 0, 149, 17})          // a later mover onto a crashed stayer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -110,6 +120,7 @@ func FuzzRoundProtocol(f *testing.F) {
 		}
 		d := NewDense(s.Cells(), true)
 		d.EnableQuiescence(radius)
+		d.EnableCrashes()
 		// The replay: the robot on each cell's slot, assigned in canonical
 		// order at construction like the world's, and each slot's clock.
 		slotOf := make(map[grid.Point]int32, s.Len())
@@ -117,9 +128,22 @@ func FuzzRoundProtocol(f *testing.F) {
 			slotOf[p] = int32(i)
 		}
 		clock := make(map[int32]int, s.Len())
+		crashed := make(map[int32]bool)
 		for round := 0; round < 64 && len(data) > 0; round++ {
 			cells := append([]grid.Point(nil), d.Cells()...)
-			var awake, sleepers []grid.Point
+			bs := make([]byte, len(cells))
+			for i, p := range cells {
+				if len(data) > 0 {
+					bs[i], data = data[0], data[1:]
+				}
+				if slot := slotOf[p]; bs[i]&128 != 0 && !crashed[slot] {
+					d.Crash(p)
+					crashed[slot] = true
+				}
+			}
+			active := make([]bool, len(cells))
+			liveSleeper := false
+			var sleepers []grid.Point
 			next := make(map[grid.Point]int32, len(cells))
 			count := make(map[grid.Point]int, len(cells))
 			arrive := func(from, dst grid.Point) {
@@ -132,16 +156,14 @@ func FuzzRoundProtocol(f *testing.F) {
 				count[dst]++
 			}
 			var vacated []grid.Point
-			for _, p := range cells {
-				var b byte
-				if len(data) > 0 {
-					b, data = data[0], data[1:]
-				}
-				if b&3 == 0 {
+			for i, p := range cells {
+				b := bs[i]
+				active[i] = b&3 != 0
+				if !active[i] || crashed[slotOf[p]] {
 					sleepers = append(sleepers, p)
+					liveSleeper = liveSleeper || !crashed[slotOf[p]]
 					continue
 				}
-				awake = append(awake, p)
 				slot := d.SlotAt(p)
 				d.TickClock(slot)
 				clock[slot]++
@@ -157,10 +179,19 @@ func FuzzRoundProtocol(f *testing.F) {
 			for _, p := range sleepers {
 				arrive(p, p)
 			}
-			if len(sleepers) == 0 {
-				awake = nil
+			if !liveSleeper {
+				active = nil
 			}
-			d.Land(awake)
+			lost := d.Land(active)
+			wantLost := 0
+			for _, p := range cells {
+				if slot := slotOf[p]; crashed[slot] && next[p] != slot {
+					wantLost++
+				}
+			}
+			if lost != wantLost {
+				t.Fatalf("round %d: Land reports %d merged crashed robots, replay %d", round, lost, wantLost)
+			}
 			for p, slot := range next {
 				if got, want := d.ArrivalCount(p), min(count[p], 2); got != want {
 					t.Fatalf("round %d: ArrivalCount(%v) = %d, replay %d", round, p, got, want)
@@ -197,6 +228,9 @@ func FuzzRoundProtocol(f *testing.F) {
 				}
 				if c := d.ClockAt(p); c != clock[next[p]] {
 					t.Fatalf("round %d: clock at %v = %d, replay %d", round, p, c, clock[next[p]])
+				}
+				if c := d.CrashedAt(p); c != crashed[next[p]] {
+					t.Fatalf("round %d: CrashedAt(%v) = %v, replay %v", round, p, c, crashed[next[p]])
 				}
 			}
 			if b := d.Bounds(); b != bounds {

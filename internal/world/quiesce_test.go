@@ -133,11 +133,12 @@ func qRound(d *Dense, mover int, dir grid.Point, keep, sleep bool, recv int, id 
 		}
 		d.Arrive(p, dst)
 	}
-	var awake []grid.Point
+	var active []bool
 	if sleep && mover >= 0 {
-		awake = cells[mover : mover+1]
+		active = make([]bool, len(cells))
+		active[mover] = true
 	}
-	d.Land(awake)
+	d.Land(active)
 	if mover >= 0 && keep && d.ArrivalCount(mdst) == 1 {
 		d.SetArrivalState(mdst, run())
 	}

@@ -221,28 +221,6 @@ func TestDenseConstructionMatchesWorkloads(t *testing.T) {
 	}
 }
 
-// TestSortNearSortedFallback feeds the insertion pass a fully reversed
-// permutation — far past the shift budget — and checks the fallback still
-// sorts correctly and moves every slot with its cell.
-func TestSortNearSortedFallback(t *testing.T) {
-	const n = 4096
-	lands := make([]landing, n)
-	for i := range lands {
-		lands[i] = landing{grid.Pt(n-i, 0), int32(i)}
-	}
-	sortNearSorted(lands)
-	for i := 1; i < n; i++ {
-		if !lands[i-1].cell.Less(lands[i].cell) {
-			t.Fatalf("not sorted at %d: %v then %v", i, lands[i-1].cell, lands[i].cell)
-		}
-	}
-	for _, l := range lands {
-		if want := int32(n - l.cell.X); l.slot != want {
-			t.Fatalf("cell %v carries slot %d, want %d", l.cell, l.slot, want)
-		}
-	}
-}
-
 // TestDenseClocksDisabled pins the clocks-off contract: ClockAt and Clock
 // are 0 and TickClock a no-op.
 func TestDenseClocksDisabled(t *testing.T) {
@@ -262,8 +240,9 @@ func TestDenseClocksDisabled(t *testing.T) {
 
 // Crash marks belong to slots: Crash marks a robot, the mark stays with
 // the robot as long as it is the cell's first arrival, and dies with its
-// slot when it is merged onto. A crashed robot sleeps, so a mover landing
-// on it survives whichever cell it comes from.
+// slot when it is merged onto. A crashed robot sleeps even where the
+// activation mask names it, so a mover landing on it survives whichever
+// cell it comes from.
 func TestCrashMarks(t *testing.T) {
 	d := NewDense([]grid.Point{grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0)}, false)
 	if d.CrashedAt(grid.Pt(1, 0)) || d.Crashed(d.SlotAt(grid.Pt(1, 0))) {
@@ -276,9 +255,10 @@ func TestCrashMarks(t *testing.T) {
 		t.Fatal("CrashedAt does not match the single crash")
 	}
 	// The robot at (2,0) moves onto the crashed sleeper: activated robots
-	// arrive before sleepers, so the cell now holds a live robot.
+	// arrive before sleepers, so the cell now holds a live robot. The mask
+	// activates all three; the crash mark alone puts (1,0) to sleep.
 	d.Arrive(grid.Pt(2, 0), grid.Pt(1, 0))
-	if lost := d.Land([]grid.Point{grid.Pt(0, 0), grid.Pt(2, 0)}); lost != 1 {
+	if lost := d.Land([]bool{true, true, true}); lost != 1 {
 		t.Fatalf("Land removed %d crashed robots, want 1", lost)
 	}
 	if d.ArrivalCount(grid.Pt(1, 0)) != 2 {

@@ -283,19 +283,41 @@ func TestSubscribeCancel(t *testing.T) {
 }
 
 // A bare Step allocates nothing once the scratch is warm: the engine keeps
-// one view for its lifetime and every per-round list is length-reset.
+// one view for its lifetime and every per-round list is length-reset. The
+// scheduled configurations cover the greedy rules' per-robot Compute and
+// the activation mask; the crash plan strikes in the measured rounds, so
+// its crash marks decide who sleeps there.
 func TestStepAllocationFree(t *testing.T) {
-	sim := mustNew(t, mustWorkload(t, "hollow", 400))
-	if _, err := sim.StepN(3); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("a warm Step allocates %.2f times per round, want 0", allocs)
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		crashes int // robots crashed by the end of the measured rounds
+	}{
+		{"fsync-paper", nil, 0},
+		{"ssync-rr-greedy", []Option{WithScheduler("ssync-rr:3"), WithAlgorithm("greedy")}, 0},
+		{"async-greedy", []Option{WithScheduler("async:8"), WithAlgorithm("greedy")}, 0},
+		{"ssync-rr-paper-crash", []Option{WithScheduler("ssync-rr:3"), WithFaults("crash-at:r=4,k=2@1"), WithConnectivityCheck(true)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := mustNew(t, mustWorkload(t, "hollow", 400), tc.opts...)
+			if _, err := sim.StepN(3); err != nil {
+				t.Fatal(err)
+			}
+			if got := sim.Metrics().Crashes; got != 0 {
+				t.Fatalf("%d robots crashed before the measured rounds", got)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := sim.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a warm Step allocates %.2f times per round, want 0", allocs)
+			}
+			if got := sim.Metrics().Crashes; got != tc.crashes {
+				t.Errorf("%d robots crashed in the measured rounds, want %d", got, tc.crashes)
+			}
+		})
 	}
 }
 
