@@ -3,6 +3,8 @@ package gridgather_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gridgather"
@@ -291,5 +293,31 @@ func BenchmarkPublicAPI(b *testing.B) {
 		if res := sim.Run(context.Background()); res.Err != nil {
 			b.Fatal(res.Err)
 		}
+	}
+}
+
+// BenchmarkNew measures building a session from a 2^16 blob: the cells in
+// canonical order and the same cells shuffled, which New must sort.
+func BenchmarkNew(b *testing.B) {
+	cells, err := gridgather.Workload("blob", 1<<16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shuffled := slices.Clone(cells)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, in := range []struct {
+		name  string
+		cells []gridgather.Point
+	}{{"canonical", cells}, {"shuffled", shuffled}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := gridgather.New(in.cells); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

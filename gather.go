@@ -32,12 +32,14 @@ package gridgather
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gridgather/internal/fault"
 	"gridgather/internal/gen"
 	"gridgather/internal/grid"
 	"gridgather/internal/sched"
 	"gridgather/internal/swarm"
+	"gridgather/internal/world"
 )
 
 // Point is a grid cell. Robots occupy points; two robots are connected when
@@ -89,14 +91,43 @@ var ErrCoordinateRange = errors.New("gridgather: cell coordinate beyond ±2^62")
 // knob in the public API — a broken configuration should abort, not spin).
 var ErrNegativeMaxRounds = errors.New("gridgather: negative MaxRounds (0 selects the default budget)")
 
-// buildSwarm converts public points into a swarm. It is the single
-// swarm-construction loop behind New, Connected and Render.
-func buildSwarm(cells []Point) *swarm.Swarm {
-	s := swarm.NewSized(len(cells))
-	for _, c := range cells {
-		s.Add(grid.Pt(c.X, c.Y))
+// canonicalCells returns the cells in a fresh slice in the world's
+// canonical (Y, X) order, repeats collapsed. It refuses an empty input
+// (ErrEmpty) and a cell beyond ±2^62 (ErrCoordinateRange, naming the first
+// such cell in input order).
+func canonicalCells(cells []Point) ([]grid.Point, error) {
+	if len(cells) == 0 {
+		return nil, ErrEmpty
 	}
-	return s
+	pts := make([]grid.Point, len(cells))
+	for i, c := range cells {
+		p := grid.Pt(c.X, c.Y)
+		if !p.InRange() {
+			return nil, fmt.Errorf("%w: cell (%d,%d)", ErrCoordinateRange, c.X, c.Y)
+		}
+		pts[i] = p
+	}
+	slices.SortFunc(pts, grid.Point.Compare)
+	return slices.Compact(pts), nil
+}
+
+// floodWorld builds the world over canonical cells, which it keeps, and
+// reports whether they are 4-connected by one scratch flood. A bounding
+// box whose semi-perimeter reaches the population cannot hold a connected
+// swarm; it is refused before the world, whose chunk table covers the
+// box, is built, so a stray far cell cannot make it reserve an empty
+// plane.
+func floodWorld(pts []grid.Point, withClocks bool) (*world.Dense, bool) {
+	b := grid.EmptyRect
+	for _, p := range pts {
+		b = b.Include(p)
+	}
+	n := uint64(len(pts))
+	if w, h := uint64(b.MaxX-b.MinX), uint64(b.MaxY-b.MinY); w >= n || h >= n || w+h >= n {
+		return nil, false
+	}
+	d := world.NewDense(pts, withClocks)
+	return d, d.ConnectedBFS()
 }
 
 func fromSwarm(s *swarm.Swarm) []Point {
@@ -142,16 +173,24 @@ func FaultSpecs() []string { return fault.Specs() }
 func Algorithms() []string { return []string{"paper", "greedy"} }
 
 // Connected reports whether the cells form a connected swarm under the
-// paper's horizontal/vertical adjacency.
+// paper's horizontal/vertical adjacency, by the check New makes. It
+// reports false for cells New refuses before looking at their shape: none
+// at all, or one beyond ±2^62.
 func Connected(cells []Point) bool {
-	if len(cells) == 0 {
+	pts, err := canonicalCells(cells)
+	if err != nil {
 		return false
 	}
-	return buildSwarm(cells).Connected()
+	_, ok := floodWorld(pts, false)
+	return ok
 }
 
 // Render draws the cells as ASCII art ('#' robots, '.' free), highest y
 // first — a convenience for demos and debugging.
 func Render(cells []Point) string {
-	return buildSwarm(cells).String()
+	s := swarm.NewSized(len(cells))
+	for _, c := range cells {
+		s.Add(grid.Pt(c.X, c.Y))
+	}
+	return s.String()
 }

@@ -190,4 +190,13 @@ func TestConnectedHelper(t *testing.T) {
 	if Connected(nil) {
 		t.Error("empty must not be connected")
 	}
+	if !Connected([]Point{{0, 1}, {1, 1}, {0, 1}, {0, 0}}) {
+		t.Error("an unsorted L with a repeated cell should be connected")
+	}
+	if Connected([]Point{{-1 << 61, 0}, {1 << 61, 1 << 61}}) {
+		t.Error("cells 2^62 apart must not be connected")
+	}
+	if Connected([]Point{{1<<62 + 1, 0}, {1 << 62, 0}}) {
+		t.Error("a cell New refuses as out of range must not be connected")
+	}
 }

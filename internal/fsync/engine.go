@@ -283,15 +283,23 @@ func (e ErrRoundLimit) Error() string {
 }
 
 // New creates an engine simulating the given swarm (which it does not
-// retain) under the given algorithm.
+// retain) under the given algorithm: NewOnWorld over a world built from
+// the swarm's cells.
 func New(s *swarm.Swarm, alg Algorithm, cfg Config) *Engine {
+	return NewOnWorld(world.NewDense(s.Cells(), cfg.Scheduler != nil), alg, cfg)
+}
+
+// NewOnWorld creates an engine that drives w under the given algorithm. w
+// must be fresh from world.NewDense, built with clocks exactly when
+// cfg.Scheduler is set; the engine owns it from here on.
+func NewOnWorld(w *world.Dense, alg Algorithm, cfg Config) *Engine {
 	if cfg.MaxRounds < 0 {
 		cfg.MaxRounds = 0 // reserved: negative means the same as "no limit"
 	}
 	e := &Engine{
 		cfg:       cfg,
 		alg:       alg,
-		w:         world.NewDense(s.Cells(), cfg.Scheduler != nil),
+		w:         w,
 		nextRunID: 1,
 	}
 	e.initFaults()

@@ -134,11 +134,11 @@ func RoundRobin(k int) Scheduler {
 
 type roundRobin struct{ k int }
 
+// Activate marks every k-th index from round mod k. A negative round has
+// a negative remainder, which no index matches.
 func (s *roundRobin) Activate(round int, cells []grid.Point, _ []int32, active []bool) {
-	for i := range cells {
-		if i%s.k == round%s.k {
-			active[i] = true
-		}
+	for i := round % s.k; i >= 0 && i < len(cells); i += s.k {
+		active[i] = true
 	}
 }
 

@@ -102,6 +102,24 @@ func TestRoundRobinPartition(t *testing.T) {
 	}
 }
 
+// Round-robin activates exactly the indices its definition names,
+// i ≡ round (mod k) with Go's truncated remainder, so a negative round
+// activates nobody unless k divides it.
+func TestRoundRobinMatchesModulo(t *testing.T) {
+	for k := 1; k <= 5; k++ {
+		for _, n := range []int{0, 1, k - 1, k, k + 1, 100} {
+			cells := cellsN(n)
+			for round := -2 * k; round <= 2*k; round++ {
+				for i, on := range activate(RoundRobin(k), round, cells) {
+					if want := i%k == round%k; on != want {
+						t.Fatalf("k=%d n=%d round %d: index %d active=%v, want %v", k, n, round, i, on, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRandomDeterministicAndFair(t *testing.T) {
 	cells := cellsN(31)
 	a, b := Random(0.5, 4, 7), Random(0.5, 4, 7)

@@ -10,7 +10,7 @@ package swarm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gridgather/internal/grid"
 )
@@ -68,7 +68,7 @@ func (s *Swarm) Cells() []grid.Point {
 	for p := range s.cells {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, grid.Point.Compare)
 	return out
 }
 

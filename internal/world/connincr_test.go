@@ -298,8 +298,8 @@ func TestColdQueryOnRestoredDisconnectedWorld(t *testing.T) {
 	if st := d.ConnStats(); st.Chunks < 4 {
 		t.Fatalf("the world spans %d chunks, want a multi-chunk world", st.Chunks)
 	}
-	if cap(d.stack) != 0 {
-		t.Fatal("the cold Connected query ran a scratch BFS")
+	if d.vis != nil {
+		t.Fatal("the cold Connected query ran a scratch flood")
 	}
 
 	if size, _ := decode().LargestLiveComponent(); size != 1800 {
@@ -389,6 +389,39 @@ func FuzzIncrementalConnectivity(f *testing.F) {
 		// A final full-oracle sweep (components, degrees, bounds).
 		checkAgainstOracle(t, d, s, s.Cells())
 	})
+}
+
+// The scratch flood's ring queue grows while wrapped and loses no entry:
+// a random blob's search layers run past the ring's first 64 entries, and
+// the ring fills at arbitrary offsets. A lost entry's cell would go
+// uncounted, and the blobs sit away from the origin, which a zero entry
+// would name. Beside a smaller blob the larger one must still come out
+// whole.
+func TestFloodWideFrontier(t *testing.T) {
+	blob := func(n int, seed int64, off grid.Point) []grid.Point {
+		cells := gen.RandomBlob(n, seed).Cells()
+		for i := range cells {
+			cells[i] = cells[i].Add(off)
+		}
+		return cells
+	}
+	// Each query runs on a fresh world, so each grows the ring itself.
+	for seed := int64(1); seed <= 4; seed++ {
+		big := blob(6000, seed, grid.Pt(-300, 500))
+		two := append(blob(3000, seed, grid.Pt(-300, 900)), big...)
+		want := swarm.New(big...).Bounds()
+		if !connWorld(big...).ConnectedBFS() {
+			t.Errorf("seed %d: ConnectedBFS reports a blob disconnected", seed)
+		}
+		if connWorld(two...).ConnectedBFS() {
+			t.Errorf("seed %d: ConnectedBFS reports two blobs 400 rows apart connected", seed)
+		}
+		for _, cells := range [][]grid.Point{big, two} {
+			if n, b := connWorld(cells...).LargestLiveComponent(); n != len(big) || b != want {
+				t.Errorf("seed %d, %d cells: LargestLiveComponent = %d, %v, want %d, %v", seed, len(cells), n, b, len(big), want)
+			}
+		}
+	}
 }
 
 // TestLargestLiveComponent pins the degraded-mode ranking: components are

@@ -216,7 +216,7 @@ type Dense struct {
 
 	version uint64 // bumped by every write to occupancy or crash marks
 
-	stack []grid.Point // flood scratch
+	queue []grid.Point // flood scratch: a ring, its length a power of two
 	vis   []uint64     // flood scratch: one visited bit per slot, allocated on the first flood
 
 	conn *connIncr // incremental connectivity (lazily built on first query)
@@ -1156,7 +1156,8 @@ func (d *Dense) ConnStats() ConnStats {
 
 // ConnectedBFS reports 4-connectivity with a scratch flood of the bitset,
 // reusing internal scratch so the check allocates nothing in steady state.
-// It is the incremental layer's reference.
+// It is the incremental layer's reference and the root New's check of its
+// input, which it runs once on the world it builds.
 func (d *Dense) ConnectedBFS() bool {
 	if len(d.cells) <= 1 {
 		return true
@@ -1216,23 +1217,39 @@ func (d *Dense) visit(slot int32) bool {
 // flood visits the 4-connected component of start, whose slot the caller
 // has already marked visited (after clearing the scratch), and returns how
 // many of its cells count — every cell, or only the live ones when
-// liveOnly is set — and their bounding box.
+// liveOnly is set — and their bounding box. It goes breadth first: its
+// queue, a ring kept as scratch, holds about one layer of the search,
+// O(√n) cells for a compact swarm, where a depth-first stack would hold
+// O(n).
 func (d *Dense) flood(start grid.Point, liveOnly bool) (n int, bounds grid.Rect) {
 	bounds = grid.EmptyRect
-	stack := append(d.stack[:0], start)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	q := d.queue
+	if len(q) == 0 {
+		q = make([]grid.Point, 64)
+	}
+	q[0] = start
+	head, size := 0, 1
+	for size > 0 {
+		p := q[head]
+		head, size = (head+1)&(len(q)-1), size-1
 		if !liveOnly || !d.Crashed(d.SlotAt(p)) {
 			n++
 			bounds = bounds.Include(p)
 		}
-		for _, q := range grid.Neighbors4(p) {
-			if d.Has(q) && d.visit(d.SlotAt(q)) {
-				stack = append(stack, q)
+		for _, nb := range grid.Neighbors4(p) {
+			if !d.Has(nb) || !d.visit(d.SlotAt(nb)) {
+				continue
 			}
+			if size == len(q) {
+				grown := make([]grid.Point, 2*len(q))
+				copy(grown, q[head:])
+				copy(grown[len(q)-head:], q[:head])
+				q, head = grown, 0
+			}
+			q[(head+size)&(len(q)-1)] = nb
+			size++
 		}
 	}
-	d.stack = stack[:0]
+	d.queue = q
 	return n, bounds
 }

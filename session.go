@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"gridgather/internal/fsync"
-	"gridgather/internal/grid"
 )
 
 // ErrDone is returned by Step and StepN when the simulation has already
@@ -45,33 +44,40 @@ type Simulation struct {
 }
 
 // New creates a simulation session over the given connected swarm. The
-// input slice is not retained or modified. With no options it simulates
-// the paper's setting; see Option for the available knobs. The returned
-// session has executed zero rounds: drive it with Step, StepN or Run.
+// cells may come in any order, and a repeated cell is one robot; the input
+// slice is not retained or modified. Setting up costs one sort of the
+// cells and one flood over them (the connectivity check). With no options
+// it simulates the paper's setting; see Option for the available knobs.
+// The returned session has executed zero rounds: drive it with Step,
+// StepN or Run.
+//
+// An input fails its first check in this order: ErrEmpty,
+// ErrCoordinateRange, ErrNotConnected, then an option error.
 func New(cells []Point, opts ...Option) (*Simulation, error) {
-	s := buildSwarm(cells)
-	if s.Len() == 0 {
-		return nil, ErrEmpty
-	}
-	for _, c := range cells {
-		if !grid.Pt(c.X, c.Y).InRange() {
-			return nil, fmt.Errorf("%w: cell (%d,%d)", ErrCoordinateRange, c.X, c.Y)
-		}
-	}
-	if !s.Connected() {
-		return nil, ErrNotConnected
-	}
-	sim := &Simulation{initial: s.Len()}
-	if err := sim.cfg.apply(opts); err != nil {
+	pts, err := canonicalCells(cells)
+	if err != nil {
 		return nil, err
 	}
-	sc, err := sim.cfg.resolve(s.Len())
-	if err != nil {
-		return nil, fmt.Errorf("gridgather: %w", err)
+	sim := &Simulation{initial: len(pts)}
+	// The world's clocks follow the resolved scheduler, so the options are
+	// resolved first; their error waits until the swarm passed its check.
+	var sc scenario
+	optErr := sim.cfg.apply(opts)
+	if optErr == nil {
+		if sc, optErr = sim.cfg.resolve(len(pts)); optErr != nil {
+			optErr = fmt.Errorf("gridgather: %w", optErr)
+		}
+	}
+	w, ok := floodWorld(pts, sc.scheduler != nil)
+	if !ok {
+		return nil, ErrNotConnected
+	}
+	if optErr != nil {
+		return nil, optErr
 	}
 	budget := sc.budget.WithOverrides(sim.cfg.maxRounds, sim.cfg.noMergeLimit)
 	sim.cfg.maxRounds, sim.cfg.noMergeLimit = budget.MaxRounds, budget.NoMergeLimit
-	sim.eng = fsync.New(s, sc.alg, sim.cfg.engineConfig(sc))
+	sim.eng = fsync.NewOnWorld(w, sc.alg, sim.cfg.engineConfig(sc))
 	return sim, nil
 }
 

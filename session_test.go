@@ -1,8 +1,11 @@
 package gridgather
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gridgather/internal/fsync"
@@ -348,5 +351,87 @@ func TestObserverPathAllocationFree(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("observer never saw a payload")
+	}
+}
+
+// New accepts its cells in any order and collapses repeats: a shuffled
+// copy of a workload with every tenth cell repeated builds the session the
+// canonical cells build, byte for byte, and New leaves the caller's slice
+// as it was.
+func TestNewCanonicalisesInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, name := range []string{"solid", "hollow", "blob"} {
+		t.Run(name, func(t *testing.T) {
+			cells := mustWorkload(t, name, 500)
+			messy := slices.Clone(cells)
+			for i := 0; i < len(cells); i += 10 {
+				messy = append(messy, cells[i])
+			}
+			rng.Shuffle(len(messy), func(i, j int) { messy[i], messy[j] = messy[j], messy[i] })
+			before := slices.Clone(messy)
+
+			want, got := mustNew(t, cells), mustNew(t, messy)
+			if !slices.Equal(messy, before) {
+				t.Fatal("New modified the caller's slice")
+			}
+			if g, w := got.Status().Robots, want.Status().Robots; g != w || w != len(cells) {
+				t.Fatalf("robots = %d from the shuffled input, %d from the canonical one, want %d", g, w, len(cells))
+			}
+			for _, rounds := range []int{0, 5} {
+				if _, err := want.StepN(rounds); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := got.StepN(rounds); err != nil {
+					t.Fatal(err)
+				}
+				a, err := want.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := got.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("after %d more rounds the shuffled input's snapshot differs from the canonical one's", rounds)
+				}
+			}
+		})
+	}
+}
+
+// New reports the first failing check in a fixed order: emptiness, then
+// the coordinate range, then connectivity, then the options.
+func TestNewErrorPrecedence(t *testing.T) {
+	far := Point{X: 1<<62 + 1} // just past the range
+	apart := []Point{{0, 0}, {5, 5}}
+	for _, tc := range []struct {
+		name  string
+		cells []Point
+		opts  []Option
+		want  error
+	}{
+		{"nil", nil, nil, ErrEmpty},
+		{"nil with a bad option", nil, []Option{WithScheduler("bogus")}, ErrEmpty},
+		{"disconnected and out of range", append(slices.Clone(apart), far), nil, ErrCoordinateRange},
+		{"disconnected with a bad scheduler", apart, []Option{WithScheduler("bogus")}, ErrNotConnected},
+		// The world's chunk table covers the bounding box: two cells 2^62
+		// apart are refused before it is sized.
+		{"far apart", []Point{{-1 << 61, 0}, {1 << 61, 1 << 61}}, nil, ErrNotConnected},
+	} {
+		if _, err := New(tc.cells, tc.opts...); !errors.Is(err, tc.want) {
+			t.Errorf("%s: New error %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := New([]Point{{0, 0}, {0, 1}}, WithScheduler("bogus")); err == nil {
+		t.Error("a connected input with a bad scheduler: New returned no error")
+	}
+	p := Point{X: 3, Y: -4}
+	sim, err := New([]Point{p, p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sim.Status(); st.Robots != 1 || !st.Gathered {
+		t.Errorf("{p, p}: status %+v, want one gathered robot", st)
 	}
 }
